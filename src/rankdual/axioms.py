@@ -19,6 +19,7 @@ from .core import (
     masks_by_cardinality,
     table_from_values,
 )
+from .ops import _dual_values
 
 # Full semimodularity scans all subset pairs (4**n / 2 work); past this size
 # only the local variant is checked and the report says so.
@@ -503,10 +504,7 @@ def check_demimatroid_triple(d: DemiTriple) -> AxiomReport:
     if hit is not None:
         witnesses["rank-nullity-duality-complement"] = {"A": _subset(ground, hit)}
 
-    dual_of_r = tuple(
-        mask.bit_count() + r.values[full ^ mask] - r.values[full] for mask in range(full + 1)
-    )
-    details = {"s_is_dual_of_r": s.values == dual_of_r}
+    details = {"s_is_dual_of_r": s.values == _dual_values(r.values, n)}
 
     passed = all(verdicts.values())
     return AxiomReport("demi-matroid-triple", verdicts, witnesses, passed, details)

@@ -51,11 +51,10 @@ def _check_edges(vertices, edges):
         seen_pairs.add(pair)
 
 
-def _is_connected(vertices, edges) -> bool:
-    if not vertices:
-        return False
-    index = {name: i for i, name in enumerate(vertices)}
-    parent = list(range(len(vertices)))
+def _components(vertex_count: int, pairs) -> list:
+    """Union-find: the component representative of each vertex 0..count-1
+    in the graph with the given (u, v) index pairs as edges."""
+    parent = list(range(vertex_count))
 
     def find(x):
         while parent[x] != x:
@@ -63,12 +62,17 @@ def _is_connected(vertices, edges) -> bool:
             x = parent[x]
         return x
 
-    for _, u, v in edges:
-        ru, rv = find(index[u]), find(index[v])
-        if ru != rv:
-            parent[ru] = rv
-    root = find(0)
-    return all(find(i) == root for i in range(len(vertices)))
+    for a, b in pairs:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
+    return [find(x) for x in range(vertex_count)]
+
+
+def _is_connected(vertices, edges) -> bool:
+    index = {name: i for i, name in enumerate(vertices)}
+    reps = _components(len(vertices), [(index[u], index[v]) for _, u, v in edges])
+    return len(set(reps)) == 1
 
 
 @dataclass(frozen=True)

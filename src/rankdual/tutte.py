@@ -205,7 +205,12 @@ def tutte_recursive(g: RankTable, pivot: str | Callable[[int], int] = "lowest") 
         memo[key] = result
         return result
 
-    return run(0, g.ground.full_mask)
+    try:
+        return run(0, g.ground.full_mask)
+    finally:
+        # run refers to itself through its closure; unbinding it frees the
+        # memo on return instead of at the next cyclic garbage collection
+        del run
 
 
 def swap_vars(p: LaurentPoly2) -> LaurentPoly2:

@@ -16,8 +16,6 @@ import time
 from dataclasses import dataclass
 from functools import lru_cache
 
-import networkx as nx
-
 from .axioms import (
     DemiTriple,
     check_demimatroid_characterization,
@@ -26,11 +24,12 @@ from .axioms import (
     check_greedoid,
 )
 from .core import GroundSet, RankFunctionError, RankTable, SubsetRef, table_from_values
-from .ops import contract, delete, direct_sum, dual
+from .ops import _dual_values, contract, delete, direct_sum, dual
 from .structures import (
     ContractionError,
     RootedGraph,
     Tree,
+    _components,
     branching_greedoid,
     closure_table,
     demo_pruning_tree,
@@ -132,12 +131,6 @@ def _fast_unit_upper(v, n: int) -> bool:
 def _fast_monotone_nullity(v, n: int) -> bool:
     cards, steps, _, _ = _lattice(n)
     return all(cards[a] - v[a] <= cards[b] - v[b] for a, b in steps)
-
-
-def _dual_values(v, n: int):
-    full = (1 << n) - 1
-    total = v[full]
-    return tuple(m.bit_count() + v[full ^ m] - total for m in range(full + 1))
 
 
 def _union_closed(v, n: int) -> bool:
@@ -300,18 +293,38 @@ def random_monotone_tables(count: int, max_n: int = 6, seed=None):
 def all_trees(max_edges: int):
     """All trees with at most max_edges edges, one per isomorphism class.
 
-    Edge labels are letters assigned in sorted endpoint order; vertex names
-    are v0, v1, ...
+    Each free tree is its rooted shape at its centre (Wright, Richmond,
+    Odlyzko & McKay 1986): a shape whose two tallest subtrees have equal
+    height, or, for a two-centre tree, an unordered pair of equal-height
+    shapes joined by the central edge. Edge labels are letters assigned in
+    sorted endpoint order; vertex names are v0, v1, ... numbered breadth
+    first from a centre.
     """
-    trees = [Tree(("v0",), ())]
-    for order in range(2, max_edges + 2):
-        for g in nx.nonisomorphic_trees(order):
-            pairs = sorted(tuple(sorted(e)) for e in g.edges())
-            edges = tuple(
-                (_LABELS[i], f"v{u}", f"v{v}") for i, (u, v) in enumerate(pairs)
-            )
-            trees.append(Tree(tuple(f"v{i}" for i in range(order)), edges))
+    trees = []
+    for order in range(1, max_edges + 2):
+        centred = [shape for shape in _rooted_tree_shapes(order) if _one_centre(shape)]
+        # two centres: shape b hangs from the root of shape a by the central
+        # edge; equal-size halves are taken once, as a <= b
+        for half in range(1, order // 2 + 1):
+            for a in _rooted_tree_shapes(half):
+                for b in _rooted_tree_shapes(order - half):
+                    if _height(a) == _height(b) and (2 * half < order or a <= b):
+                        centred.append(a + (b,))
+        vertices = tuple(f"v{i}" for i in range(order))
+        trees.extend(Tree(vertices, _labelled(_shape_pairs(shape))) for shape in centred)
     return trees
+
+
+@lru_cache(maxsize=None)
+def _height(shape) -> int:
+    return 1 + max(map(_height, shape)) if shape else 0
+
+
+def _one_centre(shape) -> bool:
+    """True when the root is the tree's only centre: the bare root, or two
+    tallest child subtrees of equal height."""
+    heights = sorted(map(_height, shape))
+    return len(heights) != 1 and heights[-2:-1] == heights[-1:]
 
 
 @lru_cache(maxsize=None)
@@ -344,18 +357,27 @@ def _rooted_tree_shapes(nodes: int):
     return tuple(sorted(shapes))
 
 
-def _shape_to_rooted_graph(shape) -> RootedGraph:
-    vertices = ["v0"]
-    edges = []
-    queue = [(0, shape)]
-    while queue:
-        parent, children = queue.pop(0)
+def _shape_pairs(shape) -> list:
+    """(parent, child) edges of a rooted shape with vertices numbered breadth
+    first from the root 0. The queue is read in index order, so the list is
+    sorted."""
+    pairs = []
+    queue = [shape]
+    for parent, children in enumerate(queue):  # queue grows while it is read
         for child in children:
-            idx = len(vertices)
-            vertices.append(f"v{idx}")
-            edges.append((_LABELS[len(edges)], f"v{parent}", f"v{idx}"))
-            queue.append((idx, child))
-    return RootedGraph(tuple(vertices), "v0", tuple(edges))
+            pairs.append((parent, len(queue)))
+            queue.append(child)
+    return pairs
+
+
+def _labelled(pairs) -> tuple:
+    """(label, u, v) edges from vertex index pairs, labelled in list order."""
+    return tuple((_LABELS[i], f"v{a}", f"v{b}") for i, (a, b) in enumerate(pairs))
+
+
+def _shape_to_rooted_graph(shape) -> RootedGraph:
+    pairs = _shape_pairs(shape)
+    return RootedGraph(tuple(f"v{i}" for i in range(len(pairs) + 1)), "v0", _labelled(pairs))
 
 
 def _cyclic_connected_graphs(max_edges: int):
@@ -368,26 +390,8 @@ def _cyclic_connected_graphs(max_edges: int):
             if e > len(pairs):
                 break
             for combo in itertools.combinations(pairs, e):
-                covered = 0
-                parent = list(range(v))
-
-                def find(x):
-                    while parent[x] != x:
-                        parent[x] = parent[parent[x]]
-                        x = parent[x]
-                    return x
-
-                for a, b in combo:
-                    covered |= (1 << a) | (1 << b)
-                    ra, rb = find(a), find(b)
-                    if ra != rb:
-                        parent[ra] = rb
-                if covered != (1 << v) - 1:
-                    continue
-                root = find(0)
-                if any(find(x) != root for x in range(v)):
-                    continue
-                yield v, combo
+                if len(set(_components(v, combo))) == 1:
+                    yield v, combo
 
 
 def all_rooted_graphs(max_edges: int):
@@ -399,9 +403,7 @@ def all_rooted_graphs(max_edges: int):
             yield _shape_to_rooted_graph(shape)
     for v, combo in _cyclic_connected_graphs(max_edges):
         vertices = tuple(f"v{i}" for i in range(v))
-        edges = tuple(
-            (_LABELS[i], f"v{a}", f"v{b}") for i, (a, b) in enumerate(combo)
-        )
+        edges = _labelled(combo)
         for root in range(v):
             yield RootedGraph(vertices, f"v{root}", edges)
 
@@ -411,25 +413,14 @@ def _component_rank_rows(vertex_count: int, edge_pairs):
     root's connected component under the mask's edges, minus one."""
     size = 1 << len(edge_pairs)
     rows = [[0] * size for _ in range(vertex_count)]
-    for mask in range(size):
-        parent = list(range(vertex_count))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for pos, (a, b) in enumerate(edge_pairs):
-            if mask >> pos & 1:
-                ra, rb = find(a), find(b)
-                if ra != rb:
-                    parent[ra] = rb
-        sizes = [0] * vertex_count
-        for x in range(vertex_count):
-            sizes[find(x)] += 1
-        for root in range(vertex_count):
-            rows[root][mask] = sizes[find(root)] - 1
+    chosen = [()] * size  # chosen[mask] = the mask's edges
+    for mask in range(1, size):
+        low = mask & -mask
+        chosen[mask] = chosen[mask ^ low] + (edge_pairs[low.bit_length() - 1],)
+    for mask, pairs in enumerate(chosen):
+        reps = _components(vertex_count, pairs)
+        for root, rep in enumerate(reps):
+            rows[root][mask] = reps.count(rep) - 1
     return rows
 
 
@@ -486,18 +477,27 @@ class _Recorder:
         return True
 
 
+def _int_param(params, key: str, default: int) -> int:
+    """Integer value of params[key] (default when absent); a non-integer
+    value is an input error naming the key."""
+    value = params.get(key, default)
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise RankFunctionError(f"{key} must be an integer, got {value!r}") from None
+
+
 def _require_seed(params: dict, suite: str) -> int:
-    seed = params.get("seed")
-    if seed is None:
+    if params.get("seed") is None:
         raise RankFunctionError(f"suite {suite!r} is randomized and requires a seed")
-    return int(seed)
+    return _int_param(params, "seed", 0)
 
 
 def _corpus(params: dict, suite: str):
-    count = int(params.get("count", 500))
-    max_n = int(params.get("max_n", 6))
-    lo = int(params.get("lo", -3))
-    hi = int(params.get("hi", 8))
+    count = _int_param(params, "count", 500)
+    max_n = _int_param(params, "max_n", 6)
+    lo = _int_param(params, "lo", -3)
+    hi = _int_param(params, "hi", 8)
     seed = _require_seed(params, suite)
     return list(random_tables(count, max_n=max_n, seed=seed, lo=lo, hi=hi))
 
@@ -538,30 +538,21 @@ def _suite_contract_formula(params, rec: _Recorder):
             via_dual = dual(delete(dual(g), p))
             bit = 1 << g.ground.position(p)
             rp = g.values[bit]
+            # masks avoiding p, in increasing order, are the contracted
+            # table's masks in order: an oracle independent of ops._project
             expected = tuple(
-                g.values[m | bit] - rp
-                for m in (_expand_masks(g.ground.n, bit))
+                g.values[m | bit] - rp for m in range(g.ground.size) if not m & bit
             )
             ok = got.values == expected and via_dual.values == expected
             if not rec.check(ok, _desc(i, g), f"contract formula at {p}", str(got.values)):
                 return
 
 
-@lru_cache(maxsize=None)
-def _expand_masks(n: int, removed_bit: int):
-    kept = [1 << p for p in range(n) if (1 << p) != removed_bit]
-    out = [0] * (1 << len(kept))
-    for m in range(1, 1 << len(kept)):
-        low = m & -m
-        out[m] = out[m ^ low] | kept[low.bit_length() - 1]
-    return tuple(out)
-
-
 def _suite_direct_sum_dual(params, rec: _Recorder):
-    count = int(params.get("count", 250))
-    max_n = int(params.get("max_n", 4))
-    lo = int(params.get("lo", -3))
-    hi = int(params.get("hi", 8))
+    count = _int_param(params, "count", 250)
+    max_n = _int_param(params, "max_n", 4)
+    lo = _int_param(params, "lo", -3)
+    hi = _int_param(params, "hi", 8)
     seed = _require_seed(params, "direct_sum_dual")
     rng = random.Random(seed)
     for i in range(count):
@@ -617,7 +608,7 @@ def _enumerated(constraint: str, n_max: int):
 
 
 def _suite_contract_feasibility(params, rec: _Recorder):
-    n_max = int(params.get("n", 3))
+    n_max = _int_param(params, "n", 3)
     for idx, g in enumerate(_enumerated("greedoid", n_max)):
         feasible = {m for m in range(g.ground.size) if g.values[m] == m.bit_count()}
         covered = 0
@@ -650,7 +641,7 @@ def _suite_contract_feasibility(params, rec: _Recorder):
 
 
 def _suite_minor_agreement(params, rec: _Recorder):
-    n_max = int(params.get("n", 3))
+    n_max = _int_param(params, "n", 3)
     for idx, g in enumerate(_enumerated("greedoid", n_max)):
         feasible = {m for m in range(g.ground.size) if g.values[m] == m.bit_count()}
         covered = 0
@@ -678,7 +669,7 @@ def _suite_minor_agreement(params, rec: _Recorder):
 
 
 def _suite_dual_greedoid_axioms(params, rec: _Recorder):
-    n_max = int(params.get("n", 4))
+    n_max = _int_param(params, "n", 4)
     for idx, g in enumerate(_enumerated("greedoid", n_max)):
         report = check_dual_greedoid(dual(g))
         if not rec.check(
@@ -718,8 +709,11 @@ def _intersection_task(args):
 
 
 def _suite_greedoid_intersection(params, rec: _Recorder):
-    n_max = int(params.get("n", 4))
-    workers = int(params.get("workers", os.environ.get("RANKDUAL_THREADS", "1")))
+    n_max = _int_param(params, "n", 4)
+    if "workers" in params:
+        workers = _int_param(params, "workers", 1)
+    else:
+        workers = _int_param(os.environ, "RANKDUAL_THREADS", 1)
     for n in range(n_max + 1):
         tasks = [(n, ())]
         if workers > 1 and n >= 3:
@@ -748,19 +742,14 @@ def _suite_greedoid_intersection(params, rec: _Recorder):
 
 
 def _suite_root_adjacency(params, rec: _Recorder):
-    max_edges = int(params.get("max_edges", 6))
+    max_edges = _int_param(params, "max_edges", 6)
     sample_stride = 97  # cross-check every k-th instance against the public op
     instance = 0
 
     def check_instance(vertex_count, edge_pairs, root, values, graph_desc):
         nonlocal instance
         instance += 1
-        n = len(edge_pairs)
-        full = (1 << n) - 1
-        total = values[full]
-        min_dual = 0 if n == 0 else min(
-            m.bit_count() + values[full ^ m] - total for m in range(full + 1)
-        )
+        min_dual = min(_dual_values(values, len(edge_pairs)))
         root_adjacent = all(
             any((a == root and b == x) or (b == root and a == x) for a, b in edge_pairs)
             for x in range(vertex_count)
@@ -769,9 +758,7 @@ def _suite_root_adjacency(params, rec: _Recorder):
         ok = (min_dual >= 0) == root_adjacent
         if instance % sample_stride == 0:
             rg = RootedGraph(
-                tuple(f"v{i}" for i in range(vertex_count)),
-                f"v{root}",
-                tuple((_LABELS[i], f"v{a}", f"v{b}") for i, (a, b) in enumerate(edge_pairs)),
+                tuple(f"v{i}" for i in range(vertex_count)), f"v{root}", _labelled(edge_pairs)
             )
             ok = ok and branching_greedoid(rg).values == tuple(values)
             ok = ok and root_adjacency_test(rg) == root_adjacent
@@ -798,7 +785,7 @@ def _suite_root_adjacency(params, rec: _Recorder):
 
 
 def _suite_full_dual_nonpositive(params, rec: _Recorder):
-    n_max = int(params.get("n", 4))
+    n_max = _int_param(params, "n", 4)
     for idx, g in enumerate(_enumerated("greedoid", n_max)):
         if g.full_rank != g.n:
             continue
@@ -813,8 +800,8 @@ def _suite_full_dual_nonpositive(params, rec: _Recorder):
 
 
 def _closure_corpora(params):
-    n_max = int(params.get("n", 4))
-    max_tree_edges = int(params.get("max_tree_edges", 8))
+    n_max = _int_param(params, "n", 4)
+    max_tree_edges = _int_param(params, "max_tree_edges", 8)
     for idx, g in enumerate(_enumerated("full-antimatroid", n_max)):
         yield f"antimatroid[{idx}] n={g.n} values={g.values}", g
     for idx, tree in enumerate(all_trees(max_tree_edges)):
@@ -857,11 +844,11 @@ def _suite_convex_zero_dual(params, rec: _Recorder):
 
 
 def _monotone_corpus(params, suite):
-    n_max = int(params.get("n", 3))
+    n_max = _int_param(params, "n", 3)
     for idx, g in enumerate(_enumerated("all-normalized-subcardinal-monotone", n_max)):
         yield f"enumerated[{idx}] n={g.n} values={g.values}", g
-    count = int(params.get("count", 500))
-    max_n = int(params.get("max_n", 6))
+    count = _int_param(params, "count", 500)
+    max_n = _int_param(params, "max_n", 6)
     seed = _require_seed(params, suite)
     for idx, g in enumerate(random_monotone_tables(count, max_n=max_n, seed=seed)):
         yield f"sampled[{idx}] n={g.n} values={g.values}", g
@@ -1028,7 +1015,7 @@ def run_suite(name: str, params: dict | None = None) -> SuiteResult:
         _require_seed(params, name)
     rec = _Recorder(
         fail_fast=bool(params.get("fail_fast", False)),
-        max_failures=int(params.get("max_failures", 100)),
+        max_failures=_int_param(params, "max_failures", 100),
     )
     start = time.perf_counter()
     SUITES[name](params, rec)

@@ -178,6 +178,25 @@ def test_verify_requires_seed_for_randomized_suite(capsys):
     assert code == 2 and "seed" in err
 
 
+@pytest.mark.parametrize(
+    "suite, key, value",
+    [("involution", "count", "abc"), ("greedoid_intersection", "workers", "x")],
+)
+def test_verify_rejects_non_integer_param(capsys, suite, key, value):
+    code, out, err = run(
+        capsys, "verify", "--suite", suite, "--seed", "1", "--params", f"{key}={value}"
+    )
+    assert code == 2 and out == ""
+    assert err == f"error: {key} must be an integer, got {value!r}\n"
+
+
+def test_verify_rejects_non_integer_thread_count(capsys, monkeypatch):
+    monkeypatch.setenv("RANKDUAL_THREADS", "abc")
+    code, _, err = run(capsys, "verify", "--suite", "greedoid_intersection")
+    assert code == 2
+    assert err == "error: RANKDUAL_THREADS must be an integer, got 'abc'\n"
+
+
 def test_byte_identical_reruns(capsys):
     _, first, _ = run(capsys, "verify", "--suite", "duality_swap", "--seed", "5", "--params", "count=20")
     _, second, _ = run(capsys, "verify", "--suite", "duality_swap", "--seed", "5", "--params", "count=20")

@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -115,6 +117,17 @@ def test_recursion_accepts_callable_pivot(demo_table):
         return bits[len(bits) // 2]
 
     assert tutte_recursive(demo_table, middle) == tutte_subset(demo_table)
+
+
+def test_recursion_leaves_no_reference_cycle(demo_table):
+    # the memo must be freed on return, not left for the cyclic collector
+    gc.disable()
+    try:
+        gc.collect()
+        tutte_recursive(demo_table)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_pivot_identities(demo_table):

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from rankdual import (
@@ -108,6 +113,22 @@ def test_random_monotone_tables_satisfy_constraints():
 # --- structural censuses -------------------------------------------------------------
 
 
+def _ahu(adjacency, vertex, parent):
+    """AHU encoding of the subtree hanging from vertex, away from parent."""
+    return "(" + "".join(
+        sorted(_ahu(adjacency, w, vertex) for w in adjacency[vertex] if w != parent)
+    ) + ")"
+
+
+def _canonical_form(tree):
+    """Brute-force isomorphism invariant: the AHU string minimised over all roots."""
+    adjacency = {v: [] for v in tree.vertices}
+    for _, u, v in tree.edges:
+        adjacency[u].append(v)
+        adjacency[v].append(u)
+    return min(_ahu(adjacency, root, None) for root in tree.vertices)
+
+
 def test_tree_census_counts():
     trees = all_trees(8)
     by_edges = {}
@@ -115,6 +136,31 @@ def test_tree_census_counts():
         by_edges[len(t.edges)] = by_edges.get(len(t.edges), 0) + 1
     assert [by_edges[e] for e in range(9)] == [1, 1, 1, 2, 3, 6, 11, 23, 47]
     assert len(trees) == 95
+    # counts alone could hide a duplicate paired with a missing class
+    assert len({_canonical_form(t) for t in trees}) == 95
+    for t in trees:
+        pairs = [(int(u[1:]), int(v[1:])) for _, u, v in t.edges]
+        assert pairs == sorted(pairs) and all(u < v for u, v in pairs)
+        assert [label for label, _, _ in t.edges] == list("abcdefgh"[: len(t.edges)])
+
+
+def test_library_runs_without_networkx():
+    script = (
+        "import sys\n"
+        "sys.modules['networkx'] = None\n"
+        "import rankdual\n"
+        "from rankdual.cli import run_command\n"
+        "assert len(rankdual.all_trees(8)) == 95\n"
+        "sys.exit(run_command(['verify', '--suite', 'closure_dual_rank']))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "instances: 23895" in proc.stdout
+    assert proc.stdout.rstrip().endswith("result: pass")
 
 
 def test_rooted_tree_shape_counts():
