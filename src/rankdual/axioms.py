@@ -1,8 +1,16 @@
 """Axiom-system checkers with counterexample witnesses.
 
-Every checker scans subsets in (cardinality, mask) order and reports, for
-each failed axiom, the first violation found in that order: the smallest
-witness by cardinality, ties broken by mask value, then by element position.
+Violations are detected with bit sets (see the kernel in ``core``): for each
+element p, one C-level pass over the table gives the set of masks A without
+p whose step r(A) -> r(A | p) breaks a relation, packed one bit per mask into
+an int. The local axioms combine these per-element sets with AND and shifts,
+so no axiom loops over subsets in Python.
+
+Each failed axiom reports its canonical witness, the first violation in
+(cardinality, mask) order, ties broken by element position: the lowest set
+bit of the violation set within the first nonempty cardinality layer, then
+the first element (or pair p < q) whose set holds that mask. The pairwise
+semimodularity scan (R2, n <= MAX_PAIRWISE_N) is the one plain loop left.
 Checkers never mutate or normalize their input; a table failing one axiom
 still gets every other axiom evaluated.
 """
@@ -10,13 +18,20 @@ still gets every other axiom evaluated.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import eq, gt, lt, ne, sub
 
 from .core import (
     GroundSet,
     GroundSetError,
     RankTable,
     SubsetRef,
+    avoid_sets,
+    first_by_cardinality,
+    first_step,
+    first_where,
     masks_by_cardinality,
+    popcounts,
+    step_sets,
     table_from_values,
 )
 from .ops import _dual_values
@@ -127,7 +142,7 @@ class DemiTriple:
 
 
 # ---------------------------------------------------------------------------
-# witness scans (all in (cardinality, mask) order)
+# violation sets (bit sets over masks, see core.step_sets) and their witnesses
 # ---------------------------------------------------------------------------
 
 
@@ -135,80 +150,44 @@ def _subset(ground: GroundSet, mask: int) -> SubsetRef:
     return SubsetRef(ground, mask)
 
 
-def _first_negative(values, n):
-    for mask in masks_by_cardinality(n):
-        if values[mask] < 0:
-            return mask
-    return None
+def _negative(values):
+    return map((0).__gt__, values)
 
 
-def _first_supercardinal(values, n):
-    for mask in masks_by_cardinality(n):
-        if values[mask] > mask.bit_count():
-            return mask
-    return None
+def _supercardinal(values, n):
+    return map(gt, values, popcounts(n))
 
 
-def _first_above_full(values, n):
-    total = values[(1 << n) - 1]
-    for mask in masks_by_cardinality(n):
-        if values[mask] > total:
-            return mask
-    return None
+def _plus_one(values) -> tuple:
+    return tuple(map((1).__add__, values))
 
 
-def _first_decrease(values, n):
-    """First (A, p) with r(A | p) < r(A)."""
-    for mask in masks_by_cardinality(n):
-        for pos in range(n):
-            bit = 1 << pos
-            if mask & bit:
-                continue
-            if values[mask | bit] < values[mask]:
-                return mask, pos
-    return None
+def _first_pair(n, pair_set):
+    """First (A, p, q) in (cardinality, mask, p, q) order, p < q, with A in
+    the bit set pair_set(p, q). The sets are computed twice rather than
+    stored: n**2 / 2 of them would take n**2 * 2**n / 16 bytes."""
+    pairs = [(p, q) for p in range(n) for q in range(p + 1, n)]
+    union = 0
+    for p, q in pairs:
+        union |= pair_set(p, q)
+    mask = first_by_cardinality(n, union)
+    if mask is None:
+        return None
+    return (mask,) + next(pair for pair in pairs if pair_set(*pair) >> mask & 1)
 
 
-def _first_unit_jump(values, n):
-    """First (A, p) with r(A | p) > r(A) + 1."""
-    for mask in masks_by_cardinality(n):
-        for pos in range(n):
-            bit = 1 << pos
-            if mask & bit:
-                continue
-            if values[mask | bit] > values[mask] + 1:
-                return mask, pos
-    return None
+def _local_semimodular_witness(n, flat):
+    """First (A, p1, p2) with r(A) = r(A|p1) = r(A|p2) but r(A|p1|p2) != r(A),
+    given the sets flat = step_sets(n, eq, values)."""
+    # A|p1 in flat[p2] says r(A|p1|p2) = r(A|p1)
+    return _first_pair(n, lambda p1, p2: flat[p1] & flat[p2] & ~(flat[p2] >> (1 << p1)))
 
 
-def _first_r1_violation(values, n):
-    """First (A, p) breaking r(A) <= r(A | p) <= r(A) + 1 (either side)."""
-    for mask in masks_by_cardinality(n):
-        for pos in range(n):
-            bit = 1 << pos
-            if mask & bit:
-                continue
-            up = values[mask | bit]
-            if up < values[mask] or up > values[mask] + 1:
-                return mask, pos
-    return None
-
-
-def _first_local_semimodular_violation(values, n):
-    """First (A, p1, p2) with r(A) = r(A|p1) = r(A|p2) but r(A|p1|p2) != r(A)."""
-    for mask in masks_by_cardinality(n):
-        v = values[mask]
-        for p1 in range(n):
-            b1 = 1 << p1
-            if mask & b1 or values[mask | b1] != v:
-                continue
-            for p2 in range(p1 + 1, n):
-                b2 = 1 << p2
-                if mask & b2 or values[mask | b2] != v:
-                    continue
-                if values[mask | b1 | b2] != v:
-                    return mask, p1, p2
-    return None
+def _local_decrease_witness(n, values):
+    """First (B, p, q) with r(B-p) = r(B-q) = r(B)-1 but r(B-{p,q}) != r(B)-2."""
+    # top[p]: the sets B holding p with r(B) = r(B - p) + 1
+    top = [s << (1 << p) for p, s in enumerate(step_sets(n, eq, values, _plus_one(values)))]
+    return _first_pair(n, lambda p, q: top[p] & top[q] & ~(top[q] << (1 << p)))
 
 
 def _first_semimodular_violation(values, n):
@@ -221,36 +200,6 @@ def _first_semimodular_violation(values, n):
                 continue  # nested pairs satisfy semimodularity trivially
             if values[a & b] + values[a | b] > va + values[b]:
                 return a, b
-    return None
-
-
-def _first_local_decrease_violation(values, n):
-    """First (B, p, q) with r(B-p) = r(B-q) = r(B)-1 but r(B-{p,q}) != r(B)-2."""
-    for mask in masks_by_cardinality(n):
-        v = values[mask]
-        for p in range(n):
-            bp = 1 << p
-            if not mask & bp or values[mask ^ bp] != v - 1:
-                continue
-            for q in range(p + 1, n):
-                bq = 1 << q
-                if not mask & bq or values[mask ^ bq] != v - 1:
-                    continue
-                if values[mask ^ bp ^ bq] != v - 2:
-                    return mask, p, q
-    return None
-
-
-def _first_nullity_violation(values, n):
-    """First (A, A | p) where nullity |A| - r(A) drops as the set grows."""
-    for mask in masks_by_cardinality(n):
-        base = mask.bit_count() - values[mask]
-        for pos in range(n):
-            bit = 1 << pos
-            if mask & bit:
-                continue
-            if (mask | bit).bit_count() - values[mask | bit] < base:
-                return mask, mask | bit
     return None
 
 
@@ -274,7 +223,10 @@ def check_matroid(g: RankTable) -> AxiomReport:
     if not verdicts["R0"]:
         witnesses["R0"] = {"A": _subset(ground, 0), "r(A)": values[0]}
 
-    hit = _first_r1_violation(values, n)
+    # R1 holds at (A, p) iff the step from A to A | p is flat or a unit increase
+    flat = step_sets(n, eq, values)
+    unit = step_sets(n, eq, values, _plus_one(values))
+    hit = first_step(n, [a & ~(f | u) for a, f, u in zip(avoid_sets(n), flat, unit)])
     verdicts["R1"] = hit is None
     if hit:
         witnesses["R1"] = {"A": _subset(ground, hit[0]), "p": ground.labels[hit[1]]}
@@ -289,7 +241,7 @@ def check_matroid(g: RankTable) -> AxiomReport:
     else:
         details["semimodularity"] = "pairwise scan skipped (n > %d); local variant only" % MAX_PAIRWISE_N
 
-    hit = _first_local_semimodular_violation(values, n)
+    hit = _local_semimodular_witness(n, flat)
     verdicts["R2'"] = hit is None
     if hit:
         witnesses["R2'"] = {
@@ -313,7 +265,7 @@ def check_greedoid(g: RankTable) -> AxiomReport:
     verdicts: dict = {}
     witnesses: dict = {}
 
-    hit = _first_negative(values, n)
+    hit = first_where(n, _negative(values))
     verdicts["nonnegative"] = hit is None
     if hit is not None:
         witnesses["nonnegative"] = {"A": _subset(ground, hit), "r(A)": values[hit]}
@@ -322,17 +274,17 @@ def check_greedoid(g: RankTable) -> AxiomReport:
     if not verdicts["Gr0"]:
         witnesses["Gr0"] = {"A": _subset(ground, 0), "r(A)": values[0]}
 
-    hit = _first_decrease(values, n)
+    hit = first_step(n, step_sets(n, lt, values))
     verdicts["Gr1"] = hit is None
     if hit:
         witnesses["Gr1"] = {"A": _subset(ground, hit[0]), "p": ground.labels[hit[1]]}
 
-    hit = _first_supercardinal(values, n)
+    hit = first_where(n, _supercardinal(values, n))
     verdicts["Gr2"] = hit is None
     if hit is not None:
         witnesses["Gr2"] = {"A": _subset(ground, hit), "r(A)": values[hit]}
 
-    hit = _first_local_semimodular_violation(values, n)
+    hit = _local_semimodular_witness(n, step_sets(n, eq, values))
     verdicts["Gr3"] = hit is None
     if hit:
         witnesses["Gr3"] = {
@@ -357,17 +309,17 @@ def check_dual_greedoid(g: RankTable) -> AxiomReport:
     if not verdicts["Gr0*"]:
         witnesses["Gr0*"] = {"B": _subset(ground, 0), "r(B)": values[0]}
 
-    hit = _first_unit_jump(values, n)
+    hit = first_step(n, step_sets(n, gt, values, _plus_one(values)))
     verdicts["Gr1*"] = hit is None
     if hit:
         witnesses["Gr1*"] = {"B": _subset(ground, hit[0]), "p": ground.labels[hit[1]]}
 
-    hit = _first_above_full(values, n)
+    hit = first_where(n, map(values[ground.full_mask].__lt__, values))
     verdicts["Gr2*"] = hit is None
     if hit is not None:
         witnesses["Gr2*"] = {"B": _subset(ground, hit), "r(B)": values[hit]}
 
-    hit = _first_local_decrease_violation(values, n)
+    hit = _local_decrease_witness(n, values)
     verdicts["Gr3*"] = hit is None
     if hit:
         witnesses["Gr3*"] = {
@@ -447,17 +399,17 @@ def check_antimatroid(g: RankTable) -> AxiomReport:
 def _demi_flag_checks(prefix: str, table: RankTable, verdicts, witnesses):
     values, n, ground = table.values, table.n, table.ground
 
-    hit = _first_negative(values, n)
+    hit = first_where(n, _negative(values))
     verdicts[f"{prefix}-nonnegative"] = hit is None
     if hit is not None:
         witnesses[f"{prefix}-nonnegative"] = {"A": _subset(ground, hit), "rank": values[hit]}
 
-    hit = _first_supercardinal(values, n)
+    hit = first_where(n, _supercardinal(values, n))
     verdicts[f"{prefix}-subcardinal"] = hit is None
     if hit is not None:
         witnesses[f"{prefix}-subcardinal"] = {"A": _subset(ground, hit), "rank": values[hit]}
 
-    hit = _first_decrease(values, n)
+    hit = first_step(n, step_sets(n, lt, values))
     verdicts[f"{prefix}-monotone"] = hit is None
     if hit:
         a, pos = hit
@@ -484,25 +436,17 @@ def check_demimatroid_triple(d: DemiTriple) -> AxiomReport:
     _demi_flag_checks("r", r, verdicts, witnesses)
     _demi_flag_checks("s", s, verdicts, witnesses)
 
-    hit = None
-    for mask in masks_by_cardinality(n):
-        co = full ^ mask
-        if co.bit_count() - r.values[co] != s.values[full] - s.values[mask]:
-            hit = mask
-            break
-    verdicts["rank-nullity-duality"] = hit is None
-    if hit is not None:
-        witnesses["rank-nullity-duality"] = {"A": _subset(ground, hit)}
-
-    hit = None
-    for mask in masks_by_cardinality(n):
-        co = full ^ mask
-        if co.bit_count() - s.values[co] != r.values[full] - r.values[mask]:
-            hit = mask
-            break
-    verdicts["rank-nullity-duality-complement"] = hit is None
-    if hit is not None:
-        witnesses["rank-nullity-duality-complement"] = {"A": _subset(ground, hit)}
+    # |S-A| - t(S-A) for every A, read from the tables in reverse mask order
+    co_sizes = popcounts(n)[::-1]
+    for name, t, u in (
+        ("rank-nullity-duality", r.values, s.values),
+        ("rank-nullity-duality-complement", s.values, r.values),
+    ):
+        co_nullity = map(sub, co_sizes, t[::-1])
+        hit = first_where(n, map(ne, co_nullity, map(u[full].__sub__, u)))
+        verdicts[name] = hit is None
+        if hit is not None:
+            witnesses[name] = {"A": _subset(ground, hit)}
 
     details = {"s_is_dual_of_r": s.values == _dual_values(r.values, n)}
 
@@ -518,21 +462,22 @@ def check_demimatroid_characterization(g: RankTable) -> AxiomReport:
     (c) unit-increase: r(A | p) <= r(A) + 1
 
     The monotone-nullity verdict (|A| - r(A) never drops as A grows) is also
-    evaluated; it is advisory and equals (c) whenever (a) and (b) hold. The
-    overall verdict is (a) and (b) and (c).
+    reported; it is advisory, since |A| - r(A) drops from A to A | p exactly
+    when r(A | p) > r(A) + 1, so it always equals (c). The overall verdict
+    is (a) and (b) and (c).
     """
     values, n, ground = g.values, g.n, g.ground
     verdicts: dict = {}
     witnesses: dict = {}
 
-    hit = _first_negative(values, n)
+    hit = first_where(n, _negative(values))
     if hit is None:
-        hit = _first_supercardinal(values, n)
+        hit = first_where(n, _supercardinal(values, n))
     verdicts["nonnegative-subcardinal"] = hit is None
     if hit is not None:
         witnesses["nonnegative-subcardinal"] = {"A": _subset(ground, hit), "rank": values[hit]}
 
-    hit = _first_decrease(values, n)
+    hit = first_step(n, step_sets(n, lt, values))
     verdicts["monotone"] = hit is None
     if hit:
         a, pos = hit
@@ -541,17 +486,18 @@ def check_demimatroid_characterization(g: RankTable) -> AxiomReport:
             "B": _subset(ground, a | (1 << pos)),
         }
 
-    hit = _first_unit_jump(values, n)
+    hit = first_step(n, step_sets(n, gt, values, _plus_one(values)))
     verdicts["unit-increase"] = hit is None
     if hit:
         witnesses["unit-increase"] = {"A": _subset(ground, hit[0]), "p": ground.labels[hit[1]]}
 
-    hit = _first_nullity_violation(values, n)
+    # |A| - r(A) drops from A to A | p exactly when r(A | p) > r(A) + 1: the
+    # same violations as unit-increase, so the same first witness
     verdicts["monotone-nullity"] = hit is None
     if hit:
         witnesses["monotone-nullity"] = {
             "A": _subset(ground, hit[0]),
-            "B": _subset(ground, hit[1]),
+            "B": _subset(ground, hit[0] | 1 << hit[1]),
         }
 
     passed = (

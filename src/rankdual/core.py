@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from operator import gt, lt
 from typing import Iterable, Iterator, Sequence
 
 # Explicit tables hold 2**n entries; 24 keeps the worst case at 16M ints.
@@ -46,6 +47,94 @@ def masks_by_cardinality(n: int) -> tuple[int, ...]:
     found in this order is the smallest by cardinality, ties broken by mask.
     """
     return tuple(sorted(range(1 << n), key=lambda m: (m.bit_count(), m)))
+
+
+# ---------------------------------------------------------------------------
+# bit-set kernel: a family of masks over n bits is one int whose bit A is set
+# iff mask A belongs to it. Every set is built by C-level bytes operations,
+# never by a Python loop over subsets.
+# ---------------------------------------------------------------------------
+
+_DIGITS = bytes.maketrans(b"\0\1", b"01")
+_INCREMENT = bytes(range(1, 256)) + b"\0"
+
+
+def bitset(flags) -> int:
+    """The set of indices i whose flag (an iterable of bools) is true."""
+    return int(bytes(flags).translate(_DIGITS)[::-1], 2)
+
+
+@lru_cache(maxsize=None)
+def popcounts(n: int) -> bytes:
+    """Byte A is |A|, for every mask A over n bits."""
+    counts = b"\0"
+    for _ in range(n):
+        counts += counts.translate(_INCREMENT)
+    return counts
+
+
+@lru_cache(maxsize=None)
+def avoid_sets(n: int) -> tuple[int, ...]:
+    """Entry p is the set of masks over n bits that do not contain bit p."""
+    size = 1 << n
+    sets = []
+    for p in range(n):
+        half = 1 << p
+        # one period of the pattern: half masks without bit p, half with it
+        unit = bytes([(0x55, 0x33, 0x0F)[p]]) if half < 8 else b"\xff" * (half // 8) + bytes(half // 8)
+        sets.append(int.from_bytes(unit * max(1, size // (8 * len(unit))), "little") & (1 << size) - 1)
+    return tuple(sets)
+
+
+@lru_cache(maxsize=None)
+def cardinality_layers(n: int) -> tuple[int, ...]:
+    """Entry k is the set of masks over n bits with exactly k elements."""
+    counts = popcounts(n)[::-1]
+    layers = []
+    for k in range(n + 1):
+        digits = bytearray(b"0" * 256)
+        digits[k] = ord("1")
+        layers.append(int(counts.translate(digits), 2))
+    return tuple(layers)
+
+
+def first_by_cardinality(n: int, members: int):
+    """Smallest mask of a bit set in (cardinality, mask) order, or None."""
+    if members:
+        for layer in cardinality_layers(n):
+            hit = members & layer
+            if hit:
+                return (hit & -hit).bit_length() - 1
+    return None
+
+
+def first_where(n: int, flags):
+    """Smallest mask in (cardinality, mask) order whose flag is true, from
+    one flag per mask in mask order; None when no flag is."""
+    return first_by_cardinality(n, bitset(flags))
+
+
+def step_sets(n: int, rel, upper, lower=None) -> list[int]:
+    """Entry p is the set of masks A without bit p for which
+    rel(upper[A | 1 << p], lower[A]) holds; ``lower`` defaults to ``upper``.
+
+    ``rel`` should be a C-level callable (``operator.lt``, ``operator.eq``,
+    ...), so each set costs one pass in C over the 2**n values.
+    """
+    lower = upper if lower is None else lower
+    # map stops at the shorter upper slice, so lower needs no slicing
+    return [bitset(map(rel, upper[1 << p :], lower)) & avoid for p, avoid in enumerate(avoid_sets(n))]
+
+
+def first_step(n: int, sets):
+    """First (A, p) in (cardinality, mask, p) order with A in sets[p]."""
+    union = 0
+    for s in sets:
+        union |= s
+    mask = first_by_cardinality(n, union)
+    if mask is None:
+        return None
+    return mask, next(p for p, s in enumerate(sets) if s >> mask & 1)
 
 
 @dataclass(frozen=True)
@@ -300,46 +389,32 @@ def validate(table: RankTable) -> ValidationReport:
     values = table.values
     n = table.n
     ground = table.ground
-    order = masks_by_cardinality(n)
     total = values[ground.full_mask]
-    witnesses: dict = {}
 
-    subcardinal = nonnegative = rank_s_maximum = True
-    for mask in order:
-        card = mask.bit_count()
-        v = values[mask]
-        if subcardinal and v > card:
-            subcardinal = False
-            witnesses["subcardinal"] = SubsetRef(ground, mask)
-        if nonnegative and v < 0:
-            nonnegative = False
-            witnesses["nonnegative"] = SubsetRef(ground, mask)
-        if rank_s_maximum and v > total:
-            rank_s_maximum = False
-            witnesses["rank_s_maximum"] = SubsetRef(ground, mask)
+    flags = {}
+    found = []
+    for name, violations in (
+        ("subcardinal", map(gt, values, popcounts(n))),
+        ("nonnegative", map((0).__gt__, values)),
+        ("rank_s_maximum", map(total.__lt__, values)),
+    ):
+        mask = first_where(n, violations)
+        flags[name] = mask is None
+        if mask is not None:
+            found.append((mask, name))
+    # witnesses keep the order in which a (cardinality, mask) scan meets them
+    found.sort(key=lambda item: (item[0].bit_count(), item[0]))
+    witnesses: dict = {name: SubsetRef(ground, mask) for mask, name in found}
 
     # A single-element violation exists iff any nested violation does.
-    monotone = True
-    for mask in order:
-        if not monotone:
-            break
-        for pos in range(n):
-            bit = 1 << pos
-            if mask & bit:
-                continue
-            if values[mask | bit] < values[mask]:
-                monotone = False
-                witnesses["monotone"] = (
-                    SubsetRef(ground, mask),
-                    SubsetRef(ground, mask | bit),
-                )
-                break
+    hit = first_step(n, step_sets(n, lt, values))
+    if hit:
+        mask, pos = hit
+        witnesses["monotone"] = (SubsetRef(ground, mask), SubsetRef(ground, mask | 1 << pos))
 
     return ValidationReport(
         normalized=values[0] == 0,
-        subcardinal=subcardinal,
-        nonnegative=nonnegative,
-        monotone=monotone,
-        rank_s_maximum=rank_s_maximum,
+        monotone=hit is None,
         witnesses=witnesses,
+        **flags,
     )

@@ -162,7 +162,7 @@ PIVOT_STRATEGIES: dict[str, Callable[[int], int]] = {
 
 
 def tutte_recursive(g: RankTable, pivot: str | Callable[[int], int] = "lowest") -> LaurentPoly2:
-    """Deletion-contraction evaluation, memoized over minors.
+    """Deletion-contraction evaluation.
 
     The recursion at ground R with contracted set C uses rank
     rk(A) = r(A | C) - r(C) and splits on a pivot p:
@@ -171,6 +171,9 @@ def tutte_recursive(g: RankTable, pivot: str | Callable[[int], int] = "lowest") 
 
     The base case is the empty ground set (value 1). Requires r(empty) = 0;
     the result equals tutte_subset(g) for every pivot strategy.
+
+    Nothing is memoized: the pivot depends on R alone, so the sequence of
+    grounds R is fixed and each contracted set C is reached exactly once.
     """
     if g.values[0] != 0:
         raise NormalizationError("deletion-contraction recursion requires r(empty) = 0")
@@ -181,36 +184,24 @@ def tutte_recursive(g: RankTable, pivot: str | Callable[[int], int] = "lowest") 
             raise RankFunctionError(f"unknown pivot strategy {pivot!r}") from None
     else:
         choose = pivot
+    return _deletion_contraction(g.values, choose, 0, g.ground.full_mask)
 
-    values = g.values
-    one = LaurentPoly2.one()
-    memo: dict[tuple[int, int], LaurentPoly2] = {}
 
-    def run(contracted: int, remaining: int) -> LaurentPoly2:
-        if remaining == 0:
-            return one
-        key = (contracted, remaining)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        pos = choose(remaining)
-        bit = 1 << pos
-        if not remaining & bit:
-            raise RankFunctionError("pivot strategy chose an element outside the ground set")
-        rest = remaining ^ bit
-        rc = values[contracted]
-        t_exp = values[contracted | remaining] - values[contracted | rest]
-        z_exp = 1 - (values[contracted | bit] - rc)
-        result = run(contracted, rest).shift(t_exp, 0) + run(contracted | bit, rest).shift(0, z_exp)
-        memo[key] = result
-        return result
+_ONE = LaurentPoly2.one()
 
-    try:
-        return run(0, g.ground.full_mask)
-    finally:
-        # run refers to itself through its closure; unbinding it frees the
-        # memo on return instead of at the next cyclic garbage collection
-        del run
+
+def _deletion_contraction(values, choose, contracted: int, remaining: int) -> LaurentPoly2:
+    if remaining == 0:
+        return _ONE
+    bit = 1 << choose(remaining)
+    if not remaining & bit:
+        raise RankFunctionError("pivot strategy chose an element outside the ground set")
+    rest = remaining ^ bit
+    t_exp = values[contracted | remaining] - values[contracted | rest]
+    z_exp = 1 - (values[contracted | bit] - values[contracted])
+    deleted = _deletion_contraction(values, choose, contracted, rest)
+    kept = _deletion_contraction(values, choose, contracted | bit, rest)
+    return deleted.shift(t_exp, 0) + kept.shift(0, z_exp)
 
 
 def swap_vars(p: LaurentPoly2) -> LaurentPoly2:

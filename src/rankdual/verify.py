@@ -487,6 +487,16 @@ def _int_param(params, key: str, default: int) -> int:
         raise RankFunctionError(f"{key} must be an integer, got {value!r}") from None
 
 
+def _enum_n(params, default: int) -> int:
+    """The exhaustive enumeration size params["n"], capped like EnumSpec."""
+    n = _int_param(params, "n", default)
+    if not 0 <= n <= MAX_EXHAUSTIVE_N:
+        raise RankFunctionError(
+            f"n = {n} out of range for exhaustive enumeration (0 to {MAX_EXHAUSTIVE_N})"
+        )
+    return n
+
+
 def _require_seed(params: dict, suite: str) -> int:
     if params.get("seed") is None:
         raise RankFunctionError(f"suite {suite!r} is randomized and requires a seed")
@@ -608,7 +618,7 @@ def _enumerated(constraint: str, n_max: int):
 
 
 def _suite_contract_feasibility(params, rec: _Recorder):
-    n_max = _int_param(params, "n", 3)
+    n_max = _enum_n(params, 3)
     for idx, g in enumerate(_enumerated("greedoid", n_max)):
         feasible = {m for m in range(g.ground.size) if g.values[m] == m.bit_count()}
         covered = 0
@@ -641,7 +651,7 @@ def _suite_contract_feasibility(params, rec: _Recorder):
 
 
 def _suite_minor_agreement(params, rec: _Recorder):
-    n_max = _int_param(params, "n", 3)
+    n_max = _enum_n(params, 3)
     for idx, g in enumerate(_enumerated("greedoid", n_max)):
         feasible = {m for m in range(g.ground.size) if g.values[m] == m.bit_count()}
         covered = 0
@@ -669,7 +679,7 @@ def _suite_minor_agreement(params, rec: _Recorder):
 
 
 def _suite_dual_greedoid_axioms(params, rec: _Recorder):
-    n_max = _int_param(params, "n", 4)
+    n_max = _enum_n(params, 4)
     for idx, g in enumerate(_enumerated("greedoid", n_max)):
         report = check_dual_greedoid(dual(g))
         if not rec.check(
@@ -709,7 +719,7 @@ def _intersection_task(args):
 
 
 def _suite_greedoid_intersection(params, rec: _Recorder):
-    n_max = _int_param(params, "n", 4)
+    n_max = _enum_n(params, 4)
     if "workers" in params:
         workers = _int_param(params, "workers", 1)
     else:
@@ -724,10 +734,11 @@ def _suite_greedoid_intersection(params, rec: _Recorder):
                     n, "all-normalized-subcardinal-monotone", stop=depth
                 )
             ]
-        if workers > 1 and len(tasks) > 1:
+        pool_size = min(workers, os.cpu_count() or 1, len(tasks))
+        if pool_size > 1:
             from concurrent.futures import ProcessPoolExecutor
 
-            with ProcessPoolExecutor(max_workers=workers) as pool:
+            with ProcessPoolExecutor(max_workers=pool_size) as pool:
                 results = list(pool.map(_intersection_task, tasks))
         else:
             results = [_intersection_task(t) for t in tasks]
@@ -785,7 +796,7 @@ def _suite_root_adjacency(params, rec: _Recorder):
 
 
 def _suite_full_dual_nonpositive(params, rec: _Recorder):
-    n_max = _int_param(params, "n", 4)
+    n_max = _enum_n(params, 4)
     for idx, g in enumerate(_enumerated("greedoid", n_max)):
         if g.full_rank != g.n:
             continue
@@ -800,7 +811,7 @@ def _suite_full_dual_nonpositive(params, rec: _Recorder):
 
 
 def _closure_corpora(params):
-    n_max = _int_param(params, "n", 4)
+    n_max = _enum_n(params, 4)
     max_tree_edges = _int_param(params, "max_tree_edges", 8)
     for idx, g in enumerate(_enumerated("full-antimatroid", n_max)):
         yield f"antimatroid[{idx}] n={g.n} values={g.values}", g
@@ -844,7 +855,7 @@ def _suite_convex_zero_dual(params, rec: _Recorder):
 
 
 def _monotone_corpus(params, suite):
-    n_max = _int_param(params, "n", 3)
+    n_max = _enum_n(params, 3)
     for idx, g in enumerate(_enumerated("all-normalized-subcardinal-monotone", n_max)):
         yield f"enumerated[{idx}] n={g.n} values={g.values}", g
     count = _int_param(params, "count", 500)
@@ -1020,6 +1031,8 @@ def run_suite(name: str, params: dict | None = None) -> SuiteResult:
     start = time.perf_counter()
     SUITES[name](params, rec)
     elapsed = time.perf_counter() - start
+    if not rec.instances:
+        raise RankFunctionError(f"suite {name!r} checked no instances with these params")
     return SuiteResult(
         suite=name,
         params=params,

@@ -190,6 +190,37 @@ def test_verify_rejects_non_integer_param(capsys, suite, key, value):
     assert err == f"error: {key} must be an integer, got {value!r}\n"
 
 
+@pytest.mark.parametrize(
+    "suite",
+    [
+        "contract_feasibility",
+        "minor_agreement",
+        "dual_greedoid_axioms",
+        "greedoid_intersection",
+        "full_dual_nonpositive",
+        "closure_dual_rank",
+        "convex_zero_dual",
+        "nullity_monotone",
+        "demimatroid_characterization",
+    ],
+)
+@pytest.mark.parametrize("n", ["5", "-1"])
+def test_verify_rejects_enumeration_size_out_of_range(capsys, suite, n):
+    code, out, err = run(capsys, "verify", "--suite", suite, "--seed", "1", "--params", f"n={n}")
+    assert code == 2 and out == ""
+    assert err == f"error: n = {n} out of range for exhaustive enumeration (0 to 4)\n"
+
+
+@pytest.mark.parametrize(
+    "suite, params",
+    [("involution", "count=-5"), ("involution", "count=0"), ("direct_sum_dual", "count=0")],
+)
+def test_verify_rejects_a_run_without_instances(capsys, suite, params):
+    code, out, err = run(capsys, "verify", "--suite", suite, "--seed", "1", "--params", params)
+    assert code == 2 and out == ""
+    assert err == f"error: suite {suite!r} checked no instances with these params\n"
+
+
 def test_verify_rejects_non_integer_thread_count(capsys, monkeypatch):
     monkeypatch.setenv("RANKDUAL_THREADS", "abc")
     code, _, err = run(capsys, "verify", "--suite", "greedoid_intersection")

@@ -235,6 +235,38 @@ def test_parallel_intersection_matches_sequential():
     assert par.passed and par.instances_checked == seq.instances_checked
 
 
+@pytest.mark.parametrize("cpus", [2, 10**6])
+def test_intersection_pool_is_clamped_to_cpus_and_tasks(monkeypatch, cpus):
+    # a stand-in pool records its size and runs the tasks in this process
+    import concurrent.futures
+
+    calls = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            self.max_workers = max_workers
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            tasks = list(tasks)
+            calls.append((self.max_workers, len(tasks)))
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    result = run_suite("greedoid_intersection", {"n": 3, "workers": 10**9})
+    [(pool_size, task_count)] = calls
+    assert task_count > 2
+    assert pool_size == min(cpus, task_count)
+    assert result.passed
+    assert result.instances_checked == run_suite("greedoid_intersection", {"n": 3}).instances_checked
+
+
 def test_recorder_fail_fast_and_cap():
     rec = _Recorder(fail_fast=True)
     assert rec.check(True, "x", "ok")
