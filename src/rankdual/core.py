@@ -56,12 +56,25 @@ def masks_by_cardinality(n: int) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 _DIGITS = bytes.maketrans(b"\0\1", b"01")
+_FLAGS = bytes.maketrans(b"01", b"\0\1")
 _INCREMENT = bytes(range(1, 256)) + b"\0"
 
 
 def bitset(flags) -> int:
     """The set of indices i whose flag (an iterable of bools) is true."""
     return int(bytes(flags).translate(_DIGITS)[::-1], 2)
+
+
+def member_counts(n: int, sets) -> bytes:
+    """Byte A is the number of the given bit sets over n bits that contain
+    mask A; there must be fewer than 256 sets. The inverse of ``bitset``: each
+    set is spread to one byte per mask and the spread sets are summed as
+    integers, so no byte ever carries into the next."""
+    digits = f"0{1 << n}b"
+    total = 0
+    for members in sets:
+        total += int.from_bytes(format(members, digits).encode().translate(_FLAGS), "big")
+    return total.to_bytes(1 << n, "little")
 
 
 @lru_cache(maxsize=None)
@@ -296,11 +309,17 @@ class RankTable(object):
             raise TableBuildError(
                 f"expected {self.ground.size} rank entries, got {len(self.values)}"
             )
-        for mask, v in enumerate(self.values):
-            if not isinstance(v, int) or isinstance(v, bool):
-                raise TableBuildError(f"rank of mask {mask} is not an integer: {v!r}")
-            if abs(v) > MAX_RANK_MAGNITUDE:
-                raise TableBuildError(f"rank {v} exceeds the magnitude bound")
+        values = self.values
+        # the checks run in C; only a failing table is walked again in Python,
+        # so that the error names the first bad mask
+        if not set(map(type, values)) <= {int} or not (
+            -MAX_RANK_MAGNITUDE <= min(values) and max(values) <= MAX_RANK_MAGNITUDE
+        ):
+            for mask, v in enumerate(values):
+                if not isinstance(v, int) or isinstance(v, bool):
+                    raise TableBuildError(f"rank of mask {mask} is not an integer: {v!r}")
+                if abs(v) > MAX_RANK_MAGNITUDE:
+                    raise TableBuildError(f"rank {v} exceeds the magnitude bound")
 
     @property
     def n(self) -> int:

@@ -9,6 +9,8 @@ and contraction requires that normalization outright.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
+from operator import add, sub
 
 from .core import (
     GroundSet,
@@ -17,6 +19,7 @@ from .core import (
     RankFunctionError,
     RankTable,
     SubsetRef,
+    popcounts,
     table_from_values,
 )
 
@@ -38,14 +41,22 @@ class MinorSpec:
 
 def _dual_values(values, n: int) -> tuple:
     """Dual ranks of a raw 2**n value sequence: |A| + r(S - A) - r(S)."""
-    full = (1 << n) - 1
-    total = values[full]
-    return tuple(mask.bit_count() + values[full ^ mask] - total for mask in range(full + 1))
+    # reversed(values)[A] is r(S - A)
+    return tuple(map(sub, map(add, popcounts(n), reversed(values)), repeat(values[-1])))
 
 
 def dual(g: RankTable) -> RankTable:
     """Dual table: r*(A) = |A| + r(S - A) - r(S) for every subset A."""
     return table_from_values(g.ground, _dual_values(g.values, g.n))
+
+
+def _expansion(bits) -> list[int]:
+    """Entry M is the old mask with old bit bits[k] for each new bit k of M."""
+    expand = [0]
+    for bit in bits:
+        # new masks 2**k .. 2**(k+1) - 1 are the masks below 2**k plus bit k
+        expand += list(map(bit.__or__, expand))
+    return expand
 
 
 def _project(ground: GroundSet, removed_mask: int) -> tuple[GroundSet, list[int]]:
@@ -55,18 +66,19 @@ def _project(ground: GroundSet, removed_mask: int) -> tuple[GroundSet, list[int]
     new_ground = GroundSet(
         tuple(label for pos, label in enumerate(ground.labels) if not removed_mask >> pos & 1)
     )
-    expand = [0] * (1 << len(kept_bits))
-    for new_mask in range(1, 1 << len(kept_bits)):
-        low = new_mask & -new_mask
-        expand[new_mask] = expand[new_mask ^ low] | kept_bits[low.bit_length() - 1]
-    return new_ground, expand
+    return new_ground, _expansion(kept_bits)
 
 
 def delete(g: RankTable, p: str) -> RankTable:
     """Restrict the table to subsets avoiding p."""
     bit = 1 << g.ground.position(p)
     new_ground, expand = _project(g.ground, bit)
-    return table_from_values(new_ground, tuple(g.values[m] for m in expand))
+    return table_from_values(new_ground, tuple(map(g.values.__getitem__, expand)))
+
+
+def _contracted_values(values, expand, c: int) -> tuple:
+    """r(A | c) - r(c) for the old mask A of each new mask, in new-mask order."""
+    return tuple(map(sub, map(values.__getitem__, map(c.__or__, expand)), repeat(values[c])))
 
 
 def contract(g: RankTable, p: str) -> RankTable:
@@ -81,8 +93,7 @@ def contract(g: RankTable, p: str) -> RankTable:
         )
     bit = 1 << g.ground.position(p)
     new_ground, expand = _project(g.ground, bit)
-    rp = g.values[bit]
-    return table_from_values(new_ground, tuple(g.values[m | bit] - rp for m in expand))
+    return table_from_values(new_ground, _contracted_values(g.values, expand, bit))
 
 
 def minor(g: RankTable, spec: MinorSpec) -> RankTable:
@@ -98,8 +109,7 @@ def minor(g: RankTable, spec: MinorSpec) -> RankTable:
     c = spec.contracted.bits
     removed = c | spec.deleted.bits
     new_ground, expand = _project(g.ground, removed)
-    rc = g.values[c]
-    return table_from_values(new_ground, tuple(g.values[m | c] - rc for m in expand))
+    return table_from_values(new_ground, _contracted_values(g.values, expand, c))
 
 
 def direct_sum(g1: RankTable, g2: RankTable) -> RankTable:

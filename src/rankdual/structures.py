@@ -3,12 +3,15 @@
 Covers rooted-graph branching greedoids, tree pruning antimatroids, uniform
 matroids, convex closure in full antimatroids, and feasible-set-based
 greedoid minors. Tables are materialized eagerly; construction is capped at
-MAX_MATERIALIZED_N edges to bound the 2**n table size.
+MAX_MATERIALIZED_N edges to bound the 2**n table size. The structure tables
+are counted from bit sets over all edge subsets (``core.member_counts``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
+from operator import eq
 
 from .axioms import FeasibleFamily, check_antimatroid, check_greedoid
 from .core import (
@@ -16,6 +19,10 @@ from .core import (
     RankFunctionError,
     RankTable,
     SubsetRef,
+    avoid_sets,
+    bitset,
+    member_counts,
+    popcounts,
     table_from_values,
 )
 from .ops import _project
@@ -69,10 +76,14 @@ def _components(vertex_count: int, pairs) -> list:
     return [find(x) for x in range(vertex_count)]
 
 
-def _is_connected(vertices, edges) -> bool:
+def _edge_pairs(vertices, edges) -> list:
+    """The (u, v) vertex index pairs of labelled edges, in edge order."""
     index = {name: i for i, name in enumerate(vertices)}
-    reps = _components(len(vertices), [(index[u], index[v]) for _, u, v in edges])
-    return len(set(reps)) == 1
+    return [(index[u], index[v]) for _, u, v in edges]
+
+
+def _is_connected(vertices, edges) -> bool:
+    return len(set(_components(len(vertices), _edge_pairs(vertices, edges)))) == 1
 
 
 @dataclass(frozen=True)
@@ -126,33 +137,44 @@ def _require_materializable(n: int, max_table_n: int):
         )
 
 
+def _has_sets(n: int) -> list:
+    """Entry e is the set of masks over n bits that contain bit e."""
+    every = (1 << (1 << n)) - 1
+    return [every ^ avoid for avoid in avoid_sets(n)]
+
+
+def branching_ranks(edge_count: int, vertex_count: int, pairs, root: int) -> bytes:
+    """Byte A is the branching rank of edge mask A: the number of vertices
+    other than the root that the edges of A connect to it.
+
+    reach[x] is the set of masks through whose edges x is reachable from the
+    root; it grows by reach[x] & has[e] across each edge e until it is stable.
+    """
+    has = _has_sets(edge_count)
+    reach = [0] * vertex_count
+    reach[root] = (1 << (1 << edge_count)) - 1
+    grown = True
+    while grown:
+        grown = False
+        for e, (u, v) in enumerate(pairs):
+            for a, b in ((u, v), (v, u)):
+                new = reach[b] | reach[a] & has[e]
+                if new != reach[b]:
+                    reach[b] = new
+                    grown = True
+    return member_counts(edge_count, reach[:root] + reach[root + 1 :])
+
+
 def branching_greedoid(rg: RootedGraph, max_table_n: int = MAX_MATERIALIZED_N) -> RankTable:
     """Rank of an edge subset A = size of the largest subtree inside A that
     contains the root, i.e. (vertices reachable from the root through A) - 1.
+    Built from one reachability bit set per vertex.
     """
     n = len(rg.edges)
     _require_materializable(n, max_table_n)
-    index = {name: i for i, name in enumerate(rg.vertices)}
-    adjacency = [[] for _ in rg.vertices]
-    for pos, (_, u, v) in enumerate(rg.edges):
-        adjacency[index[u]].append((pos, index[v]))
-        adjacency[index[v]].append((pos, index[u]))
-    root = index[rg.root]
-
-    values = []
-    for mask in range(1 << n):
-        reached = 1 << root
-        stack = [root]
-        count = 1
-        while stack:
-            at = stack.pop()
-            for pos, other in adjacency[at]:
-                if mask >> pos & 1 and not reached >> other & 1:
-                    reached |= 1 << other
-                    count += 1
-                    stack.append(other)
-        values.append(count - 1)
-    return table_from_values(GroundSet(rg.edge_labels()), values)
+    pairs = _edge_pairs(rg.vertices, rg.edges)
+    ranks = branching_ranks(n, len(rg.vertices), pairs, rg.vertices.index(rg.root))
+    return table_from_values(GroundSet(rg.edge_labels()), tuple(ranks))
 
 
 def root_adjacency_test(rg: RootedGraph) -> bool:
@@ -166,65 +188,37 @@ def root_adjacency_test(rg: RootedGraph) -> bool:
     return adjacent == set(rg.vertices)
 
 
-def _span_size(adjacency, in_set, degree, edge_count):
-    """Size of the minimal subtree containing the given edge set.
-
-    Works on a tree: repeatedly prune leaf edges that are not in the set.
-    ``adjacency`` maps vertex index -> list of (edge pos, other vertex).
-    """
-    degree = list(degree)
-    alive = list(in_set)
-    size = edge_count
-    leaves = [v for v, d in enumerate(degree) if d == 1]
-    while leaves:
-        v = leaves.pop()
-        if degree[v] != 1:
-            continue
-        for pos, other in adjacency[v]:
-            if not alive[pos]:
-                continue
-            if alive[pos] == 2:
-                break  # pendant edge belongs to the set; keep it
-            alive[pos] = 0
-            size -= 1
-            degree[v] -= 1
-            degree[other] -= 1
-            if degree[other] == 1:
-                leaves.append(other)
-            break
-    return size
-
-
 def pruning_antimatroid(t: Tree, max_table_n: int = MAX_MATERIALIZED_N) -> RankTable:
     """Edge subset A is feasible iff the remaining edges form a subtree (the
     empty edge set counts). Rank of A = size of its largest feasible subset,
-    which equals n minus the size of the minimal subtree containing S - A.
+    which equals n minus the size of the minimal subtree containing K = S - A.
+
+    Edge e lies in that subtree iff e is in K or K meets both sides of e in
+    T - e, so the rank counts, per edge, the bit set of masks A that contain
+    e and contain one whole side of it.
     """
     n = len(t.edges)
     _require_materializable(n, max_table_n)
-    index = {name: i for i, name in enumerate(t.vertices)}
-    adjacency = [[] for _ in t.vertices]
-    for pos, (_, u, v) in enumerate(t.edges):
-        adjacency[index[u]].append((pos, index[v]))
-        adjacency[index[v]].append((pos, index[u]))
+    pairs = _edge_pairs(t.vertices, t.edges)
+    has = _has_sets(n)
+    every = (1 << (1 << n)) - 1
+    prunable = []
+    for e, (u, _) in enumerate(pairs):
+        reps = _components(len(t.vertices), pairs[:e] + pairs[e + 1 :])
+        # contains[x]: the masks that contain every edge on side x of e
+        contains = [every, every]
+        for f, (a, _) in enumerate(pairs):
+            if f != e:
+                contains[reps[a] == reps[u]] &= has[f]
+        prunable.append(has[e] & (contains[0] | contains[1]))
+    ranks = member_counts(n, prunable)
+    return table_from_values(GroundSet(t.edge_labels()), tuple(ranks))
 
-    full = (1 << n) - 1
-    values = [0] * (1 << n)
-    for mask in range(1 << n):
-        keep = full ^ mask
-        # 2 marks edges the span must contain, 1 marks prunable edges
-        in_set = [2 if keep >> pos & 1 else 1 for pos in range(n)]
-        degree = [len(adjacency[v]) for v in range(len(t.vertices))]
-        values[mask] = n - _span_size(adjacency, in_set, degree, n)
-    return table_from_values(GroundSet(t.edge_labels()), values)
 
-
-def _convex_masks(g: RankTable) -> list:
-    """Masks whose complement is feasible (r(S - C) = |S - C|)."""
-    full = g.ground.full_mask
-    return [
-        c for c in range(full + 1) if g.values[full ^ c] == (full ^ c).bit_count()
-    ]
+def _convex_flags(g: RankTable) -> bytes:
+    """Byte C is 1 iff C is convex: its complement is feasible,
+    r(S - C) = |S - C| (reversed, the tables are indexed by S - C)."""
+    return bytes(map(eq, reversed(g.values), reversed(popcounts(g.n))))
 
 
 def closure_table(g: RankTable, validated: bool = False) -> list:
@@ -237,16 +231,16 @@ def closure_table(g: RankTable, validated: bool = False) -> list:
     if not validated:
         _require_full_antimatroid(g)
     full = g.ground.full_mask
-    convex = _convex_masks(g)
-    convex_set = set(convex)
+    is_convex = _convex_flags(g)
+    convex = list(compress(range(full + 1), is_convex))
     closures = [full] * (full + 1)
     for c in convex:
         not_c = full ^ c
         for mask in range(full + 1):
             if mask & not_c == 0:
                 closures[mask] &= c
-    for mask, c in enumerate(closures):
-        if c not in convex_set:
+    for c in closures:
+        if not is_convex[c]:
             raise StructureError(
                 "closure is not convex; the table violates the antimatroid precondition"
             )
@@ -266,19 +260,19 @@ def convex_closure(g: RankTable, a: SubsetRef) -> SubsetRef:
     """Smallest convex superset of a (convex = complement feasible).
 
     The table must be a full antimatroid; the intersection of all convex
-    supersets is computed and verified to be convex itself.
+    supersets is computed and verified to be convex itself. Element p lies in
+    it iff no convex superset of a avoids p, which is read off bit sets.
     """
     if a.ground != g.ground:
         raise RankFunctionError("subset belongs to a different ground set")
     _require_full_antimatroid(g)
-    full = g.ground.full_mask
-    acc = full
-    convex_set = set()
-    for c in _convex_masks(g):
-        convex_set.add(c)
-        if a.bits & ~c == 0:
-            acc &= c
-    if acc not in convex_set:
+    is_convex = _convex_flags(g)
+    supersets = bitset(is_convex)
+    for p, has in enumerate(_has_sets(g.n)):
+        if a.bits >> p & 1:
+            supersets &= has
+    acc = sum(1 << p for p, avoid in enumerate(avoid_sets(g.n)) if not supersets & avoid)
+    if not is_convex[acc]:
         raise StructureError(
             "closure is not convex; the table violates the antimatroid precondition"
         )
@@ -290,8 +284,8 @@ def uniform_matroid(labels, k: int) -> RankTable:
     ground = GroundSet(tuple(labels))
     if not 0 <= k <= ground.n:
         raise StructureError(f"uniform rank {k} out of range for {ground.n} elements")
-    values = tuple(min(mask.bit_count(), k) for mask in range(ground.size))
-    return table_from_values(ground, values)
+    ranks = popcounts(ground.n).translate(bytes(min(i, k) for i in range(256)))
+    return table_from_values(ground, tuple(ranks))
 
 
 def _compress_mask(mask: int, bit: int) -> int:

@@ -3,13 +3,21 @@
 The polynomial of a table g is sum over subsets A of t**(r(S)-r(A)) *
 z**(|A|-r(A)). Exponents may be negative for badly behaved tables, so terms
 live in Z[t, 1/t, z, 1/z] with exact integer coefficients.
+
+Two evaluations are offered: the subset expansion, and the
+deletion-contraction recursion evaluated level by level, whose result is the
+sum of the path monomials of its recursion tree.
 """
 
 from __future__ import annotations
 
+from collections import Counter
+from itertools import chain, islice, repeat
+from operator import add, sub
 from typing import Callable, Mapping
 
-from .core import NormalizationError, RankFunctionError, RankTable
+from .core import NormalizationError, RankFunctionError, RankTable, popcounts
+from .ops import _expansion
 
 
 class LaurentPoly2:
@@ -137,13 +145,9 @@ class LaurentPoly2:
 def tutte_subset(g: RankTable) -> LaurentPoly2:
     """Subset expansion: one monomial t**corank * z**nullity per subset."""
     values = g.values
-    total = values[g.ground.full_mask]
-    acc: dict[tuple[int, int], int] = {}
-    for mask in range(g.ground.size):
-        v = values[mask]
-        key = (total - v, mask.bit_count() - v)
-        acc[key] = acc.get(key, 0) + 1
-    return LaurentPoly2(acc)
+    coranks = map(sub, repeat(g.full_rank), values)
+    nullities = map(sub, popcounts(g.n), values)
+    return LaurentPoly2(Counter(zip(coranks, nullities)))
 
 
 def _pivot_lowest(remaining: int) -> int:
@@ -161,10 +165,25 @@ PIVOT_STRATEGIES: dict[str, Callable[[int], int]] = {
 }
 
 
-def tutte_recursive(g: RankTable, pivot: str | Callable[[int], int] = "lowest") -> LaurentPoly2:
-    """Deletion-contraction evaluation.
+def _pivot_order(choose, n: int) -> list[int]:
+    """The pivot of every level: the element chosen from the remaining set
+    left by the pivots before it."""
+    order = []
+    remaining = (1 << n) - 1
+    for _ in range(n):
+        pos = choose(remaining)
+        if not isinstance(pos, int) or not 0 <= pos < n or not remaining >> pos & 1:
+            raise RankFunctionError("pivot strategy chose an element outside the ground set")
+        order.append(pos)
+        remaining ^= 1 << pos
+    return order
 
-    The recursion at ground R with contracted set C uses rank
+
+def tutte_recursive(g: RankTable, pivot: str | Callable[[int], int] = "lowest") -> LaurentPoly2:
+    """Deletion-contraction evaluation, level by level; the result is the sum
+    of the path monomials of the recursion tree.
+
+    A node with remaining ground R and contracted set C uses the rank
     rk(A) = r(A | C) - r(C) and splits on a pivot p:
 
         f = t**(rk(R) - rk(R - p)) * f(delete p) + z**(1 - rk(p)) * f(contract p)
@@ -172,8 +191,15 @@ def tutte_recursive(g: RankTable, pivot: str | Callable[[int], int] = "lowest") 
     The base case is the empty ground set (value 1). Requires r(empty) = 0;
     the result equals tutte_subset(g) for every pivot strategy.
 
-    Nothing is memoized: the pivot depends on R alone, so the sequence of
-    grounds R is fixed and each contracted set C is reached exactly once.
+    The pivot depends on R alone, so every node at depth k splits on the same
+    element b_k: ``pivot`` (a strategy name, or a callable from the mask of
+    remaining elements to a bit position) is called n times, once per level,
+    and each choice must be an int naming an element of R. The table is
+    renumbered so that b_k is bit k; the nodes at depth k are then the
+    contracted sets C = 0 .. 2**k - 1, and each level reads four contiguous
+    runs of the table. Two lists per level hold the t and z exponents of
+    the path from the root to every node; the monomials of the leaves, the
+    children of the last level, are summed as they are computed.
     """
     if g.values[0] != 0:
         raise NormalizationError("deletion-contraction recursion requires r(empty) = 0")
@@ -184,24 +210,28 @@ def tutte_recursive(g: RankTable, pivot: str | Callable[[int], int] = "lowest") 
             raise RankFunctionError(f"unknown pivot strategy {pivot!r}") from None
     else:
         choose = pivot
-    return _deletion_contraction(g.values, choose, 0, g.ground.full_mask)
+    n = g.n
+    order = _pivot_order(choose, n)
+    values = g.values
+    if order != list(range(n)):
+        values = list(map(values.__getitem__, _expansion([1 << pos for pos in order])))
 
-
-_ONE = LaurentPoly2.one()
-
-
-def _deletion_contraction(values, choose, contracted: int, remaining: int) -> LaurentPoly2:
-    if remaining == 0:
-        return _ONE
-    bit = 1 << choose(remaining)
-    if not remaining & bit:
-        raise RankFunctionError("pivot strategy chose an element outside the ground set")
-    rest = remaining ^ bit
-    t_exp = values[contracted | remaining] - values[contracted | rest]
-    z_exp = 1 - (values[contracted | bit] - values[contracted])
-    deleted = _deletion_contraction(values, choose, contracted, rest)
-    kept = _deletion_contraction(values, choose, contracted | bit, rest)
-    return deleted.shift(t_exp, 0) + kept.shift(0, z_exp)
+    full = (1 << n) - 1
+    ts, zs = [0], [0]
+    for k in range(n):
+        nodes = 1 << k
+        remaining = full ^ (nodes - 1)  # R_k = {b_k, ..., b_n-1}
+        # delete child C: t += r(C | R_k) - r(C | R_k+1)
+        deltas = map(sub, islice(values, remaining, None), islice(values, remaining ^ nodes, None))
+        t_delete = map(add, ts, deltas)
+        # contract child C | b_k: z += 1 - (r(C | b_k) - r(C))
+        z_contract = map((1).__add__, map(add, zs, map(sub, values, islice(values, nodes, None))))
+        if k == n - 1:
+            # the children are the leaves: count their path monomials unstored
+            return LaurentPoly2(Counter(chain(zip(t_delete, zs), zip(ts, z_contract))))
+        ts = [*t_delete, *ts]
+        zs += list(z_contract)
+    return LaurentPoly2.one()  # the empty ground set
 
 
 def swap_vars(p: LaurentPoly2) -> LaurentPoly2:

@@ -31,6 +31,7 @@ from .structures import (
     Tree,
     _components,
     branching_greedoid,
+    branching_ranks,
     closure_table,
     demo_pruning_tree,
     demo_rooted_tree,
@@ -408,22 +409,6 @@ def all_rooted_graphs(max_edges: int):
             yield RootedGraph(vertices, f"v{root}", edges)
 
 
-def _component_rank_rows(vertex_count: int, edge_pairs):
-    """Branching ranks for every root at once: rows[root][mask] = size of the
-    root's connected component under the mask's edges, minus one."""
-    size = 1 << len(edge_pairs)
-    rows = [[0] * size for _ in range(vertex_count)]
-    chosen = [()] * size  # chosen[mask] = the mask's edges
-    for mask in range(1, size):
-        low = mask & -mask
-        chosen[mask] = chosen[mask ^ low] + (edge_pairs[low.bit_length() - 1],)
-    for mask, pairs in enumerate(chosen):
-        reps = _components(vertex_count, pairs)
-        for root, rep in enumerate(reps):
-            rows[root][mask] = reps.count(rep) - 1
-    return rows
-
-
 # ---------------------------------------------------------------------------
 # suite machinery
 # ---------------------------------------------------------------------------
@@ -520,7 +505,28 @@ def _desc(i: int, g: RankTable) -> str:
 # suites
 # ---------------------------------------------------------------------------
 
+#: Suite functions by name, and the params each one reads; every suite also
+#: accepts COMMON_PARAMS (the CLI passes --seed to any suite).
+SUITES: dict = {}
+SUITE_PARAMS: dict = {}
+COMMON_PARAMS = ("seed", "fail_fast", "max_failures")
+_CORPUS_PARAMS = ("seed", "count", "max_n", "lo", "hi")
 
+
+def _suite(*keys):
+    """Register the suite function ``_suite_<name>`` as ``<name>``, reading
+    the given params."""
+
+    def register(fn):
+        name = fn.__name__.removeprefix("_suite_")
+        SUITES[name] = fn
+        SUITE_PARAMS[name] = keys
+        return fn
+
+    return register
+
+
+@_suite(*_CORPUS_PARAMS)
 def _suite_involution(params, rec: _Recorder):
     for i, g in enumerate(_corpus(params, "involution")):
         if not rec.check(
@@ -529,6 +535,7 @@ def _suite_involution(params, rec: _Recorder):
             return
 
 
+@_suite(*_CORPUS_PARAMS)
 def _suite_exchange(params, rec: _Recorder):
     for i, g in enumerate(_corpus(params, "exchange")):
         gd = dual(g)
@@ -541,6 +548,7 @@ def _suite_exchange(params, rec: _Recorder):
                 return
 
 
+@_suite(*_CORPUS_PARAMS)
 def _suite_contract_formula(params, rec: _Recorder):
     for i, g in enumerate(_corpus(params, "contract_formula")):
         for p in g.ground.labels:
@@ -558,6 +566,7 @@ def _suite_contract_formula(params, rec: _Recorder):
                 return
 
 
+@_suite(*_CORPUS_PARAMS)
 def _suite_direct_sum_dual(params, rec: _Recorder):
     count = _int_param(params, "count", 250)
     max_n = _int_param(params, "max_n", 4)
@@ -580,6 +589,7 @@ def _suite_direct_sum_dual(params, rec: _Recorder):
             return
 
 
+@_suite(*_CORPUS_PARAMS, "strategies")
 def _suite_recursion_oracle(params, rec: _Recorder):
     strategies = str(params.get("strategies", "lowest,highest")).split(",")
     for i, g in enumerate(_corpus(params, "recursion_oracle")):
@@ -590,6 +600,7 @@ def _suite_recursion_oracle(params, rec: _Recorder):
                 return
 
 
+@_suite(*_CORPUS_PARAMS)
 def _suite_duality_swap(params, rec: _Recorder):
     for i, g in enumerate(_corpus(params, "duality_swap")):
         ok = tutte_subset(dual(g)) == swap_vars(tutte_subset(g))
@@ -597,6 +608,7 @@ def _suite_duality_swap(params, rec: _Recorder):
             return
 
 
+@_suite(*_CORPUS_PARAMS)
 def _suite_polynomiality(params, rec: _Recorder):
     from .core import validate
 
@@ -617,6 +629,7 @@ def _enumerated(constraint: str, n_max: int):
             yield table_from_values(ground, values)
 
 
+@_suite("n")
 def _suite_contract_feasibility(params, rec: _Recorder):
     n_max = _enum_n(params, 3)
     for idx, g in enumerate(_enumerated("greedoid", n_max)):
@@ -650,6 +663,7 @@ def _suite_contract_feasibility(params, rec: _Recorder):
                 return
 
 
+@_suite("n")
 def _suite_minor_agreement(params, rec: _Recorder):
     n_max = _enum_n(params, 3)
     for idx, g in enumerate(_enumerated("greedoid", n_max)):
@@ -678,6 +692,7 @@ def _suite_minor_agreement(params, rec: _Recorder):
                     return
 
 
+@_suite("n")
 def _suite_dual_greedoid_axioms(params, rec: _Recorder):
     n_max = _enum_n(params, 4)
     for idx, g in enumerate(_enumerated("greedoid", n_max)):
@@ -718,6 +733,7 @@ def _intersection_task(args):
     return count, failures
 
 
+@_suite("n", "workers")
 def _suite_greedoid_intersection(params, rec: _Recorder):
     n_max = _enum_n(params, 4)
     if "workers" in params:
@@ -752,6 +768,7 @@ def _suite_greedoid_intersection(params, rec: _Recorder):
                     return
 
 
+@_suite("max_edges")
 def _suite_root_adjacency(params, rec: _Recorder):
     max_edges = _int_param(params, "max_edges", 6)
     sample_stride = 97  # cross-check every k-th instance against the public op
@@ -789,12 +806,13 @@ def _suite_root_adjacency(params, rec: _Recorder):
             if not check_instance(len(rg.vertices), pairs, 0, values, f"tree{shape}"):
                 return
     for v, combo in _cyclic_connected_graphs(max_edges):
-        rows = _component_rank_rows(v, combo)
         for root in range(v):
-            if not check_instance(v, combo, root, rows[root], f"cyclic v={v} edges={combo}"):
+            values = branching_ranks(len(combo), v, combo, root)
+            if not check_instance(v, combo, root, values, f"cyclic v={v} edges={combo}"):
                 return
 
 
+@_suite("n")
 def _suite_full_dual_nonpositive(params, rec: _Recorder):
     n_max = _enum_n(params, 4)
     for idx, g in enumerate(_enumerated("greedoid", n_max)):
@@ -819,6 +837,7 @@ def _closure_corpora(params):
         yield f"pruning-tree[{idx}] edges={len(tree.edges)}", pruning_antimatroid(tree)
 
 
+@_suite("n", "max_tree_edges")
 def _suite_closure_dual_rank(params, rec: _Recorder):
     for desc, g in _closure_corpora(params):
         closures = closure_table(g)
@@ -839,6 +858,7 @@ def _suite_closure_dual_rank(params, rec: _Recorder):
     rec.check(dv[a.bits] == -3, "demo pruning tree", "dual rank of {a,d,f} is -3", str(dv[a.bits]))
 
 
+@_suite("n", "max_tree_edges")
 def _suite_convex_zero_dual(params, rec: _Recorder):
     for desc, g in _closure_corpora(params):
         dv = _dual_values(g.values, g.n)
@@ -865,6 +885,7 @@ def _monotone_corpus(params, suite):
         yield f"sampled[{idx}] n={g.n} values={g.values}", g
 
 
+@_suite("n", "seed", "count", "max_n")
 def _suite_nullity_monotone(params, rec: _Recorder):
     for desc, g in _monotone_corpus(params, "nullity_monotone"):
         unit = _fast_unit_upper(g.values, g.n)
@@ -888,6 +909,7 @@ def _nested_pairs(n: int):
     return tuple((a, b) for b in range(size) for a in range(size) if a & b == a)
 
 
+@_suite("n", "seed", "count", "max_n")
 def _suite_demimatroid_characterization(params, rec: _Recorder):
     for desc, g in _monotone_corpus(params, "demimatroid_characterization"):
         lhs = check_demimatroid_characterization(g).passed
@@ -901,6 +923,7 @@ def _suite_demimatroid_characterization(params, rec: _Recorder):
             return
 
 
+@_suite()
 def _suite_branching_goldens(params, rec: _Recorder):
     g = branching_greedoid(demo_rooted_tree())
     sub = g.ground.subset
@@ -947,6 +970,7 @@ def _suite_branching_goldens(params, rec: _Recorder):
     )
 
 
+@_suite()
 def _suite_pruning_goldens(params, rec: _Recorder):
     from .structures import convex_closure
 
@@ -979,41 +1003,8 @@ def _suite_pruning_goldens(params, rec: _Recorder):
     rec.check(dv[adf.bits] == -3, "demo pruning tree", "dual rank of {a,d,f} is -3", str(dv[adf.bits]))
 
 
-SUITES = {
-    "involution": _suite_involution,
-    "exchange": _suite_exchange,
-    "contract_formula": _suite_contract_formula,
-    "direct_sum_dual": _suite_direct_sum_dual,
-    "recursion_oracle": _suite_recursion_oracle,
-    "duality_swap": _suite_duality_swap,
-    "polynomiality": _suite_polynomiality,
-    "contract_feasibility": _suite_contract_feasibility,
-    "minor_agreement": _suite_minor_agreement,
-    "dual_greedoid_axioms": _suite_dual_greedoid_axioms,
-    "greedoid_intersection": _suite_greedoid_intersection,
-    "root_adjacency": _suite_root_adjacency,
-    "full_dual_nonpositive": _suite_full_dual_nonpositive,
-    "closure_dual_rank": _suite_closure_dual_rank,
-    "convex_zero_dual": _suite_convex_zero_dual,
-    "nullity_monotone": _suite_nullity_monotone,
-    "demimatroid_characterization": _suite_demimatroid_characterization,
-    "branching_goldens": _suite_branching_goldens,
-    "pruning_goldens": _suite_pruning_goldens,
-}
-
-RANDOMIZED_SUITES = frozenset(
-    {
-        "involution",
-        "exchange",
-        "contract_formula",
-        "direct_sum_dual",
-        "recursion_oracle",
-        "duality_swap",
-        "polynomiality",
-        "nullity_monotone",
-        "demimatroid_characterization",
-    }
-)
+#: Suites whose params include a seed; they refuse to run without one.
+RANDOMIZED_SUITES = frozenset(name for name, keys in SUITE_PARAMS.items() if "seed" in keys)
 
 
 def run_suite(name: str, params: dict | None = None) -> SuiteResult:
@@ -1022,6 +1013,13 @@ def run_suite(name: str, params: dict | None = None) -> SuiteResult:
     if name not in SUITES:
         raise RankFunctionError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
     params = dict(params or {})
+    accepted = {*COMMON_PARAMS, *SUITE_PARAMS[name]}
+    unknown = sorted(map(str, set(params) - accepted))
+    if unknown:
+        raise RankFunctionError(
+            f"unknown params for suite {name!r}: {', '.join(unknown)}; "
+            f"accepted: {', '.join(sorted(accepted))}"
+        )
     if name in RANDOMIZED_SUITES:
         _require_seed(params, name)
     rec = _Recorder(

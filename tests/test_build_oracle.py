@@ -1,0 +1,133 @@
+"""The bit-set constructors and the level-by-level recursion against the
+per-mask constructions and the depth-first recursion of ``build_oracle``."""
+
+import random
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from rankdual import (
+    EnumSpec,
+    GroundSet,
+    RootedGraph,
+    Tree,
+    all_rooted_graphs,
+    all_trees,
+    branching_greedoid,
+    convex_closure,
+    enumerate_tables,
+    pruning_antimatroid,
+    random_tables,
+    table_from_values,
+    tutte_recursive,
+    tutte_subset,
+)
+
+from build_oracle import (
+    oracle_branching_values,
+    oracle_convex_closure,
+    oracle_pruning_values,
+    oracle_recursion,
+)
+
+LABELS = "abcdefghijklmnopqrstuvwx"
+
+
+def middle(remaining):
+    bits = [p for p in range(remaining.bit_length()) if remaining >> p & 1]
+    return bits[len(bits) // 2]
+
+
+PIVOTS = ("lowest", "highest", middle)
+
+
+def assert_recursions_match(g):
+    for pivot in PIVOTS:
+        assert tutte_recursive(g, pivot) == oracle_recursion(g, pivot), (pivot, g.values)
+
+
+def random_tree(rng, edges):
+    """Random labelled tree: each new vertex hangs from an earlier one; the
+    edges come out in shuffled order with shuffled endpoints."""
+    pairs = [(rng.randrange(v), v) for v in range(1, edges + 1)]
+    rng.shuffle(pairs)
+    pairs = [(b, a) if rng.random() < 0.5 else (a, b) for a, b in pairs]
+    vertices = tuple(f"x{i}" for i in range(edges + 1))
+    return vertices, [(LABELS[i], f"x{a}", f"x{b}") for i, (a, b) in enumerate(pairs)]
+
+
+def random_rooted_graph(rng, edges):
+    """Random connected simple graph with the given edge count: a random
+    spanning tree plus random extra edges, rooted at a random vertex."""
+    order = rng.randint(2 if edges else 1, edges + 1)
+    while order * (order - 1) // 2 < edges:
+        order += 1
+    tree = [(rng.randrange(v), v) for v in range(1, order)]
+    extra = [p for p in ((a, b) for b in range(order) for a in range(b)) if p not in tree]
+    pairs = tree + rng.sample(extra, edges - len(tree))
+    rng.shuffle(pairs)
+    vertices = tuple(f"x{i}" for i in range(order))
+    labelled = [(LABELS[i], f"x{a}", f"x{b}") for i, (a, b) in enumerate(pairs)]
+    return RootedGraph(vertices, rng.choice(vertices), labelled)
+
+
+def test_every_small_tree_and_rooted_graph():
+    for tree in all_trees(8):
+        g = pruning_antimatroid(tree)
+        assert g.values == oracle_pruning_values(tree), tree
+    for rg in all_rooted_graphs(5):
+        g = branching_greedoid(rg)
+        assert g.values == oracle_branching_values(rg), rg
+
+
+def test_seeded_random_structures_up_to_twelve_edges():
+    rng = random.Random(2024)
+    for edges in range(13):
+        for _ in range(3):
+            tree = Tree(*random_tree(rng, edges))
+            assert pruning_antimatroid(tree).values == oracle_pruning_values(tree), tree
+            rg = random_rooted_graph(rng, edges)
+            assert branching_greedoid(rg).values == oracle_branching_values(rg), rg
+
+
+def test_recursion_on_structures_and_random_tables():
+    rng = random.Random(7)
+    for edges in (3, 6, 9):
+        assert_recursions_match(branching_greedoid(random_rooted_graph(rng, edges)))
+        assert_recursions_match(pruning_antimatroid(Tree(*random_tree(rng, edges))))
+    for g in random_tables(150, max_n=6, seed=31):
+        assert_recursions_match(g)
+
+
+def test_convex_closure_of_every_subset():
+    tables = [pruning_antimatroid(tree) for tree in all_trees(6)]
+    tables += list(enumerate_tables(EnumSpec(3, "full-antimatroid")))
+    for g in tables:
+        for a in range(g.ground.size):
+            got = convex_closure(g, g.ground.subset_from_mask(a)).bits
+            assert got == oracle_convex_closure(g, a), (g.values, a)
+
+
+def test_empty_and_single_element_grounds():
+    assert_recursions_match(table_from_values(GroundSet(()), [0]))
+    for r1 in range(-2, 4):
+        assert_recursions_match(table_from_values(GroundSet(("a",)), [0, r1]))
+    lone = RootedGraph(("r",), "r", ())
+    assert branching_greedoid(lone).values == oracle_branching_values(lone) == (0,)
+    point = Tree(("x0",), ())
+    assert pruning_antimatroid(point).values == oracle_pruning_values(point) == (0,)
+    edge = Tree(*random_tree(random.Random(1), 1))
+    assert pruning_antimatroid(edge).values == oracle_pruning_values(edge) == (0, 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(0, 6).flatmap(
+        lambda n: st.lists(st.integers(-3, 6), min_size=(1 << n) - 1, max_size=(1 << n) - 1)
+    )
+)
+def test_recursion_matches_oracle_on_any_table(rest):
+    n = len(rest).bit_length()
+    g = table_from_values(GroundSet(tuple(LABELS[:n])), [0] + rest)
+    assert_recursions_match(g)
+    assert tutte_recursive(g) == tutte_subset(g)

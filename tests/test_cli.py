@@ -221,6 +221,36 @@ def test_verify_rejects_a_run_without_instances(capsys, suite, params):
     assert err == f"error: suite {suite!r} checked no instances with these params\n"
 
 
+@pytest.mark.parametrize(
+    "suite, params, unknown, accepted",
+    [
+        ("involution", "cout=3", "cout", "count, fail_fast, hi, lo, max_failures, max_n, seed"),
+        ("branching_goldens", "n=3,zz=1", "n, zz", "fail_fast, max_failures, seed"),
+        ("root_adjacency", "max_edge=3", "max_edge", "fail_fast, max_edges, max_failures, seed"),
+        ("greedoid_intersection", "threads=2", "threads", "fail_fast, max_failures, n, seed, workers"),
+    ],
+)
+def test_verify_rejects_unknown_params(capsys, suite, params, unknown, accepted):
+    code, out, err = run(capsys, "verify", "--suite", suite, "--seed", "1", "--params", params)
+    assert code == 2 and out == ""
+    assert err == f"error: unknown params for suite {suite!r}: {unknown}; accepted: {accepted}\n"
+
+
+@pytest.mark.parametrize(
+    "suite, params",
+    [
+        ("involution", "count=3,max_n=2,lo=0,hi=1,max_failures=5"),
+        ("recursion_oracle", "count=3,strategies=lowest"),
+        ("nullity_monotone", "n=1,count=3,max_n=2"),
+        ("closure_dual_rank", "n=1,max_tree_edges=2"),
+        ("pruning_goldens", "max_failures=1"),
+    ],
+)
+def test_verify_accepts_declared_params(capsys, suite, params):
+    code, out, _ = run(capsys, "verify", "--suite", suite, "--seed", "1", "--fail-fast", "--params", params)
+    assert code == 0 and out.endswith("result: pass\n")
+
+
 def test_verify_rejects_non_integer_thread_count(capsys, monkeypatch):
     monkeypatch.setenv("RANKDUAL_THREADS", "abc")
     code, _, err = run(capsys, "verify", "--suite", "greedoid_intersection")

@@ -11,7 +11,7 @@ from rankdual import (
     table_from_values,
     validate,
 )
-from rankdual.core import masks_by_cardinality
+from rankdual.core import MAX_RANK_MAGNITUDE, bitset, masks_by_cardinality, member_counts
 
 from conftest import make_table
 
@@ -115,6 +115,40 @@ def test_table_rejects_non_integer_ranks():
         make_table("a", [0, 1.5])
     with pytest.raises(TableBuildError):
         make_table("a", [0, True])
+
+
+@pytest.mark.parametrize(
+    "labels, values, message",
+    [
+        ("ab", [0, 1, True, 1.5], "rank of mask 2 is not an integer: True"),
+        ("ab", [0, 1.5, 1, True], "rank of mask 1 is not an integer: 1.5"),
+        ("a", [0, "1"], "rank of mask 1 is not an integer: '1'"),
+        ("ab", [0, 1, MAX_RANK_MAGNITUDE + 1, 1.5], f"rank {MAX_RANK_MAGNITUDE + 1} exceeds the magnitude bound"),
+        ("a", [-MAX_RANK_MAGNITUDE - 1, 0], f"rank {-MAX_RANK_MAGNITUDE - 1} exceeds the magnitude bound"),
+        ("ab", [0, 1, 1], "expected 4 rank entries, got 3"),
+    ],
+)
+def test_table_build_error_messages(labels, values, message):
+    # the message names the first bad mask in mask order, whatever is wrong
+    # with the masks after it
+    with pytest.raises(TableBuildError) as info:
+        make_table(labels, values)
+    assert str(info.value) == message
+
+
+def test_table_accepts_ranks_at_the_magnitude_bound():
+    g = make_table("a", [-MAX_RANK_MAGNITUDE, MAX_RANK_MAGNITUDE])
+    assert g.values == (-MAX_RANK_MAGNITUDE, MAX_RANK_MAGNITUDE)
+
+
+@given(st.integers(0, 6).flatmap(lambda n: st.tuples(st.just(n), st.lists(st.integers(0, (1 << (1 << n)) - 1), max_size=8))))
+def test_member_counts_counts_the_sets_holding_each_mask(case):
+    n, sets = case
+    counts = member_counts(n, sets)
+    assert list(counts) == [sum(s >> mask & 1 for s in sets) for mask in range(1 << n)]
+    for s in sets:
+        assert member_counts(n, [s]) == bytes(s >> mask & 1 for mask in range(1 << n))
+        assert bitset(member_counts(n, [s])) == s
 
 
 def test_validate_demo_all_flags_true(demo_table):

@@ -119,6 +119,36 @@ def test_recursion_accepts_callable_pivot(demo_table):
     assert tutte_recursive(demo_table, middle) == tutte_subset(demo_table)
 
 
+@pytest.mark.parametrize("choice", [-1, 99, "x", None, 1.0])
+def test_bad_pivot_is_an_input_error(demo_table, choice):
+    with pytest.raises(RankFunctionError, match="^pivot strategy chose an element outside the ground set$"):
+        tutte_recursive(demo_table, lambda remaining: choice)
+
+
+def test_pivot_is_checked_on_every_level(demo_table):
+    # a pivot that is valid on the full ground but repeats an element later
+    calls = []
+
+    def always_a(remaining):
+        calls.append(remaining)
+        return 0
+
+    with pytest.raises(RankFunctionError, match="outside the ground set"):
+        tutte_recursive(demo_table, always_a)
+    assert calls == [0b111, 0b110]
+
+
+def test_pivot_is_called_once_per_level(demo_table):
+    calls = []
+
+    def highest(remaining):
+        calls.append(remaining)
+        return remaining.bit_length() - 1
+
+    assert tutte_recursive(demo_table, highest) == tutte_subset(demo_table)
+    assert calls == [0b111, 0b011, 0b001]
+
+
 def test_recursion_leaves_no_reference_cycle(demo_table):
     # the memo must be freed on return, not left for the cyclic collector
     gc.disable()

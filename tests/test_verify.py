@@ -19,7 +19,7 @@ from rankdual import (
     run_suite,
     validate,
 )
-from rankdual.verify import SUITES, _Recorder, _rooted_tree_shapes
+from rankdual.verify import SUITE_PARAMS, SUITES, _Recorder, _rooted_tree_shapes
 
 
 # --- enumeration ----------------------------------------------------------------
@@ -200,33 +200,55 @@ def test_suite_results_are_deterministic():
     assert a.passed
 
 
+SMALL_PARAMS = {
+    "involution": {"count": 40, "seed": 3},
+    "exchange": {"count": 25, "seed": 3},
+    "contract_formula": {"count": 25, "seed": 3},
+    "direct_sum_dual": {"count": 25, "seed": 3},
+    "recursion_oracle": {"count": 25, "seed": 3},
+    "duality_swap": {"count": 40, "seed": 3},
+    "polynomiality": {"count": 40, "seed": 3},
+    "contract_feasibility": {"n": 2},
+    "minor_agreement": {"n": 2},
+    "dual_greedoid_axioms": {"n": 3},
+    "greedoid_intersection": {"n": 3},
+    "root_adjacency": {"max_edges": 3},
+    "full_dual_nonpositive": {"n": 3},
+    "closure_dual_rank": {"n": 3, "max_tree_edges": 4},
+    "convex_zero_dual": {"n": 3, "max_tree_edges": 4},
+    "nullity_monotone": {"n": 2, "count": 40, "seed": 3},
+    "demimatroid_characterization": {"n": 2, "count": 40, "seed": 3},
+    "branching_goldens": {},
+    "pruning_goldens": {},
+}
+
+
 def test_all_suites_pass_at_small_scale():
-    params = {
-        "involution": {"count": 40, "seed": 3},
-        "exchange": {"count": 25, "seed": 3},
-        "contract_formula": {"count": 25, "seed": 3},
-        "direct_sum_dual": {"count": 25, "seed": 3},
-        "recursion_oracle": {"count": 25, "seed": 3},
-        "duality_swap": {"count": 40, "seed": 3},
-        "polynomiality": {"count": 40, "seed": 3},
-        "contract_feasibility": {"n": 2},
-        "minor_agreement": {"n": 2},
-        "dual_greedoid_axioms": {"n": 3},
-        "greedoid_intersection": {"n": 3},
-        "root_adjacency": {"max_edges": 3},
-        "full_dual_nonpositive": {"n": 3},
-        "closure_dual_rank": {"n": 3, "max_tree_edges": 4},
-        "convex_zero_dual": {"n": 3, "max_tree_edges": 4},
-        "nullity_monotone": {"n": 2, "count": 40, "seed": 3},
-        "demimatroid_characterization": {"n": 2, "count": 40, "seed": 3},
-        "branching_goldens": {},
-        "pruning_goldens": {},
-    }
-    assert set(params) == set(SUITES)
-    for name, p in params.items():
+    assert set(SMALL_PARAMS) == set(SUITES)
+    for name, p in SMALL_PARAMS.items():
         result = run_suite(name, p)
         assert result.passed, (name, result.failures[:3])
         assert result.instances_checked > 0
+
+
+def test_suites_read_exactly_their_declared_params():
+    class Reads(dict):
+        def get(self, key, default=None):
+            seen.add(key)
+            return super().get(key, default)
+
+        def __getitem__(self, key):
+            seen.add(key)
+            return super().__getitem__(key)
+
+        def __contains__(self, key):
+            seen.add(key)
+            return super().__contains__(key)
+
+    for name, run in SUITES.items():
+        seen = set()
+        run(Reads({**SMALL_PARAMS[name], "seed": 3}), _Recorder())
+        assert seen == set(SUITE_PARAMS[name]), name
 
 
 def test_parallel_intersection_matches_sequential():
