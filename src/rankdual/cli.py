@@ -49,15 +49,22 @@ def _labels_arg(raw: str) -> tuple:
 
 
 def _params_arg(raw: str) -> dict:
-    params = {}
-    if not raw:
-        return params
+    """key=value pieces separated by commas; a piece without "=" continues
+    the previous value, so ``strategies=lowest,highest`` is one entry."""
+    raw_values = {}
+    key = None
     for piece in raw.split(","):
         if not piece:
             continue
-        if "=" not in piece:
+        if "=" in piece:
+            key, value = piece.split("=", 1)
+            raw_values[key] = value
+        elif key is None:
             raise DocumentError(f"bad --params entry {piece!r}; expected key=value")
-        key, value = piece.split("=", 1)
+        else:
+            raw_values[key] += "," + piece
+    params = {}
+    for key, value in raw_values.items():
         try:
             params[key] = int(value)
         except ValueError:

@@ -292,8 +292,8 @@ class SubsetRef(object):
         return "{" + ",".join(self.labels()) + "}"
 
 
-@dataclass(frozen=True)
-class RankTable(object):
+@dataclass(frozen=True, slots=True)
+class RankTable:
     """A total integer-valued function on all subsets of a ground set.
 
     ``values[mask]`` is the rank of the subset encoded by ``mask``. Ranks are

@@ -15,6 +15,7 @@ import random
 import time
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import gt
 
 from .axioms import (
     DemiTriple,
@@ -23,7 +24,14 @@ from .axioms import (
     check_dual_greedoid,
     check_greedoid,
 )
-from .core import GroundSet, RankFunctionError, RankTable, SubsetRef, table_from_values
+from .core import (
+    MAX_RANK_MAGNITUDE,
+    GroundSet,
+    RankFunctionError,
+    RankTable,
+    SubsetRef,
+    table_from_values,
+)
 from .ops import _dual_values, contract, delete, direct_sum, dual
 from .structures import (
     ContractionError,
@@ -44,6 +52,22 @@ from .tutte import swap_vars, tutte_recursive, tutte_subset
 _LABELS = "abcdefghijklmnopqrstuvwx"
 
 MAX_EXHAUSTIVE_N = 4
+
+# Caps on suite sizes: the largest at which one run with the default counts
+# stays within about 30 s and 150 MB. Largest ground of a random corpus
+# table: at 12, nullity_monotone's 3**n nested pairs take about 3 s and
+# 130 MB per run; at 13, 9 s and 350 MB.
+MAX_RANDOM_N = 12
+# Census sizes: root_adjacency takes about 1 s at 6 edges, 26 s at 7 and
+# more than 400 s at 8; closure_dual_rank takes about 5 s at 10 tree
+# edges, 30 s at 11 and some minutes at 12.
+MAX_CENSUS_EDGES = 7
+MAX_TREE_EDGES = 11
+# Random ranks stay small enough that every derived table (duals, minors,
+# direct sums of duals) keeps within the 2**31 magnitude bound.
+MAX_RANDOM_RANK = MAX_RANK_MAGNITUDE // 8
+# Default [lo, hi] of random ranks.
+_RANK_LO, _RANK_HI = -3, 8
 
 CONSTRAINTS = (
     "all-normalized-subcardinal-monotone",
@@ -75,41 +99,54 @@ def _lattice(n: int):
         if not m >> p2 & 1
         for b1, b2 in ((1 << p1, 1 << p2),)
     )
-    semi = tuple(
+    return cards, steps, gr3
+
+
+@lru_cache(maxsize=None)
+def _incomparable(n: int):
+    """(A, B, A & B, A | B) for every incomparable pair A < B: about 4**n / 2
+    quadruples, so only the matroid predicates build them."""
+    size = 1 << n
+    return tuple(
         (a, b, a & b, a | b)
         for a in range(size)
         for b in range(a + 1, size)
         if a & b != a and a & b != b
     )
-    return cards, steps, gr3, semi
+
+
+def _semimodular(v, n: int) -> bool:
+    return all(v[ab] + v[uv] <= v[a] + v[b] for a, b, ab, uv in _incomparable(n))
 
 
 def _fast_greedoid(v, n: int) -> bool:
-    cards, steps, gr3, _ = _lattice(n)
-    if v[0] != 0 or min(v) < 0:
+    # The conjunction is evaluated fail-first: a normalized monotone
+    # subcardinal table, the suites' common input, passes every test but
+    # Gr3 and mostly fails Gr3 on an early square.
+    cards, steps, gr3 = _lattice(n)
+    if v[0] != 0:
         return False
-    if any(v[m] > cards[m] for m in range(len(v))):
+    for a, a1, a2, a12 in gr3:
+        if v[a] == v[a1] == v[a2] != v[a12]:
+            return False
+    if min(v) < 0 or any(map(gt, v, cards)):
         return False
-    if any(v[a] > v[b] for a, b in steps):
-        return False
-    return all(
-        not (v[a] == v[a1] == v[a2] != v[a12]) for a, a1, a2, a12 in gr3
-    )
+    return not any(v[a] > v[b] for a, b in steps)
 
 
 def _fast_matroid(v, n: int) -> bool:
-    _, steps, _, semi = _lattice(n)
+    _, steps, _ = _lattice(n)
     if v[0] != 0:
         return False
     for a, b in steps:
         if not v[a] <= v[b] <= v[a] + 1:
             return False
-    return all(v[ab] + v[uv] <= v[a] + v[b] for a, b, ab, uv in semi)
+    return _semimodular(v, n)
 
 
 def _fast_dual_greedoid(v, n: int) -> bool:
     """The starred axioms evaluated directly on the given table."""
-    cards, steps, gr3, _ = _lattice(n)
+    _, steps, gr3 = _lattice(n)
     if v[0] != 0:
         return False
     total = v[(1 << n) - 1]
@@ -125,12 +162,12 @@ def _fast_dual_greedoid(v, n: int) -> bool:
 
 
 def _fast_unit_upper(v, n: int) -> bool:
-    _, steps, _, _ = _lattice(n)
+    _, steps, _ = _lattice(n)
     return all(v[b] <= v[a] + 1 for a, b in steps)
 
 
 def _fast_monotone_nullity(v, n: int) -> bool:
-    cards, steps, _, _ = _lattice(n)
+    cards, steps, _ = _lattice(n)
     return all(cards[a] - v[a] <= cards[b] - v[b] for a, b in steps)
 
 
@@ -192,6 +229,10 @@ def _enumerate_values(n: int, constraint: str, prefix=(), stop=None):
     first, pruned by subcardinality and monotonicity (plus local
     semimodularity and the unit upper bound where the constraint allows).
 
+    The search is one loop over an explicit stack: ``cursors[m]`` iterates
+    the values still to try at mask m, within bounds computed from the
+    values already fixed at smaller masks.
+
     With ``stop`` set, yields value prefixes for masks 1..stop instead of
     complete tables (used to partition the search across workers).
     """
@@ -199,47 +240,60 @@ def _enumerate_values(n: int, constraint: str, prefix=(), stop=None):
     preds, gr3_at = _enum_tables(n)
     prune_gr3 = constraint in ("greedoid", "matroid", "full-antimatroid")
     prune_unit = constraint == "matroid"
+    keep = _emit_filter(n, constraint) if stop is None else None
 
     vals = [0] * size
-    for i, v in enumerate(prefix):
-        vals[i + 1] = v
+    vals[1 : len(prefix) + 1] = prefix
     start = len(prefix) + 1
     end = size if stop is None else stop + 1
 
-    def emit(v):
-        if stop is not None:
-            return True
-        if constraint == "matroid":
-            _, _, _, semi = _lattice(n)
-            return all(v[ab] + v[uv] <= v[a] + v[b] for a, b, ab, uv in semi)
-        if constraint == "full-antimatroid":
-            return v[size - 1] == n and _union_closed(v, n)
-        return True
+    def values_at(m):
+        below = [vals[p] for p in preds[m]]
+        lo = max(below)
+        hi = min(m.bit_count(), min(below) + 1) if prune_unit else m.bit_count()
+        if prune_gr3:
+            # a flat square a, a1, a2 under m forces r(m) = r(a1) <= lo
+            for a, a1, a2 in gr3_at[m]:
+                flat = vals[a1]
+                if vals[a] == flat == vals[a2]:
+                    hi = min(hi, lo) if flat == lo else lo - 1
+        return iter(range(lo, hi + 1))
 
-    def rec(m):
-        if m == end:
-            candidate = tuple(vals[1 : stop + 1]) if stop is not None else tuple(vals)
-            if emit(candidate):
-                yield candidate
-            return
-        lo = max((vals[p] for p in preds[m]), default=0)
-        hi = m.bit_count()
-        if prune_unit and preds[m]:
-            hi = min(hi, min(vals[p] for p in preds[m]) + 1)
-        triples = gr3_at[m] if prune_gr3 else ()
-        for v in range(lo, hi + 1):
-            ok = True
-            for a, a1, a2 in triples:
-                if vals[a] == vals[a1] == vals[a2] != v:
-                    ok = False
-                    break
-            if not ok:
-                continue
+    if start == end:
+        candidate = tuple(vals[1:end]) if stop is not None else tuple(vals)
+        if keep is None or keep(candidate):
+            yield candidate
+        return
+    last = end - 1
+    cursors = [None] * end
+    cursors[start] = values_at(start)
+    m = start
+    while True:
+        v = next(cursors[m], None)
+        if v is None:
+            if m == start:
+                return
+            m -= 1
+        elif m < last:
             vals[m] = v
-            yield from rec(m + 1)
-        vals[m] = 0
+            m += 1
+            cursors[m] = values_at(m)
+        else:
+            vals[m] = v
+            candidate = tuple(vals[1:end]) if stop is not None else tuple(vals)
+            if keep is None or keep(candidate):
+                yield candidate
 
-    yield from rec(start)
+
+def _emit_filter(n: int, constraint: str):
+    """Check on complete tables for the parts of a constraint that the
+    search does not prune: pairwise semimodularity for matroids, full rank
+    and a union-closed feasible family for full antimatroids."""
+    if constraint == "matroid":
+        return lambda v: _semimodular(v, n)
+    if constraint == "full-antimatroid":
+        return lambda v: v[-1] == n and _union_closed(v, n)
+    return None
 
 
 def enumerate_tables(spec: EnumSpec):
@@ -450,16 +504,24 @@ class _Recorder:
         self.max_failures = max_failures
         self.aborted = False
 
-    def check(self, ok: bool, instance: str, assertion: str, witness: str = "") -> bool:
-        """Record a check; returns False when the suite should abort."""
+    def check(self, ok: bool, instance, assertion: str, witness="") -> bool:
+        """Record a check; returns False when the suite should abort.
+
+        ``instance`` and ``witness`` are strings or zero-argument callables
+        returning one; a callable is called only when a failure is recorded,
+        so passing checks never format their descriptions."""
         self.instances += 1
         if not ok:
             if len(self.failures) < self.max_failures:
-                self.failures.append((instance, assertion, witness))
+                self.failures.append((_text(instance), assertion, _text(witness)))
             if self.fail_fast:
                 self.aborted = True
                 return False
         return True
+
+
+def _text(description) -> str:
+    return description() if callable(description) else description
 
 
 def _int_param(params, key: str, default: int) -> int:
@@ -491,36 +553,49 @@ def _require_seed(params: dict, suite: str) -> int:
 def _corpus(params: dict, suite: str):
     count = _int_param(params, "count", 500)
     max_n = _int_param(params, "max_n", 6)
-    lo = _int_param(params, "lo", -3)
-    hi = _int_param(params, "hi", 8)
+    lo = _int_param(params, "lo", _RANK_LO)
+    hi = _int_param(params, "hi", _RANK_HI)
     seed = _require_seed(params, suite)
     return list(random_tables(count, max_n=max_n, seed=seed, lo=lo, hi=hi))
 
 
-def _desc(i: int, g: RankTable) -> str:
-    return f"table[{i}] n={g.n} values={g.values}"
+def _desc(i: int, g: RankTable):
+    return lambda: f"table[{i}] n={g.n} values={g.values}"
 
 
 # ---------------------------------------------------------------------------
 # suites
 # ---------------------------------------------------------------------------
 
-#: Suite functions by name, and the params each one reads; every suite also
-#: accepts COMMON_PARAMS (the CLI passes --seed to any suite).
+#: Suite functions by name, the params each one reads, and the declared
+#: (lowest, highest) range of its bounded params; every suite also accepts
+#: COMMON_PARAMS (the CLI passes --seed to any suite).
 SUITES: dict = {}
 SUITE_PARAMS: dict = {}
+SUITE_RANGES: dict = {}
 COMMON_PARAMS = ("seed", "fail_fast", "max_failures")
 _CORPUS_PARAMS = ("seed", "count", "max_n", "lo", "hi")
+PARAM_RANGES = {
+    "max_n": (0, MAX_RANDOM_N),
+    "lo": (-MAX_RANDOM_RANK, MAX_RANDOM_RANK),
+    "hi": (-MAX_RANDOM_RANK, MAX_RANDOM_RANK),
+    "max_edges": (0, MAX_CENSUS_EDGES),
+    "max_tree_edges": (0, MAX_TREE_EDGES),
+}
 
 
-def _suite(*keys):
+def _suite(*keys, **ranges):
     """Register the suite function ``_suite_<name>`` as ``<name>``, reading
-    the given params."""
+    the given params; ``ranges`` narrows PARAM_RANGES for this suite."""
 
     def register(fn):
         name = fn.__name__.removeprefix("_suite_")
         SUITES[name] = fn
         SUITE_PARAMS[name] = keys
+        SUITE_RANGES[name] = {
+            **{key: PARAM_RANGES[key] for key in keys if key in PARAM_RANGES},
+            **ranges,
+        }
         return fn
 
     return register
@@ -530,7 +605,7 @@ def _suite(*keys):
 def _suite_involution(params, rec: _Recorder):
     for i, g in enumerate(_corpus(params, "involution")):
         if not rec.check(
-            dual(dual(g)) == g, _desc(i, g), "dual(dual(g)) == g", str(dual(dual(g)).values)
+            dual(dual(g)) == g, _desc(i, g), "dual(dual(g)) == g", lambda: str(dual(dual(g)).values)
         ):
             return
 
@@ -562,16 +637,17 @@ def _suite_contract_formula(params, rec: _Recorder):
                 g.values[m | bit] - rp for m in range(g.ground.size) if not m & bit
             )
             ok = got.values == expected and via_dual.values == expected
-            if not rec.check(ok, _desc(i, g), f"contract formula at {p}", str(got.values)):
+            if not rec.check(ok, _desc(i, g), f"contract formula at {p}", lambda: str(got.values)):
                 return
 
 
-@_suite(*_CORPUS_PARAMS)
+# max_n stops at 8: the second summand takes its labels from "pqrstuvw"
+@_suite(*_CORPUS_PARAMS, max_n=(0, 8))
 def _suite_direct_sum_dual(params, rec: _Recorder):
     count = _int_param(params, "count", 250)
     max_n = _int_param(params, "max_n", 4)
-    lo = _int_param(params, "lo", -3)
-    hi = _int_param(params, "hi", 8)
+    lo = _int_param(params, "lo", _RANK_LO)
+    hi = _int_param(params, "hi", _RANK_HI)
     seed = _require_seed(params, "direct_sum_dual")
     rng = random.Random(seed)
     for i in range(count):
@@ -585,7 +661,9 @@ def _suite_direct_sum_dual(params, rec: _Recorder):
             [0] + [rng.randint(lo, hi) for _ in range((1 << n2) - 1)],
         )
         ok = dual(direct_sum(g1, g2)) == direct_sum(dual(g1), dual(g2))
-        if not rec.check(ok, f"pair[{i}] n1={n1} n2={n2}", "dual(g1 + g2) == dual(g1) + dual(g2)"):
+        if not rec.check(
+            ok, lambda: f"pair[{i}] n1={n1} n2={n2}", "dual(g1 + g2) == dual(g1) + dual(g2)"
+        ):
             return
 
 
@@ -617,7 +695,10 @@ def _suite_polynomiality(params, rec: _Recorder):
         mins = tutte_subset(g).min_exponents()
         ok = (min(mins) >= 0) == (report.rank_s_maximum and report.subcardinal)
         if not rec.check(
-            ok, _desc(i, g), "nonnegative exponents iff rank-S-maximum and subcardinal", str(mins)
+            ok,
+            _desc(i, g),
+            "nonnegative exponents iff rank-S-maximum and subcardinal",
+            lambda: str(mins),
         ):
             return
 
@@ -646,7 +727,7 @@ def _suite_contract_feasibility(params, rec: _Recorder):
             is_greedoid = check_greedoid(rank_contract).passed
             if not rec.check(
                 is_greedoid == singleton_feasible,
-                f"greedoid[{idx}] values={g.values} p={label}",
+                lambda: f"greedoid[{idx}] values={g.values} p={label}",
                 "contraction is a greedoid iff the singleton is feasible",
             ):
                 return
@@ -657,7 +738,7 @@ def _suite_contract_feasibility(params, rec: _Recorder):
                 raised = True
             if not rec.check(
                 raised == (not singleton_feasible),
-                f"greedoid[{idx}] values={g.values} p={label}",
+                lambda: f"greedoid[{idx}] values={g.values} p={label}",
                 "feasible-set contraction rejects exactly the infeasible covered case",
             ):
                 return
@@ -677,7 +758,7 @@ def _suite_minor_agreement(params, rec: _Recorder):
             ok = fam.induced_rank_table() == delete(g, label)
             if not rec.check(
                 ok,
-                f"greedoid[{idx}] values={g.values} p={label}",
+                lambda: f"greedoid[{idx}] values={g.values} p={label}",
                 "feasible-set deletion matches rank deletion",
             ):
                 return
@@ -686,7 +767,7 @@ def _suite_minor_agreement(params, rec: _Recorder):
                 ok = fam.induced_rank_table() == contract(g, label)
                 if not rec.check(
                     ok,
-                    f"greedoid[{idx}] values={g.values} p={label}",
+                    lambda: f"greedoid[{idx}] values={g.values} p={label}",
                     "feasible-set contraction matches rank contraction",
                 ):
                     return
@@ -699,9 +780,9 @@ def _suite_dual_greedoid_axioms(params, rec: _Recorder):
         report = check_dual_greedoid(dual(g))
         if not rec.check(
             report.passed,
-            f"greedoid[{idx}] n={g.n} values={g.values}",
+            lambda: f"greedoid[{idx}] n={g.n} values={g.values}",
             "dual of a greedoid passes the starred axioms",
-            "; ".join(line for line in report.lines() if "fail" in line),
+            lambda: "; ".join(line for line in report.lines() if "fail" in line),
         ):
             return
 
@@ -775,6 +856,7 @@ def _suite_root_adjacency(params, rec: _Recorder):
     instance = 0
 
     def check_instance(vertex_count, edge_pairs, root, values, graph_desc):
+        # graph_desc: a callable describing the graph, called only on failure
         nonlocal instance
         instance += 1
         min_dual = min(_dual_values(values, len(edge_pairs)))
@@ -792,9 +874,9 @@ def _suite_root_adjacency(params, rec: _Recorder):
             ok = ok and root_adjacency_test(rg) == root_adjacent
         return rec.check(
             ok,
-            f"{graph_desc} root=v{root}",
+            lambda: f"{graph_desc()} root=v{root}",
             "dual rank nonnegative iff every vertex is root-adjacent",
-            f"min_dual={min_dual} adjacent={root_adjacent}",
+            lambda: f"min_dual={min_dual} adjacent={root_adjacent}",
         )
 
     for nodes in range(1, max_edges + 2):
@@ -803,12 +885,14 @@ def _suite_root_adjacency(params, rec: _Recorder):
             index = {name: i for i, name in enumerate(rg.vertices)}
             pairs = tuple((index[u], index[v]) for _, u, v in rg.edges)
             values = branching_greedoid(rg).values
-            if not check_instance(len(rg.vertices), pairs, 0, values, f"tree{shape}"):
+            if not check_instance(len(rg.vertices), pairs, 0, values, lambda: f"tree{shape}"):
                 return
     for v, combo in _cyclic_connected_graphs(max_edges):
         for root in range(v):
             values = branching_ranks(len(combo), v, combo, root)
-            if not check_instance(v, combo, root, values, f"cyclic v={v} edges={combo}"):
+            if not check_instance(
+                v, combo, root, values, lambda: f"cyclic v={v} edges={combo}"
+            ):
                 return
 
 
@@ -821,20 +905,23 @@ def _suite_full_dual_nonpositive(params, rec: _Recorder):
         dv = _dual_values(g.values, g.n)
         if not rec.check(
             max(dv) <= 0,
-            f"full-greedoid[{idx}] n={g.n} values={g.values}",
+            lambda: f"full-greedoid[{idx}] n={g.n} values={g.values}",
             "dual rank of a full greedoid is nonpositive everywhere",
-            f"max={max(dv)}",
+            lambda: f"max={max(dv)}",
         ):
             return
 
 
 def _closure_corpora(params):
+    """(description, table) pairs; each description is a callable."""
     n_max = _enum_n(params, 4)
     max_tree_edges = _int_param(params, "max_tree_edges", 8)
     for idx, g in enumerate(_enumerated("full-antimatroid", n_max)):
-        yield f"antimatroid[{idx}] n={g.n} values={g.values}", g
+        yield (lambda idx=idx, g=g: f"antimatroid[{idx}] n={g.n} values={g.values}"), g
     for idx, tree in enumerate(all_trees(max_tree_edges)):
-        yield f"pruning-tree[{idx}] edges={len(tree.edges)}", pruning_antimatroid(tree)
+        yield (lambda idx=idx, tree=tree: f"pruning-tree[{idx}] edges={len(tree.edges)}"), (
+            pruning_antimatroid(tree)
+        )
 
 
 @_suite("n", "max_tree_edges")
@@ -848,14 +935,19 @@ def _suite_closure_dual_rank(params, rec: _Recorder):
                 dv[mask] == -gap,
                 desc,
                 "dual rank equals minus the closure gap",
-                f"A={SubsetRef(g.ground, mask)} dual={dv[mask]} gap={gap}",
+                lambda: f"A={SubsetRef(g.ground, mask)} dual={dv[mask]} gap={gap}",
             ):
                 return
     # spot value on the bundled ten-edge tree
     g = pruning_antimatroid(demo_pruning_tree())
     a = g.ground.subset(("a", "d", "f"))
     dv = _dual_values(g.values, g.n)
-    rec.check(dv[a.bits] == -3, "demo pruning tree", "dual rank of {a,d,f} is -3", str(dv[a.bits]))
+    rec.check(
+        dv[a.bits] == -3,
+        "demo pruning tree",
+        "dual rank of {a,d,f} is -3",
+        lambda: str(dv[a.bits]),
+    )
 
 
 @_suite("n", "max_tree_edges")
@@ -869,20 +961,21 @@ def _suite_convex_zero_dual(params, rec: _Recorder):
                 convex == (dv[mask] == 0),
                 desc,
                 "convex iff dual rank zero",
-                f"C={SubsetRef(g.ground, mask)} convex={convex} dual={dv[mask]}",
+                lambda: f"C={SubsetRef(g.ground, mask)} convex={convex} dual={dv[mask]}",
             ):
                 return
 
 
 def _monotone_corpus(params, suite):
+    """(description, table) pairs; each description is a callable."""
     n_max = _enum_n(params, 3)
     for idx, g in enumerate(_enumerated("all-normalized-subcardinal-monotone", n_max)):
-        yield f"enumerated[{idx}] n={g.n} values={g.values}", g
+        yield (lambda idx=idx, g=g: f"enumerated[{idx}] n={g.n} values={g.values}"), g
     count = _int_param(params, "count", 500)
     max_n = _int_param(params, "max_n", 6)
     seed = _require_seed(params, suite)
     for idx, g in enumerate(random_monotone_tables(count, max_n=max_n, seed=seed)):
-        yield f"sampled[{idx}] n={g.n} values={g.values}", g
+        yield (lambda idx=idx, g=g: f"sampled[{idx}] n={g.n} values={g.values}"), g
 
 
 @_suite("n", "seed", "count", "max_n")
@@ -898,7 +991,7 @@ def _suite_nullity_monotone(params, rec: _Recorder):
             unit == nullity == stretch,
             desc,
             "unit rank increase iff monotone nullity (iff bounded stretch)",
-            f"unit={unit} nullity={nullity} stretch={stretch}",
+            lambda: f"unit={unit} nullity={nullity} stretch={stretch}",
         ):
             return
 
@@ -918,7 +1011,7 @@ def _suite_demimatroid_characterization(params, rec: _Recorder):
             lhs == rhs,
             desc,
             "characterization passes iff (S, r, r*) is a demi triple",
-            f"characterization={lhs} triple={rhs}",
+            lambda: f"characterization={lhs} triple={rhs}",
         ):
             return
 
@@ -928,21 +1021,41 @@ def _suite_branching_goldens(params, rec: _Recorder):
     g = branching_greedoid(demo_rooted_tree())
     sub = g.ground.subset
 
-    rec.check(g.values == (0, 1, 0, 2, 1, 2, 1, 3), "demo rooted tree", "branching ranks", str(g.values))
+    rec.check(
+        g.values == (0, 1, 0, 2, 1, 2, 1, 3),
+        "demo rooted tree",
+        "branching ranks",
+        lambda: str(g.values),
+    )
     gd = dual(g)
-    rec.check(gd.values == (0, -1, 0, 0, 0, -1, 0, 0), "demo rooted tree", "dual ranks", str(gd.values))
+    rec.check(
+        gd.values == (0, -1, 0, 0, 0, -1, 0, 0),
+        "demo rooted tree",
+        "dual ranks",
+        lambda: str(gd.values),
+    )
     rec.check(gd.rank(sub("ac")) == -1, "demo rooted tree", "dual rank of {a,c} is -1")
     rec.check(dual(gd) == g, "demo rooted tree", "dual is an involution")
 
-    rec.check(delete(g, "a").values == (0, 0, 1, 1), "demo rooted tree", "deletion ranks", str(delete(g, "a").values))
-    rec.check(contract(g, "a").values == (0, 1, 1, 2), "demo rooted tree", "contraction ranks", str(contract(g, "a").values))
+    rec.check(
+        delete(g, "a").values == (0, 0, 1, 1),
+        "demo rooted tree",
+        "deletion ranks",
+        lambda: str(delete(g, "a").values),
+    )
+    rec.check(
+        contract(g, "a").values == (0, 1, 1, 2),
+        "demo rooted tree",
+        "contraction ranks",
+        lambda: str(contract(g, "a").values),
+    )
 
     f = tutte_subset(g)
     rec.check(
         str(f) == "t^3*z + t^3 + t^2*z + 2*t^2 + 2*t + 1",
         "demo rooted tree",
         "canonical polynomial string",
-        str(f),
+        lambda: str(f),
     )
     rec.check(tutte_recursive(g, "lowest") == f, "demo rooted tree", "recursion (lowest pivot)")
     rec.check(tutte_recursive(g, "highest") == f, "demo rooted tree", "recursion (highest pivot)")
@@ -966,7 +1079,7 @@ def _suite_branching_goldens(params, rec: _Recorder):
         str(f_con_b) == "t^3 + t^2 + t*z^-1 + z^-1",
         "demo rooted tree",
         "contraction polynomial at b",
-        str(f_con_b),
+        lambda: str(f_con_b),
     )
 
 
@@ -980,27 +1093,42 @@ def _suite_pruning_goldens(params, rec: _Recorder):
 
     rec.check(g.full_rank == 10, "demo pruning tree", "full antimatroid")
     adef = sub(("a", "d", "e", "f"))
-    rec.check(g.rank(adef) == 4, "demo pruning tree", "rank of the prunable set {a,d,e,f}", str(g.rank(adef)))
+    rec.check(
+        g.rank(adef) == 4,
+        "demo pruning tree",
+        "rank of the prunable set {a,d,e,f}",
+        lambda: str(g.rank(adef)),
+    )
     dv = _dual_values(g.values, g.n)
     rec.check(dv[full ^ adef.bits] == 0, "demo pruning tree", "dual rank of its complement is 0")
 
     beh = sub(("b", "e", "h"))
-    rec.check(g.rank(beh) == 2, "demo pruning tree", "rank of {b,e,h} is 2", str(g.rank(beh)))
+    rec.check(
+        g.rank(beh) == 2,
+        "demo pruning tree",
+        "rank of {b,e,h} is 2",
+        lambda: str(g.rank(beh)),
+    )
     rec.check(
         convex_closure(g, beh) == sub(("b", "c", "d", "e", "h")),
         "demo pruning tree",
         "closure of {b,e,h}",
-        str(convex_closure(g, beh)),
+        lambda: str(convex_closure(g, beh)),
     )
     adf = sub(("a", "d", "f"))
     rec.check(
         convex_closure(g, adf) == sub(("a", "b", "c", "d", "f", "g")),
         "demo pruning tree",
         "closure of {a,d,f}",
-        str(convex_closure(g, adf)),
+        lambda: str(convex_closure(g, adf)),
     )
     rec.check(g.rank(adf.complement()) == 4, "demo pruning tree", "rank of the complement of {a,d,f}")
-    rec.check(dv[adf.bits] == -3, "demo pruning tree", "dual rank of {a,d,f} is -3", str(dv[adf.bits]))
+    rec.check(
+        dv[adf.bits] == -3,
+        "demo pruning tree",
+        "dual rank of {a,d,f} is -3",
+        lambda: str(dv[adf.bits]),
+    )
 
 
 #: Suites whose params include a seed; they refuse to run without one.
@@ -1022,6 +1150,16 @@ def run_suite(name: str, params: dict | None = None) -> SuiteResult:
         )
     if name in RANDOMIZED_SUITES:
         _require_seed(params, name)
+    for key, (lowest, highest) in SUITE_RANGES[name].items():
+        if key in params:
+            value = _int_param(params, key, 0)
+            if not lowest <= value <= highest:
+                raise RankFunctionError(f"{key} = {value} out of range ({lowest} to {highest})")
+    if "lo" in SUITE_RANGES[name]:
+        lo = _int_param(params, "lo", _RANK_LO)
+        hi = _int_param(params, "hi", _RANK_HI)
+        if lo > hi:
+            raise RankFunctionError(f"lo = {lo} exceeds hi = {hi}")
     rec = _Recorder(
         fail_fast=bool(params.get("fail_fast", False)),
         max_failures=_int_param(params, "max_failures", 100),

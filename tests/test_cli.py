@@ -12,6 +12,7 @@ from rankdual import (
     dump_rank_table,
     parse_document,
 )
+from rankdual import verify
 from rankdual.cli import run_command
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
@@ -256,6 +257,68 @@ def test_verify_rejects_non_integer_thread_count(capsys, monkeypatch):
     code, _, err = run(capsys, "verify", "--suite", "greedoid_intersection")
     assert code == 2
     assert err == "error: RANKDUAL_THREADS must be an integer, got 'abc'\n"
+
+
+def test_verify_params_value_may_hold_commas(capsys):
+    code, out, err = run(
+        capsys, "verify", "--suite", "recursion_oracle", "--seed", "1",
+        "--params", "count=3,strategies=lowest,highest",
+    )
+    assert code == 0 and err == ""
+    assert "params: count=3 seed=1 strategies=lowest,highest\n" in out
+    assert "instances: 6\n" in out and out.endswith("result: pass\n")
+
+
+@pytest.mark.parametrize("raw", ["highest,count=3", "highest"])
+def test_verify_params_reject_a_leading_bare_piece(capsys, raw):
+    code, out, err = run(capsys, "verify", "--suite", "recursion_oracle", "--seed", "1", "--params", raw)
+    assert code == 2 and out == ""
+    assert err == "error: bad --params entry 'highest'; expected key=value\n"
+
+
+@pytest.mark.parametrize(
+    "suite, params, message",
+    [
+        ("involution", "max_n=-2", "max_n = -2 out of range (0 to 12)"),
+        ("nullity_monotone", "max_n=13", "max_n = 13 out of range (0 to 12)"),
+        ("direct_sum_dual", "max_n=9", "max_n = 9 out of range (0 to 8)"),
+        ("involution", "lo=5,hi=1", "lo = 5 exceeds hi = 1"),
+        ("involution", "lo=9", "lo = 9 exceeds hi = 8"),
+        ("direct_sum_dual", "hi=-4", "lo = -3 exceeds hi = -4"),
+        ("exchange", "lo=-268435457", "lo = -268435457 out of range (-268435456 to 268435456)"),
+        ("root_adjacency", "max_edges=8", "max_edges = 8 out of range (0 to 7)"),
+        ("root_adjacency", "max_edges=-1", "max_edges = -1 out of range (0 to 7)"),
+        ("closure_dual_rank", "max_tree_edges=12", "max_tree_edges = 12 out of range (0 to 11)"),
+        ("convex_zero_dual", "max_tree_edges=-1", "max_tree_edges = -1 out of range (0 to 11)"),
+    ],
+)
+def test_verify_rejects_params_out_of_range(capsys, monkeypatch, suite, params, message):
+    def refuse(params, rec):
+        raise AssertionError("the suite ran")
+
+    monkeypatch.setitem(verify.SUITES, suite, refuse)
+    code, out, err = run(capsys, "verify", "--suite", suite, "--seed", "1", "--params", params)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "suite, params",
+    [
+        ("involution", "max_n=12,lo=-268435456,hi=268435456"),
+        ("involution", "max_n=0,lo=4,hi=4"),
+        ("direct_sum_dual", "max_n=8"),
+        ("root_adjacency", "max_edges=7"),
+        ("closure_dual_rank", "max_tree_edges=11"),
+    ],
+)
+def test_verify_accepts_params_at_the_range_ends(capsys, monkeypatch, suite, params):
+    def one_instance(params, rec):
+        rec.check(True, "stand-in", "range check passed")
+
+    monkeypatch.setitem(verify.SUITES, suite, one_instance)
+    code, out, _ = run(capsys, "verify", "--suite", suite, "--seed", "1", "--params", params)
+    assert code == 0 and out.endswith("result: pass\n")
 
 
 def test_byte_identical_reruns(capsys):

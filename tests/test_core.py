@@ -136,6 +136,27 @@ def test_table_build_error_messages(labels, values, message):
     assert str(info.value) == message
 
 
+def test_rank_table_is_slotted_and_frozen(demo_table):
+    import copy
+    import dataclasses
+    import pickle
+
+    assert not hasattr(demo_table, "__dict__")
+    for field in ("ground", "values"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(demo_table, field, getattr(demo_table, field))
+    # a name that is not a field has no slot; on Python 3.11 the frozen
+    # __setattr__ of a slotted dataclass reports that as a TypeError
+    with pytest.raises((AttributeError, TypeError)):
+        demo_table.extra = 1
+    assert not hasattr(demo_table, "extra")
+    for clone in (pickle.loads(pickle.dumps(demo_table)), copy.deepcopy(demo_table)):
+        assert clone is not demo_table
+        assert clone == demo_table and hash(clone) == hash(demo_table)
+        assert clone.values == (0, 1, 0, 2, 1, 2, 1, 3) and clone.ground.labels == ("a", "b", "c")
+    assert make_table("ab", [0, 1, 1, 2]).values == (0, 1, 1, 2)  # a list is stored as a tuple
+
+
 def test_table_accepts_ranks_at_the_magnitude_bound():
     g = make_table("a", [-MAX_RANK_MAGNITUDE, MAX_RANK_MAGNITUDE])
     assert g.values == (-MAX_RANK_MAGNITUDE, MAX_RANK_MAGNITUDE)
