@@ -1,16 +1,22 @@
 """Axiom-system checkers with counterexample witnesses.
 
-Violations are detected with bit sets (see the kernel in ``core``): for each
-element p, one C-level pass over the table gives the set of masks A without
-p whose step r(A) -> r(A | p) breaks a relation, packed one bit per mask into
-an int. The local axioms combine these per-element sets with AND and shifts,
-so no axiom loops over subsets in Python.
+Violations are detected with bit sets (see the kernel in ``core``). Every
+local axiom is a condition on the step d = r(A | p) - r(A): Gr1 and
+monotonicity read d < 0, Gr3 and R2' the flat steps d = 0, R1 and Gr3* the
+unit steps d = 1, and Gr1* d > 1. Each checker computes the steps of every
+element once (``core.step_sets``) and reads all the relations it needs from
+them, as one bit per mask A without p packed into an int. The local axioms
+combine these per-element sets with AND and shifts, so no axiom loops over
+subsets in Python. Union-closure is read the same way from the feasible
+sets when the family is accessible.
 
 Each failed axiom reports its canonical witness, the first violation in
 (cardinality, mask) order, ties broken by element position: the lowest set
 bit of the violation set within the first nonempty cardinality layer, then
 the first element (or pair p < q) whose set holds that mask. The pairwise
-semimodularity scan (R2, n <= MAX_PAIRWISE_N) is the one plain loop left.
+semimodularity scan (R2, n <= MAX_PAIRWISE_N) is the one plain loop left on
+the passing path; the pairwise union scan finds the canonical witness only
+when the bit-set verdict fails.
 Checkers never mutate or normalize their input; a table failing one axiom
 still gets every other axiom evaluated.
 """
@@ -18,14 +24,19 @@ still gets every other axiom evaluated.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import eq, gt, lt, ne, sub
+from operator import eq, gt, ne, sub
 
 from .core import (
+    DECREASE,
+    FLAT,
+    JUMP,
+    UNIT,
     GroundSet,
     GroundSetError,
     RankTable,
     SubsetRef,
     avoid_sets,
+    bitset,
     first_by_cardinality,
     first_step,
     first_where,
@@ -158,10 +169,6 @@ def _supercardinal(values, n):
     return map(gt, values, popcounts(n))
 
 
-def _plus_one(values) -> tuple:
-    return tuple(map((1).__add__, values))
-
-
 def _first_pair(n, pair_set):
     """First (A, p, q) in (cardinality, mask, p, q) order, p < q, with A in
     the bit set pair_set(p, q). The sets are computed twice rather than
@@ -178,16 +185,51 @@ def _first_pair(n, pair_set):
 
 def _local_semimodular_witness(n, flat):
     """First (A, p1, p2) with r(A) = r(A|p1) = r(A|p2) but r(A|p1|p2) != r(A),
-    given the sets flat = step_sets(n, eq, values)."""
+    given the flat step sets of every element."""
     # A|p1 in flat[p2] says r(A|p1|p2) = r(A|p1)
     return _first_pair(n, lambda p1, p2: flat[p1] & flat[p2] & ~(flat[p2] >> (1 << p1)))
 
 
-def _local_decrease_witness(n, values):
-    """First (B, p, q) with r(B-p) = r(B-q) = r(B)-1 but r(B-{p,q}) != r(B)-2."""
+def _local_decrease_witness(n, unit):
+    """First (B, p, q) with r(B-p) = r(B-q) = r(B)-1 but r(B-{p,q}) != r(B)-2,
+    given the unit step sets of every element."""
     # top[p]: the sets B holding p with r(B) = r(B - p) + 1
-    top = [s << (1 << p) for p, s in enumerate(step_sets(n, eq, values, _plus_one(values)))]
+    top = [s << (1 << p) for p, s in enumerate(unit)]
     return _first_pair(n, lambda p, q: top[p] & top[q] & ~(top[q] << (1 << p)))
+
+
+def _locally_union_closed(n, feasible) -> bool:
+    """Whether the family of the bit set ``feasible`` is accessible and
+    A, A|p, A|q feasible imply A|p|q feasible; then it is union-closed.
+
+    Take feasible X, Y with X | Y infeasible and |X| + |Y| least. Neither is
+    empty, so accessibility gives feasible X - x and Y - y, and minimality
+    puts U = (X - x) | (Y - y), U | x = X | (Y - y) and U | y = (X - x) | Y in
+    the family. Then x != y and neither lies in U, else X | Y would be one of
+    these, and the local condition gives X | Y = U | x | y, a contradiction.
+    """
+    avoid = avoid_sets(n)
+    reached = 0  # the sets B holding some p with B - p feasible
+    for p, a in enumerate(avoid):
+        reached |= (feasible & a) << (1 << p)
+    if feasible & ~reached & ~1:
+        return False  # a nonempty feasible set with no feasible B - p
+    # up[p]: the sets A without p with A and A | p both feasible
+    up = [feasible & feasible >> (1 << p) & a for p, a in enumerate(avoid)]
+    return not any(
+        up[p] & up[q] & ~(up[q] >> (1 << p)) for p in range(n) for q in range(p + 1, n)
+    )
+
+
+def _first_union_gap(members):
+    """First pair F1 <= F2 in (cardinality, mask) order of the given masks
+    whose union is not among them."""
+    ordered = sorted(members, key=lambda m: (m.bit_count(), m))
+    for i, f1 in enumerate(ordered):
+        for f2 in ordered[i:]:
+            if f1 | f2 not in members:
+                return f1, f2
+    return None
 
 
 def _first_semimodular_violation(values, n):
@@ -224,8 +266,7 @@ def check_matroid(g: RankTable) -> AxiomReport:
         witnesses["R0"] = {"A": _subset(ground, 0), "r(A)": values[0]}
 
     # R1 holds at (A, p) iff the step from A to A | p is flat or a unit increase
-    flat = step_sets(n, eq, values)
-    unit = step_sets(n, eq, values, _plus_one(values))
+    flat, unit = step_sets(n, values, FLAT, UNIT)
     hit = first_step(n, [a & ~(f | u) for a, f, u in zip(avoid_sets(n), flat, unit)])
     verdicts["R1"] = hit is None
     if hit:
@@ -274,7 +315,8 @@ def check_greedoid(g: RankTable) -> AxiomReport:
     if not verdicts["Gr0"]:
         witnesses["Gr0"] = {"A": _subset(ground, 0), "r(A)": values[0]}
 
-    hit = first_step(n, step_sets(n, lt, values))
+    decrease, flat = step_sets(n, values, DECREASE, FLAT)
+    hit = first_step(n, decrease)
     verdicts["Gr1"] = hit is None
     if hit:
         witnesses["Gr1"] = {"A": _subset(ground, hit[0]), "p": ground.labels[hit[1]]}
@@ -284,7 +326,7 @@ def check_greedoid(g: RankTable) -> AxiomReport:
     if hit is not None:
         witnesses["Gr2"] = {"A": _subset(ground, hit), "r(A)": values[hit]}
 
-    hit = _local_semimodular_witness(n, step_sets(n, eq, values))
+    hit = _local_semimodular_witness(n, flat)
     verdicts["Gr3"] = hit is None
     if hit:
         witnesses["Gr3"] = {
@@ -309,7 +351,8 @@ def check_dual_greedoid(g: RankTable) -> AxiomReport:
     if not verdicts["Gr0*"]:
         witnesses["Gr0*"] = {"B": _subset(ground, 0), "r(B)": values[0]}
 
-    hit = first_step(n, step_sets(n, gt, values, _plus_one(values)))
+    jump, unit = step_sets(n, values, JUMP, UNIT)
+    hit = first_step(n, jump)
     verdicts["Gr1*"] = hit is None
     if hit:
         witnesses["Gr1*"] = {"B": _subset(ground, hit[0]), "p": ground.labels[hit[1]]}
@@ -319,7 +362,7 @@ def check_dual_greedoid(g: RankTable) -> AxiomReport:
     if hit is not None:
         witnesses["Gr2*"] = {"B": _subset(ground, hit), "r(B)": values[hit]}
 
-    hit = _local_decrease_witness(n, values)
+    hit = _local_decrease_witness(n, unit)
     verdicts["Gr3*"] = hit is None
     if hit:
         witnesses["Gr3*"] = {
@@ -370,21 +413,20 @@ def feasible_descriptors(g: RankTable) -> FeasibleDescriptors:
 
 def check_antimatroid(g: RankTable) -> AxiomReport:
     """A table passes iff it passes check_greedoid and its feasible family is
-    union-closed. Pairwise closure implies closure of all finite unions."""
+    union-closed. Pairwise closure implies closure of all finite unions.
+
+    The verdict comes from the local bit-set test when the family is
+    accessible (as every greedoid's is); otherwise, and to find the
+    canonical witness of a failure, the feasible sets are scanned pairwise.
+    """
     greedoid = check_greedoid(g)
     verdicts = dict(greedoid.verdicts)
     witnesses = dict(greedoid.witnesses)
 
-    members = FeasibleFamily.from_table(g).members
-    ordered = sorted(members, key=lambda m: (m.bit_count(), m))
+    feasible = bitset(map(eq, g.values, popcounts(g.n)))
     hit = None
-    for i, f1 in enumerate(ordered):
-        for f2 in ordered[i:]:
-            if f1 | f2 not in members:
-                hit = (f1, f2)
-                break
-        if hit:
-            break
+    if not _locally_union_closed(g.n, feasible):
+        hit = _first_union_gap(FeasibleFamily.from_table(g).members)
     verdicts["union-closed"] = hit is None
     if hit:
         witnesses["union-closed"] = {
@@ -409,7 +451,8 @@ def _demi_flag_checks(prefix: str, table: RankTable, verdicts, witnesses):
     if hit is not None:
         witnesses[f"{prefix}-subcardinal"] = {"A": _subset(ground, hit), "rank": values[hit]}
 
-    hit = first_step(n, step_sets(n, lt, values))
+    (decrease,) = step_sets(n, values, DECREASE)
+    hit = first_step(n, decrease)
     verdicts[f"{prefix}-monotone"] = hit is None
     if hit:
         a, pos = hit
@@ -477,7 +520,8 @@ def check_demimatroid_characterization(g: RankTable) -> AxiomReport:
     if hit is not None:
         witnesses["nonnegative-subcardinal"] = {"A": _subset(ground, hit), "rank": values[hit]}
 
-    hit = first_step(n, step_sets(n, lt, values))
+    decrease, jump = step_sets(n, values, DECREASE, JUMP)
+    hit = first_step(n, decrease)
     verdicts["monotone"] = hit is None
     if hit:
         a, pos = hit
@@ -486,7 +530,7 @@ def check_demimatroid_characterization(g: RankTable) -> AxiomReport:
             "B": _subset(ground, a | (1 << pos)),
         }
 
-    hit = first_step(n, step_sets(n, gt, values, _plus_one(values)))
+    hit = first_step(n, jump)
     verdicts["unit-increase"] = hit is None
     if hit:
         witnesses["unit-increase"] = {"A": _subset(ground, hit[0]), "p": ground.labels[hit[1]]}

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from operator import gt, lt
-from typing import Iterable, Iterator, Sequence
+from operator import gt, sub
+from typing import Callable, Iterable, Iterator, Sequence
 
 # Explicit tables hold 2**n entries; 24 keeps the worst case at 16M ints.
 MAX_GROUND_SIZE = 24
@@ -52,7 +52,9 @@ def masks_by_cardinality(n: int) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 # bit-set kernel: a family of masks over n bits is one int whose bit A is set
 # iff mask A belongs to it. Every set is built by C-level bytes operations,
-# never by a Python loop over subsets.
+# never by a Python loop over subsets. The step relations of the axioms come
+# from one byte-delta pass per element (step_sets) when the table's values
+# spread over at most 127, and from map passes otherwise.
 # ---------------------------------------------------------------------------
 
 _DIGITS = bytes.maketrans(b"\0\1", b"01")
@@ -127,16 +129,62 @@ def first_where(n: int, flags):
     return first_by_cardinality(n, bitset(flags))
 
 
-def step_sets(n: int, rel, upper, lower=None) -> list[int]:
-    """Entry p is the set of masks A without bit p for which
-    rel(upper[A | 1 << p], lower[A]) holds; ``lower`` defaults to ``upper``.
+# Step relations: conditions on the single-element step
+# d = values[A | 1 << p] - values[A]. Each holds a C-level predicate on d, for
+# the map path, and the translate table of the packed path, which maps the
+# byte d + 128 to the digit "1" exactly when the predicate holds.
 
-    ``rel`` should be a C-level callable (``operator.lt``, ``operator.eq``,
-    ...), so each set costs one pass in C over the 2**n values.
+
+@dataclass(frozen=True)
+class StepRelation:
+    holds: Callable[[int], bool]
+    digits: bytes
+
+
+def _step_relation(holds) -> StepRelation:
+    return StepRelation(holds, bytes(b"01"[holds(byte - 128)] for byte in range(256)))
+
+
+DECREASE = _step_relation((0).__gt__)  # d < 0
+FLAT = _step_relation((0).__eq__)  # d = 0
+UNIT = _step_relation((1).__eq__)  # d = 1
+JUMP = _step_relation((1).__lt__)  # d > 1
+
+# Largest value spread max - min that the packed path takes; see step_sets.
+MAX_PACKED_SPREAD = 127
+
+
+def step_sets(n: int, values, *relations: StepRelation) -> list[list[int]]:
+    """Entry i, p is the set of masks A without bit p whose step
+    d = values[A | 1 << p] - values[A] satisfies relations[i].
+
+    Each element's steps are computed once and shared by all the relations.
+    When the values spread over at most MAX_PACKED_SPREAD, the table is packed
+    once as the bytes v - min(values), one per mask, into the int X. For
+    element p, D = (X >> 8 * 2**p) + 0x8080...80 - X then holds d + 128 in
+    byte A: every byte of the sum is in 128..255 and every byte of X in
+    0..127, so nothing carries or borrows across bytes. Each relation is one
+    ``translate`` of D's bytes and one ``int(..., 2)``. A wider table takes
+    one ``map`` pass in C over the steps per element and relation.
     """
-    lower = upper if lower is None else lower
-    # map stops at the shorter upper slice, so lower needs no slicing
-    return [bitset(map(rel, upper[1 << p :], lower)) & avoid for p, avoid in enumerate(avoid_sets(n))]
+    found = [[] for _ in relations]
+    size = 1 << n
+    low = min(values)
+    if max(values) - low <= MAX_PACKED_SPREAD:
+        offsets = bytes(values) if low == 0 else bytes(map((-low).__add__, values))
+        packed = int.from_bytes(offsets, "little")
+        bias = int.from_bytes(b"\x80" * size, "little")
+        for p, avoid in enumerate(avoid_sets(n)):
+            # big-endian bytes put mask A at bit A of the parsed digits
+            steps = ((packed >> (8 << p)) + bias - packed).to_bytes(size, "big")
+            for sets, relation in zip(found, relations):
+                sets.append(int(steps.translate(relation.digits), 2) & avoid)
+    else:
+        for p, avoid in enumerate(avoid_sets(n)):
+            upper = values[1 << p :]
+            for sets, relation in zip(found, relations):
+                sets.append(bitset(map(relation.holds, map(sub, upper, values))) & avoid)
+    return found
 
 
 def first_step(n: int, sets):
@@ -426,7 +474,8 @@ def validate(table: RankTable) -> ValidationReport:
     witnesses: dict = {name: SubsetRef(ground, mask) for mask, name in found}
 
     # A single-element violation exists iff any nested violation does.
-    hit = first_step(n, step_sets(n, lt, values))
+    (decrease,) = step_sets(n, values, DECREASE)
+    hit = first_step(n, decrease)
     if hit:
         mask, pos = hit
         witnesses["monotone"] = (SubsetRef(ground, mask), SubsetRef(ground, mask | 1 << pos))

@@ -1021,66 +1021,91 @@ def _suite_branching_goldens(params, rec: _Recorder):
     g = branching_greedoid(demo_rooted_tree())
     sub = g.ground.subset
 
-    rec.check(
+    if not rec.check(
         g.values == (0, 1, 0, 2, 1, 2, 1, 3),
         "demo rooted tree",
         "branching ranks",
         lambda: str(g.values),
-    )
+    ):
+        return
     gd = dual(g)
-    rec.check(
+    if not rec.check(
         gd.values == (0, -1, 0, 0, 0, -1, 0, 0),
         "demo rooted tree",
         "dual ranks",
         lambda: str(gd.values),
-    )
-    rec.check(gd.rank(sub("ac")) == -1, "demo rooted tree", "dual rank of {a,c} is -1")
-    rec.check(dual(gd) == g, "demo rooted tree", "dual is an involution")
+    ):
+        return
+    if not rec.check(gd.rank(sub("ac")) == -1, "demo rooted tree", "dual rank of {a,c} is -1"):
+        return
+    if not rec.check(dual(gd) == g, "demo rooted tree", "dual is an involution"):
+        return
 
-    rec.check(
+    if not rec.check(
         delete(g, "a").values == (0, 0, 1, 1),
         "demo rooted tree",
         "deletion ranks",
         lambda: str(delete(g, "a").values),
-    )
-    rec.check(
+    ):
+        return
+    if not rec.check(
         contract(g, "a").values == (0, 1, 1, 2),
         "demo rooted tree",
         "contraction ranks",
         lambda: str(contract(g, "a").values),
-    )
+    ):
+        return
 
     f = tutte_subset(g)
-    rec.check(
+    if not rec.check(
         str(f) == "t^3*z + t^3 + t^2*z + 2*t^2 + 2*t + 1",
         "demo rooted tree",
         "canonical polynomial string",
         lambda: str(f),
-    )
-    rec.check(tutte_recursive(g, "lowest") == f, "demo rooted tree", "recursion (lowest pivot)")
-    rec.check(tutte_recursive(g, "highest") == f, "demo rooted tree", "recursion (highest pivot)")
-    rec.check(tutte_subset(gd) == swap_vars(f), "demo rooted tree", "dual polynomial is the variable swap")
+    ):
+        return
+    if not rec.check(
+        tutte_recursive(g, "lowest") == f,
+        "demo rooted tree",
+        "recursion (lowest pivot)",
+    ):
+        return
+    if not rec.check(
+        tutte_recursive(g, "highest") == f,
+        "demo rooted tree",
+        "recursion (highest pivot)",
+    ):
+        return
+    if not rec.check(
+        tutte_subset(gd) == swap_vars(f),
+        "demo rooted tree",
+        "dual polynomial is the variable swap",
+    ):
+        return
 
     f_del_a = tutte_subset(delete(g, "a"))
     f_con_a = tutte_subset(contract(g, "a"))
-    rec.check(
+    if not rec.check(
         f == f_del_a.shift(2, 0) + f_con_a,
         "demo rooted tree",
         "pivot identity at a: f = t^2 f(G-a) + f(G/a)",
-    )
+    ):
+        return
     f_del_b = tutte_subset(delete(g, "b"))
     f_con_b = tutte_subset(contract(g, "b"))
-    rec.check(
+    if not rec.check(
         f == f_del_b.shift(1, 0) + f_con_b.shift(0, 1),
         "demo rooted tree",
         "pivot identity at b: f = t f(G-b) + z f(G/b)",
-    )
-    rec.check(
+    ):
+        return
+    if not rec.check(
         str(f_con_b) == "t^3 + t^2 + t*z^-1 + z^-1",
         "demo rooted tree",
         "contraction polynomial at b",
         lambda: str(f_con_b),
-    )
+    ):
+        return
 
 
 @_suite()
@@ -1091,44 +1116,60 @@ def _suite_pruning_goldens(params, rec: _Recorder):
     sub = g.ground.subset
     full = g.ground.full_mask
 
-    rec.check(g.full_rank == 10, "demo pruning tree", "full antimatroid")
+    if not rec.check(g.full_rank == 10, "demo pruning tree", "full antimatroid"):
+        return
     adef = sub(("a", "d", "e", "f"))
-    rec.check(
+    if not rec.check(
         g.rank(adef) == 4,
         "demo pruning tree",
         "rank of the prunable set {a,d,e,f}",
         lambda: str(g.rank(adef)),
-    )
+    ):
+        return
     dv = _dual_values(g.values, g.n)
-    rec.check(dv[full ^ adef.bits] == 0, "demo pruning tree", "dual rank of its complement is 0")
+    if not rec.check(
+        dv[full ^ adef.bits] == 0,
+        "demo pruning tree",
+        "dual rank of its complement is 0",
+    ):
+        return
 
     beh = sub(("b", "e", "h"))
-    rec.check(
+    if not rec.check(
         g.rank(beh) == 2,
         "demo pruning tree",
         "rank of {b,e,h} is 2",
         lambda: str(g.rank(beh)),
-    )
-    rec.check(
+    ):
+        return
+    if not rec.check(
         convex_closure(g, beh) == sub(("b", "c", "d", "e", "h")),
         "demo pruning tree",
         "closure of {b,e,h}",
         lambda: str(convex_closure(g, beh)),
-    )
+    ):
+        return
     adf = sub(("a", "d", "f"))
-    rec.check(
+    if not rec.check(
         convex_closure(g, adf) == sub(("a", "b", "c", "d", "f", "g")),
         "demo pruning tree",
         "closure of {a,d,f}",
         lambda: str(convex_closure(g, adf)),
-    )
-    rec.check(g.rank(adf.complement()) == 4, "demo pruning tree", "rank of the complement of {a,d,f}")
-    rec.check(
+    ):
+        return
+    if not rec.check(
+        g.rank(adf.complement()) == 4,
+        "demo pruning tree",
+        "rank of the complement of {a,d,f}",
+    ):
+        return
+    if not rec.check(
         dv[adf.bits] == -3,
         "demo pruning tree",
         "dual rank of {a,d,f} is -3",
         lambda: str(dv[adf.bits]),
-    )
+    ):
+        return
 
 
 #: Suites whose params include a seed; they refuse to run without one.

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rankdual import (
@@ -11,7 +11,18 @@ from rankdual import (
     table_from_values,
     validate,
 )
-from rankdual.core import MAX_RANK_MAGNITUDE, bitset, masks_by_cardinality, member_counts
+from rankdual.core import (
+    DECREASE,
+    FLAT,
+    JUMP,
+    MAX_PACKED_SPREAD,
+    MAX_RANK_MAGNITUDE,
+    UNIT,
+    bitset,
+    masks_by_cardinality,
+    member_counts,
+    step_sets,
+)
 
 from conftest import make_table
 
@@ -170,6 +181,52 @@ def test_member_counts_counts_the_sets_holding_each_mask(case):
     for s in sets:
         assert member_counts(n, [s]) == bytes(s >> mask & 1 for mask in range(1 << n))
         assert bitset(member_counts(n, [s])) == s
+
+
+# each step relation with the plain condition on d = values[A | p] - values[A]
+STEP_RELATIONS = (
+    (DECREASE, lambda d: d < 0),
+    (FLAT, lambda d: d == 0),
+    (UNIT, lambda d: d == 1),
+    (JUMP, lambda d: d > 1),
+)
+
+
+def _spread_values(n):
+    """Values whose spread max - min is drawn near the packed path's bound,
+    from anywhere inside the magnitude bound."""
+    spreads = st.sampled_from(
+        [0, 1, 2, MAX_PACKED_SPREAD - 1, MAX_PACKED_SPREAD, MAX_PACKED_SPREAD + 1, 300]
+    )
+    lows = st.integers(-MAX_RANK_MAGNITUDE, MAX_RANK_MAGNITUDE - 300)
+    return st.tuples(lows, spreads).flatmap(
+        lambda ls: st.lists(st.integers(ls[0], ls[0] + ls[1]), min_size=1 << n, max_size=1 << n)
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(0, 6).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.one_of(_spread_values(n), st.lists(st.integers(), min_size=1 << n, max_size=1 << n)),
+        )
+    )
+)
+def test_step_sets_match_a_loop_over_every_step(case):
+    # both sides of MAX_PACKED_SPREAD: the packed byte deltas and the map path
+    n, values = case
+    found = step_sets(n, values, *(relation for relation, _ in STEP_RELATIONS))
+    assert len(found) == len(STEP_RELATIONS)
+    for sets, (_, holds) in zip(found, STEP_RELATIONS):
+        assert len(sets) == n
+        for p, members in enumerate(sets):
+            bit = 1 << p
+            want = 0
+            for a in range(1 << n):
+                if not a & bit and holds(values[a | bit] - values[a]):
+                    want |= 1 << a
+            assert members == want, (p, values)
 
 
 def test_validate_demo_all_flags_true(demo_table):

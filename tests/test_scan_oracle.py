@@ -23,6 +23,7 @@ from rankdual import (
     table_from_values,
     validate,
 )
+from rankdual.core import MAX_PACKED_SPREAD, MAX_RANK_MAGNITUDE
 
 from scan_oracle import (
     oracle_antimatroid,
@@ -104,3 +105,82 @@ def test_empty_and_single_element_grounds():
 @given(st.integers(0, 5).flatmap(lambda n: st.lists(st.integers(-3, 6), min_size=1 << n, max_size=1 << n)))
 def test_reports_match_oracle_on_any_table(values):
     assert_reports_match(table(values))
+
+
+def _near_bound_table(rng, n, low, spread):
+    """Small steps over ranks low..low + 3, with one entry at low and one at
+    low + spread, so that the table's spread is exactly ``spread``."""
+    values = [low + rng.randint(0, 3) for _ in range(1 << n)]
+    lowest, highest = rng.sample(range(1 << n), 2)
+    values[lowest], values[highest] = low, low + spread
+    return table(values)
+
+
+def test_value_spread_on_both_sides_of_the_packed_bound():
+    # spread MAX_PACKED_SPREAD takes the packed byte deltas, one more the map path
+    M = MAX_RANK_MAGNITUDE
+    for spread in (MAX_PACKED_SPREAD, MAX_PACKED_SPREAD + 1):
+        for low in (0, -spread, -3):
+            assert_reports_match(table([low, low + spread]))
+            assert_reports_match(table([low + spread, low]))
+            assert_reports_match(table([low, low + spread, low + spread, low]))
+            assert_reports_match(table([low + spread, low + spread - 1, low, low + 1]))
+        rng = random.Random(spread)
+        for n in range(1, 6):
+            for low in (0, -spread, -M, M - spread):
+                assert_reports_match(_near_bound_table(rng, n, low, spread))
+        for seed in range(3):
+            assert_reports_match(_near_bound_table(random.Random(seed), 8, -seed, spread))
+
+
+def test_ranks_at_the_magnitude_bound():
+    M = MAX_RANK_MAGNITUDE
+    for values in ([-M, M], [M, -M], [0, M, -M, 0], [M, M, M, -M], [-M, -M + 1, M - 1, M]):
+        g = table(values)
+        assert_reports_match(g, g)
+    rng = random.Random(7)
+    for n in range(1, 6):
+        g = table([rng.choice((-M, M, 0, 1)) for _ in range(1 << n)])
+        assert_reports_match(g, g)
+
+
+def test_union_closed_needs_an_accessible_family():
+    # {a} and {b} are feasible but the empty set is not: no A, A|p, A|q are
+    # all feasible, yet {a} | {b} is not feasible
+    g = table([1, 1, 1, 0])
+    report = check_antimatroid(g)
+    assert report == oracle_antimatroid(g)
+    assert report.lines()[-2:] == ["union-closed: fail (F1={a}, F2={b})", "overall: fail"]
+
+
+@st.composite
+def feasible_families(draw):
+    """A table whose feasible sets {A : r(A) = |A|} are an arbitrary family,
+    an accessible one grown one element at a time, or the union-closure of
+    one; the other ranks are off by -3..3."""
+    n = draw(st.integers(0, 6))
+    size = 1 << n
+    kind = draw(st.sampled_from(("any", "accessible", "union-closed")))
+    if kind == "any" or n == 0:
+        family = draw(st.sets(st.integers(0, size - 1)))
+    else:
+        family = [0]
+        for i, p in draw(st.lists(st.tuples(st.integers(0, size), st.integers(0, n - 1)), max_size=3 * n)):
+            family.append(family[i % len(family)] | 1 << p)
+        family = set(family)
+        while kind == "union-closed":
+            unions = {a | b for a in family for b in family} - family
+            if not unions:
+                break
+            family |= unions
+    offsets = draw(st.lists(st.integers(-3, 3).filter(bool), min_size=size, max_size=size))
+    return table([m.bit_count() + (0 if m in family else off) for m, off in enumerate(offsets)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(feasible_families())
+def test_union_closed_verdict_and_witness_match_the_pairwise_scan(g):
+    got, want = check_antimatroid(g), oracle_antimatroid(g)
+    assert got.verdicts["union-closed"] == want.verdicts["union-closed"]
+    assert got.witnesses.get("union-closed") == want.witnesses.get("union-closed")
+    assert got.lines() == want.lines()
