@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import count
 from operator import gt, sub
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -407,7 +408,7 @@ def build_rank_table(ground: GroundSet, entries) -> RankTable:
     Every subset must appear exactly once; anything missing, duplicated, or
     referring to an unknown label is a hard error.
     """
-    values: list = [None] * ground.size
+    by_mask: dict = {}
     for subset, rank in entries:
         if isinstance(subset, SubsetRef):
             if subset.ground != ground:
@@ -415,15 +416,16 @@ def build_rank_table(ground: GroundSet, entries) -> RankTable:
             mask = subset.bits
         else:
             mask = ground.subset(subset).bits
-        if values[mask] is not None:
+        if mask in by_mask:
             raise TableBuildError(
                 f"duplicate subset entry {SubsetRef(ground, mask)}"
             )
-        values[mask] = rank
-    for mask, v in enumerate(values):
-        if v is None:
-            raise TableBuildError(f"missing subset entry {SubsetRef(ground, mask)}")
-    return RankTable(ground, tuple(values))
+        by_mask[mask] = rank
+    if len(by_mask) < ground.size:
+        # probe from 0: a document with few entries must not cost 2**n memory
+        missing = next(mask for mask in count() if mask not in by_mask)
+        raise TableBuildError(f"missing subset entry {SubsetRef(ground, missing)}")
+    return RankTable(ground, tuple(map(by_mask.__getitem__, range(ground.size))))
 
 
 @dataclass(frozen=True)

@@ -9,8 +9,11 @@ the 2**n subsets exactly once.
 from __future__ import annotations
 
 import json
+import sys
+from itertools import repeat
+from operator import itemgetter
 
-from .core import GroundSet, RankFunctionError, RankTable, build_rank_table
+from .core import GroundSet, RankFunctionError, RankTable, build_rank_table, popcounts
 from .structures import RootedGraph, Tree, uniform_matroid
 
 KINDS = ("rank-table", "rooted-graph", "tree", "uniform")
@@ -41,6 +44,13 @@ def parse_document(text: str):
         raise DocumentError(
             f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from None
+    except RecursionError:
+        raise DocumentError("invalid JSON: arrays or objects nested too deeply") from None
+    except ValueError:
+        # the decoder's only other ValueError is int's limit on digit strings
+        raise DocumentError(
+            f"invalid JSON: a number has more than {sys.get_int_max_str_digits()} digits"
+        ) from None
     _require(isinstance(raw, dict), "document must be a JSON object")
     kind = raw.get("kind")
     _require(kind in KINDS, f"kind must be one of {KINDS}, got {kind!r}")
@@ -55,7 +65,12 @@ def parse_document(text: str):
 
 def load_document(path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise DocumentError(
+                f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})"
+            ) from None
     try:
         return parse_document(text)
     except DocumentError as exc:
@@ -65,6 +80,52 @@ def load_document(path: str):
 def _parse_rank_table(raw: dict) -> RankTable:
     ground = GroundSet(_string_list(raw.get("ground"), "ground"))
     ranks = raw.get("ranks")
+    values = _rank_values(ground, ranks)
+    if values is None:
+        return build_rank_table(ground, _rank_entries(ranks))
+    return RankTable(ground, values)
+
+
+def _rank_values(ground: GroundSet, ranks):
+    """The values in mask order of a well-formed, complete ``ranks`` array,
+    or None when any entry is malformed, missing or repeated.
+
+    Every check is a C-level pass over the whole array, so a valid document
+    runs no Python code per entry: the entry, subset and rank types are
+    checked as sets of types, and each subset's mask is the sum of its
+    labels' bits, looked up by label; a label that is not a string is never
+    a ground label. A label listed twice in one subset carries into a higher
+    bit, so that mask has fewer bits set than the subset has labels. Masks
+    that are all in range and distinct, as many as there are subsets, cover
+    each subset exactly once.
+    """
+    if type(ranks) is not list or not set(map(type, ranks)) <= {dict}:
+        return None
+    try:
+        subsets = list(map(itemgetter("subset"), ranks))
+        values = list(map(itemgetter("rank"), ranks))
+    except KeyError:
+        return None
+    if not (set(map(type, subsets)) <= {list} and set(map(type, values)) <= {int}):
+        return None
+    bits = {label: 1 << pos for pos, label in enumerate(ground.labels)}
+    try:
+        masks = list(map(sum, map(map, repeat(bits.__getitem__), subsets)))
+    except (KeyError, TypeError):  # an unknown label, or one that is not hashable
+        return None
+    if len(masks) != ground.size or any(
+        map(int.__ne__, map(int.bit_count, masks), map(len, subsets))
+    ):
+        return None
+    lookup = dict(zip(masks, values))
+    if len(lookup) != ground.size:
+        return None
+    return tuple(map(lookup.__getitem__, range(ground.size)))
+
+
+def _rank_entries(ranks) -> list:
+    """(labels, rank) pairs of a ``ranks`` array, checked entry by entry so
+    that the error names the first malformed entry."""
     _require(isinstance(ranks, list), "ranks must be an array of {subset, rank} objects")
     entries = []
     for pos, item in enumerate(ranks):
@@ -78,7 +139,7 @@ def _parse_rank_table(raw: dict) -> RankTable:
             f"ranks[{pos}].rank must be an integer, got {rank!r}",
         )
         entries.append((labels, rank))
-    return build_rank_table(ground, entries)
+    return entries
 
 
 def _parse_edges(raw, what: str) -> tuple:
@@ -117,21 +178,38 @@ def _parse_uniform(raw: dict) -> RankTable:
     return uniform_matroid(labels, k)
 
 
-def rank_table_to_document(g: RankTable) -> dict:
-    """Serialize a table with subsets listed in (cardinality, mask) order."""
-    order = sorted(range(g.ground.size), key=lambda m: (m.bit_count(), m))
-    return {
-        "kind": "rank-table",
-        "ground": list(g.ground.labels),
-        "ranks": [
-            {
-                "subset": list(g.ground.subset_from_mask(m).labels()),
-                "rank": g.values[m],
-            }
-            for m in order
-        ],
-    }
+# The writer's layout is that of json.dumps(document, indent=2) for the
+# document {"kind", "ground", "ranks": [{"subset", "rank"}, ...]} with the
+# subsets in (cardinality, mask) order; it is produced here as text, because
+# json.dumps with an indent runs its pure-Python encoder once per value.
+_ENTRY = '    {{\n      "subset": [{}\n      ],\n      "rank": {}\n    }}'
+_EMPTY_ENTRY = '    {{\n      "subset": [],\n      "rank": {}\n    }}'
 
 
 def dump_rank_table(g: RankTable) -> str:
-    return json.dumps(rank_table_to_document(g), indent=2)
+    """The table as an indent-2 rank-table document, subsets listed in
+    (cardinality, mask) order and labels escaped as json.dumps does."""
+    n, values = g.n, g.values
+    # a stable sort by popcount keeps the masks of one cardinality in mask
+    # order; masks_by_cardinality would give the same, but its cache would
+    # keep 2**n ints alive after the document is written
+    order = sorted(range(1 << n), key=popcounts(n).__getitem__)
+    labels = list(map(json.dumps, g.ground.labels))
+    # bodies[m] lists the labels of mask m, one per line; doubling over the
+    # labels appends label p to every mask below 1 << p
+    bodies = [""]
+    for label in labels:
+        item = "\n        " + label
+        bodies += [item, *map(str.__add__, bodies[1:], repeat("," + item))]
+    ranks = map(int.__repr__, map(values.__getitem__, order))
+    entries = list(map(_ENTRY.format, map(bodies.__getitem__, order), ranks))
+    del bodies  # not needed for the join, which holds a second copy of the text
+    ground = "[\n    " + ",\n    ".join(labels) + "\n  ]" if labels else "[]"
+    # mask 0 comes first and is the only empty subset; the document's head
+    # and tail go into the first and last entries, so one join builds it
+    entries[0] = (
+        '{\n  "kind": "rank-table",\n  "ground": ' + ground + ',\n  "ranks": [\n'
+        + _EMPTY_ENTRY.format(int.__repr__(values[0]))
+    )
+    entries[-1] += "\n  ]\n}"
+    return ",\n".join(entries)

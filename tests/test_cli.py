@@ -1,4 +1,5 @@
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -403,3 +404,23 @@ def test_uniform_document_validation():
 
     with pytest.raises(DocumentError, match="k must be"):
         parse_document('{"kind": "uniform", "labels": ["a"], "k": "two"}')
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (b'\xff{"kind": "uniform"}', "not UTF-8 text (byte 0: invalid start byte)"),
+        (b"[" * 100000 + b"]" * 100000, "invalid JSON: arrays or objects nested too deeply"),
+        (
+            b'{"kind": "rank-table", "ground": [], "ranks": [{"subset": [], "rank": '
+            + b"7" * 5000 + b"}]}",
+            f"invalid JSON: a number has more than {sys.get_int_max_str_digits()} digits",
+        ),
+    ],
+)
+def test_undecodable_document_text_is_an_input_error(tmp_path, capsys, content, message):
+    path = tmp_path / "doc.json"
+    path.write_bytes(content)
+    code, out, err = run(capsys, "tutte", "--in", str(path))
+    assert code == 2 and out == ""
+    assert err == f"error: {path}: {message}\n"
