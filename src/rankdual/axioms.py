@@ -24,12 +24,14 @@ still gets every other axiom evaluated.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress
 from operator import eq, gt, ne, sub
 
 from .core import (
     DECREASE,
     FLAT,
     JUMP,
+    MAX_PAIRWISE_N,
     UNIT,
     GroundSet,
     GroundSetError,
@@ -46,10 +48,6 @@ from .core import (
     table_from_values,
 )
 from .ops import _dual_values
-
-# Full semimodularity scans all subset pairs (4**n / 2 work); past this size
-# only the local variant is checked and the report says so.
-MAX_PAIRWISE_N = 12
 
 
 def format_witness(witness: dict) -> str:
@@ -393,11 +391,13 @@ def feasible_descriptors(g: RankTable) -> FeasibleDescriptors:
     values, n, ground = g.values, g.n, g.ground
     total = values[ground.full_mask]
     family = FeasibleFamily.from_table(g)
-    order = masks_by_cardinality(n)
-    spanning = tuple(_subset(ground, m) for m in order if values[m] == total)
-    bases = tuple(
-        _subset(ground, m) for m in order if m in family.members and values[m] == total
+    # a stable sort by popcount lists the spanning masks in (cardinality,
+    # mask) order without the 2**n order of masks_by_cardinality
+    spanning_masks = sorted(
+        compress(range(ground.size), map(total.__eq__, values)), key=popcounts(n).__getitem__
     )
+    spanning = tuple(_subset(ground, m) for m in spanning_masks)
+    bases = tuple(_subset(ground, m) for m in spanning_masks if m in family.members)
     covered = 0
     for m in family.members:
         covered |= m

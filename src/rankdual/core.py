@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import count
-from operator import gt, sub
+from itertools import count, repeat
+from operator import gt, lshift, or_, sub
 from typing import Callable, Iterable, Iterator, Sequence
 
 # Explicit tables hold 2**n entries; 24 keeps the worst case at 16M ints.
@@ -40,14 +40,30 @@ class NormalizationError(RankFunctionError):
     """Operation requires r(empty) = 0 but the table is not normalized."""
 
 
-@lru_cache(maxsize=None)
+# Full pairwise scans (semimodularity over all subset pairs, 4**n / 2 work)
+# run only up to this ground size; past it only local variants are checked.
+MAX_PAIRWISE_N = 12
+
+
 def masks_by_cardinality(n: int) -> tuple[int, ...]:
     """All masks over n bits sorted by (popcount, mask value).
 
     This is the canonical scan order for witness search: the first violation
     found in this order is the smallest by cardinality, ties broken by mask.
+    The orders are cached only up to MAX_PAIRWISE_N, the largest size the
+    pairwise scans use, so a larger call keeps no 2**n tuple alive.
     """
-    return tuple(sorted(range(1 << n), key=lambda m: (m.bit_count(), m)))
+    if n <= MAX_PAIRWISE_N:
+        return _cached_masks_by_cardinality(n)
+    return _sorted_by_cardinality(n)
+
+
+def _sorted_by_cardinality(n: int) -> tuple[int, ...]:
+    # a stable sort by popcount keeps each cardinality in mask order
+    return tuple(sorted(range(1 << n), key=popcounts(n).__getitem__))
+
+
+_cached_masks_by_cardinality = lru_cache(maxsize=None)(_sorted_by_cardinality)
 
 
 # ---------------------------------------------------------------------------
@@ -68,16 +84,42 @@ def bitset(flags) -> int:
     return int(bytes(flags).translate(_DIGITS)[::-1], 2)
 
 
-def member_counts(n: int, sets) -> bytes:
+def _spread(width: int, members: int) -> int:
+    """The bit set ``members`` over ``width`` positions with one byte per
+    position: byte i of the result, little-endian, is bit i of ``members``."""
+    return int.from_bytes(format(members, f"0{width}b").encode().translate(_FLAGS), "big")
+
+
+def member_counts(n: int, sets, blocks: int = 1) -> bytes:
     """Byte A is the number of the given bit sets over n bits that contain
     mask A; there must be fewer than 256 sets. The inverse of ``bitset``: each
     set is spread to one byte per mask and the spread sets are summed as
-    integers, so no byte ever carries into the next."""
-    digits = f"0{1 << n}b"
+    integers, so no byte ever carries into the next.
+
+    With ``blocks`` > 1 the sets run over that many consecutive blocks of
+    2**n masks, and byte b * 2**n + A counts position A of block b."""
+    width = blocks << n
     total = 0
     for members in sets:
-        total += int.from_bytes(format(members, digits).encode().translate(_FLAGS), "big")
-    return total.to_bytes(1 << n, "little")
+        total += _spread(width, members)
+    return total.to_bytes(width, "little")
+
+
+def member_masks(n: int, sets) -> list[int]:
+    """Entry A is the mask of the indices i whose bit set sets[i] over n bits
+    contains mask A.
+
+    Each group of 8 sets is summed as spread sets shifted by their index in
+    the group, which gives one byte per mask; the bytes of the groups are
+    shifted into place and or-ed into the masks by C-level maps."""
+    size = 1 << n
+    masks = [0] * size
+    for k in range(0, len(sets), 8):
+        total = 0
+        for i, members in enumerate(sets[k : k + 8]):
+            total += _spread(size, members) << i
+        masks = list(map(or_, masks, map(lshift, total.to_bytes(size, "little"), repeat(k))))
+    return masks
 
 
 @lru_cache(maxsize=None)

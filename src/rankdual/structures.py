@@ -10,7 +10,6 @@ are counted from bit sets over all edge subsets (``core.member_counts``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
 from operator import eq
 
 from .axioms import FeasibleFamily, check_antimatroid, check_greedoid
@@ -22,6 +21,7 @@ from .core import (
     avoid_sets,
     bitset,
     member_counts,
+    member_masks,
     popcounts,
     table_from_values,
 )
@@ -117,6 +117,8 @@ class Tree:
     def __post_init__(self):
         object.__setattr__(self, "vertices", tuple(self.vertices))
         object.__setattr__(self, "edges", tuple(tuple(e) for e in self.edges))
+        if not self.vertices:
+            raise StructureError("a tree needs at least one vertex")
         _check_edges(self.vertices, self.edges)
         if len(self.edges) != len(self.vertices) - 1:
             raise StructureError(
@@ -143,16 +145,9 @@ def _has_sets(n: int) -> list:
     return [every ^ avoid for avoid in avoid_sets(n)]
 
 
-def branching_ranks(edge_count: int, vertex_count: int, pairs, root: int) -> bytes:
-    """Byte A is the branching rank of edge mask A: the number of vertices
-    other than the root that the edges of A connect to it.
-
-    reach[x] is the set of masks through whose edges x is reachable from the
-    root; it grows by reach[x] & has[e] across each edge e until it is stable.
-    """
-    has = _has_sets(edge_count)
-    reach = [0] * vertex_count
-    reach[root] = (1 << (1 << edge_count)) - 1
+def _relax(reach: list, has: list, pairs) -> None:
+    """Grow reach[b] by reach[a] & has[e] across each edge e = (a, b), both
+    ways, until no set changes."""
     grown = True
     while grown:
         grown = False
@@ -162,7 +157,39 @@ def branching_ranks(edge_count: int, vertex_count: int, pairs, root: int) -> byt
                 if new != reach[b]:
                     reach[b] = new
                     grown = True
+
+
+def branching_ranks(edge_count: int, vertex_count: int, pairs, root: int) -> bytes:
+    """Byte A is the branching rank of edge mask A: the number of vertices
+    other than the root that the edges of A connect to it.
+
+    reach[x] is the set of masks through whose edges x is reachable from the
+    root; it grows by reach[x] & has[e] across each edge e until it is stable.
+    """
+    reach = [0] * vertex_count
+    reach[root] = (1 << (1 << edge_count)) - 1
+    _relax(reach, _has_sets(edge_count), pairs)
     return member_counts(edge_count, reach[:root] + reach[root + 1 :])
+
+
+def branching_rows(edge_count: int, vertex_count: int, pairs) -> list[bytes]:
+    """Entry r is ``branching_ranks(edge_count, vertex_count, pairs, r)``:
+    the branching ranks for every root of one graph, from one relaxation.
+
+    The positions are (root, mask) pairs, one block of 2**edge_count bits per
+    root, and reach[x] is the set of positions (r, A) at which x is reachable
+    from r through A. Each has-set is repeated once per block, so one edge
+    loop relaxes every root at once and one ``member_counts`` counts every row.
+    """
+    size = 1 << edge_count
+    block = (1 << size) - 1
+    copies = sum(1 << (r * size) for r in range(vertex_count))
+    own = [block << (x * size) for x in range(vertex_count)]
+    reach = list(own)
+    _relax(reach, [members * copies for members in _has_sets(edge_count)], pairs)
+    # a root is not counted in its own row
+    counts = member_counts(edge_count, map(int.__xor__, reach, own), vertex_count)
+    return [counts[r * size : (r + 1) * size] for r in range(vertex_count)]
 
 
 def branching_greedoid(rg: RootedGraph, max_table_n: int = MAX_MATERIALIZED_N) -> RankTable:
@@ -222,28 +249,34 @@ def _convex_flags(g: RankTable) -> bytes:
 
 
 def closure_table(g: RankTable, validated: bool = False) -> list:
-    """Convex closure of every subset at once: closure[mask] is the mask of
+    """Convex closure of every subset at once: closures[mask] is the mask of
     the intersection of all convex supersets.
+
+    Element p lies in the closure of A iff no convex superset of A avoids p,
+    that is iff A is not in Down(convex sets without p). Each down-set takes
+    one shift-or pass per element, (X & has[q]) >> 2**q adding the sets with
+    q removed, and ``member_masks`` assembles the closures from the n sets.
 
     With ``validated=False`` the table must first pass the antimatroid and
     fullness preconditions; each closure is re-verified to be convex.
     """
     if not validated:
         _require_full_antimatroid(g)
-    full = g.ground.full_mask
     is_convex = _convex_flags(g)
-    convex = list(compress(range(full + 1), is_convex))
-    closures = [full] * (full + 1)
-    for c in convex:
-        not_c = full ^ c
-        for mask in range(full + 1):
-            if mask & not_c == 0:
-                closures[mask] &= c
-    for c in closures:
-        if not is_convex[c]:
-            raise StructureError(
-                "closure is not convex; the table violates the antimatroid precondition"
-            )
+    convex = bitset(is_convex)
+    has = _has_sets(g.n)
+    every = (1 << g.ground.size) - 1
+    inside = []  # inside[p]: the masks whose closure holds p
+    for avoid in avoid_sets(g.n):
+        below = convex & avoid
+        for q, members in enumerate(has):
+            below |= (below & members) >> (1 << q)
+        inside.append(every ^ below)
+    closures = member_masks(g.n, inside)
+    if not all(map(is_convex.__getitem__, closures)):
+        raise StructureError(
+            "closure is not convex; the table violates the antimatroid precondition"
+        )
     return closures
 
 

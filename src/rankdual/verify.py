@@ -15,10 +15,11 @@ import random
 import time
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import gt
+from operator import eq, gt
 
 from .axioms import (
     DemiTriple,
+    _locally_union_closed,
     check_demimatroid_characterization,
     check_demimatroid_triple,
     check_dual_greedoid,
@@ -30,6 +31,8 @@ from .core import (
     RankFunctionError,
     RankTable,
     SubsetRef,
+    bitset,
+    popcounts,
     table_from_values,
 )
 from .ops import _dual_values, contract, delete, direct_sum, dual
@@ -39,7 +42,7 @@ from .structures import (
     Tree,
     _components,
     branching_greedoid,
-    branching_ranks,
+    branching_rows,
     closure_table,
     demo_pruning_tree,
     demo_rooted_tree,
@@ -58,11 +61,11 @@ MAX_EXHAUSTIVE_N = 4
 # table: at 12, nullity_monotone's 3**n nested pairs take about 3 s and
 # 130 MB per run; at 13, 9 s and 350 MB.
 MAX_RANDOM_N = 12
-# Census sizes: root_adjacency takes about 1 s at 6 edges, 26 s at 7 and
-# more than 400 s at 8; closure_dual_rank takes about 5 s at 10 tree
-# edges, 30 s at 11 and some minutes at 12.
+# Census sizes: root_adjacency takes about 0.5 s at 6 edges, 11 s at 7 and
+# more than 300 s at 8; closure_dual_rank takes about 2.5 s at 11 tree edges,
+# 11 s at 12 and 31 s at 13.
 MAX_CENSUS_EDGES = 7
-MAX_TREE_EDGES = 11
+MAX_TREE_EDGES = 12
 # Random ranks stay small enough that every derived table (duals, minors,
 # direct sums of duals) keeps within the 2**31 magnitude bound.
 MAX_RANDOM_RANK = MAX_RANK_MAGNITUDE // 8
@@ -102,21 +105,13 @@ def _lattice(n: int):
     return cards, steps, gr3
 
 
-@lru_cache(maxsize=None)
-def _incomparable(n: int):
-    """(A, B, A & B, A | B) for every incomparable pair A < B: about 4**n / 2
-    quadruples, so only the matroid predicates build them."""
-    size = 1 << n
-    return tuple(
-        (a, b, a & b, a | b)
-        for a in range(size)
-        for b in range(a + 1, size)
-        if a & b != a and a & b != b
-    )
-
-
 def _semimodular(v, n: int) -> bool:
-    return all(v[ab] + v[uv] <= v[a] + v[b] for a, b, ab, uv in _incomparable(n))
+    """r(A|p) + r(A|q) >= r(A) + r(A|p|q) on every square of the lattice. A
+    set function is submodular iff this local inequality holds (Schrijver,
+    Combinatorial Optimization, 2003, Thm 44.1), so no pair of incomparable
+    sets is visited."""
+    _, _, gr3 = _lattice(n)
+    return all(v[a1] + v[a2] >= v[a] + v[a12] for a, a1, a2, a12 in gr3)
 
 
 def _fast_greedoid(v, n: int) -> bool:
@@ -172,13 +167,10 @@ def _fast_monotone_nullity(v, n: int) -> bool:
 
 
 def _union_closed(v, n: int) -> bool:
-    feas = [m for m in range(1 << n) if v[m] == m.bit_count()]
-    fset = set(feas)
-    for i, f1 in enumerate(feas):
-        for f2 in feas[i + 1 :]:
-            if f1 | f2 not in fset:
-                return False
-    return True
+    """Whether the feasible sets {A : r(A) = |A|} are union-closed, by the
+    local test A, A|p, A|q feasible implies A|p|q feasible. The test also
+    requires an accessible family, so it is exact only for greedoids."""
+    return _locally_union_closed(n, bitset(map(eq, v, popcounts(n))))
 
 
 # ---------------------------------------------------------------------------
@@ -287,11 +279,13 @@ def _enumerate_values(n: int, constraint: str, prefix=(), stop=None):
 
 def _emit_filter(n: int, constraint: str):
     """Check on complete tables for the parts of a constraint that the
-    search does not prune: pairwise semimodularity for matroids, full rank
+    search does not prune: semimodularity for matroids, full rank
     and a union-closed feasible family for full antimatroids."""
     if constraint == "matroid":
         return lambda v: _semimodular(v, n)
     if constraint == "full-antimatroid":
+        # the search prunes by Gr1-Gr3, so every table here is a greedoid and
+        # the local union test is exact
         return lambda v: v[-1] == n and _union_closed(v, n)
     return None
 
@@ -849,22 +843,27 @@ def _suite_greedoid_intersection(params, rec: _Recorder):
                     return
 
 
+def _root_adjacent(vertex_count: int, edge_pairs) -> list:
+    """Entry r says whether every vertex shares an edge with vertex r."""
+    neighbours = [1 << x for x in range(vertex_count)]
+    for a, b in edge_pairs:
+        neighbours[a] |= 1 << b
+        neighbours[b] |= 1 << a
+    everyone = (1 << vertex_count) - 1
+    return [mask == everyone for mask in neighbours]
+
+
 @_suite("max_edges")
 def _suite_root_adjacency(params, rec: _Recorder):
     max_edges = _int_param(params, "max_edges", 6)
     sample_stride = 97  # cross-check every k-th instance against the public op
     instance = 0
 
-    def check_instance(vertex_count, edge_pairs, root, values, graph_desc):
+    def check_instance(vertex_count, edge_pairs, root, values, root_adjacent, graph_desc):
         # graph_desc: a callable describing the graph, called only on failure
         nonlocal instance
         instance += 1
         min_dual = min(_dual_values(values, len(edge_pairs)))
-        root_adjacent = all(
-            any((a == root and b == x) or (b == root and a == x) for a, b in edge_pairs)
-            for x in range(vertex_count)
-            if x != root
-        )
         ok = (min_dual >= 0) == root_adjacent
         if instance % sample_stride == 0:
             rg = RootedGraph(
@@ -885,13 +884,17 @@ def _suite_root_adjacency(params, rec: _Recorder):
             index = {name: i for i, name in enumerate(rg.vertices)}
             pairs = tuple((index[u], index[v]) for _, u, v in rg.edges)
             values = branching_greedoid(rg).values
-            if not check_instance(len(rg.vertices), pairs, 0, values, lambda: f"tree{shape}"):
+            adjacent = _root_adjacent(len(rg.vertices), pairs)[0]
+            if not check_instance(
+                len(rg.vertices), pairs, 0, values, adjacent, lambda: f"tree{shape}"
+            ):
                 return
     for v, combo in _cyclic_connected_graphs(max_edges):
+        rows = branching_rows(len(combo), v, combo)
+        adjacent = _root_adjacent(v, combo)
         for root in range(v):
-            values = branching_ranks(len(combo), v, combo, root)
             if not check_instance(
-                v, combo, root, values, lambda: f"cyclic v={v} edges={combo}"
+                v, combo, root, rows[root], adjacent[root], lambda: f"cyclic v={v} edges={combo}"
             ):
                 return
 

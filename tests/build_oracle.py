@@ -1,15 +1,17 @@
 """Per-mask reference constructions and the depth-first recursion.
 
-These are the plain-loop forms of ``branching_greedoid`` (a search from the
-root for every edge mask), ``pruning_antimatroid`` (a leaf-pruning walk for
-every edge mask), ``convex_closure`` (an intersection over every convex
-mask) and ``tutte_recursive`` (a depth-first deletion-contraction that
+These are the plain-loop forms of ``branching_greedoid`` and
+``branching_rows`` (a search from the root for every edge mask),
+``pruning_antimatroid`` (a leaf-pruning walk for every edge mask),
+``convex_closure`` (an intersection over every convex mask),
+``closure_table`` (one pass over every mask per convex set) and
+``tutte_recursive`` (a depth-first deletion-contraction that
 merges one polynomial per node). The library builds the same tables and
 closures from bit sets and evaluates the recursion level by level; the
 tests require equal results.
 """
 
-from rankdual import LaurentPoly2, RankFunctionError
+from rankdual import LaurentPoly2, RankFunctionError, StructureError
 from rankdual.tutte import PIVOT_STRATEGIES
 
 
@@ -93,6 +95,24 @@ def oracle_convex_closure(g, a):
         if g.values[full ^ c] == (full ^ c).bit_count() and a & ~c == 0:
             acc &= c
     return acc
+
+
+def oracle_closure_table(g) -> list:
+    """Convex closure of every mask: each convex mask C is intersected into
+    the closures of all masks inside C. Raises StructureError, as the
+    library does, when a closure is not convex itself."""
+    full = g.ground.full_mask
+    convex = [c for c in range(full + 1) if g.values[full ^ c] == (full ^ c).bit_count()]
+    closures = [full] * (full + 1)
+    for c in convex:
+        for mask in range(full + 1):
+            if mask & ~c == 0:
+                closures[mask] &= c
+    if not set(closures) <= set(convex):
+        raise StructureError(
+            "closure is not convex; the table violates the antimatroid precondition"
+        )
+    return closures
 
 
 def oracle_recursion(g, pivot="lowest") -> LaurentPoly2:

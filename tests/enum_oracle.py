@@ -5,10 +5,14 @@ generator frame per mask, every value passed up through ``yield from``, and
 the local-semimodularity test applied to each candidate value. The library
 runs the same search as one loop over an explicit stack and narrows each
 mask's value range before the loop; the tests require the same tuples in the
-same order, for full tables and for ``stop`` prefixes.
+same order, for full tables and for ``stop`` prefixes. Complete tables are
+kept by the pairwise semimodularity and union scans of ``scan_oracle``,
+where the library uses local tests.
 """
 
-from rankdual.verify import _enum_tables, _semimodular, _union_closed
+from rankdual.verify import _enum_tables
+
+from scan_oracle import pairwise_semimodular, pairwise_union_closed
 
 
 def oracle_enumerate_values(n: int, constraint: str, prefix=(), stop=None):
@@ -27,9 +31,9 @@ def oracle_enumerate_values(n: int, constraint: str, prefix=(), stop=None):
         if stop is not None:
             return True
         if constraint == "matroid":
-            return _semimodular(v, n)
+            return pairwise_semimodular(v, n)
         if constraint == "full-antimatroid":
-            return v[size - 1] == n and _union_closed(v, n)
+            return v[size - 1] == n and pairwise_union_closed(v, n)
         return True
 
     def rec(m):

@@ -11,6 +11,24 @@ from rankdual.axioms import MAX_PAIRWISE_N, AxiomReport, FeasibleFamily
 from rankdual.core import SubsetRef, ValidationReport, masks_by_cardinality
 
 
+def pairwise_semimodular(values, n) -> bool:
+    """r(A & B) + r(A | B) <= r(A) + r(B) for every incomparable pair."""
+    size = 1 << n
+    return all(
+        values[a & b] + values[a | b] <= values[a] + values[b]
+        for a in range(size)
+        for b in range(a + 1, size)
+        if a & b != a and a & b != b
+    )
+
+
+def pairwise_union_closed(values, n) -> bool:
+    """The union of every two feasible sets {A : r(A) = |A|} is feasible."""
+    feas = [m for m in range(1 << n) if values[m] == m.bit_count()]
+    fset = set(feas)
+    return all(f1 | f2 in fset for i, f1 in enumerate(feas) for f2 in feas[i + 1 :])
+
+
 def _first_negative(values, n):
     for mask in masks_by_cardinality(n):
         if values[mask] < 0:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from rankdual import (
@@ -19,6 +21,7 @@ from rankdual import (
     uniform_matroid,
 )
 from rankdual.axioms import FeasibleFamily
+from rankdual.core import popcounts
 from rankdual.verify import (
     _dual_values,
     _enumerate_values,
@@ -146,6 +149,31 @@ def test_feasible_descriptors_loop():
     desc = feasible_descriptors(make_table("p", [0, 0]))
     assert [str(s) for s in desc.family.subsets()] == ["{}"]
     assert desc.loops == ("p",)
+
+
+def test_feasible_descriptors_list_in_cardinality_then_mask_order():
+    for g in random_tables(60, max_n=6, seed=13, lo=0, hi=3):
+        desc = feasible_descriptors(g)
+        total = g.full_rank
+        order = sorted(range(g.ground.size), key=lambda m: (m.bit_count(), m))
+        spanning = [m for m in order if g.values[m] == total]
+        assert [s.bits for s in desc.spanning] == spanning
+        assert [s.bits for s in desc.bases] == [m for m in spanning if m in desc.family.members]
+
+
+def test_feasible_descriptors_keep_no_order_of_a_large_table():
+    n = 20
+    # one feasible set (the empty one) and one spanning set (S)
+    g = make_table([f"e{i}" for i in range(n)], [0] * ((1 << n) - 1) + [1])
+    popcounts(n)  # cached for every caller, 1 MB
+    tracemalloc.start()
+    try:
+        desc = feasible_descriptors(g)
+        del desc
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert retained < 2**20
 
 
 def test_induced_rank_table_round_trip(demo_table):

@@ -2,6 +2,7 @@
 per-mask constructions and the depth-first recursion of ``build_oracle``."""
 
 import random
+from functools import partial
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from rankdual import (
     EnumSpec,
     GroundSet,
+    RankFunctionError,
     RootedGraph,
     Tree,
     all_rooted_graphs,
@@ -22,9 +24,12 @@ from rankdual import (
     tutte_recursive,
     tutte_subset,
 )
+from rankdual.structures import _edge_pairs, branching_ranks, branching_rows, closure_table
+from rankdual.verify import _cyclic_connected_graphs
 
 from build_oracle import (
     oracle_branching_values,
+    oracle_closure_table,
     oracle_convex_closure,
     oracle_pruning_values,
     oracle_recursion,
@@ -106,6 +111,72 @@ def test_convex_closure_of_every_subset():
         for a in range(g.ground.size):
             got = convex_closure(g, g.ground.subset_from_mask(a)).bits
             assert got == oracle_convex_closure(g, a), (g.values, a)
+
+
+def assert_rows_match(vertices, pairs):
+    """branching_rows of one graph equals branching_ranks and the per-mask
+    search for every root."""
+    rows = branching_rows(len(pairs), len(vertices), pairs)
+    assert rows == [branching_ranks(len(pairs), len(vertices), pairs, r) for r in range(len(vertices))]
+    edges = [(LABELS[i], vertices[a], vertices[b]) for i, (a, b) in enumerate(pairs)]
+    for root, row in zip(vertices, rows):
+        assert tuple(row) == oracle_branching_values(RootedGraph(vertices, root, edges)), (root, edges)
+
+
+def test_branching_rows_of_every_small_graph():
+    for v, combo in _cyclic_connected_graphs(5):
+        assert_rows_match(tuple(f"v{i}" for i in range(v)), combo)
+    for rg in all_rooted_graphs(4):
+        assert_rows_match(rg.vertices, _edge_pairs(rg.vertices, rg.edges))
+
+
+def test_branching_rows_of_seeded_graphs_up_to_ten_edges():
+    rng = random.Random(11)
+    for edges in range(11):
+        for _ in range(2):
+            rg = random_rooted_graph(rng, edges)
+            assert_rows_match(rg.vertices, _edge_pairs(rg.vertices, rg.edges))
+
+
+def closure_outcome(build, g):
+    try:
+        return build(g)
+    except RankFunctionError as exc:
+        return type(exc), str(exc)
+
+
+def test_closure_table_of_trees_and_full_antimatroids():
+    tables = [pruning_antimatroid(tree) for tree in all_trees(7)]
+    tables += [g for n in range(4) for g in enumerate_tables(EnumSpec(n, "full-antimatroid"))]
+    for g in tables:
+        assert closure_table(g) == oracle_closure_table(g), g.values
+
+
+@st.composite
+def convex_families(draw):
+    """A table over n <= 6 elements whose convex masks C (those with
+    r(S - C) = |S - C|) are an arbitrary family, or that family closed
+    under intersection, so that every closure is convex."""
+    n = draw(st.integers(0, 6))
+    full = (1 << n) - 1
+    family = draw(st.sets(st.integers(0, full), max_size=12))
+    if draw(st.booleans()):
+        family.add(full)
+        while True:
+            meets = {a & b for a in family for b in family} - family
+            if not meets:
+                break
+            family |= meets
+    values = [m.bit_count() - ((full ^ m) not in family) for m in range(full + 1)]
+    return table_from_values(GroundSet(tuple(LABELS[:n])), values)
+
+
+@settings(max_examples=200, deadline=None)
+@given(convex_families())
+def test_closure_table_matches_oracle_on_any_convex_family(g):
+    # where a closure is not convex, both sides raise the same error
+    build = partial(closure_table, validated=True)
+    assert closure_outcome(build, g) == closure_outcome(oracle_closure_table, g)
 
 
 def test_empty_and_single_element_grounds():

@@ -1,8 +1,13 @@
+import contextlib
+import io
 import json
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rankdual import (
     branching_greedoid,
@@ -289,8 +294,8 @@ def test_verify_params_reject_a_leading_bare_piece(capsys, raw):
         ("exchange", "lo=-268435457", "lo = -268435457 out of range (-268435456 to 268435456)"),
         ("root_adjacency", "max_edges=8", "max_edges = 8 out of range (0 to 7)"),
         ("root_adjacency", "max_edges=-1", "max_edges = -1 out of range (0 to 7)"),
-        ("closure_dual_rank", "max_tree_edges=12", "max_tree_edges = 12 out of range (0 to 11)"),
-        ("convex_zero_dual", "max_tree_edges=-1", "max_tree_edges = -1 out of range (0 to 11)"),
+        ("closure_dual_rank", "max_tree_edges=13", "max_tree_edges = 13 out of range (0 to 12)"),
+        ("convex_zero_dual", "max_tree_edges=-1", "max_tree_edges = -1 out of range (0 to 12)"),
     ],
 )
 def test_verify_rejects_params_out_of_range(capsys, monkeypatch, suite, params, message):
@@ -310,7 +315,7 @@ def test_verify_rejects_params_out_of_range(capsys, monkeypatch, suite, params, 
         ("involution", "max_n=0,lo=4,hi=4"),
         ("direct_sum_dual", "max_n=8"),
         ("root_adjacency", "max_edges=7"),
-        ("closure_dual_rank", "max_tree_edges=11"),
+        ("closure_dual_rank", "max_tree_edges=12"),
     ],
 )
 def test_verify_accepts_params_at_the_range_ends(capsys, monkeypatch, suite, params):
@@ -399,6 +404,14 @@ def test_document_rejects_unknown_kind_and_bad_rank():
         parse_document(doc)
 
 
+def test_build_rejects_a_tree_without_vertices(tmp_path, capsys):
+    path = tmp_path / "empty.json"
+    path.write_text('{"kind": "tree", "vertices": [], "edges": []}', encoding="utf-8")
+    code, out, err = run(capsys, "build", "pruning", "--in", str(path))
+    assert code == 2 and out == ""
+    assert err == "error: a tree needs at least one vertex\n"
+
+
 def test_uniform_document_validation():
     from rankdual import DocumentError
 
@@ -424,3 +437,84 @@ def test_undecodable_document_text_is_an_input_error(tmp_path, capsys, content, 
     code, out, err = run(capsys, "tutte", "--in", str(path))
     assert code == 2 and out == ""
     assert err == f"error: {path}: {message}\n"
+
+
+# --- fuzz: mutated structure documents through build ------------------------
+
+STRUCTURE_DOCS = {
+    "branching": {
+        "kind": "rooted-graph",
+        "vertices": ["r", "x", "y", "z"],
+        "root": "r",
+        "edges": [
+            {"label": "a", "ends": ["r", "x"]},
+            {"label": "b", "ends": ["x", "y"]},
+            {"label": "c", "ends": ["r", "y"]},
+            {"label": "d", "ends": ["y", "z"]},
+        ],
+    },
+    "pruning": {
+        "kind": "tree",
+        "vertices": ["u", "v", "w", "x"],
+        "edges": [
+            {"label": "a", "ends": ["u", "v"]},
+            {"label": "b", "ends": ["v", "w"]},
+            {"label": "c", "ends": ["v", "x"]},
+        ],
+    },
+    "uniform": {"kind": "uniform", "labels": ["a", "b", "c"], "k": 2},
+}
+ODD_VALUES = (
+    None, True, 0, -1, 3, 10**30, 2.5, "", "r", "u", "a", "zz", [], ["r"], ["u", "u"],
+    ["a", "b", "c", "d"], {}, {"label": "a"}, {"label": "e", "ends": ["u", "x"]}, "tree",
+)
+
+
+def _locations(node, found):
+    """Every (container, key) pair inside a parsed document."""
+    keys = range(len(node)) if isinstance(node, list) else list(node) if isinstance(node, dict) else ()
+    for key in keys:
+        found.append((node, key))
+        _locations(node[key], found)
+    return found
+
+
+def mutate_structure(doc, data):
+    found = [(node, key) for node, key in _locations(doc, []) if key != "kind"]
+    action = data.draw(st.sampled_from(("replace", "delete", "duplicate", "copy", "kind")))
+    if action == "kind" or not found:
+        doc["kind"] = data.draw(st.sampled_from(("rank-table", "tree", "uniform", "polytope", None)))
+        return
+    container, key = data.draw(st.sampled_from(found))
+    if action == "replace":
+        container[key] = json.loads(json.dumps(data.draw(st.sampled_from(ODD_VALUES))))
+    elif action == "delete":
+        del container[key]
+    elif action == "duplicate" and isinstance(container, list):
+        container.insert(key, json.loads(json.dumps(container[key])))
+    elif action == "copy":
+        other, other_key = data.draw(st.sampled_from(found))
+        if other_key in other if isinstance(other, dict) else other_key < len(other):
+            container[key] = json.loads(json.dumps(other[other_key]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(STRUCTURE_DOCS)), st.data())
+def test_fuzzed_structure_documents_build_or_exit_2(source, data):
+    # mostly the build that the document is for; sometimes another one
+    structure = source if data.draw(st.booleans()) else data.draw(st.sampled_from(sorted(STRUCTURE_DOCS)))
+    doc = json.loads(json.dumps(STRUCTURE_DOCS[source]))
+    for _ in range(data.draw(st.integers(1, 3))):
+        mutate_structure(doc, data)
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "doc.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run_command(["build", structure, "--in", str(path)])
+    if code == 0:
+        assert err.getvalue() == ""
+        assert parse_document(out.getvalue())[0] == "rank-table"
+    else:
+        assert code == 2 and out.getvalue() == ""
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1

@@ -16,11 +16,13 @@ from rankdual.core import (
     FLAT,
     JUMP,
     MAX_PACKED_SPREAD,
+    MAX_PAIRWISE_N,
     MAX_RANK_MAGNITUDE,
     UNIT,
     bitset,
     masks_by_cardinality,
     member_counts,
+    member_masks,
     step_sets,
 )
 
@@ -183,6 +185,22 @@ def test_member_counts_counts_the_sets_holding_each_mask(case):
         assert bitset(member_counts(n, [s])) == s
 
 
+@given(st.integers(0, 4).flatmap(lambda n: st.tuples(
+    st.just(n), st.integers(1, 4).flatmap(lambda blocks: st.tuples(
+        st.just(blocks), st.lists(st.integers(0, (1 << (blocks << n)) - 1), max_size=6))))))
+def test_member_counts_over_blocks_counts_each_position(case):
+    n, (blocks, sets) = case
+    counts = member_counts(n, sets, blocks)
+    assert list(counts) == [sum(s >> i & 1 for s in sets) for i in range(blocks << n)]
+
+
+@given(st.integers(0, 6).flatmap(lambda n: st.tuples(st.just(n), st.lists(st.integers(0, (1 << (1 << n)) - 1), max_size=26))))
+def test_member_masks_lists_the_sets_holding_each_mask(case):
+    n, sets = case
+    masks = member_masks(n, sets)
+    assert masks == [sum(1 << i for i, s in enumerate(sets) if s >> mask & 1) for mask in range(1 << n)]
+
+
 # each step relation with the plain condition on d = values[A | p] - values[A]
 STEP_RELATIONS = (
     (DECREASE, lambda d: d < 0),
@@ -265,3 +283,8 @@ def test_validate_is_pure(demo_table):
 
 def test_masks_by_cardinality_order():
     assert masks_by_cardinality(3) == (0, 1, 2, 4, 3, 5, 6, 7)
+    # past MAX_PAIRWISE_N the order is built on each call, not cached
+    n = MAX_PAIRWISE_N + 1
+    assert masks_by_cardinality(n) == tuple(sorted(range(1 << n), key=lambda m: (m.bit_count(), m)))
+    assert masks_by_cardinality(n) is not masks_by_cardinality(n)
+    assert masks_by_cardinality(MAX_PAIRWISE_N) is masks_by_cardinality(MAX_PAIRWISE_N)

@@ -24,6 +24,7 @@ from rankdual import (
     validate,
 )
 from rankdual.core import MAX_PACKED_SPREAD, MAX_RANK_MAGNITUDE
+from rankdual.verify import _semimodular, _union_closed
 
 from scan_oracle import (
     oracle_antimatroid,
@@ -33,6 +34,8 @@ from scan_oracle import (
     oracle_greedoid,
     oracle_matroid,
     oracle_validate,
+    pairwise_semimodular,
+    pairwise_union_closed,
 )
 
 PAIRS = (
@@ -184,3 +187,59 @@ def test_union_closed_verdict_and_witness_match_the_pairwise_scan(g):
     assert got.verdicts["union-closed"] == want.verdicts["union-closed"]
     assert got.witnesses.get("union-closed") == want.witnesses.get("union-closed")
     assert got.lines() == want.lines()
+
+
+# --- local verdicts of the enumeration filters against the pairwise scans ---
+
+
+@st.composite
+def near_submodular_tables(draw):
+    """A coverage function (submodular) plus a modular part of either sign
+    and a constant, with up to two entries then moved by -2..2; ranks may
+    be negative."""
+    n = draw(st.integers(0, 6))
+    size = 1 << n
+    covers = draw(st.lists(st.tuples(st.integers(1, size - 1) if n else st.just(0),
+                                     st.integers(0, 3)), max_size=4))
+    weights = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+    base = draw(st.integers(-3, 3))
+    values = [
+        base
+        + sum(w for cover, w in covers if m & cover)
+        + sum(w for p, w in enumerate(weights) if m >> p & 1)
+        for m in range(size)
+    ]
+    for _ in range(draw(st.integers(0, 2))):
+        values[draw(st.integers(0, size - 1))] += draw(st.integers(-2, 2))
+    return values
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    near_submodular_tables(),
+    st.integers(0, 6).flatmap(lambda n: st.lists(st.integers(-4, 6), min_size=1 << n, max_size=1 << n)),
+))
+def test_local_semimodularity_verdict_matches_the_pairwise_scan(values):
+    n = (len(values) - 1).bit_length()
+    assert _semimodular(values, n) == pairwise_semimodular(values, n)
+
+
+def accessible(g) -> bool:
+    """The empty set is feasible, and so is some one-smaller subset of every
+    nonempty feasible set."""
+    feasible = {m for m in range(g.ground.size) if g.values[m] == m.bit_count()}
+    return 0 in feasible and all(
+        any(f & ~(1 << p) in feasible for p in range(g.n) if f >> p & 1) for f in feasible if f
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(feasible_families())
+def test_local_union_verdict_matches_the_pairwise_scan_on_accessible_families(g):
+    local, pairwise = _union_closed(g.values, g.n), pairwise_union_closed(g.values, g.n)
+    # the local test also requires accessibility: exact on accessible
+    # families, and only sufficient on any other
+    if accessible(g):
+        assert local == pairwise
+    else:
+        assert not local or pairwise

@@ -52,7 +52,7 @@ def _scenarios():
         # the trees pass; every rooted triangle fails
         "root_adjacency": (
             {"max_edges": 3},
-            {"branching_ranks": lambda edges, vertices, pairs, root: [0] * 7 + [5]},
+            {"branching_rows": lambda edges, vertices, pairs: [[0] * 7 + [5]] * vertices},
         ),
         "full_dual_nonpositive": ({"n": 2}, {"_dual_values": lambda v, n: [1] * len(v)}),
         # n = 0: the one antimatroid passes, the pruning trees fail

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -221,6 +222,23 @@ SMALL_PARAMS = {
     "branching_goldens": {},
     "pruning_goldens": {},
 }
+
+
+# sha256 of run_suite(name, {"seed": 1}).to_report(), recorded before the
+# suites' constructions became bit-set passes; the reports must not change
+GOLDEN_REPORTS = {
+    "root_adjacency": "c1f5d7b6fc4bd07d984c0fb54552ae363ed6636803f2d9efb79d7ed6f572ae86",
+    "closure_dual_rank": "0d5d7a3c8667179c3ffea9c562101c4e9d17dce9188892d0429c8ec55015ea45",
+    "convex_zero_dual": "8dbdec44c542181602781639fbf684362569e4cec5c6f7f1f4b763663d9678c2",
+    "greedoid_intersection": "f905a5ce2c862266334def49bde3be93c7e0cd278b3d3bcfb6b7143760b50b5a",
+    "full_dual_nonpositive": "130f820ed9604e0224a1eaa037e8a8808e7a34e7cf373686fe2dc1b6e433eb04",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_REPORTS))
+def test_default_report_is_unchanged(name):
+    report = run_suite(name, {"seed": 1}).to_report()
+    assert hashlib.sha256(report.encode()).hexdigest() == GOLDEN_REPORTS[name], report
 
 
 def test_all_suites_pass_at_small_scale():
