@@ -315,6 +315,7 @@ def test_verify_rejects_params_out_of_range(capsys, monkeypatch, suite, params, 
         ("involution", "max_n=0,lo=4,hi=4"),
         ("direct_sum_dual", "max_n=8"),
         ("root_adjacency", "max_edges=7"),
+        ("closure_dual_rank", "max_tree_edges=11"),
         ("closure_dual_rank", "max_tree_edges=12"),
     ],
 )
