@@ -16,6 +16,7 @@ import time
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import eq, gt
+from typing import NamedTuple
 
 from .axioms import (
     DemiTriple,
@@ -69,8 +70,6 @@ MAX_TREE_EDGES = 12
 # Random ranks stay small enough that every derived table (duals, minors,
 # direct sums of duals) keeps within the 2**31 magnitude bound.
 MAX_RANDOM_RANK = MAX_RANK_MAGNITUDE // 8
-# Default [lo, hi] of random ranks.
-_RANK_LO, _RANK_HI = -3, 8
 
 CONSTRAINTS = (
     "all-normalized-subcardinal-monotone",
@@ -491,7 +490,7 @@ class SuiteResult:
 
 
 class _Recorder:
-    def __init__(self, fail_fast: bool = False, max_failures: int = 100):
+    def __init__(self, fail_fast: bool, max_failures: int):
         self.instances = 0
         self.failures = []
         self.fail_fast = fail_fast
@@ -518,39 +517,51 @@ def _text(description) -> str:
     return description() if callable(description) else description
 
 
-def _int_param(params, key: str, default: int) -> int:
-    """Integer value of params[key] (default when absent); a non-integer
-    value is an input error naming the key."""
-    value = params.get(key, default)
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise RankFunctionError(f"{key} must be an integer, got {value!r}") from None
+class Param(NamedTuple):
+    """One param as its suite declares it: the default used when the param
+    is absent or None (None: the param must be given), and for an integer
+    param the inclusive range, open on a side that is None. A str default
+    declares a string param. ``scope`` says what the range is for in the
+    out-of-range error."""
+
+    default: object
+    lowest: int | None = None
+    highest: int | None = None
+    scope: str = ""
+
+    def resolve(self, key: str, value):
+        """The value to run with; a non-integer or out-of-range one is an input error."""
+        if isinstance(self.default, str):
+            return str(value)
+        try:
+            value = int(value)
+        except (TypeError, ValueError):
+            raise RankFunctionError(f"{key} must be an integer, got {value!r}") from None
+        lowest, highest = self.lowest, self.highest
+        if (lowest is not None and value < lowest) or (highest is not None and value > highest):
+            scope = f" {self.scope}" if self.scope else ""
+            bounds = f"{lowest} or more" if highest is None else f"{lowest} to {highest}"
+            raise RankFunctionError(f"{key} = {value} out of range{scope} ({bounds})")
+        return value
 
 
-def _enum_n(params, default: int) -> int:
-    """The exhaustive enumeration size params["n"], capped like EnumSpec."""
-    n = _int_param(params, "n", default)
-    if not 0 <= n <= MAX_EXHAUSTIVE_N:
-        raise RankFunctionError(
-            f"n = {n} out of range for exhaustive enumeration (0 to {MAX_EXHAUSTIVE_N})"
-        )
-    return n
+def _exhaustive_n(default: int) -> Param:
+    """The enumeration size n: a suite checks every table of size 0 to n."""
+    return Param(default, 0, MAX_EXHAUSTIVE_N, "for exhaustive enumeration")
 
 
-def _require_seed(params: dict, suite: str) -> int:
-    if params.get("seed") is None:
-        raise RankFunctionError(f"suite {suite!r} is randomized and requires a seed")
-    return _int_param(params, "seed", 0)
+#: A seeded sample of random tables; the keys are the samplers' parameters.
+_SAMPLE = {"seed": Param(None), "count": Param(500), "max_n": Param(6, 0, MAX_RANDOM_N)}
+#: A sample with uniform ranks in [lo, hi].
+_CORPUS = {
+    **_SAMPLE,
+    "lo": Param(-3, -MAX_RANDOM_RANK, MAX_RANDOM_RANK),
+    "hi": Param(8, -MAX_RANDOM_RANK, MAX_RANDOM_RANK),
+}
 
 
-def _corpus(params: dict, suite: str):
-    count = _int_param(params, "count", 500)
-    max_n = _int_param(params, "max_n", 6)
-    lo = _int_param(params, "lo", _RANK_LO)
-    hi = _int_param(params, "hi", _RANK_HI)
-    seed = _require_seed(params, suite)
-    return list(random_tables(count, max_n=max_n, seed=seed, lo=lo, hi=hi))
+def _corpus(params: dict):
+    return list(random_tables(**{key: params[key] for key in _CORPUS}))
 
 
 def _desc(i: int, g: RankTable):
@@ -561,52 +572,44 @@ def _desc(i: int, g: RankTable):
 # suites
 # ---------------------------------------------------------------------------
 
-#: Suite functions by name, the params each one reads, and the declared
-#: (lowest, highest) range of its bounded params; every suite also accepts
-#: COMMON_PARAMS (the CLI passes --seed to any suite).
+
+class Suite(NamedTuple):
+    """A registered suite: the function that checks its instances, called
+    with exactly its declared params resolved, and those declarations."""
+
+    run: object
+    params: dict
+
+
+#: Suites by name.
 SUITES: dict = {}
-SUITE_PARAMS: dict = {}
-SUITE_RANGES: dict = {}
-COMMON_PARAMS = ("seed", "fail_fast", "max_failures")
-_CORPUS_PARAMS = ("seed", "count", "max_n", "lo", "hi")
-PARAM_RANGES = {
-    "max_n": (0, MAX_RANDOM_N),
-    "lo": (-MAX_RANDOM_RANK, MAX_RANDOM_RANK),
-    "hi": (-MAX_RANDOM_RANK, MAX_RANDOM_RANK),
-    "max_edges": (0, MAX_CENSUS_EDGES),
-    "max_tree_edges": (0, MAX_TREE_EDGES),
-}
+#: Params of the run itself, which every suite accepts.
+_RUN_PARAMS = {"fail_fast": Param(0, 0, 1), "max_failures": Param(100, 1)}
 
 
-def _suite(*keys, **ranges):
-    """Register the suite function ``_suite_<name>`` as ``<name>``, reading
-    the given params; ``ranges`` narrows PARAM_RANGES for this suite."""
+def _suite(shared: dict | None = None, /, **params: Param):
+    """Register the suite function ``_suite_<name>`` as ``<name>``, declaring
+    the ``shared`` params and then ``params``, which override them."""
 
     def register(fn):
-        name = fn.__name__.removeprefix("_suite_")
-        SUITES[name] = fn
-        SUITE_PARAMS[name] = keys
-        SUITE_RANGES[name] = {
-            **{key: PARAM_RANGES[key] for key in keys if key in PARAM_RANGES},
-            **ranges,
-        }
+        SUITES[fn.__name__.removeprefix("_suite_")] = Suite(fn, {**(shared or {}), **params})
         return fn
 
     return register
 
 
-@_suite(*_CORPUS_PARAMS)
+@_suite(_CORPUS)
 def _suite_involution(params, rec: _Recorder):
-    for i, g in enumerate(_corpus(params, "involution")):
+    for i, g in enumerate(_corpus(params)):
         if not rec.check(
             dual(dual(g)) == g, _desc(i, g), "dual(dual(g)) == g", lambda: str(dual(dual(g)).values)
         ):
             return
 
 
-@_suite(*_CORPUS_PARAMS)
+@_suite(_CORPUS)
 def _suite_exchange(params, rec: _Recorder):
-    for i, g in enumerate(_corpus(params, "exchange")):
+    for i, g in enumerate(_corpus(params)):
         gd = dual(g)
         for p in g.ground.labels:
             ok1 = dual(delete(g, p)) == contract(gd, p)
@@ -617,9 +620,9 @@ def _suite_exchange(params, rec: _Recorder):
                 return
 
 
-@_suite(*_CORPUS_PARAMS)
+@_suite(_CORPUS)
 def _suite_contract_formula(params, rec: _Recorder):
-    for i, g in enumerate(_corpus(params, "contract_formula")):
+    for i, g in enumerate(_corpus(params)):
         for p in g.ground.labels:
             got = contract(g, p)
             via_dual = dual(delete(dual(g), p))
@@ -636,15 +639,11 @@ def _suite_contract_formula(params, rec: _Recorder):
 
 
 # max_n stops at 8: the second summand takes its labels from "pqrstuvw"
-@_suite(*_CORPUS_PARAMS, max_n=(0, 8))
+@_suite(_CORPUS, count=Param(250), max_n=Param(4, 0, 8))
 def _suite_direct_sum_dual(params, rec: _Recorder):
-    count = _int_param(params, "count", 250)
-    max_n = _int_param(params, "max_n", 4)
-    lo = _int_param(params, "lo", _RANK_LO)
-    hi = _int_param(params, "hi", _RANK_HI)
-    seed = _require_seed(params, "direct_sum_dual")
-    rng = random.Random(seed)
-    for i in range(count):
+    max_n, lo, hi = params["max_n"], params["lo"], params["hi"]
+    rng = random.Random(params["seed"])
+    for i in range(params["count"]):
         n1, n2 = rng.randint(0, max_n), rng.randint(0, max_n)
         g1 = table_from_values(
             GroundSet(tuple(_LABELS[:n1])),
@@ -661,10 +660,10 @@ def _suite_direct_sum_dual(params, rec: _Recorder):
             return
 
 
-@_suite(*_CORPUS_PARAMS, "strategies")
+@_suite(_CORPUS, strategies=Param("lowest,highest"))
 def _suite_recursion_oracle(params, rec: _Recorder):
-    strategies = str(params.get("strategies", "lowest,highest")).split(",")
-    for i, g in enumerate(_corpus(params, "recursion_oracle")):
+    strategies = params["strategies"].split(",")
+    for i, g in enumerate(_corpus(params)):
         reference = tutte_subset(g)
         for strategy in strategies:
             ok = tutte_recursive(g, strategy) == reference
@@ -672,19 +671,19 @@ def _suite_recursion_oracle(params, rec: _Recorder):
                 return
 
 
-@_suite(*_CORPUS_PARAMS)
+@_suite(_CORPUS)
 def _suite_duality_swap(params, rec: _Recorder):
-    for i, g in enumerate(_corpus(params, "duality_swap")):
+    for i, g in enumerate(_corpus(params)):
         ok = tutte_subset(dual(g)) == swap_vars(tutte_subset(g))
         if not rec.check(ok, _desc(i, g), "poly(dual) == swap_vars(poly)"):
             return
 
 
-@_suite(*_CORPUS_PARAMS)
+@_suite(_CORPUS)
 def _suite_polynomiality(params, rec: _Recorder):
     from .core import validate
 
-    for i, g in enumerate(_corpus(params, "polynomiality")):
+    for i, g in enumerate(_corpus(params)):
         report = validate(g)
         mins = tutte_subset(g).min_exponents()
         ok = (min(mins) >= 0) == (report.rank_s_maximum and report.subcardinal)
@@ -697,17 +696,10 @@ def _suite_polynomiality(params, rec: _Recorder):
             return
 
 
-def _enumerated(constraint: str, n_max: int):
-    for n in range(n_max + 1):
-        ground = GroundSet(tuple(_LABELS[:n]))
-        for values in _enumerate_values(n, constraint):
-            yield table_from_values(ground, values)
-
-
-@_suite("n")
+@_suite(n=_exhaustive_n(3))
 def _suite_contract_feasibility(params, rec: _Recorder):
-    n_max = _enum_n(params, 3)
-    for idx, g in enumerate(_enumerated("greedoid", n_max)):
+    tables = (g for n in range(params["n"] + 1) for g in enumerate_tables(EnumSpec(n, "greedoid")))
+    for idx, g in enumerate(tables):
         feasible = {m for m in range(g.ground.size) if g.values[m] == m.bit_count()}
         covered = 0
         for m in feasible:
@@ -738,10 +730,10 @@ def _suite_contract_feasibility(params, rec: _Recorder):
                 return
 
 
-@_suite("n")
+@_suite(n=_exhaustive_n(3))
 def _suite_minor_agreement(params, rec: _Recorder):
-    n_max = _enum_n(params, 3)
-    for idx, g in enumerate(_enumerated("greedoid", n_max)):
+    tables = (g for n in range(params["n"] + 1) for g in enumerate_tables(EnumSpec(n, "greedoid")))
+    for idx, g in enumerate(tables):
         feasible = {m for m in range(g.ground.size) if g.values[m] == m.bit_count()}
         covered = 0
         for m in feasible:
@@ -767,10 +759,10 @@ def _suite_minor_agreement(params, rec: _Recorder):
                     return
 
 
-@_suite("n")
+@_suite(n=_exhaustive_n(4))
 def _suite_dual_greedoid_axioms(params, rec: _Recorder):
-    n_max = _enum_n(params, 4)
-    for idx, g in enumerate(_enumerated("greedoid", n_max)):
+    tables = (g for n in range(params["n"] + 1) for g in enumerate_tables(EnumSpec(n, "greedoid")))
+    for idx, g in enumerate(tables):
         report = check_dual_greedoid(dual(g))
         if not rec.check(
             report.passed,
@@ -808,14 +800,10 @@ def _intersection_task(args):
     return count, failures
 
 
-@_suite("n", "workers")
+@_suite(n=_exhaustive_n(4), workers=Param(1))
 def _suite_greedoid_intersection(params, rec: _Recorder):
-    n_max = _enum_n(params, 4)
-    if "workers" in params:
-        workers = _int_param(params, "workers", 1)
-    else:
-        workers = _int_param(os.environ, "RANKDUAL_THREADS", 1)
-    for n in range(n_max + 1):
+    workers = params["workers"]
+    for n in range(params["n"] + 1):
         tasks = [(n, ())]
         if workers > 1 and n >= 3:
             depth = 3
@@ -853,9 +841,9 @@ def _root_adjacent(vertex_count: int, edge_pairs) -> list:
     return [mask == everyone for mask in neighbours]
 
 
-@_suite("max_edges")
+@_suite(max_edges=Param(6, 0, MAX_CENSUS_EDGES))
 def _suite_root_adjacency(params, rec: _Recorder):
-    max_edges = _int_param(params, "max_edges", 6)
+    max_edges = params["max_edges"]
     sample_stride = 97  # cross-check every k-th instance against the public op
     instance = 0
 
@@ -899,10 +887,10 @@ def _suite_root_adjacency(params, rec: _Recorder):
                 return
 
 
-@_suite("n")
+@_suite(n=_exhaustive_n(4))
 def _suite_full_dual_nonpositive(params, rec: _Recorder):
-    n_max = _enum_n(params, 4)
-    for idx, g in enumerate(_enumerated("greedoid", n_max)):
+    tables = (g for n in range(params["n"] + 1) for g in enumerate_tables(EnumSpec(n, "greedoid")))
+    for idx, g in enumerate(tables):
         if g.full_rank != g.n:
             continue
         dv = _dual_values(g.values, g.n)
@@ -915,19 +903,23 @@ def _suite_full_dual_nonpositive(params, rec: _Recorder):
             return
 
 
+_CLOSURE = {"n": _exhaustive_n(4), "max_tree_edges": Param(8, 0, MAX_TREE_EDGES)}
+
+
 def _closure_corpora(params):
     """(description, table) pairs; each description is a callable."""
-    n_max = _enum_n(params, 4)
-    max_tree_edges = _int_param(params, "max_tree_edges", 8)
-    for idx, g in enumerate(_enumerated("full-antimatroid", n_max)):
+    tables = (
+        g for n in range(params["n"] + 1) for g in enumerate_tables(EnumSpec(n, "full-antimatroid"))
+    )
+    for idx, g in enumerate(tables):
         yield (lambda idx=idx, g=g: f"antimatroid[{idx}] n={g.n} values={g.values}"), g
-    for idx, tree in enumerate(all_trees(max_tree_edges)):
+    for idx, tree in enumerate(all_trees(params["max_tree_edges"])):
         yield (lambda idx=idx, tree=tree: f"pruning-tree[{idx}] edges={len(tree.edges)}"), (
             pruning_antimatroid(tree)
         )
 
 
-@_suite("n", "max_tree_edges")
+@_suite(_CLOSURE)
 def _suite_closure_dual_rank(params, rec: _Recorder):
     for desc, g in _closure_corpora(params):
         closures = closure_table(g)
@@ -953,7 +945,7 @@ def _suite_closure_dual_rank(params, rec: _Recorder):
     )
 
 
-@_suite("n", "max_tree_edges")
+@_suite(_CLOSURE)
 def _suite_convex_zero_dual(params, rec: _Recorder):
     for desc, g in _closure_corpora(params):
         dv = _dual_values(g.values, g.n)
@@ -969,21 +961,25 @@ def _suite_convex_zero_dual(params, rec: _Recorder):
                 return
 
 
-def _monotone_corpus(params, suite):
+_MONOTONE = {**_SAMPLE, "n": _exhaustive_n(3)}
+
+
+def _monotone_corpus(params):
     """(description, table) pairs; each description is a callable."""
-    n_max = _enum_n(params, 3)
-    for idx, g in enumerate(_enumerated("all-normalized-subcardinal-monotone", n_max)):
+    tables = (
+        g
+        for n in range(params["n"] + 1)
+        for g in enumerate_tables(EnumSpec(n, "all-normalized-subcardinal-monotone"))
+    )
+    for idx, g in enumerate(tables):
         yield (lambda idx=idx, g=g: f"enumerated[{idx}] n={g.n} values={g.values}"), g
-    count = _int_param(params, "count", 500)
-    max_n = _int_param(params, "max_n", 6)
-    seed = _require_seed(params, suite)
-    for idx, g in enumerate(random_monotone_tables(count, max_n=max_n, seed=seed)):
+    for idx, g in enumerate(random_monotone_tables(**{key: params[key] for key in _SAMPLE})):
         yield (lambda idx=idx, g=g: f"sampled[{idx}] n={g.n} values={g.values}"), g
 
 
-@_suite("n", "seed", "count", "max_n")
+@_suite(_MONOTONE)
 def _suite_nullity_monotone(params, rec: _Recorder):
-    for desc, g in _monotone_corpus(params, "nullity_monotone"):
+    for desc, g in _monotone_corpus(params):
         unit = _fast_unit_upper(g.values, g.n)
         nullity = _fast_monotone_nullity(g.values, g.n)
         stretch = all(
@@ -1005,9 +1001,9 @@ def _nested_pairs(n: int):
     return tuple((a, b) for b in range(size) for a in range(size) if a & b == a)
 
 
-@_suite("n", "seed", "count", "max_n")
+@_suite(_MONOTONE)
 def _suite_demimatroid_characterization(params, rec: _Recorder):
-    for desc, g in _monotone_corpus(params, "demimatroid_characterization"):
+    for desc, g in _monotone_corpus(params):
         lhs = check_demimatroid_characterization(g).passed
         rhs = check_demimatroid_triple(DemiTriple(g, dual(g))).passed
         if not rec.check(
@@ -1175,41 +1171,43 @@ def _suite_pruning_goldens(params, rec: _Recorder):
         return
 
 
-#: Suites whose params include a seed; they refuse to run without one.
-RANDOMIZED_SUITES = frozenset(name for name, keys in SUITE_PARAMS.items() if "seed" in keys)
+#: Suites that declare a seed (it has no default); they refuse to run without one.
+RANDOMIZED_SUITES = frozenset(name for name, suite in SUITES.items() if "seed" in suite.params)
 
 
 def run_suite(name: str, params: dict | None = None) -> SuiteResult:
     """Run a named verification suite. Deterministic given (name, params,
-    seed); randomized suites require a seed parameter."""
+    seed); randomized suites require a seed parameter.
+
+    Each param takes the given value, else its declared default; unknown
+    keys, a missing seed, a non-integer or out-of-range value, and lo above
+    hi are input errors, raised before the suite runs."""
     if name not in SUITES:
         raise RankFunctionError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
     params = dict(params or {})
-    accepted = {*COMMON_PARAMS, *SUITE_PARAMS[name]}
-    unknown = sorted(map(str, set(params) - accepted))
+    suite = SUITES[name]
+    declared = suite.params | _RUN_PARAMS
+    # the CLI passes --seed to any suite; one that declares no seed ignores it
+    accepted = {"seed", *declared}
+    unknown = sorted(map(str, params.keys() - accepted))
     if unknown:
         raise RankFunctionError(
             f"unknown params for suite {name!r}: {', '.join(unknown)}; "
             f"accepted: {', '.join(sorted(accepted))}"
         )
-    if name in RANDOMIZED_SUITES:
-        _require_seed(params, name)
-    for key, (lowest, highest) in SUITE_RANGES[name].items():
-        if key in params:
-            value = _int_param(params, key, 0)
-            if not lowest <= value <= highest:
-                raise RankFunctionError(f"{key} = {value} out of range ({lowest} to {highest})")
-    if "lo" in SUITE_RANGES[name]:
-        lo = _int_param(params, "lo", _RANK_LO)
-        hi = _int_param(params, "hi", _RANK_HI)
-        if lo > hi:
-            raise RankFunctionError(f"lo = {lo} exceeds hi = {hi}")
-    rec = _Recorder(
-        fail_fast=bool(params.get("fail_fast", False)),
-        max_failures=_int_param(params, "max_failures", 100),
-    )
+    values = {}
+    for key, param in declared.items():
+        value = params.get(key)
+        if value is None:
+            if param.default is None:
+                raise RankFunctionError(f"suite {name!r} is randomized and requires a seed")
+            value = param.default
+        values[key] = param.resolve(key, value)
+    if "lo" in values and values["lo"] > values["hi"]:
+        raise RankFunctionError(f"lo = {values['lo']} exceeds hi = {values['hi']}")
+    rec = _Recorder(fail_fast=bool(values["fail_fast"]), max_failures=values["max_failures"])
     start = time.perf_counter()
-    SUITES[name](params, rec)
+    suite.run({key: values[key] for key in suite.params}, rec)
     elapsed = time.perf_counter() - start
     if not rec.instances:
         raise RankFunctionError(f"suite {name!r} checked no instances with these params")

@@ -187,7 +187,12 @@ def test_verify_requires_seed_for_randomized_suite(capsys):
 
 @pytest.mark.parametrize(
     "suite, key, value",
-    [("involution", "count", "abc"), ("greedoid_intersection", "workers", "x")],
+    [
+        ("involution", "count", "abc"),
+        ("greedoid_intersection", "workers", "x"),
+        ("branching_goldens", "fail_fast", "false"),
+        ("exchange", "max_failures", "all"),
+    ],
 )
 def test_verify_rejects_non_integer_param(capsys, suite, key, value):
     code, out, err = run(
@@ -258,13 +263,6 @@ def test_verify_accepts_declared_params(capsys, suite, params):
     assert code == 0 and out.endswith("result: pass\n")
 
 
-def test_verify_rejects_non_integer_thread_count(capsys, monkeypatch):
-    monkeypatch.setenv("RANKDUAL_THREADS", "abc")
-    code, _, err = run(capsys, "verify", "--suite", "greedoid_intersection")
-    assert code == 2
-    assert err == "error: RANKDUAL_THREADS must be an integer, got 'abc'\n"
-
-
 def test_verify_params_value_may_hold_commas(capsys):
     code, out, err = run(
         capsys, "verify", "--suite", "recursion_oracle", "--seed", "1",
@@ -296,13 +294,17 @@ def test_verify_params_reject_a_leading_bare_piece(capsys, raw):
         ("root_adjacency", "max_edges=-1", "max_edges = -1 out of range (0 to 7)"),
         ("closure_dual_rank", "max_tree_edges=13", "max_tree_edges = 13 out of range (0 to 12)"),
         ("convex_zero_dual", "max_tree_edges=-1", "max_tree_edges = -1 out of range (0 to 12)"),
+        ("branching_goldens", "fail_fast=2", "fail_fast = 2 out of range (0 to 1)"),
+        ("involution", "fail_fast=-1", "fail_fast = -1 out of range (0 to 1)"),
+        ("pruning_goldens", "max_failures=0", "max_failures = 0 out of range (1 or more)"),
+        ("exchange", "max_failures=-1", "max_failures = -1 out of range (1 or more)"),
     ],
 )
 def test_verify_rejects_params_out_of_range(capsys, monkeypatch, suite, params, message):
     def refuse(params, rec):
         raise AssertionError("the suite ran")
 
-    monkeypatch.setitem(verify.SUITES, suite, refuse)
+    monkeypatch.setitem(verify.SUITES, suite, verify.SUITES[suite]._replace(run=refuse))
     code, out, err = run(capsys, "verify", "--suite", suite, "--seed", "1", "--params", params)
     assert code == 2 and out == ""
     assert err == f"error: {message}\n"
@@ -317,13 +319,15 @@ def test_verify_rejects_params_out_of_range(capsys, monkeypatch, suite, params, 
         ("root_adjacency", "max_edges=7"),
         ("closure_dual_rank", "max_tree_edges=11"),
         ("closure_dual_rank", "max_tree_edges=12"),
+        ("branching_goldens", "fail_fast=0,max_failures=1"),
+        ("involution", "fail_fast=1,max_failures=1000000"),
     ],
 )
 def test_verify_accepts_params_at_the_range_ends(capsys, monkeypatch, suite, params):
     def one_instance(params, rec):
         rec.check(True, "stand-in", "range check passed")
 
-    monkeypatch.setitem(verify.SUITES, suite, one_instance)
+    monkeypatch.setitem(verify.SUITES, suite, verify.SUITES[suite]._replace(run=one_instance))
     code, out, _ = run(capsys, "verify", "--suite", suite, "--seed", "1", "--params", params)
     assert code == 0 and out.endswith("result: pass\n")
 
@@ -516,6 +520,51 @@ def test_fuzzed_structure_documents_build_or_exit_2(source, data):
     if code == 0:
         assert err.getvalue() == ""
         assert parse_document(out.getvalue())[0] == "rank-table"
+    else:
+        assert code == 2 and out.getvalue() == ""
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+
+
+# --- fuzz: --params strings through verify ------------------------------------
+
+PARAM_VALUES = st.one_of(
+    st.integers(-20, 20).map(str),
+    st.sampled_from(("-268435457", "268435456", "1" * 30, "", "x", "1.5", "true", "false", "=", " 3")),
+)
+
+
+def params_string(data, suite):
+    keys = sorted({"seed", *verify._RUN_PARAMS, *verify.SUITES[suite].params})
+    pieces = []
+    for _ in range(data.draw(st.integers(0, 4))):
+        kind = data.draw(st.sampled_from(("declared", "declared", "junk", "bare", "empty")))
+        if kind == "bare":
+            pieces.append(data.draw(st.sampled_from(("lowest", "3", "n", "x y"))))
+        elif kind == "empty":
+            pieces.append("")
+        else:
+            key = data.draw(st.sampled_from(keys) if kind == "declared" else st.text("abz_=", max_size=4))
+            pieces.append(f"{key}={data.draw(PARAM_VALUES)}")
+    return ",".join(pieces)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(verify.SUITES)), st.booleans(), st.data())
+def test_fuzzed_verify_params_run_or_exit_2(suite, seeded, data):
+    def one_instance(params, rec):
+        rec.check(True, "stand-in", "params resolved")
+
+    argv = ["verify", "--suite", suite, f"--params={params_string(data, suite)}"]
+    if seeded:
+        argv += ["--seed", "7"]
+    out, err = io.StringIO(), io.StringIO()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setitem(verify.SUITES, suite, verify.SUITES[suite]._replace(run=one_instance))
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run_command(argv)
+    assert "Traceback" not in out.getvalue() + err.getvalue()
+    if code == 0:
+        assert err.getvalue() == "" and out.getvalue().endswith("result: pass\n")
     else:
         assert code == 2 and out.getvalue() == ""
         assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1

@@ -11,6 +11,7 @@ variable late, from a later loop iteration, shows up as a changed line.
 import pytest
 
 from rankdual import GroundSet, run_suite, structures, table_from_values, verify
+from rankdual.cli import run_command
 
 
 def _plus_one(fn):
@@ -583,3 +584,26 @@ EXPECTED = {
 def test_failing_report(monkeypatch, name):
     _patch(monkeypatch, _scenarios()[name][1])
     assert failing_reports(name) == EXPECTED[name]
+
+
+@pytest.mark.parametrize("max_failures, code", [("0", 2), ("-1", 2), ("1", 1)])
+def test_a_failing_suite_keeps_at_least_one_failure(monkeypatch, capsys, max_failures, code):
+    # with no failure kept, a failing suite would report "result: pass"
+    _patch(monkeypatch, _scenarios()["dual_greedoid_axioms"][1])
+    argv = ["verify", "--suite", "dual_greedoid_axioms", "--params", f"n=2,max_failures={max_failures}"]
+    assert run_command(argv) == code
+    out, err = capsys.readouterr()
+    if code == 2:
+        assert out == ""
+        assert err == f"error: max_failures = {max_failures} out of range (1 or more)\n"
+    else:
+        assert "\nfailures: 1\n" in out and out.endswith("result: fail\n")
+
+
+@pytest.mark.parametrize("fail_fast", [0, "0", False])
+def test_fail_fast_zero_checks_every_instance(monkeypatch, fail_fast):
+    _patch(monkeypatch, _scenarios()["dual_greedoid_axioms"][1])
+    full = run_suite("dual_greedoid_axioms", {"n": 2})
+    result = run_suite("dual_greedoid_axioms", {"n": 2, "fail_fast": fail_fast})
+    assert len(full.failures) > 1
+    assert (result.instances_checked, result.failures) == (full.instances_checked, full.failures)

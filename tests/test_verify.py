@@ -20,7 +20,7 @@ from rankdual import (
     run_suite,
     validate,
 )
-from rankdual.verify import SUITE_PARAMS, SUITES, _Recorder, _rooted_tree_shapes
+from rankdual.verify import RANDOMIZED_SUITES, SUITES, _Recorder, _rooted_tree_shapes
 
 
 # --- enumeration ----------------------------------------------------------------
@@ -185,8 +185,13 @@ def test_unknown_suite():
 
 
 def test_randomized_suite_requires_seed():
-    with pytest.raises(RankFunctionError, match="seed"):
-        run_suite("involution", {"count": 5})
+    assert RANDOMIZED_SUITES == {
+        "involution", "exchange", "contract_formula", "direct_sum_dual", "recursion_oracle",
+        "duality_swap", "polynomiality", "nullity_monotone", "demimatroid_characterization",
+    }
+    for name in sorted(RANDOMIZED_SUITES):
+        with pytest.raises(RankFunctionError, match="requires a seed"):
+            run_suite(name, {"count": 5})
 
 
 def test_suite_results_are_deterministic():
@@ -224,18 +229,32 @@ SMALL_PARAMS = {
 }
 
 
-# sha256 of run_suite(name, {"seed": 1}).to_report(), recorded before the
-# suites' constructions became bit-set passes; the reports must not change
+# sha256 of run_suite(name, {"seed": 1}).to_report() for every suite; the
+# instance counts depend on every default param, so these pin the defaults
 GOLDEN_REPORTS = {
-    "root_adjacency": "c1f5d7b6fc4bd07d984c0fb54552ae363ed6636803f2d9efb79d7ed6f572ae86",
+    "branching_goldens": "db3cd72dc121caf21161040fa4d322969474bf94710fccffba93371ac94f4044",
     "closure_dual_rank": "0d5d7a3c8667179c3ffea9c562101c4e9d17dce9188892d0429c8ec55015ea45",
+    "contract_feasibility": "bebcc677b7f39b4a9328c6704f9acebb92c087e7913c5b7a413fa0d527c568c4",
+    "contract_formula": "5ad29bde954bbe39bedb9669741fc84ac900d18d955cb7122b3da88186fb28ef",
     "convex_zero_dual": "8dbdec44c542181602781639fbf684362569e4cec5c6f7f1f4b763663d9678c2",
-    "greedoid_intersection": "f905a5ce2c862266334def49bde3be93c7e0cd278b3d3bcfb6b7143760b50b5a",
+    "demimatroid_characterization": "fff19ca1f9d95d63e5c87c038e879517a2146ed071aa939165cbdbd29c8b951a",
+    "direct_sum_dual": "cc72c2c6ff96b75b695cd8b24395aad346eabe930282624d97421608a1666b85",
+    "dual_greedoid_axioms": "b729899c56c71c037b47c6060b1593af1ee0404ea8cea65ba279314acbf5ed35",
+    "duality_swap": "e955830740a719da5130f9c77a83cceaa0313240ebd46adeba30eabb6187290e",
+    "exchange": "15a21ecd29951a3fbbb00834a9442b214f5da3bf8eb93bcd98635c7a95f86e31",
     "full_dual_nonpositive": "130f820ed9604e0224a1eaa037e8a8808e7a34e7cf373686fe2dc1b6e433eb04",
+    "greedoid_intersection": "f905a5ce2c862266334def49bde3be93c7e0cd278b3d3bcfb6b7143760b50b5a",
+    "involution": "ad70cd80a5cbc186760117e75e339e616c4def7b6fac3fa85cde62ebd40ca497",
+    "minor_agreement": "db05a3ec06a4fbeed6f214b32fafbf537803a7139c47d1507ee9e15c7bda0a02",
+    "nullity_monotone": "468109becf30f72f126a1715b2bda62e44deacf3cceb0a9bb8547735131a934a",
+    "polynomiality": "22f3a1d1805e7d9095fc5bc3ac132070d2321cd9811d5d6b8f70791db4e7000c",
+    "pruning_goldens": "e45febe6d286c6399437facb43196aa56781931b3e8a2352c530b373c1bcd5a4",
+    "recursion_oracle": "376fe97cfaa9a3eeae77617cc02acd628c51cf8719d6da02f712c940eeb0463c",
+    "root_adjacency": "c1f5d7b6fc4bd07d984c0fb54552ae363ed6636803f2d9efb79d7ed6f572ae86",
 }
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN_REPORTS))
+@pytest.mark.parametrize("name", sorted(SUITES))
 def test_default_report_is_unchanged(name):
     report = run_suite(name, {"seed": 1}).to_report()
     assert hashlib.sha256(report.encode()).hexdigest() == GOLDEN_REPORTS[name], report
@@ -249,7 +268,7 @@ def test_all_suites_pass_at_small_scale():
         assert result.instances_checked > 0
 
 
-def test_suites_read_exactly_their_declared_params():
+def test_suites_read_exactly_their_declared_params(monkeypatch):
     class Reads(dict):
         def get(self, key, default=None):
             seen.add(key)
@@ -263,10 +282,16 @@ def test_suites_read_exactly_their_declared_params():
             seen.add(key)
             return super().__contains__(key)
 
-    for name, run in SUITES.items():
-        seen = set()
-        run(Reads({**SMALL_PARAMS[name], "seed": 3}), _Recorder())
-        assert seen == set(SUITE_PARAMS[name]), name
+    def reading(params, rec):
+        handed.update(params)
+        suite.run(Reads(params), rec)
+
+    for name, suite in SUITES.items():
+        seen, handed = set(), {}
+        monkeypatch.setitem(SUITES, name, suite._replace(run=reading))
+        run_suite(name, {**SMALL_PARAMS[name], "seed": 3})
+        # run_suite hands the suite exactly its declared params, and it reads each
+        assert set(handed) == seen == set(suite.params), name
 
 
 def test_parallel_intersection_matches_sequential():
@@ -308,12 +333,12 @@ def test_intersection_pool_is_clamped_to_cpus_and_tasks(monkeypatch, cpus):
 
 
 def test_recorder_fail_fast_and_cap():
-    rec = _Recorder(fail_fast=True)
+    rec = _Recorder(fail_fast=True, max_failures=100)
     assert rec.check(True, "x", "ok")
     assert not rec.check(False, "x", "bad")
     assert rec.aborted and len(rec.failures) == 1
 
-    rec = _Recorder(max_failures=2)
+    rec = _Recorder(fail_fast=False, max_failures=2)
     for i in range(5):
         rec.check(False, f"i{i}", "bad")
     assert rec.instances == 5 and len(rec.failures) == 2
