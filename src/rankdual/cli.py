@@ -50,25 +50,20 @@ def _labels_arg(raw: str) -> tuple:
 
 def _params_arg(raw: str) -> dict:
     """key=value pieces separated by commas; a piece without "=" continues
-    the previous value, so ``strategies=lowest,highest`` is one entry."""
-    raw_values = {}
+    the previous value, so ``strategies=lowest,highest`` is one entry. Values
+    stay strings: ``run_suite`` converts each to its declared type."""
+    params = {}
     key = None
     for piece in raw.split(","):
         if not piece:
             continue
         if "=" in piece:
             key, value = piece.split("=", 1)
-            raw_values[key] = value
+            params[key] = value
         elif key is None:
             raise DocumentError(f"bad --params entry {piece!r}; expected key=value")
         else:
-            raw_values[key] += "," + piece
-    params = {}
-    for key, value in raw_values.items():
-        try:
-            params[key] = int(value)
-        except ValueError:
-            params[key] = value
+            params[key] += "," + piece
     return params
 
 

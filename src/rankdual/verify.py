@@ -13,6 +13,7 @@ import itertools
 import os
 import random
 import time
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import eq, gt
@@ -489,28 +490,34 @@ class SuiteResult:
         return "\n".join(lines)
 
 
+class _Abort(Exception):
+    """Stops a fail-fast suite at its first failure; run_suite catches it."""
+
+
 class _Recorder:
     def __init__(self, fail_fast: bool, max_failures: int):
         self.instances = 0
         self.failures = []
         self.fail_fast = fail_fast
         self.max_failures = max_failures
-        self.aborted = False
 
-    def check(self, ok: bool, instance, assertion: str, witness="") -> bool:
-        """Record a check; returns False when the suite should abort.
+    def check(self, ok: bool, instance, assertion: str, witness="") -> None:
+        """Count one instance, and record a failure unless ``ok``.
 
         ``instance`` and ``witness`` are strings or zero-argument callables
         returning one; a callable is called only when a failure is recorded,
         so passing checks never format their descriptions."""
         self.instances += 1
         if not ok:
-            if len(self.failures) < self.max_failures:
-                self.failures.append((_text(instance), assertion, _text(witness)))
-            if self.fail_fast:
-                self.aborted = True
-                return False
-        return True
+            self.fail(instance, assertion, witness)
+
+    def fail(self, instance, assertion: str, witness="") -> None:
+        """Record a failure, keeping the first ``max_failures``; under
+        fail-fast, stop the suite."""
+        if len(self.failures) < self.max_failures:
+            self.failures.append((_text(instance), assertion, _text(witness)))
+        if self.fail_fast:
+            raise _Abort
 
 
 def _text(description) -> str:
@@ -601,10 +608,9 @@ def _suite(shared: dict | None = None, /, **params: Param):
 @_suite(_CORPUS)
 def _suite_involution(params, rec: _Recorder):
     for i, g in enumerate(_corpus(params)):
-        if not rec.check(
+        rec.check(
             dual(dual(g)) == g, _desc(i, g), "dual(dual(g)) == g", lambda: str(dual(dual(g)).values)
-        ):
-            return
+        )
 
 
 @_suite(_CORPUS)
@@ -613,11 +619,9 @@ def _suite_exchange(params, rec: _Recorder):
         gd = dual(g)
         for p in g.ground.labels:
             ok1 = dual(delete(g, p)) == contract(gd, p)
-            if not rec.check(ok1, _desc(i, g), f"dual(delete(g,{p})) == contract(dual(g),{p})"):
-                return
+            rec.check(ok1, _desc(i, g), f"dual(delete(g,{p})) == contract(dual(g),{p})")
             ok2 = dual(contract(g, p)) == delete(gd, p)
-            if not rec.check(ok2, _desc(i, g), f"dual(contract(g,{p})) == delete(dual(g),{p})"):
-                return
+            rec.check(ok2, _desc(i, g), f"dual(contract(g,{p})) == delete(dual(g),{p})")
 
 
 @_suite(_CORPUS)
@@ -634,8 +638,7 @@ def _suite_contract_formula(params, rec: _Recorder):
                 g.values[m | bit] - rp for m in range(g.ground.size) if not m & bit
             )
             ok = got.values == expected and via_dual.values == expected
-            if not rec.check(ok, _desc(i, g), f"contract formula at {p}", lambda: str(got.values)):
-                return
+            rec.check(ok, _desc(i, g), f"contract formula at {p}", lambda: str(got.values))
 
 
 # max_n stops at 8: the second summand takes its labels from "pqrstuvw"
@@ -654,10 +657,7 @@ def _suite_direct_sum_dual(params, rec: _Recorder):
             [0] + [rng.randint(lo, hi) for _ in range((1 << n2) - 1)],
         )
         ok = dual(direct_sum(g1, g2)) == direct_sum(dual(g1), dual(g2))
-        if not rec.check(
-            ok, lambda: f"pair[{i}] n1={n1} n2={n2}", "dual(g1 + g2) == dual(g1) + dual(g2)"
-        ):
-            return
+        rec.check(ok, lambda: f"pair[{i}] n1={n1} n2={n2}", "dual(g1 + g2) == dual(g1) + dual(g2)")
 
 
 @_suite(_CORPUS, strategies=Param("lowest,highest"))
@@ -667,16 +667,14 @@ def _suite_recursion_oracle(params, rec: _Recorder):
         reference = tutte_subset(g)
         for strategy in strategies:
             ok = tutte_recursive(g, strategy) == reference
-            if not rec.check(ok, _desc(i, g), f"recursion({strategy}) == subset expansion"):
-                return
+            rec.check(ok, _desc(i, g), f"recursion({strategy}) == subset expansion")
 
 
 @_suite(_CORPUS)
 def _suite_duality_swap(params, rec: _Recorder):
     for i, g in enumerate(_corpus(params)):
         ok = tutte_subset(dual(g)) == swap_vars(tutte_subset(g))
-        if not rec.check(ok, _desc(i, g), "poly(dual) == swap_vars(poly)"):
-            return
+        rec.check(ok, _desc(i, g), "poly(dual) == swap_vars(poly)")
 
 
 @_suite(_CORPUS)
@@ -687,13 +685,12 @@ def _suite_polynomiality(params, rec: _Recorder):
         report = validate(g)
         mins = tutte_subset(g).min_exponents()
         ok = (min(mins) >= 0) == (report.rank_s_maximum and report.subcardinal)
-        if not rec.check(
+        rec.check(
             ok,
             _desc(i, g),
             "nonnegative exponents iff rank-S-maximum and subcardinal",
             lambda: str(mins),
-        ):
-            return
+        )
 
 
 @_suite(n=_exhaustive_n(3))
@@ -711,23 +708,21 @@ def _suite_contract_feasibility(params, rec: _Recorder):
             singleton_feasible = bit in feasible
             rank_contract = contract(g, label)
             is_greedoid = check_greedoid(rank_contract).passed
-            if not rec.check(
+            rec.check(
                 is_greedoid == singleton_feasible,
                 lambda: f"greedoid[{idx}] values={g.values} p={label}",
                 "contraction is a greedoid iff the singleton is feasible",
-            ):
-                return
+            )
             raised = False
             try:
                 greedoid_minor_feasible(g, label, "contract")
             except ContractionError:
                 raised = True
-            if not rec.check(
+            rec.check(
                 raised == (not singleton_feasible),
                 lambda: f"greedoid[{idx}] values={g.values} p={label}",
                 "feasible-set contraction rejects exactly the infeasible covered case",
-            ):
-                return
+            )
 
 
 @_suite(n=_exhaustive_n(3))
@@ -742,21 +737,19 @@ def _suite_minor_agreement(params, rec: _Recorder):
             bit = 1 << pos
             fam = greedoid_minor_feasible(g, label, "delete")
             ok = fam.induced_rank_table() == delete(g, label)
-            if not rec.check(
+            rec.check(
                 ok,
                 lambda: f"greedoid[{idx}] values={g.values} p={label}",
                 "feasible-set deletion matches rank deletion",
-            ):
-                return
+            )
             if bit in feasible or not covered & bit:
                 fam = greedoid_minor_feasible(g, label, "contract")
                 ok = fam.induced_rank_table() == contract(g, label)
-                if not rec.check(
+                rec.check(
                     ok,
                     lambda: f"greedoid[{idx}] values={g.values} p={label}",
                     "feasible-set contraction matches rank contraction",
-                ):
-                    return
+                )
 
 
 @_suite(n=_exhaustive_n(4))
@@ -764,13 +757,12 @@ def _suite_dual_greedoid_axioms(params, rec: _Recorder):
     tables = (g for n in range(params["n"] + 1) for g in enumerate_tables(EnumSpec(n, "greedoid")))
     for idx, g in enumerate(tables):
         report = check_dual_greedoid(dual(g))
-        if not rec.check(
+        rec.check(
             report.passed,
             lambda: f"greedoid[{idx}] n={g.n} values={g.values}",
             "dual of a greedoid passes the starred axioms",
             lambda: "; ".join(line for line in report.lines() if "fail" in line),
-        ):
-            return
+        )
 
 
 def _intersection_task(args):
@@ -824,11 +816,7 @@ def _suite_greedoid_intersection(params, rec: _Recorder):
         for count, failures in results:
             rec.instances += count
             for failure in failures:
-                if len(rec.failures) < rec.max_failures:
-                    rec.failures.append(failure)
-                if rec.fail_fast:
-                    rec.aborted = True
-                    return
+                rec.fail(*failure)
 
 
 def _root_adjacent(vertex_count: int, edge_pairs) -> list:
@@ -844,22 +832,21 @@ def _root_adjacent(vertex_count: int, edge_pairs) -> list:
 @_suite(max_edges=Param(6, 0, MAX_CENSUS_EDGES))
 def _suite_root_adjacency(params, rec: _Recorder):
     max_edges = params["max_edges"]
-    sample_stride = 97  # cross-check every k-th instance against the public op
-    instance = 0
+    # cross-check every k-th instance against the public ops; the instance
+    # being checked is number rec.instances + 1
+    sample_stride = 97
 
     def check_instance(vertex_count, edge_pairs, root, values, root_adjacent, graph_desc):
         # graph_desc: a callable describing the graph, called only on failure
-        nonlocal instance
-        instance += 1
         min_dual = min(_dual_values(values, len(edge_pairs)))
         ok = (min_dual >= 0) == root_adjacent
-        if instance % sample_stride == 0:
+        if (rec.instances + 1) % sample_stride == 0:
             rg = RootedGraph(
                 tuple(f"v{i}" for i in range(vertex_count)), f"v{root}", _labelled(edge_pairs)
             )
             ok = ok and branching_greedoid(rg).values == tuple(values)
             ok = ok and root_adjacency_test(rg) == root_adjacent
-        return rec.check(
+        rec.check(
             ok,
             lambda: f"{graph_desc()} root=v{root}",
             "dual rank nonnegative iff every vertex is root-adjacent",
@@ -873,18 +860,14 @@ def _suite_root_adjacency(params, rec: _Recorder):
             pairs = tuple((index[u], index[v]) for _, u, v in rg.edges)
             values = branching_greedoid(rg).values
             adjacent = _root_adjacent(len(rg.vertices), pairs)[0]
-            if not check_instance(
-                len(rg.vertices), pairs, 0, values, adjacent, lambda: f"tree{shape}"
-            ):
-                return
+            check_instance(len(rg.vertices), pairs, 0, values, adjacent, lambda: f"tree{shape}")
     for v, combo in _cyclic_connected_graphs(max_edges):
         rows = branching_rows(len(combo), v, combo)
         adjacent = _root_adjacent(v, combo)
         for root in range(v):
-            if not check_instance(
+            check_instance(
                 v, combo, root, rows[root], adjacent[root], lambda: f"cyclic v={v} edges={combo}"
-            ):
-                return
+            )
 
 
 @_suite(n=_exhaustive_n(4))
@@ -894,13 +877,12 @@ def _suite_full_dual_nonpositive(params, rec: _Recorder):
         if g.full_rank != g.n:
             continue
         dv = _dual_values(g.values, g.n)
-        if not rec.check(
+        rec.check(
             max(dv) <= 0,
             lambda: f"full-greedoid[{idx}] n={g.n} values={g.values}",
             "dual rank of a full greedoid is nonpositive everywhere",
             lambda: f"max={max(dv)}",
-        ):
-            return
+        )
 
 
 _CLOSURE = {"n": _exhaustive_n(4), "max_tree_edges": Param(8, 0, MAX_TREE_EDGES)}
@@ -926,13 +908,12 @@ def _suite_closure_dual_rank(params, rec: _Recorder):
         dv = _dual_values(g.values, g.n)
         for mask in range(g.ground.size):
             gap = (closures[mask] & ~mask).bit_count()
-            if not rec.check(
+            rec.check(
                 dv[mask] == -gap,
                 desc,
                 "dual rank equals minus the closure gap",
                 lambda: f"A={SubsetRef(g.ground, mask)} dual={dv[mask]} gap={gap}",
-            ):
-                return
+            )
     # spot value on the bundled ten-edge tree
     g = pruning_antimatroid(demo_pruning_tree())
     a = g.ground.subset(("a", "d", "f"))
@@ -952,13 +933,12 @@ def _suite_convex_zero_dual(params, rec: _Recorder):
         full = g.ground.full_mask
         for mask in range(g.ground.size):
             convex = g.values[full ^ mask] == (full ^ mask).bit_count()
-            if not rec.check(
+            rec.check(
                 convex == (dv[mask] == 0),
                 desc,
                 "convex iff dual rank zero",
                 lambda: f"C={SubsetRef(g.ground, mask)} convex={convex} dual={dv[mask]}",
-            ):
-                return
+            )
 
 
 _MONOTONE = {**_SAMPLE, "n": _exhaustive_n(3)}
@@ -986,13 +966,12 @@ def _suite_nullity_monotone(params, rec: _Recorder):
             g.values[b] - g.values[a] <= (b & ~a).bit_count()
             for a, b in _nested_pairs(g.n)
         )
-        if not rec.check(
+        rec.check(
             unit == nullity == stretch,
             desc,
             "unit rank increase iff monotone nullity (iff bounded stretch)",
             lambda: f"unit={unit} nullity={nullity} stretch={stretch}",
-        ):
-            return
+        )
 
 
 @lru_cache(maxsize=None)
@@ -1006,13 +985,12 @@ def _suite_demimatroid_characterization(params, rec: _Recorder):
     for desc, g in _monotone_corpus(params):
         lhs = check_demimatroid_characterization(g).passed
         rhs = check_demimatroid_triple(DemiTriple(g, dual(g))).passed
-        if not rec.check(
+        rec.check(
             lhs == rhs,
             desc,
             "characterization passes iff (S, r, r*) is a demi triple",
             lambda: f"characterization={lhs} triple={rhs}",
-        ):
-            return
+        )
 
 
 @_suite()
@@ -1020,91 +998,70 @@ def _suite_branching_goldens(params, rec: _Recorder):
     g = branching_greedoid(demo_rooted_tree())
     sub = g.ground.subset
 
-    if not rec.check(
+    rec.check(
         g.values == (0, 1, 0, 2, 1, 2, 1, 3),
         "demo rooted tree",
         "branching ranks",
         lambda: str(g.values),
-    ):
-        return
+    )
     gd = dual(g)
-    if not rec.check(
+    rec.check(
         gd.values == (0, -1, 0, 0, 0, -1, 0, 0),
         "demo rooted tree",
         "dual ranks",
         lambda: str(gd.values),
-    ):
-        return
-    if not rec.check(gd.rank(sub("ac")) == -1, "demo rooted tree", "dual rank of {a,c} is -1"):
-        return
-    if not rec.check(dual(gd) == g, "demo rooted tree", "dual is an involution"):
-        return
+    )
+    rec.check(gd.rank(sub("ac")) == -1, "demo rooted tree", "dual rank of {a,c} is -1")
+    rec.check(dual(gd) == g, "demo rooted tree", "dual is an involution")
 
-    if not rec.check(
+    rec.check(
         delete(g, "a").values == (0, 0, 1, 1),
         "demo rooted tree",
         "deletion ranks",
         lambda: str(delete(g, "a").values),
-    ):
-        return
-    if not rec.check(
+    )
+    rec.check(
         contract(g, "a").values == (0, 1, 1, 2),
         "demo rooted tree",
         "contraction ranks",
         lambda: str(contract(g, "a").values),
-    ):
-        return
+    )
 
     f = tutte_subset(g)
-    if not rec.check(
+    rec.check(
         str(f) == "t^3*z + t^3 + t^2*z + 2*t^2 + 2*t + 1",
         "demo rooted tree",
         "canonical polynomial string",
         lambda: str(f),
-    ):
-        return
-    if not rec.check(
-        tutte_recursive(g, "lowest") == f,
-        "demo rooted tree",
-        "recursion (lowest pivot)",
-    ):
-        return
-    if not rec.check(
-        tutte_recursive(g, "highest") == f,
-        "demo rooted tree",
-        "recursion (highest pivot)",
-    ):
-        return
-    if not rec.check(
+    )
+    rec.check(tutte_recursive(g, "lowest") == f, "demo rooted tree", "recursion (lowest pivot)")
+    rec.check(tutte_recursive(g, "highest") == f, "demo rooted tree", "recursion (highest pivot)")
+    rec.check(
         tutte_subset(gd) == swap_vars(f),
         "demo rooted tree",
         "dual polynomial is the variable swap",
-    ):
-        return
+    )
 
     f_del_a = tutte_subset(delete(g, "a"))
     f_con_a = tutte_subset(contract(g, "a"))
-    if not rec.check(
+    rec.check(
         f == f_del_a.shift(2, 0) + f_con_a,
         "demo rooted tree",
         "pivot identity at a: f = t^2 f(G-a) + f(G/a)",
-    ):
-        return
+    )
     f_del_b = tutte_subset(delete(g, "b"))
     f_con_b = tutte_subset(contract(g, "b"))
-    if not rec.check(
+    rec.check(
         f == f_del_b.shift(1, 0) + f_con_b.shift(0, 1),
         "demo rooted tree",
         "pivot identity at b: f = t f(G-b) + z f(G/b)",
-    ):
-        return
-    if not rec.check(
+    )
+    rec.check(
         str(f_con_b) == "t^3 + t^2 + t*z^-1 + z^-1",
         "demo rooted tree",
         "contraction polynomial at b",
         lambda: str(f_con_b),
-    ):
-        return
+    )
 
 
 @_suite()
@@ -1115,60 +1072,48 @@ def _suite_pruning_goldens(params, rec: _Recorder):
     sub = g.ground.subset
     full = g.ground.full_mask
 
-    if not rec.check(g.full_rank == 10, "demo pruning tree", "full antimatroid"):
-        return
+    rec.check(g.full_rank == 10, "demo pruning tree", "full antimatroid")
     adef = sub(("a", "d", "e", "f"))
-    if not rec.check(
+    rec.check(
         g.rank(adef) == 4,
         "demo pruning tree",
         "rank of the prunable set {a,d,e,f}",
         lambda: str(g.rank(adef)),
-    ):
-        return
+    )
     dv = _dual_values(g.values, g.n)
-    if not rec.check(
-        dv[full ^ adef.bits] == 0,
-        "demo pruning tree",
-        "dual rank of its complement is 0",
-    ):
-        return
+    rec.check(dv[full ^ adef.bits] == 0, "demo pruning tree", "dual rank of its complement is 0")
 
     beh = sub(("b", "e", "h"))
-    if not rec.check(
+    rec.check(
         g.rank(beh) == 2,
         "demo pruning tree",
         "rank of {b,e,h} is 2",
         lambda: str(g.rank(beh)),
-    ):
-        return
-    if not rec.check(
+    )
+    rec.check(
         convex_closure(g, beh) == sub(("b", "c", "d", "e", "h")),
         "demo pruning tree",
         "closure of {b,e,h}",
         lambda: str(convex_closure(g, beh)),
-    ):
-        return
+    )
     adf = sub(("a", "d", "f"))
-    if not rec.check(
+    rec.check(
         convex_closure(g, adf) == sub(("a", "b", "c", "d", "f", "g")),
         "demo pruning tree",
         "closure of {a,d,f}",
         lambda: str(convex_closure(g, adf)),
-    ):
-        return
-    if not rec.check(
+    )
+    rec.check(
         g.rank(adf.complement()) == 4,
         "demo pruning tree",
         "rank of the complement of {a,d,f}",
-    ):
-        return
-    if not rec.check(
+    )
+    rec.check(
         dv[adf.bits] == -3,
         "demo pruning tree",
         "dual rank of {a,d,f} is -3",
         lambda: str(dv[adf.bits]),
-    ):
-        return
+    )
 
 
 #: Suites that declare a seed (it has no default); they refuse to run without one.
@@ -1186,14 +1131,14 @@ def run_suite(name: str, params: dict | None = None) -> SuiteResult:
         raise RankFunctionError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
     params = dict(params or {})
     suite = SUITES[name]
-    declared = suite.params | _RUN_PARAMS
-    # the CLI passes --seed to any suite; one that declares no seed ignores it
-    accepted = {"seed", *declared}
-    unknown = sorted(map(str, params.keys() - accepted))
+    # the CLI passes --seed to any suite; for one that declares none, the
+    # seed is checked as an integer and not handed on
+    declared = {"seed": Param(0)} | suite.params | _RUN_PARAMS
+    unknown = sorted(map(str, params.keys() - declared.keys()))
     if unknown:
         raise RankFunctionError(
             f"unknown params for suite {name!r}: {', '.join(unknown)}; "
-            f"accepted: {', '.join(sorted(accepted))}"
+            f"accepted: {', '.join(sorted(declared))}"
         )
     values = {}
     for key, param in declared.items():
@@ -1207,7 +1152,8 @@ def run_suite(name: str, params: dict | None = None) -> SuiteResult:
         raise RankFunctionError(f"lo = {values['lo']} exceeds hi = {values['hi']}")
     rec = _Recorder(fail_fast=bool(values["fail_fast"]), max_failures=values["max_failures"])
     start = time.perf_counter()
-    suite.run({key: values[key] for key in suite.params}, rec)
+    with suppress(_Abort):
+        suite.run({key: values[key] for key in suite.params}, rec)
     elapsed = time.perf_counter() - start
     if not rec.instances:
         raise RankFunctionError(f"suite {name!r} checked no instances with these params")

@@ -273,6 +273,20 @@ def test_verify_params_value_may_hold_commas(capsys):
     assert "instances: 6\n" in out and out.endswith("result: pass\n")
 
 
+def test_verify_report_echoes_params_as_given(capsys):
+    # run_suite converts each value, so the CLI report is the library's
+    code, out, _ = run(capsys, "verify", "--suite", "duality_swap", "--seed", "1", "--params", "count=007")
+    assert code == 0 and "params: count=007 seed=1\n" in out
+    assert out == verify.run_suite("duality_swap", {"seed": 1, "count": "007"}).to_report() + "\n"
+
+
+def test_verify_checks_a_seed_the_suite_ignores(capsys):
+    code, out, err = run(capsys, "verify", "--suite", "branching_goldens", "--params", "seed=abc")
+    assert (code, out, err) == (2, "", "error: seed must be an integer, got 'abc'\n")
+    code, out, err = run(capsys, "verify", "--suite", "branching_goldens", "--seed", "5")
+    assert code == 0 and err == "" and "params: seed=5\n" in out
+
+
 @pytest.mark.parametrize("raw", ["highest,count=3", "highest"])
 def test_verify_params_reject_a_leading_bare_piece(capsys, raw):
     code, out, err = run(capsys, "verify", "--suite", "recursion_oracle", "--seed", "1", "--params", raw)

@@ -8,6 +8,8 @@ reports below pin the exact failure lines, instance counts and the
 variable late, from a later loop iteration, shows up as a changed line.
 """
 
+import os
+
 import pytest
 
 from rankdual import GroundSet, run_suite, structures, table_from_values, verify
@@ -580,10 +582,47 @@ EXPECTED = {
 }
 
 
+def test_every_suite_has_a_failing_scenario():
+    assert set(_scenarios()) == set(EXPECTED) == set(verify.SUITES)
+
+
 @pytest.mark.parametrize("name", sorted(_scenarios()))
 def test_failing_report(monkeypatch, name):
     _patch(monkeypatch, _scenarios()[name][1])
     assert failing_reports(name) == EXPECTED[name]
+
+
+def test_a_failing_pooled_intersection_run_reports_as_the_serial_run(monkeypatch, recording_pool):
+    # n = 3 is the smallest size split into pool tasks; the scenario fails
+    # from n = 0 on, so those tasks return failures too
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    _patch(monkeypatch, _scenarios()["greedoid_intersection"][1])
+    params = {"n": 3, "workers": 2}
+    capped = run_suite("greedoid_intersection", {**params, "max_failures": 3})
+    assert recording_pool == [(2, 9)]
+    serial = run_suite("greedoid_intersection", {"n": 3, "max_failures": 3})
+    assert capped.instances_checked == serial.instances_checked
+    fast = run_suite("greedoid_intersection", {**params, "fail_fast": True})
+    # past the params line, the reports of the pinned serial n = 2 run, but
+    # for the instances of the capped run, which also counts n = 3
+    capped_pinned, fast_pinned = EXPECTED["greedoid_intersection"]
+    assert capped.to_report().split("\n")[3:] == list(capped_pinned[3:])
+    assert fast.to_report().split("\n")[2:] == list(fast_pinned[2:])
+
+
+def test_failures_of_pool_tasks_are_kept_in_serial_order(monkeypatch, recording_pool):
+    # only the n = 3 tables fail, so every failure comes from a pool task
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    dual_values = verify._dual_values
+    monkeypatch.setattr(
+        verify, "_dual_values", lambda v, n: [1] * len(v) if n == 3 else dual_values(v, n)
+    )
+    for extra in ({"max_failures": 3}, {"fail_fast": True}):
+        serial = run_suite("greedoid_intersection", {"n": 3, **extra})
+        pooled = run_suite("greedoid_intersection", {"n": 3, "workers": 2, **extra})
+        assert pooled.failures == serial.failures
+        assert pooled.failures[0][0] == "n=3 values=(0, 0, 0, 0, 0, 0, 0, 0)"
+    assert recording_pool == [(2, 9), (2, 9)]
 
 
 @pytest.mark.parametrize("max_failures, code", [("0", 2), ("-1", 2), ("1", 1)])

@@ -20,7 +20,7 @@ from rankdual import (
     run_suite,
     validate,
 )
-from rankdual.verify import RANDOMIZED_SUITES, SUITES, _Recorder, _rooted_tree_shapes
+from rankdual.verify import RANDOMIZED_SUITES, SUITES, Suite, _Recorder, _rooted_tree_shapes
 
 
 # --- enumeration ----------------------------------------------------------------
@@ -301,47 +301,32 @@ def test_parallel_intersection_matches_sequential():
 
 
 @pytest.mark.parametrize("cpus", [2, 10**6])
-def test_intersection_pool_is_clamped_to_cpus_and_tasks(monkeypatch, cpus):
-    # a stand-in pool records its size and runs the tasks in this process
-    import concurrent.futures
-
-    calls = []
-
-    class RecordingPool:
-        def __init__(self, max_workers):
-            self.max_workers = max_workers
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks):
-            tasks = list(tasks)
-            calls.append((self.max_workers, len(tasks)))
-            return map(fn, tasks)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+def test_intersection_pool_is_clamped_to_cpus_and_tasks(monkeypatch, recording_pool, cpus):
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     result = run_suite("greedoid_intersection", {"n": 3, "workers": 10**9})
-    [(pool_size, task_count)] = calls
+    [(pool_size, task_count)] = recording_pool
     assert task_count > 2
     assert pool_size == min(cpus, task_count)
     assert result.passed
     assert result.instances_checked == run_suite("greedoid_intersection", {"n": 3}).instances_checked
 
 
-def test_recorder_fail_fast_and_cap():
-    rec = _Recorder(fail_fast=True, max_failures=100)
-    assert rec.check(True, "x", "ok")
-    assert not rec.check(False, "x", "bad")
-    assert rec.aborted and len(rec.failures) == 1
-
+def test_recorder_fail_fast_and_cap(monkeypatch):
     rec = _Recorder(fail_fast=False, max_failures=2)
     for i in range(5):
         rec.check(False, f"i{i}", "bad")
     assert rec.instances == 5 and len(rec.failures) == 2
+
+    def stub(params, rec):
+        for i, ok in enumerate([True, True, False, True, False]):
+            rec.check(ok, f"i{i}", "bad")
+
+    monkeypatch.setitem(SUITES, "stub", Suite(stub, {}))
+    assert run_suite("stub").instances_checked == 5
+    # fail-fast counts the instances through the first failure and no further
+    result = run_suite("stub", {"fail_fast": True})
+    assert result.instances_checked == 3
+    assert result.failures == [("i2", "bad", "")]
 
 
 def test_suite_report_rendering():
