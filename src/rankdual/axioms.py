@@ -10,6 +10,14 @@ combine these per-element sets with AND and shifts, so no axiom loops over
 subsets in Python. Union-closure is read the same way from the feasible
 sets when the family is accessible.
 
+The same violation sets serve one table and a whole corpus: with tables
+laid end to end as blocks (``core.step_sets``), ``block_failures`` gives
+the tables failing the greedoid, matroid and dual-greedoid checkers in one
+pass, and the verification suites read their verdicts from it. It reads
+the bounds r(A) <= |A| and r(A) <= r(S) with ``core.exceeding``; a
+single table reads them with one ``map`` pass, the quicker way up to at
+least n = 10.
+
 Each failed axiom reports its canonical witness, the first violation in
 (cardinality, mask) order, ties broken by element position: the lowest set
 bit of the violation set within the first nonempty cardinality layer, then
@@ -24,14 +32,17 @@ still gets every other axiom evaluated.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import compress
-from operator import eq, gt, ne, sub
+from operator import eq, gt, ne, or_, sub
 
 from .core import (
     DECREASE,
+    FULL,
     FLAT,
     JUMP,
     MAX_PAIRWISE_N,
+    SIZE,
     UNIT,
     GroundSet,
     GroundSetError,
@@ -39,6 +50,8 @@ from .core import (
     SubsetRef,
     avoid_sets,
     bitset,
+    exceeding,
+    failing_blocks,
     first_by_cardinality,
     first_step,
     first_where,
@@ -167,33 +180,70 @@ def _supercardinal(values, n):
     return map(gt, values, popcounts(n))
 
 
+def _pair_union(n, pair_set):
+    """The union of the bit sets pair_set(p, q) over all p < q."""
+    return reduce(or_, (pair_set(p, q) for p in range(n) for q in range(p + 1, n)), 0)
+
+
 def _first_pair(n, pair_set):
     """First (A, p, q) in (cardinality, mask, p, q) order, p < q, with A in
     the bit set pair_set(p, q). The sets are computed twice rather than
     stored: n**2 / 2 of them would take n**2 * 2**n / 16 bytes."""
-    pairs = [(p, q) for p in range(n) for q in range(p + 1, n)]
-    union = 0
-    for p, q in pairs:
-        union |= pair_set(p, q)
-    mask = first_by_cardinality(n, union)
+    mask = first_by_cardinality(n, _pair_union(n, pair_set))
     if mask is None:
         return None
+    pairs = ((p, q) for p in range(n) for q in range(p + 1, n))
     return (mask,) + next(pair for pair in pairs if pair_set(*pair) >> mask & 1)
 
 
-def _local_semimodular_witness(n, flat):
-    """First (A, p1, p2) with r(A) = r(A|p1) = r(A|p2) but r(A|p1|p2) != r(A),
-    given the flat step sets of every element."""
+def _flat_squares(flat):
+    """Gr3 and R2': pair_set(p1, p2) is the set of A with
+    r(A) = r(A|p1) = r(A|p2) but r(A|p1|p2) != r(A), given the flat step
+    sets of every element."""
     # A|p1 in flat[p2] says r(A|p1|p2) = r(A|p1)
-    return _first_pair(n, lambda p1, p2: flat[p1] & flat[p2] & ~(flat[p2] >> (1 << p1)))
+    return lambda p1, p2: flat[p1] & flat[p2] & ~(flat[p2] >> (1 << p1))
 
 
-def _local_decrease_witness(n, unit):
-    """First (B, p, q) with r(B-p) = r(B-q) = r(B)-1 but r(B-{p,q}) != r(B)-2,
-    given the unit step sets of every element."""
+def _unit_squares(unit):
+    """Gr3*: pair_set(p, q) is the set of B with r(B-p) = r(B-q) = r(B)-1
+    but r(B-{p,q}) != r(B)-2, given the unit step sets of every element."""
     # top[p]: the sets B holding p with r(B) = r(B - p) + 1
     top = [s << (1 << p) for p, s in enumerate(unit)]
-    return _first_pair(n, lambda p, q: top[p] & top[q] & ~(top[q] << (1 << p)))
+    return lambda p, q: top[p] & top[q] & ~(top[q] << (1 << p))
+
+
+def _off_steps(avoid, flat, unit):
+    """R1: entry p is the set of A without p whose step to A | p is neither
+    flat nor a unit increase, given avoid_sets and the flat and unit steps."""
+    return [a & ~(f | u) for a, f, u in zip(avoid, flat, unit)]
+
+
+def block_failures(n, values, blocks):
+    """The sets of blocks failing check_greedoid, check_matroid and
+    check_dual_greedoid, for ``blocks`` tables of 2**n values laid end to end
+    (see ``core.step_sets``), from the helpers that give the checkers their
+    witnesses. Nonnegativity is not read: r(empty) = 0 and no decreasing step
+    imply it. Nor is R2: under R1 a violation of local submodularity is a
+    flat square, and local submodularity implies R2 (Schrijver, Combinatorial
+    Optimization, 2003, Thm 44.1)."""
+    decrease, flat, unit = step_sets(n, values, DECREASE, FLAT, UNIT, blocks=blocks)
+    supercardinal = exceeding(n, values, SIZE, blocks)
+    # no set of a table without decreasing steps lies above the full set
+    above_full = exceeding(n, values, FULL, blocks) if any(decrease) else 0
+    unnormalized = bitset(map(bool, values[:: 1 << n]))
+    off = _off_steps(avoid_sets(n, blocks), flat, unit)
+    # Gr1*: the off-steps that are no decrease
+    jump = [o & ~d for o, d in zip(off, decrease)]
+    flat_squares = _pair_union(n, _flat_squares(flat))
+
+    def failing(*sets):
+        return unnormalized | failing_blocks(n, reduce(or_, sets), blocks)
+
+    return (
+        failing(*decrease, supercardinal, flat_squares),
+        failing(*off, flat_squares),
+        failing(*jump, above_full, _pair_union(n, _unit_squares(unit))),
+    )
 
 
 def _locally_union_closed(n, feasible) -> bool:
@@ -248,6 +298,50 @@ def _first_semimodular_violation(values, n):
 # ---------------------------------------------------------------------------
 
 
+def _record(found, axiom, hit, witness):
+    """Record in found = (verdicts, witnesses) that the axiom holds when hit
+    is None, and otherwise that it fails with the witness witness(hit)."""
+    verdicts, witnesses = found
+    verdicts[axiom] = hit is None
+    if hit is not None:
+        witnesses[axiom] = witness(hit)
+
+
+def _report(system, found, details=None) -> AxiomReport:
+    verdicts, witnesses = found
+    return AxiomReport(system, verdicts, witnesses, all(verdicts.values()), details or {})
+
+
+def _unnormalized(values):
+    """The empty set's mask when r(empty) != 0, else None."""
+    return 0 if values[0] else None
+
+
+# witnesses of a set and its rank, of a step (A, p), of the nested pair
+# A, A | p of a step, of a square (A, p, q), and of two sets
+
+
+def _rank_at(ground, values, keys=("A", "r(A)")):
+    return lambda a: {keys[0]: _subset(ground, a), keys[1]: values[a]}
+
+
+def _step_at(ground, key="A"):
+    return lambda hit: {key: _subset(ground, hit[0]), "p": ground.labels[hit[1]]}
+
+
+def _nested_at(ground):
+    return lambda hit: {"A": _subset(ground, hit[0]), "B": _subset(ground, hit[0] | 1 << hit[1])}
+
+
+def _square_at(ground, keys):
+    labels = ground.labels
+    return lambda hit: dict(zip(keys, (_subset(ground, hit[0]), labels[hit[1]], labels[hit[2]])))
+
+
+def _pair_at(ground, keys):
+    return lambda hit: {keys[0]: _subset(ground, hit[0]), keys[1]: _subset(ground, hit[1])}
+
+
 def check_matroid(g: RankTable) -> AxiomReport:
     """Check R0 (normalization), R1 (unit rank increase, both inequalities),
     R2 (semimodularity over all pairs), and the local variant R2'.
@@ -256,85 +350,38 @@ def check_matroid(g: RankTable) -> AxiomReport:
     the report notes that only R2' was evaluated.
     """
     values, n, ground = g.values, g.n, g.ground
-    verdicts: dict = {}
-    witnesses: dict = {}
-
-    verdicts["R0"] = values[0] == 0
-    if not verdicts["R0"]:
-        witnesses["R0"] = {"A": _subset(ground, 0), "r(A)": values[0]}
-
-    # R1 holds at (A, p) iff the step from A to A | p is flat or a unit increase
+    found = ({}, {})
+    _record(found, "R0", _unnormalized(values), _rank_at(ground, values))
     flat, unit = step_sets(n, values, FLAT, UNIT)
-    hit = first_step(n, [a & ~(f | u) for a, f, u in zip(avoid_sets(n), flat, unit)])
-    verdicts["R1"] = hit is None
-    if hit:
-        witnesses["R1"] = {"A": _subset(ground, hit[0]), "p": ground.labels[hit[1]]}
-
+    _record(found, "R1", first_step(n, _off_steps(avoid_sets(n), flat, unit)), _step_at(ground))
     details: dict = {}
     pairwise = n <= MAX_PAIRWISE_N
     if pairwise:
-        hit = _first_semimodular_violation(values, n)
-        verdicts["R2"] = hit is None
-        if hit:
-            witnesses["R2"] = {"A": _subset(ground, hit[0]), "B": _subset(ground, hit[1])}
+        _record(found, "R2", _first_semimodular_violation(values, n), _pair_at(ground, "AB"))
     else:
         details["semimodularity"] = "pairwise scan skipped (n > %d); local variant only" % MAX_PAIRWISE_N
-
-    hit = _local_semimodular_witness(n, flat)
-    verdicts["R2'"] = hit is None
-    if hit:
-        witnesses["R2'"] = {
-            "A": _subset(ground, hit[0]),
-            "p1": ground.labels[hit[1]],
-            "p2": ground.labels[hit[2]],
-        }
-
+    square = _first_pair(n, _flat_squares(flat))
+    _record(found, "R2'", square, _square_at(ground, ("A", "p1", "p2")))
     if pairwise:
+        verdicts = found[0]
         base = verdicts["R0"] and verdicts["R1"]
         details["global_local_agree"] = (base and verdicts["R2"]) == (base and verdicts["R2'"])
-
-    passed = all(verdicts.values())
-    return AxiomReport("matroid", verdicts, witnesses, passed, details)
+    return _report("matroid", found, details)
 
 
 def check_greedoid(g: RankTable) -> AxiomReport:
     """Check nonnegativity of the codomain plus Gr0 (normalization),
     Gr1 (increasing), Gr2 (subcardinal), Gr3 (local semimodularity)."""
     values, n, ground = g.values, g.n, g.ground
-    verdicts: dict = {}
-    witnesses: dict = {}
-
-    hit = first_where(n, _negative(values))
-    verdicts["nonnegative"] = hit is None
-    if hit is not None:
-        witnesses["nonnegative"] = {"A": _subset(ground, hit), "r(A)": values[hit]}
-
-    verdicts["Gr0"] = values[0] == 0
-    if not verdicts["Gr0"]:
-        witnesses["Gr0"] = {"A": _subset(ground, 0), "r(A)": values[0]}
-
+    found = ({}, {})
+    _record(found, "nonnegative", first_where(n, _negative(values)), _rank_at(ground, values))
+    _record(found, "Gr0", _unnormalized(values), _rank_at(ground, values))
     decrease, flat = step_sets(n, values, DECREASE, FLAT)
-    hit = first_step(n, decrease)
-    verdicts["Gr1"] = hit is None
-    if hit:
-        witnesses["Gr1"] = {"A": _subset(ground, hit[0]), "p": ground.labels[hit[1]]}
-
-    hit = first_where(n, _supercardinal(values, n))
-    verdicts["Gr2"] = hit is None
-    if hit is not None:
-        witnesses["Gr2"] = {"A": _subset(ground, hit), "r(A)": values[hit]}
-
-    hit = _local_semimodular_witness(n, flat)
-    verdicts["Gr3"] = hit is None
-    if hit:
-        witnesses["Gr3"] = {
-            "A": _subset(ground, hit[0]),
-            "p1": ground.labels[hit[1]],
-            "p2": ground.labels[hit[2]],
-        }
-
-    passed = all(verdicts.values())
-    return AxiomReport("greedoid", verdicts, witnesses, passed)
+    _record(found, "Gr1", first_step(n, decrease), _step_at(ground))
+    _record(found, "Gr2", first_where(n, _supercardinal(values, n)), _rank_at(ground, values))
+    square = _first_pair(n, _flat_squares(flat))
+    _record(found, "Gr3", square, _square_at(ground, ("A", "p1", "p2")))
+    return _report("greedoid", found)
 
 
 def check_dual_greedoid(g: RankTable) -> AxiomReport:
@@ -342,35 +389,14 @@ def check_dual_greedoid(g: RankTable) -> AxiomReport:
     candidate): Gr0* normalization, Gr1* unit rank increase, Gr2* rank-S
     maximum, Gr3* local rank decrease."""
     values, n, ground = g.values, g.n, g.ground
-    verdicts: dict = {}
-    witnesses: dict = {}
-
-    verdicts["Gr0*"] = values[0] == 0
-    if not verdicts["Gr0*"]:
-        witnesses["Gr0*"] = {"B": _subset(ground, 0), "r(B)": values[0]}
-
+    found = ({}, {})
+    _record(found, "Gr0*", _unnormalized(values), _rank_at(ground, values, ("B", "r(B)")))
     jump, unit = step_sets(n, values, JUMP, UNIT)
-    hit = first_step(n, jump)
-    verdicts["Gr1*"] = hit is None
-    if hit:
-        witnesses["Gr1*"] = {"B": _subset(ground, hit[0]), "p": ground.labels[hit[1]]}
-
-    hit = first_where(n, map(values[ground.full_mask].__lt__, values))
-    verdicts["Gr2*"] = hit is None
-    if hit is not None:
-        witnesses["Gr2*"] = {"B": _subset(ground, hit), "r(B)": values[hit]}
-
-    hit = _local_decrease_witness(n, unit)
-    verdicts["Gr3*"] = hit is None
-    if hit:
-        witnesses["Gr3*"] = {
-            "B": _subset(ground, hit[0]),
-            "p": ground.labels[hit[1]],
-            "q": ground.labels[hit[2]],
-        }
-
-    passed = all(verdicts.values())
-    return AxiomReport("dual-greedoid", verdicts, witnesses, passed)
+    _record(found, "Gr1*", first_step(n, jump), _step_at(ground, "B"))
+    above_full = first_where(n, map(values[ground.full_mask].__lt__, values))
+    _record(found, "Gr2*", above_full, _rank_at(ground, values, ("B", "r(B)")))
+    _record(found, "Gr3*", _first_pair(n, _unit_squares(unit)), _square_at(ground, "Bpq"))
+    return _report("dual-greedoid", found)
 
 
 @dataclass(frozen=True)
@@ -398,9 +424,7 @@ def feasible_descriptors(g: RankTable) -> FeasibleDescriptors:
     )
     spanning = tuple(_subset(ground, m) for m in spanning_masks)
     bases = tuple(_subset(ground, m) for m in spanning_masks if m in family.members)
-    covered = 0
-    for m in family.members:
-        covered |= m
+    covered = reduce(or_, family.members, 0)
     loops = tuple(label for pos, label in enumerate(ground.labels) if not covered >> pos & 1)
     return FeasibleDescriptors(
         family=family,
@@ -420,46 +444,22 @@ def check_antimatroid(g: RankTable) -> AxiomReport:
     canonical witness of a failure, the feasible sets are scanned pairwise.
     """
     greedoid = check_greedoid(g)
-    verdicts = dict(greedoid.verdicts)
-    witnesses = dict(greedoid.witnesses)
-
+    found = (dict(greedoid.verdicts), dict(greedoid.witnesses))
     feasible = bitset(map(eq, g.values, popcounts(g.n)))
     hit = None
     if not _locally_union_closed(g.n, feasible):
         hit = _first_union_gap(FeasibleFamily.from_table(g).members)
-    verdicts["union-closed"] = hit is None
-    if hit:
-        witnesses["union-closed"] = {
-            "F1": _subset(g.ground, hit[0]),
-            "F2": _subset(g.ground, hit[1]),
-        }
-
-    passed = all(verdicts.values())
-    return AxiomReport("antimatroid", verdicts, witnesses, passed)
+    _record(found, "union-closed", hit, _pair_at(g.ground, ("F1", "F2")))
+    return _report("antimatroid", found)
 
 
-def _demi_flag_checks(prefix: str, table: RankTable, verdicts, witnesses):
+def _demi_flag_checks(prefix: str, table: RankTable, found):
     values, n, ground = table.values, table.n, table.ground
-
-    hit = first_where(n, _negative(values))
-    verdicts[f"{prefix}-nonnegative"] = hit is None
-    if hit is not None:
-        witnesses[f"{prefix}-nonnegative"] = {"A": _subset(ground, hit), "rank": values[hit]}
-
-    hit = first_where(n, _supercardinal(values, n))
-    verdicts[f"{prefix}-subcardinal"] = hit is None
-    if hit is not None:
-        witnesses[f"{prefix}-subcardinal"] = {"A": _subset(ground, hit), "rank": values[hit]}
-
+    witness = _rank_at(ground, values, ("A", "rank"))
+    _record(found, f"{prefix}-nonnegative", first_where(n, _negative(values)), witness)
+    _record(found, f"{prefix}-subcardinal", first_where(n, _supercardinal(values, n)), witness)
     (decrease,) = step_sets(n, values, DECREASE)
-    hit = first_step(n, decrease)
-    verdicts[f"{prefix}-monotone"] = hit is None
-    if hit:
-        a, pos = hit
-        witnesses[f"{prefix}-monotone"] = {
-            "A": _subset(ground, a),
-            "B": _subset(ground, a | (1 << pos)),
-        }
+    _record(found, f"{prefix}-monotone", first_step(n, decrease), _nested_at(ground))
 
 
 def check_demimatroid_triple(d: DemiTriple) -> AxiomReport:
@@ -473,11 +473,9 @@ def check_demimatroid_triple(d: DemiTriple) -> AxiomReport:
     r, s = d.r, d.s
     ground, n = d.ground, d.ground.n
     full = ground.full_mask
-    verdicts: dict = {}
-    witnesses: dict = {}
-
-    _demi_flag_checks("r", r, verdicts, witnesses)
-    _demi_flag_checks("s", s, verdicts, witnesses)
+    found = ({}, {})
+    _demi_flag_checks("r", r, found)
+    _demi_flag_checks("s", s, found)
 
     # |S-A| - t(S-A) for every A, read from the tables in reverse mask order
     co_sizes = popcounts(n)[::-1]
@@ -487,14 +485,10 @@ def check_demimatroid_triple(d: DemiTriple) -> AxiomReport:
     ):
         co_nullity = map(sub, co_sizes, t[::-1])
         hit = first_where(n, map(ne, co_nullity, map(u[full].__sub__, u)))
-        verdicts[name] = hit is None
-        if hit is not None:
-            witnesses[name] = {"A": _subset(ground, hit)}
+        _record(found, name, hit, lambda a: {"A": _subset(ground, a)})
 
     details = {"s_is_dual_of_r": s.values == _dual_values(r.values, n)}
-
-    passed = all(verdicts.values())
-    return AxiomReport("demi-matroid-triple", verdicts, witnesses, passed, details)
+    return _report("demi-matroid-triple", found, details)
 
 
 def check_demimatroid_characterization(g: RankTable) -> AxiomReport:
@@ -510,43 +504,17 @@ def check_demimatroid_characterization(g: RankTable) -> AxiomReport:
     is (a) and (b) and (c).
     """
     values, n, ground = g.values, g.n, g.ground
-    verdicts: dict = {}
-    witnesses: dict = {}
-
+    found = verdicts, _ = ({}, {})
     hit = first_where(n, _negative(values))
     if hit is None:
         hit = first_where(n, _supercardinal(values, n))
-    verdicts["nonnegative-subcardinal"] = hit is None
-    if hit is not None:
-        witnesses["nonnegative-subcardinal"] = {"A": _subset(ground, hit), "rank": values[hit]}
-
+    _record(found, "nonnegative-subcardinal", hit, _rank_at(ground, values, ("A", "rank")))
     decrease, jump = step_sets(n, values, DECREASE, JUMP)
-    hit = first_step(n, decrease)
-    verdicts["monotone"] = hit is None
-    if hit:
-        a, pos = hit
-        witnesses["monotone"] = {
-            "A": _subset(ground, a),
-            "B": _subset(ground, a | (1 << pos)),
-        }
-
+    _record(found, "monotone", first_step(n, decrease), _nested_at(ground))
     hit = first_step(n, jump)
-    verdicts["unit-increase"] = hit is None
-    if hit:
-        witnesses["unit-increase"] = {"A": _subset(ground, hit[0]), "p": ground.labels[hit[1]]}
-
+    _record(found, "unit-increase", hit, _step_at(ground))
     # |A| - r(A) drops from A to A | p exactly when r(A | p) > r(A) + 1: the
     # same violations as unit-increase, so the same first witness
-    verdicts["monotone-nullity"] = hit is None
-    if hit:
-        witnesses["monotone-nullity"] = {
-            "A": _subset(ground, hit[0]),
-            "B": _subset(ground, hit[0] | 1 << hit[1]),
-        }
-
-    passed = (
-        verdicts["nonnegative-subcardinal"]
-        and verdicts["monotone"]
-        and verdicts["unit-increase"]
-    )
-    return AxiomReport("demi-matroid-characterization", verdicts, witnesses, passed)
+    _record(found, "monotone-nullity", hit, _nested_at(ground))
+    passed = all(map(verdicts.get, ("nonnegative-subcardinal", "monotone", "unit-increase")))
+    return AxiomReport("demi-matroid-characterization", *found, passed)

@@ -11,8 +11,8 @@ axiom checkers that need them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
-from itertools import count, repeat
+from functools import lru_cache, reduce
+from itertools import chain, compress, count, repeat
 from operator import gt, lshift, or_, sub
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -84,6 +84,16 @@ def bitset(flags) -> int:
     return int(bytes(flags).translate(_DIGITS)[::-1], 2)
 
 
+def members_of(members: int, width: int) -> list[int]:
+    """The elements of the bit set ``members`` within range(width), in
+    increasing order: the inverse of ``bitset``. ~s is s's complement."""
+    members &= (1 << width) - 1
+    if not members:
+        return []
+    digits = format(members, f"0{width}b").encode()
+    return list(compress(range(width), digits[::-1].translate(_FLAGS)))
+
+
 def _spread(width: int, members: int) -> int:
     """The bit set ``members`` over ``width`` positions with one byte per
     position: byte i of the result, little-endian, is bit i of ``members``."""
@@ -131,16 +141,21 @@ def popcounts(n: int) -> bytes:
     return counts
 
 
-@lru_cache(maxsize=None)
-def avoid_sets(n: int) -> tuple[int, ...]:
-    """Entry p is the set of masks over n bits that do not contain bit p."""
-    size = 1 << n
+@lru_cache(maxsize=64)
+def avoid_sets(n: int, blocks: int = 1) -> tuple[int, ...]:
+    """Entry p is the set of masks over n bits that do not contain bit p.
+
+    With ``blocks`` > 1 the set runs over that many consecutive blocks of
+    2**n masks, and holds the masks of each block without bit p: the same
+    periodic pattern, only longer."""
+    width = blocks << n
     sets = []
     for p in range(n):
         half = 1 << p
         # one period of the pattern: half masks without bit p, half with it
         unit = bytes([(0x55, 0x33, 0x0F)[p]]) if half < 8 else b"\xff" * (half // 8) + bytes(half // 8)
-        sets.append(int.from_bytes(unit * max(1, size // (8 * len(unit))), "little") & (1 << size) - 1)
+        periods = -(-width // (8 * len(unit)))
+        sets.append(int.from_bytes(unit * periods, "little") & (1 << width) - 1)
     return tuple(sets)
 
 
@@ -197,45 +212,108 @@ JUMP = _step_relation((1).__lt__)  # d > 1
 MAX_PACKED_SPREAD = 127
 
 
-def step_sets(n: int, values, *relations: StepRelation) -> list[list[int]]:
+def _value_range(values) -> tuple[int, int]:
+    # min and max of a long bytes run cost more than the packed pass itself
+    if isinstance(values, bytes) and values.isascii():
+        return 0, MAX_PACKED_SPREAD
+    return min(values), max(values)
+
+
+def _packed(values, low: int, high: int):
+    """The values, all in low..high, as one int of the bytes v - low,
+    little-endian; None when high - low exceeds MAX_PACKED_SPREAD."""
+    if high - low > MAX_PACKED_SPREAD:
+        return None
+    offsets = bytes(values) if low == 0 else bytes(map((-low).__add__, values))
+    return int.from_bytes(offsets, "little")
+
+
+def failing_blocks(n: int, members: int, blocks: int) -> int:
+    """The set of blocks b whose block of 2**n masks meets the bit set
+    ``members`` over ``blocks`` consecutive blocks."""
+    for k in range(n):
+        members |= members >> (1 << k)
+    # bit b * 2**n now says whether block b meets the set; the big-endian
+    # digits list those bits from the last block to the first
+    size = 1 << n
+    return int(format(members, f"0{blocks << n}b")[size - 1 :: size], 2)
+
+
+def step_sets(n: int, values, *relations: StepRelation, blocks: int = 1) -> list[list[int]]:
     """Entry i, p is the set of masks A without bit p whose step
     d = values[A | 1 << p] - values[A] satisfies relations[i].
 
     Each element's steps are computed once and shared by all the relations.
     When the values spread over at most MAX_PACKED_SPREAD, the table is packed
-    once as the bytes v - min(values), one per mask, into the int X. For
-    element p, D = (X >> 8 * 2**p) + 0x8080...80 - X then holds d + 128 in
+    once as the bytes v - min(values), one per mask, into the int X (ASCII
+    bytes are packed as they are). For element p,
+    D = (X >> 8 * 2**p) + 0x8080...80 - X then holds d + 128 in
     byte A: every byte of the sum is in 128..255 and every byte of X in
     0..127, so nothing carries or borrows across bytes. Each relation is one
     ``translate`` of D's bytes and one ``int(..., 2)``. A wider table takes
     one ``map`` pass in C over the steps per element and relation.
+
+    With ``blocks`` > 1 the values are that many tables of 2**n entries laid
+    end to end, and mask b * 2**n + A is mask A of table b. A mask without
+    bit p steps to a mask of its own block, so each set only repeats the
+    masks without p once per block.
     """
     found = [[] for _ in relations]
-    size = 1 << n
-    low = min(values)
-    if max(values) - low <= MAX_PACKED_SPREAD:
-        offsets = bytes(values) if low == 0 else bytes(map((-low).__add__, values))
-        packed = int.from_bytes(offsets, "little")
-        bias = int.from_bytes(b"\x80" * size, "little")
-        for p, avoid in enumerate(avoid_sets(n)):
+    width = blocks << n
+    packed = _packed(values, *_value_range(values))
+    if packed is not None:
+        biased = int.from_bytes(b"\x80" * width, "little") - packed
+        for p, avoid in enumerate(avoid_sets(n, blocks)):
             # big-endian bytes put mask A at bit A of the parsed digits
-            steps = ((packed >> (8 << p)) + bias - packed).to_bytes(size, "big")
+            steps = ((packed >> (8 << p)) + biased).to_bytes(width, "big")
             for sets, relation in zip(found, relations):
                 sets.append(int(steps.translate(relation.digits), 2) & avoid)
     else:
-        for p, avoid in enumerate(avoid_sets(n)):
+        for p, avoid in enumerate(avoid_sets(n, blocks)):
             upper = values[1 << p :]
             for sets, relation in zip(found, relations):
                 sets.append(bitset(map(relation.holds, map(sub, upper, values))) & avoid)
     return found
 
 
+# The bounds of ``exceeding``: |A|, and the value r(S) of the full set of
+# the block of A.
+SIZE, FULL = "size", "full"
+
+
+def exceeding(n: int, values, bound: str, blocks: int = 1) -> int:
+    """The set of masks A with values[A] > bound(A); ``blocks`` as in
+    step_sets.
+
+    The packed path is the one of step_sets with the bound in place of the
+    shifted table, so that byte A holds bound - v + 128 and a DECREASE
+    marks an excess. The values are packed as v - low with low <= 0, so
+    that |A| - low packs too.
+    """
+    size, width = 1 << n, blocks << n
+    low, high = _value_range(values)
+    low = min(low, 0)
+    packed = _packed(values, low, max(high, n))
+    if packed is None:
+        tops = chain.from_iterable(map(repeat, values[size - 1 :: size], repeat(size)))
+        return bitset(map(gt, values, popcounts(n) * blocks if bound == SIZE else tops))
+    if bound == SIZE:
+        ones = int.from_bytes(b"\1" * width, "little")
+        upper = int.from_bytes(popcounts(n) * blocks, "little") + (128 - low) * ones
+    else:
+        # the last byte of each block, moved to the block's first byte,
+        # raised by 128 and copied into all 2**n bytes of the block
+        firsts = int.from_bytes((b"\1" + bytes(size - 1)) * blocks, "little")
+        tops = (packed >> 8 * (size - 1) & 0xFF * firsts) + 128 * firsts
+        upper = tops * int.from_bytes(b"\1" * size, "little")
+    digits = (upper - packed).to_bytes(width, "big").translate(DECREASE.digits)
+    # a bound that holds everywhere, as it mostly does, costs no parse
+    return int(digits, 2) if b"1" in digits else 0
+
+
 def first_step(n: int, sets):
     """First (A, p) in (cardinality, mask, p) order with A in sets[p]."""
-    union = 0
-    for s in sets:
-        union |= s
-    mask = first_by_cardinality(n, union)
+    mask = first_by_cardinality(n, reduce(or_, sets, 0))
     if mask is None:
         return None
     return mask, next(p for p, s in enumerate(sets) if s >> mask & 1)

@@ -5,6 +5,11 @@ exhaustively over all tables up to n = 4 (pruned by subcardinality,
 monotonicity, and local semimodularity), over structural censuses (all
 trees and connected rooted graphs up to a size bound), or over seeded
 random corpora. Suites are deterministic given (name, params, seed).
+
+Suites and checkers share one kernel: an exhaustive suite lays its tables
+end to end and reads one verdict per table from ``axioms.block_failures``,
+built from the violation sets that give the checkers their witnesses; a
+checker runs only to word the witness of a failing table.
 """
 
 from __future__ import annotations
@@ -16,25 +21,31 @@ import time
 from contextlib import suppress
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import eq, gt
+from operator import eq, sub
 from typing import NamedTuple
 
 from .axioms import (
     DemiTriple,
     _locally_union_closed,
+    block_failures,
     check_demimatroid_characterization,
     check_demimatroid_triple,
     check_dual_greedoid,
     check_greedoid,
+    feasible_descriptors,
 )
 from .core import (
+    DECREASE,
+    JUMP,
     MAX_RANK_MAGNITUDE,
     GroundSet,
     RankFunctionError,
     RankTable,
     SubsetRef,
     bitset,
+    members_of,
     popcounts,
+    step_sets,
     table_from_values,
 )
 from .ops import _dual_values, contract, delete, direct_sum, dual
@@ -81,99 +92,6 @@ CONSTRAINTS = (
 
 
 # ---------------------------------------------------------------------------
-# fast axiom predicates (no witnesses, early exit); the witnessed checkers in
-# axioms.py are the reference implementations and the tests pin agreement
-# ---------------------------------------------------------------------------
-
-
-@lru_cache(maxsize=None)
-def _lattice(n: int):
-    size = 1 << n
-    cards = tuple(m.bit_count() for m in range(size))
-    steps = tuple(
-        (m, m | (1 << p)) for m in range(size) for p in range(n) if not m >> p & 1
-    )
-    gr3 = tuple(
-        (m, m | b1, m | b2, m | b1 | b2)
-        for m in range(size)
-        for p1 in range(n)
-        if not m >> p1 & 1
-        for p2 in range(p1 + 1, n)
-        if not m >> p2 & 1
-        for b1, b2 in ((1 << p1, 1 << p2),)
-    )
-    return cards, steps, gr3
-
-
-def _semimodular(v, n: int) -> bool:
-    """r(A|p) + r(A|q) >= r(A) + r(A|p|q) on every square of the lattice. A
-    set function is submodular iff this local inequality holds (Schrijver,
-    Combinatorial Optimization, 2003, Thm 44.1), so no pair of incomparable
-    sets is visited."""
-    _, _, gr3 = _lattice(n)
-    return all(v[a1] + v[a2] >= v[a] + v[a12] for a, a1, a2, a12 in gr3)
-
-
-def _fast_greedoid(v, n: int) -> bool:
-    # The conjunction is evaluated fail-first: a normalized monotone
-    # subcardinal table, the suites' common input, passes every test but
-    # Gr3 and mostly fails Gr3 on an early square.
-    cards, steps, gr3 = _lattice(n)
-    if v[0] != 0:
-        return False
-    for a, a1, a2, a12 in gr3:
-        if v[a] == v[a1] == v[a2] != v[a12]:
-            return False
-    if min(v) < 0 or any(map(gt, v, cards)):
-        return False
-    return not any(v[a] > v[b] for a, b in steps)
-
-
-def _fast_matroid(v, n: int) -> bool:
-    _, steps, _ = _lattice(n)
-    if v[0] != 0:
-        return False
-    for a, b in steps:
-        if not v[a] <= v[b] <= v[a] + 1:
-            return False
-    return _semimodular(v, n)
-
-
-def _fast_dual_greedoid(v, n: int) -> bool:
-    """The starred axioms evaluated directly on the given table."""
-    _, steps, gr3 = _lattice(n)
-    if v[0] != 0:
-        return False
-    total = v[(1 << n) - 1]
-    if any(x > total for x in v):
-        return False
-    if any(v[b] > v[a] + 1 for a, b in steps):
-        return False
-    # local rank decrease, read bottom-up over the same quadruples
-    return all(
-        not (v[a1] == v[a2] == v[a12] - 1 and v[a] != v[a12] - 2)
-        for a, a1, a2, a12 in gr3
-    )
-
-
-def _fast_unit_upper(v, n: int) -> bool:
-    _, steps, _ = _lattice(n)
-    return all(v[b] <= v[a] + 1 for a, b in steps)
-
-
-def _fast_monotone_nullity(v, n: int) -> bool:
-    cards, steps, _ = _lattice(n)
-    return all(cards[a] - v[a] <= cards[b] - v[b] for a, b in steps)
-
-
-def _union_closed(v, n: int) -> bool:
-    """Whether the feasible sets {A : r(A) = |A|} are union-closed, by the
-    local test A, A|p, A|q feasible implies A|p|q feasible. The test also
-    requires an accessible family, so it is exact only for greedoids."""
-    return _locally_union_closed(n, bitset(map(eq, v, popcounts(n))))
-
-
-# ---------------------------------------------------------------------------
 # exhaustive enumeration
 # ---------------------------------------------------------------------------
 
@@ -190,7 +108,11 @@ class EnumSpec:
             raise RankFunctionError(
                 f"unknown constraint {self.constraint!r}; choose from {CONSTRAINTS}"
             )
-        if not 0 <= self.n <= MAX_EXHAUSTIVE_N:
+        if self.n < 0:
+            raise RankFunctionError(
+                f"n = {self.n} is negative; a ground set has 0 or more elements"
+            )
+        if self.n > MAX_EXHAUSTIVE_N:
             raise RankFunctionError(
                 f"n = {self.n} too large for exhaustive enumeration (max {MAX_EXHAUSTIVE_N})"
             )
@@ -216,10 +138,11 @@ def _enum_tables(n: int):
     return preds, tuple(tuple(x) for x in gr3_at)
 
 
-def _enumerate_values(n: int, constraint: str, prefix=(), stop=None):
+def _enumerate_values(n: int, constraint: str, prefix=(), stop=None, form=tuple):
     """DFS over rank assignments in increasing mask order, smallest value
     first, pruned by subcardinality and monotonicity (plus local
     semimodularity and the unit upper bound where the constraint allows).
+    Each table is yielded as ``form`` of its values, a tuple or bytes.
 
     The search is one loop over an explicit stack: ``cursors[m]`` iterates
     the values still to try at mask m, within bounds computed from the
@@ -252,7 +175,7 @@ def _enumerate_values(n: int, constraint: str, prefix=(), stop=None):
         return iter(range(lo, hi + 1))
 
     if start == end:
-        candidate = tuple(vals[1:end]) if stop is not None else tuple(vals)
+        candidate = tuple(vals[1:end]) if stop is not None else form(vals)
         if keep is None or keep(candidate):
             yield candidate
         return
@@ -272,21 +195,21 @@ def _enumerate_values(n: int, constraint: str, prefix=(), stop=None):
             cursors[m] = values_at(m)
         else:
             vals[m] = v
-            candidate = tuple(vals[1:end]) if stop is not None else tuple(vals)
+            candidate = tuple(vals[1:end]) if stop is not None else form(vals)
             if keep is None or keep(candidate):
                 yield candidate
 
 
 def _emit_filter(n: int, constraint: str):
-    """Check on complete tables for the parts of a constraint that the
-    search does not prune: semimodularity for matroids, full rank
-    and a union-closed feasible family for full antimatroids."""
-    if constraint == "matroid":
-        return lambda v: _semimodular(v, n)
+    """Check on complete tables for the part of a constraint that the search
+    does not prune: full rank and a union-closed feasible family for full
+    antimatroids. Matroids need none: under R1, which the search enforces,
+    a violation of submodularity is a Gr3 flat square (Schrijver,
+    Combinatorial Optimization, 2003, Thm 44.1)."""
     if constraint == "full-antimatroid":
         # the search prunes by Gr1-Gr3, so every table here is a greedoid and
         # the local union test is exact
-        return lambda v: v[-1] == n and _union_closed(v, n)
+        return lambda v: v[-1] == n and _locally_union_closed(n, bitset(map(eq, v, popcounts(n))))
     return None
 
 
@@ -697,15 +620,11 @@ def _suite_polynomiality(params, rec: _Recorder):
 def _suite_contract_feasibility(params, rec: _Recorder):
     tables = (g for n in range(params["n"] + 1) for g in enumerate_tables(EnumSpec(n, "greedoid")))
     for idx, g in enumerate(tables):
-        feasible = {m for m in range(g.ground.size) if g.values[m] == m.bit_count()}
-        covered = 0
-        for m in feasible:
-            covered |= m
+        loops = feasible_descriptors(g).loops
         for pos, label in enumerate(g.ground.labels):
-            bit = 1 << pos
-            if not covered & bit:
+            if label in loops:
                 continue  # loops are handled by the minor-agreement suite
-            singleton_feasible = bit in feasible
+            singleton_feasible = g.values[1 << pos] == 1
             rank_contract = contract(g, label)
             is_greedoid = check_greedoid(rank_contract).passed
             rec.check(
@@ -729,12 +648,8 @@ def _suite_contract_feasibility(params, rec: _Recorder):
 def _suite_minor_agreement(params, rec: _Recorder):
     tables = (g for n in range(params["n"] + 1) for g in enumerate_tables(EnumSpec(n, "greedoid")))
     for idx, g in enumerate(tables):
-        feasible = {m for m in range(g.ground.size) if g.values[m] == m.bit_count()}
-        covered = 0
-        for m in feasible:
-            covered |= m
+        loops = feasible_descriptors(g).loops
         for pos, label in enumerate(g.ground.labels):
-            bit = 1 << pos
             fam = greedoid_minor_feasible(g, label, "delete")
             ok = fam.induced_rank_table() == delete(g, label)
             rec.check(
@@ -742,7 +657,7 @@ def _suite_minor_agreement(params, rec: _Recorder):
                 lambda: f"greedoid[{idx}] values={g.values} p={label}",
                 "feasible-set deletion matches rank deletion",
             )
-            if bit in feasible or not covered & bit:
+            if g.values[1 << pos] == 1 or label in loops:
                 fam = greedoid_minor_feasible(g, label, "contract")
                 ok = fam.induced_rank_table() == contract(g, label)
                 rec.check(
@@ -754,45 +669,67 @@ def _suite_minor_agreement(params, rec: _Recorder):
 
 @_suite(n=_exhaustive_n(4))
 def _suite_dual_greedoid_axioms(params, rec: _Recorder):
-    tables = (g for n in range(params["n"] + 1) for g in enumerate_tables(EnumSpec(n, "greedoid")))
-    for idx, g in enumerate(tables):
-        report = check_dual_greedoid(dual(g))
-        rec.check(
-            report.passed,
-            lambda: f"greedoid[{idx}] n={g.n} values={g.values}",
-            "dual of a greedoid passes the starred axioms",
-            lambda: "; ".join(line for line in report.lines() if "fail" in line),
-        )
+    idx = 0
+    for n in range(params["n"] + 1):
+        tables = list(enumerate_tables(EnumSpec(n, "greedoid")))
+        duals = [dual(g) for g in tables]
+        *_, failing = block_failures(n, [v for gd in duals for v in gd.values], len(duals))
+        for b, (g, gd) in enumerate(zip(tables, duals)):
+            # the checker runs only to word the witness of a failing table
+            rec.check(
+                not failing >> b & 1,
+                lambda: f"greedoid[{idx}] n={n} values={g.values}",
+                "dual of a greedoid passes the starred axioms",
+                lambda: "; ".join(
+                    line for line in check_dual_greedoid(gd).lines() if "fail" in line
+                ),
+            )
+            idx += 1
+
+
+# Tables per packed corpus: enough for the passes over a corpus to pay off,
+# and few enough that the corpus and its bit sets stay small.
+_CORPUS_TABLES = 4096
 
 
 def _intersection_task(args):
+    """The instance count of a task and its failures, each with the index of
+    its table within the task."""
     n, prefix = args
-    count = 0
-    failures = []
-    for v in _enumerate_values(n, "all-normalized-subcardinal-monotone", prefix=prefix):
-        count += 1
-        greedoid = _fast_greedoid(v, n)
-        matroid = _fast_matroid(v, n)
-        if (greedoid and _fast_greedoid(_dual_values(v, n), n)) != matroid:
-            failures.append(
-                (
-                    f"n={n} values={v}",
-                    "greedoid(r) and greedoid(r*) iff matroid(r)",
-                    f"matroid={matroid}",
-                )
-            )
-        if (greedoid and _fast_dual_greedoid(v, n)) != matroid:
-            failures.append(
-                (
-                    f"n={n} values={v}",
-                    "greedoid(r) and starred-axioms(r) iff matroid(r)",
-                    f"matroid={matroid}",
-                )
-            )
+    tables = _enumerate_values(n, "all-normalized-subcardinal-monotone", prefix, form=bytes)
+    count, failures = 0, []
+    while corpus := b"".join(itertools.islice(tables, _CORPUS_TABLES)):
+        failures += _intersection_failures(n, corpus, count)
+        count += len(corpus) >> n
     return count, failures
 
 
-@_suite(n=_exhaustive_n(4), workers=Param(1))
+def _intersection_failures(n, corpus, start):
+    """The failures among tables laid end to end, each with the index of its
+    table counted from ``start``. The axioms' verdicts are read for all the
+    tables at once."""
+    size, count = 1 << n, len(corpus) >> n
+    greedoid, matroid, dual_greedoid = block_failures(n, corpus, count)
+    # greedoid(r*) is read only where r is a greedoid
+    greedoids = members_of(~greedoid, count)
+    duals = [v for b in greedoids for v in _dual_values(corpus[b * size : (b + 1) * size], n)]
+    dual_fails = block_failures(n, duals, len(greedoids))[0] if greedoids else 0
+    both = sum(1 << greedoids[j] for j in members_of(~dual_fails, len(greedoids)))
+    failures = []
+    for assertion, fails in (
+        ("greedoid(r) and greedoid(r*) iff matroid(r)", ~both ^ matroid),
+        ("greedoid(r) and starred-axioms(r) iff matroid(r)", (greedoid | dual_greedoid) ^ matroid),
+    ):
+        for b in members_of(fails, count):
+            values = tuple(corpus[b * size : (b + 1) * size])
+            witness = f"matroid={not matroid >> b & 1}"
+            failures.append((start + b, (f"n={n} values={values}", assertion, witness)))
+    # a table failing both assertions keeps them in this order
+    failures.sort(key=lambda failure: failure[0])
+    return failures
+
+
+@_suite(n=_exhaustive_n(4), workers=Param(1, 1))
 def _suite_greedoid_intersection(params, rec: _Recorder):
     workers = params["workers"]
     for n in range(params["n"] + 1):
@@ -814,9 +751,14 @@ def _suite_greedoid_intersection(params, rec: _Recorder):
         else:
             results = [_intersection_task(t) for t in tasks]
         for count, failures in results:
-            rec.instances += count
-            for failure in failures:
+            # count through each failing table, so that a fail-fast run
+            # stops at the first failure in enumeration order
+            counted = 0
+            for index, failure in failures:
+                rec.instances += index + 1 - counted
+                counted = index + 1
                 rec.fail(*failure)
+            rec.instances += count - counted
 
 
 def _root_adjacent(vertex_count: int, edge_pairs) -> list:
@@ -960,8 +902,12 @@ def _monotone_corpus(params):
 @_suite(_MONOTONE)
 def _suite_nullity_monotone(params, rec: _Recorder):
     for desc, g in _monotone_corpus(params):
-        unit = _fast_unit_upper(g.values, g.n)
-        nullity = _fast_monotone_nullity(g.values, g.n)
+        # three independent readings: no jump step of r, no decreasing step
+        # of the nullity |A| - r(A), and no pair A <= B stretched past |B - A|
+        (jump,) = step_sets(g.n, g.values, JUMP)
+        unit = not any(jump)
+        (drop,) = step_sets(g.n, tuple(map(sub, popcounts(g.n), g.values)), DECREASE)
+        nullity = not any(drop)
         stretch = all(
             g.values[b] - g.values[a] <= (b & ~a).bit_count()
             for a, b in _nested_pairs(g.n)

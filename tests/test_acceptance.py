@@ -32,15 +32,9 @@ from rankdual import (
     tutte_recursive,
     tutte_subset,
 )
-from rankdual.core import GroundSet
-from rankdual.verify import (
-    _dual_values,
-    _fast_greedoid,
-    _fast_matroid,
-    _fast_monotone_nullity,
-    _fast_unit_upper,
-    _enumerate_values,
-)
+from rankdual.axioms import block_failures
+from rankdual.core import DECREASE, JUMP, GroundSet, step_sets
+from rankdual.verify import _dual_values, _enumerate_values
 
 SEED = 20260810
 CORPUS_COUNT = 1000
@@ -158,14 +152,13 @@ def test_criterion_07_greedoid_intersection_exhaustive():
     checked = 0
     ok = True
     for n in range(5):
-        for v in _enumerate_values(n, "all-normalized-subcardinal-monotone"):
-            checked += 1
-            both = _fast_greedoid(v, n) and _fast_greedoid(_dual_values(v, n), n)
-            if both != _fast_matroid(v, n):
-                ok = False
-                break
-        if not ok:
-            break
+        tables = list(_enumerate_values(n, "all-normalized-subcardinal-monotone"))
+        checked += len(tables)
+        # the sets of tables failing each class, one bit per table
+        greedoid, matroid, _ = block_failures(n, [x for v in tables for x in v], len(tables))
+        duals = [x for v in tables for x in _dual_values(v, n)]
+        dual_greedoid, _, _ = block_failures(n, duals, len(tables))
+        ok = ok and (greedoid | dual_greedoid) == matroid
     elapsed = time.perf_counter() - start
     ok = ok and checked == 1 + 2 + 9 + 209 + 134602 and elapsed < 300.0
     report(7, "greedoid-intersection", ok, f"{checked} tables, actual runtime {elapsed:.2f}s")
@@ -215,7 +208,10 @@ def test_criterion_10_demimatroid_equivalences():
         if characterization != triple:
             ok = False
             break
-        if _fast_unit_upper(g.values, g.n) != _fast_monotone_nullity(g.values, g.n):
+        # unit rank increase (no jump step) iff the nullity |A| - r(A) never drops
+        (jump,) = step_sets(g.n, g.values, JUMP)
+        (drop,) = step_sets(g.n, [m.bit_count() - v for m, v in enumerate(g.values)], DECREASE)
+        if any(jump) != any(drop):
             ok = False
             break
 

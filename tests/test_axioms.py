@@ -20,17 +20,9 @@ from rankdual import (
     random_tables,
     uniform_matroid,
 )
-from rankdual.axioms import FeasibleFamily
+from rankdual.axioms import FeasibleFamily, block_failures
 from rankdual.core import popcounts
-from rankdual.verify import (
-    _dual_values,
-    _enumerate_values,
-    _fast_dual_greedoid,
-    _fast_greedoid,
-    _fast_matroid,
-    _fast_monotone_nullity,
-    _fast_unit_upper,
-)
+from rankdual.verify import _enumerate_values
 
 from conftest import make_table
 
@@ -284,41 +276,42 @@ def test_report_lines_render(demo_table):
     assert lines[-1] == "overall: fail"
 
 
-# --- fast predicates agree with the witnessed checkers -----------------------
+# --- block verdicts agree with the witnessed checkers ------------------------
 
 
-def test_fast_predicates_match_checkers_exhaustively():
-    for n in range(4):
-        for g in enumerate_tables(EnumSpec(n, "all-normalized-subcardinal-monotone")):
-            assert _fast_greedoid(g.values, g.n) == check_greedoid(g).passed
-            assert _fast_matroid(g.values, g.n) == check_matroid(g).passed
-            assert _fast_dual_greedoid(g.values, g.n) == check_dual_greedoid(g).passed
-            gd = dual(g)
-            assert _fast_greedoid(gd.values, gd.n) == check_greedoid(gd).passed
-            assert _dual_values(g.values, g.n) == gd.values
+def _assert_block_failures_match_the_checkers(n, tables):
+    failing = block_failures(n, [v for g in tables for v in g.values], len(tables))
+    for b, g in enumerate(tables):
+        want = [not check(g).passed for check in (check_greedoid, check_matroid, check_dual_greedoid)]
+        assert [bool(s >> b & 1) for s in failing] == want, g.values
 
 
-def test_fast_predicates_match_checkers_on_random_tables():
-    for g in random_tables(150, max_n=4, seed=31):
-        assert _fast_greedoid(g.values, g.n) == check_greedoid(g).passed
-        assert _fast_matroid(g.values, g.n) == check_matroid(g).passed
-        assert _fast_dual_greedoid(g.values, g.n) == check_dual_greedoid(g).passed
-        report = check_demimatroid_characterization(g)
-        assert _fast_unit_upper(g.values, g.n) == report.verdicts["unit-increase"]
-        assert _fast_monotone_nullity(g.values, g.n) == report.verdicts["monotone-nullity"]
+def test_block_failures_match_the_checkers():
+    # the checkers take about 40 s for every n = 4 table and its dual, so
+    # n = 4 is sampled here and its greedoids and matroids are compared with
+    # the enumerator's searches below
+    for n in range(5):
+        tables = list(enumerate_tables(EnumSpec(n, "all-normalized-subcardinal-monotone")))
+        if n == 4:
+            tables = tables[::97]
+        _assert_block_failures_match_the_checkers(n, tables)
+        _assert_block_failures_match_the_checkers(n, [dual(g) for g in tables])
+    # negative ranks, packed; then spreads past MAX_PACKED_SPREAD, which take
+    # the map path
+    for lo, hi in ((-3, 8), (-200, 200)):
+        by_n = {}
+        for g in random_tables(150, max_n=4, seed=31, lo=lo, hi=hi):
+            by_n.setdefault(g.n, []).append(g)
+        for n, tables in by_n.items():
+            _assert_block_failures_match_the_checkers(n, tables)
 
 
-def test_fast_predicates_match_checkers_on_sampled_enumeration():
-    from rankdual import GroundSet, table_from_values
-
-    ground = GroundSet(("a", "b", "c", "d"))
-    for i, values in enumerate(_enumerate_values(4, "all-normalized-subcardinal-monotone")):
-        if i % 487:
-            continue
-        g = table_from_values(ground, values)
-        assert _fast_greedoid(values, 4) == check_greedoid(g).passed
-        assert _fast_matroid(values, 4) == check_matroid(g).passed
-        assert _fast_dual_greedoid(values, 4) == check_dual_greedoid(g).passed
+def test_block_failures_select_the_enumerated_greedoids_and_matroids():
+    tables = list(_enumerate_values(4, "all-normalized-subcardinal-monotone"))
+    greedoid, matroid, _ = block_failures(4, [v for t in tables for v in t], len(tables))
+    for failing, constraint in ((greedoid, "greedoid"), (matroid, "matroid")):
+        passing = [t for b, t in enumerate(tables) if not failing >> b & 1]
+        assert passing == list(_enumerate_values(4, constraint))
 
 
 def test_matroid_iff_greedoid_and_starred_axioms():

@@ -18,7 +18,7 @@ from rankdual import (
     dump_rank_table,
     parse_document,
 )
-from rankdual import verify
+from rankdual import cli, verify
 from rankdual.cli import run_command
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
@@ -163,6 +163,12 @@ def test_enumerate_command(capsys):
 def test_enumerate_rejects_large_n(capsys):
     code, _, err = run(capsys, "enumerate", "--n", "9", "--constraint", "greedoid")
     assert code == 2 and "too large" in err
+
+
+def test_enumerate_rejects_negative_n(capsys):
+    code, out, err = run(capsys, "enumerate", "--n", "-1", "--constraint", "matroid")
+    assert code == 2 and out == ""
+    assert err == "error: n = -1 is negative; a ground set has 0 or more elements\n"
 
 
 def test_verify_command(capsys):
@@ -312,6 +318,8 @@ def test_verify_params_reject_a_leading_bare_piece(capsys, raw):
         ("involution", "fail_fast=-1", "fail_fast = -1 out of range (0 to 1)"),
         ("pruning_goldens", "max_failures=0", "max_failures = 0 out of range (1 or more)"),
         ("exchange", "max_failures=-1", "max_failures = -1 out of range (1 or more)"),
+        ("greedoid_intersection", "workers=0", "workers = 0 out of range (1 or more)"),
+        ("greedoid_intersection", "workers=-5", "workers = -5 out of range (1 or more)"),
     ],
 )
 def test_verify_rejects_params_out_of_range(capsys, monkeypatch, suite, params, message):
@@ -335,6 +343,7 @@ def test_verify_rejects_params_out_of_range(capsys, monkeypatch, suite, params, 
         ("closure_dual_rank", "max_tree_edges=12"),
         ("branching_goldens", "fail_fast=0,max_failures=1"),
         ("involution", "fail_fast=1,max_failures=1000000"),
+        ("greedoid_intersection", "workers=1"),
     ],
 )
 def test_verify_accepts_params_at_the_range_ends(capsys, monkeypatch, suite, params):
@@ -582,3 +591,54 @@ def test_fuzzed_verify_params_run_or_exit_2(suite, seeded, data):
     else:
         assert code == 2 and out.getvalue() == ""
         assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+
+
+# --- fuzz: argv of the other commands -----------------------------------------
+
+LABEL_LISTS = st.text(alphabet="abcx,-", max_size=6)
+
+
+def _argv_cases():
+    return st.one_of(
+        st.builds(lambda label: ["delete", "--in", TABLE_DOC, "-p", label], LABEL_LISTS),
+        st.builds(
+            lambda c, d: ["minor", "--in", TABLE_DOC, "--contract", c, "--delete", d],
+            LABEL_LISTS,
+            LABEL_LISTS,
+        ),
+        st.builds(lambda labels: ["closure", "--in", TABLE_DOC, "--set", labels], LABEL_LISTS),
+        st.builds(
+            lambda n, constraint: ["enumerate", "--n", str(n), "--constraint", constraint, "--count-only"],
+            st.integers(-3, 9),
+            st.sampled_from(verify.CONSTRAINTS),
+        ),
+        st.builds(
+            lambda workers: ["verify", "--suite", "greedoid_intersection", "--params", f"workers={workers}"],
+            st.integers(-2, 3),
+        ),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(_argv_cases())
+def test_fuzzed_argv_exits_0_1_or_2_without_a_traceback(argv):
+    def one_instance(params, rec):
+        rec.check(True, "stand-in", "params resolved")
+
+    out, err = io.StringIO(), io.StringIO()
+    with pytest.MonkeyPatch.context() as mp:
+        # the input checks run; no enumeration and no worker pool does
+        mp.setattr(cli, "enumerate_tables", lambda spec: iter(()))
+        suite = verify.SUITES["greedoid_intersection"]
+        mp.setitem(verify.SUITES, "greedoid_intersection", suite._replace(run=one_instance))
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = run_command(argv)
+            except SystemExit as exc:  # argparse rejects the argv itself
+                code = exc.code
+    assert code in (0, 1, 2)
+    assert "Traceback" not in out.getvalue() + err.getvalue()
+    if code == 2:
+        assert out.getvalue() == "" and err.getvalue().count("error: ") == 1
+    else:
+        assert err.getvalue() == ""

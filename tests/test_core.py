@@ -14,15 +14,20 @@ from rankdual import (
 from rankdual.core import (
     DECREASE,
     FLAT,
+    FULL,
     JUMP,
     MAX_PACKED_SPREAD,
     MAX_PAIRWISE_N,
     MAX_RANK_MAGNITUDE,
+    SIZE,
     UNIT,
     bitset,
+    exceeding,
+    failing_blocks,
     masks_by_cardinality,
     member_counts,
     member_masks,
+    members_of,
     step_sets,
 )
 
@@ -245,6 +250,43 @@ def test_step_sets_match_a_loop_over_every_step(case):
                 if not a & bit and holds(values[a | bit] - values[a]):
                     want |= 1 << a
             assert members == want, (p, values)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(0, 4).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.sampled_from([(0, 4), (-3, 8), (0, 255), (-200, 200)]).flatmap(
+                lambda lohi: st.lists(
+                    st.lists(st.integers(*lohi), min_size=1 << n, max_size=1 << n),
+                    min_size=1,
+                    max_size=5,
+                )
+            ),
+            st.booleans(),
+        )
+    )
+)
+def test_blocks_read_each_table_as_if_alone(case):
+    # small ranks, also as bytes, negative ranks, and spreads past the packed
+    # path, also as bytes
+    n, tables, as_bytes = case
+    size, blocks = 1 << n, len(tables)
+    values = [v for t in tables for v in t]
+    if as_bytes and min(values) >= 0:
+        values = bytes(values)
+    relations = (DECREASE, FLAT, UNIT, JUMP)
+    found = step_sets(n, values, *relations, blocks=blocks)
+    for b, table in enumerate(tables):
+        block_sets = [[s >> (b * size) & (1 << size) - 1 for s in sets] for sets in found]
+        assert block_sets == step_sets(n, table, *relations)
+    for bound, exceeds in ((SIZE, lambda t, a: t[a] > a.bit_count()), (FULL, lambda t, a: t[a] > t[-1])):
+        want = [b * size + a for b, t in enumerate(tables) for a in range(size) if exceeds(t, a)]
+        got = exceeding(n, values, bound, blocks)
+        assert members_of(got, blocks * size) == want
+        assert members_of(~got, blocks * size) == sorted(set(range(blocks * size)) - set(want))
+        assert members_of(failing_blocks(n, got, blocks), blocks) == sorted({i // size for i in want})
 
 
 def test_validate_demo_all_flags_true(demo_table):

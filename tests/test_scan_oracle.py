@@ -3,6 +3,7 @@
 rendered lines on every table."""
 
 import random
+from operator import eq
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,8 +24,8 @@ from rankdual import (
     table_from_values,
     validate,
 )
-from rankdual.core import MAX_PACKED_SPREAD, MAX_RANK_MAGNITUDE
-from rankdual.verify import _semimodular, _union_closed
+from rankdual.axioms import _locally_union_closed
+from rankdual.core import MAX_PACKED_SPREAD, MAX_RANK_MAGNITUDE, bitset, popcounts
 
 from scan_oracle import (
     oracle_antimatroid,
@@ -34,7 +35,6 @@ from scan_oracle import (
     oracle_greedoid,
     oracle_matroid,
     oracle_validate,
-    pairwise_semimodular,
     pairwise_union_closed,
 )
 
@@ -189,39 +189,7 @@ def test_union_closed_verdict_and_witness_match_the_pairwise_scan(g):
     assert got.lines() == want.lines()
 
 
-# --- local verdicts of the enumeration filters against the pairwise scans ---
-
-
-@st.composite
-def near_submodular_tables(draw):
-    """A coverage function (submodular) plus a modular part of either sign
-    and a constant, with up to two entries then moved by -2..2; ranks may
-    be negative."""
-    n = draw(st.integers(0, 6))
-    size = 1 << n
-    covers = draw(st.lists(st.tuples(st.integers(1, size - 1) if n else st.just(0),
-                                     st.integers(0, 3)), max_size=4))
-    weights = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
-    base = draw(st.integers(-3, 3))
-    values = [
-        base
-        + sum(w for cover, w in covers if m & cover)
-        + sum(w for p, w in enumerate(weights) if m >> p & 1)
-        for m in range(size)
-    ]
-    for _ in range(draw(st.integers(0, 2))):
-        values[draw(st.integers(0, size - 1))] += draw(st.integers(-2, 2))
-    return values
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.one_of(
-    near_submodular_tables(),
-    st.integers(0, 6).flatmap(lambda n: st.lists(st.integers(-4, 6), min_size=1 << n, max_size=1 << n)),
-))
-def test_local_semimodularity_verdict_matches_the_pairwise_scan(values):
-    n = (len(values) - 1).bit_length()
-    assert _semimodular(values, n) == pairwise_semimodular(values, n)
+# --- the local union verdict against the pairwise scan ---------------------
 
 
 def accessible(g) -> bool:
@@ -236,7 +204,8 @@ def accessible(g) -> bool:
 @settings(max_examples=300, deadline=None)
 @given(feasible_families())
 def test_local_union_verdict_matches_the_pairwise_scan_on_accessible_families(g):
-    local, pairwise = _union_closed(g.values, g.n), pairwise_union_closed(g.values, g.n)
+    local = _locally_union_closed(g.n, bitset(map(eq, g.values, popcounts(g.n))))
+    pairwise = pairwise_union_closed(g.values, g.n)
     # the local test also requires accessibility: exact on accessible
     # families, and only sufficient on any other
     if accessible(g):

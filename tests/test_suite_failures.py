@@ -26,6 +26,16 @@ def _plus_one(fn):
     return wrong
 
 
+def _jumping(step_sets):
+    """step_sets with a jump step in every table, of no element in particular."""
+
+    def wrong(n, values, *relations, **blocks):
+        found = step_sets(n, values, *relations, **blocks)
+        return [[1] if relation is verify.JUMP else sets for relation, sets in zip(relations, found)]
+
+    return wrong
+
+
 def _scenarios():
     """Suite name: (params, {attribute of ``verify``, or "structures.<name>":
     its wrong replacement})."""
@@ -69,7 +79,7 @@ def _scenarios():
         ),
         "nullity_monotone": (
             {"n": 0, "count": 3, "max_n": 2, "seed": 3},
-            {"_fast_unit_upper": lambda v, n: False},
+            {"step_sets": _jumping(verify.step_sets)},
         ),
         "demimatroid_characterization": (
             {"n": 1, "count": 4, "max_n": 2, "seed": 3},
@@ -623,6 +633,25 @@ def test_failures_of_pool_tasks_are_kept_in_serial_order(monkeypatch, recording_
         assert pooled.failures == serial.failures
         assert pooled.failures[0][0] == "n=3 values=(0, 0, 0, 0, 0, 0, 0, 0)"
     assert recording_pool == [(2, 9), (2, 9)]
+
+
+def test_fail_fast_counts_do_not_depend_on_workers(monkeypatch, recording_pool):
+    # the first failing table is the first n = 3 table: the 12 smaller
+    # tables and that one are counted, whichever task it falls in
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    dual_values = verify._dual_values
+    monkeypatch.setattr(
+        verify, "_dual_values", lambda v, n: [1] * len(v) if n == 3 else dual_values(v, n)
+    )
+    serial = run_suite("greedoid_intersection", {"n": 3, "fail_fast": True, "workers": 1})
+    pooled = run_suite("greedoid_intersection", {"n": 3, "fail_fast": True, "workers": 2})
+    assert recording_pool == [(2, 9)]
+    assert serial.instances_checked == 13
+    # the reports differ only in the workers param they echo
+    serial_lines, pooled_lines = serial.to_report().split("\n"), pooled.to_report().split("\n")
+    assert serial_lines[1] == "params: fail_fast=True n=3 workers=1"
+    assert pooled_lines[1] == "params: fail_fast=True n=3 workers=2"
+    assert serial_lines[:1] + serial_lines[2:] == pooled_lines[:1] + pooled_lines[2:]
 
 
 @pytest.mark.parametrize("max_failures, code", [("0", 2), ("-1", 2), ("1", 1)])
