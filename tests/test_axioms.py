@@ -21,7 +21,8 @@ from rankdual import (
     uniform_matroid,
 )
 from rankdual.axioms import FeasibleFamily, block_failures
-from rankdual.core import popcounts
+from rankdual.core import DECREASE, JUMP, popcounts, step_sets
+from rankdual.ops import _dual_values
 from rankdual.verify import _enumerate_values
 
 from conftest import make_table
@@ -286,24 +287,40 @@ def _assert_block_failures_match_the_checkers(n, tables):
         assert [bool(s >> b & 1) for s in failing] == want, g.values
 
 
-def test_block_failures_match_the_checkers():
-    # the checkers take about 40 s for every n = 4 table and its dual, so
-    # n = 4 is sampled here and its greedoids and matroids are compared with
-    # the enumerator's searches below
-    for n in range(5):
+def test_fast_predicates_match_checkers_exhaustively():
+    for n in range(4):
         tables = list(enumerate_tables(EnumSpec(n, "all-normalized-subcardinal-monotone")))
-        if n == 4:
-            tables = tables[::97]
+        duals = [dual(g) for g in tables]
         _assert_block_failures_match_the_checkers(n, tables)
-        _assert_block_failures_match_the_checkers(n, [dual(g) for g in tables])
+        _assert_block_failures_match_the_checkers(n, duals)
+        for g, gd in zip(tables, duals):
+            assert _dual_values(g.values, g.n) == gd.values
+
+
+def test_fast_predicates_match_checkers_on_random_tables():
     # negative ranks, packed; then spreads past MAX_PACKED_SPREAD, which take
     # the map path
     for lo, hi in ((-3, 8), (-200, 200)):
         by_n = {}
         for g in random_tables(150, max_n=4, seed=31, lo=lo, hi=hi):
             by_n.setdefault(g.n, []).append(g)
+            # the two step readings of nullity_monotone
+            report = check_demimatroid_characterization(g)
+            (jump,) = step_sets(g.n, g.values, JUMP)
+            assert (not any(jump)) == report.verdicts["unit-increase"]
+            (drop,) = step_sets(g.n, [c - v for c, v in zip(popcounts(g.n), g.values)], DECREASE)
+            assert (not any(drop)) == report.verdicts["monotone-nullity"]
         for n, tables in by_n.items():
             _assert_block_failures_match_the_checkers(n, tables)
+
+
+def test_fast_predicates_match_checkers_on_sampled_enumeration():
+    # the checkers take about 40 s for every n = 4 table and its dual, so
+    # n = 4 is sampled here and its greedoids and matroids are compared with
+    # the enumerator's searches below
+    tables = list(enumerate_tables(EnumSpec(4, "all-normalized-subcardinal-monotone")))[::97]
+    _assert_block_failures_match_the_checkers(4, tables)
+    _assert_block_failures_match_the_checkers(4, [dual(g) for g in tables])
 
 
 def test_block_failures_select_the_enumerated_greedoids_and_matroids():
