@@ -15,7 +15,6 @@ checker runs only to word the witness of a failing table.
 from __future__ import annotations
 
 import itertools
-import os
 import random
 import time
 from contextlib import suppress
@@ -55,6 +54,7 @@ from .structures import (
     Tree,
     _components,
     branching_greedoid,
+    branching_ranks,
     branching_rows,
     closure_table,
     demo_pruning_tree,
@@ -138,7 +138,7 @@ def _enum_tables(n: int):
     return preds, tuple(tuple(x) for x in gr3_at)
 
 
-def _enumerate_values(n: int, constraint: str, prefix=(), stop=None, form=tuple):
+def _enumerate_values(n: int, constraint: str, form=tuple):
     """DFS over rank assignments in increasing mask order, smallest value
     first, pruned by subcardinality and monotonicity (plus local
     semimodularity and the unit upper bound where the constraint allows).
@@ -147,20 +147,14 @@ def _enumerate_values(n: int, constraint: str, prefix=(), stop=None, form=tuple)
     The search is one loop over an explicit stack: ``cursors[m]`` iterates
     the values still to try at mask m, within bounds computed from the
     values already fixed at smaller masks.
-
-    With ``stop`` set, yields value prefixes for masks 1..stop instead of
-    complete tables (used to partition the search across workers).
     """
     size = 1 << n
     preds, gr3_at = _enum_tables(n)
     prune_gr3 = constraint in ("greedoid", "matroid", "full-antimatroid")
     prune_unit = constraint == "matroid"
-    keep = _emit_filter(n, constraint) if stop is None else None
+    keep = _emit_filter(n, constraint)
 
     vals = [0] * size
-    vals[1 : len(prefix) + 1] = prefix
-    start = len(prefix) + 1
-    end = size if stop is None else stop + 1
 
     def values_at(m):
         below = [vals[p] for p in preds[m]]
@@ -174,19 +168,19 @@ def _enumerate_values(n: int, constraint: str, prefix=(), stop=None, form=tuple)
                     hi = min(hi, lo) if flat == lo else lo - 1
         return iter(range(lo, hi + 1))
 
-    if start == end:
-        candidate = tuple(vals[1:end]) if stop is not None else form(vals)
+    if size == 1:
+        candidate = form(vals)
         if keep is None or keep(candidate):
             yield candidate
         return
-    last = end - 1
-    cursors = [None] * end
-    cursors[start] = values_at(start)
-    m = start
+    last = size - 1
+    cursors = [None] * size
+    cursors[1] = values_at(1)
+    m = 1
     while True:
         v = next(cursors[m], None)
         if v is None:
-            if m == start:
+            if m == 1:
                 return
             m -= 1
         elif m < last:
@@ -195,7 +189,7 @@ def _enumerate_values(n: int, constraint: str, prefix=(), stop=None, form=tuple)
             cursors[m] = values_at(m)
         else:
             vals[m] = v
-            candidate = tuple(vals[1:end]) if stop is not None else form(vals)
+            candidate = form(vals)
             if keep is None or keep(candidate):
                 yield candidate
 
@@ -464,6 +458,10 @@ class Param(NamedTuple):
         if isinstance(self.default, str):
             return str(value)
         try:
+            # int() would truncate a float: only ints (bools among them) and
+            # strings are read
+            if not isinstance(value, (int, str)):
+                raise TypeError
             value = int(value)
         except (TypeError, ValueError):
             raise RankFunctionError(f"{key} must be an integer, got {value!r}") from None
@@ -692,22 +690,10 @@ def _suite_dual_greedoid_axioms(params, rec: _Recorder):
 _CORPUS_TABLES = 4096
 
 
-def _intersection_task(args):
-    """The instance count of a task and its failures, each with the index of
-    its table within the task."""
-    n, prefix = args
-    tables = _enumerate_values(n, "all-normalized-subcardinal-monotone", prefix, form=bytes)
-    count, failures = 0, []
-    while corpus := b"".join(itertools.islice(tables, _CORPUS_TABLES)):
-        failures += _intersection_failures(n, corpus, count)
-        count += len(corpus) >> n
-    return count, failures
-
-
-def _intersection_failures(n, corpus, start):
+def _intersection_failures(n, corpus):
     """The failures among tables laid end to end, each with the index of its
-    table counted from ``start``. The axioms' verdicts are read for all the
-    tables at once."""
+    table in the corpus. The axioms' verdicts are read for all the tables at
+    once."""
     size, count = 1 << n, len(corpus) >> n
     greedoid, matroid, dual_greedoid = block_failures(n, corpus, count)
     # greedoid(r*) is read only where r is a greedoid
@@ -723,42 +709,25 @@ def _intersection_failures(n, corpus, start):
         for b in members_of(fails, count):
             values = tuple(corpus[b * size : (b + 1) * size])
             witness = f"matroid={not matroid >> b & 1}"
-            failures.append((start + b, (f"n={n} values={values}", assertion, witness)))
+            failures.append((b, (f"n={n} values={values}", assertion, witness)))
     # a table failing both assertions keeps them in this order
     failures.sort(key=lambda failure: failure[0])
     return failures
 
 
-@_suite(n=_exhaustive_n(4), workers=Param(1, 1))
+@_suite(n=_exhaustive_n(4))
 def _suite_greedoid_intersection(params, rec: _Recorder):
-    workers = params["workers"]
     for n in range(params["n"] + 1):
-        tasks = [(n, ())]
-        if workers > 1 and n >= 3:
-            depth = 3
-            tasks = [
-                (n, prefix)
-                for prefix in _enumerate_values(
-                    n, "all-normalized-subcardinal-monotone", stop=depth
-                )
-            ]
-        pool_size = min(workers, os.cpu_count() or 1, len(tasks))
-        if pool_size > 1:
-            from concurrent.futures import ProcessPoolExecutor
-
-            with ProcessPoolExecutor(max_workers=pool_size) as pool:
-                results = list(pool.map(_intersection_task, tasks))
-        else:
-            results = [_intersection_task(t) for t in tasks]
-        for count, failures in results:
+        tables = _enumerate_values(n, "all-normalized-subcardinal-monotone", form=bytes)
+        while corpus := b"".join(itertools.islice(tables, _CORPUS_TABLES)):
             # count through each failing table, so that a fail-fast run
             # stops at the first failure in enumeration order
             counted = 0
-            for index, failure in failures:
+            for index, failure in _intersection_failures(n, corpus):
                 rec.instances += index + 1 - counted
                 counted = index + 1
                 rec.fail(*failure)
-            rec.instances += count - counted
+            rec.instances += (len(corpus) >> n) - counted
 
 
 def _root_adjacent(vertex_count: int, edge_pairs) -> list:
@@ -797,12 +766,10 @@ def _suite_root_adjacency(params, rec: _Recorder):
 
     for nodes in range(1, max_edges + 2):
         for shape in _rooted_tree_shapes(nodes):
-            rg = _shape_to_rooted_graph(shape)
-            index = {name: i for i, name in enumerate(rg.vertices)}
-            pairs = tuple((index[u], index[v]) for _, u, v in rg.edges)
-            values = branching_greedoid(rg).values
-            adjacent = _root_adjacent(len(rg.vertices), pairs)[0]
-            check_instance(len(rg.vertices), pairs, 0, values, adjacent, lambda: f"tree{shape}")
+            pairs = _shape_pairs(shape)
+            values = branching_ranks(len(pairs), nodes, pairs, 0)
+            adjacent = _root_adjacent(nodes, pairs)[0]
+            check_instance(nodes, pairs, 0, values, adjacent, lambda: f"tree{shape}")
     for v, combo in _cyclic_connected_graphs(max_edges):
         rows = branching_rows(len(combo), v, combo)
         adjacent = _root_adjacent(v, combo)

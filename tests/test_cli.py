@@ -195,7 +195,6 @@ def test_verify_requires_seed_for_randomized_suite(capsys):
     "suite, key, value",
     [
         ("involution", "count", "abc"),
-        ("greedoid_intersection", "workers", "x"),
         ("branching_goldens", "fail_fast", "false"),
         ("exchange", "max_failures", "all"),
     ],
@@ -245,7 +244,8 @@ def test_verify_rejects_a_run_without_instances(capsys, suite, params):
         ("involution", "cout=3", "cout", "count, fail_fast, hi, lo, max_failures, max_n, seed"),
         ("branching_goldens", "n=3,zz=1", "n, zz", "fail_fast, max_failures, seed"),
         ("root_adjacency", "max_edge=3", "max_edge", "fail_fast, max_edges, max_failures, seed"),
-        ("greedoid_intersection", "threads=2", "threads", "fail_fast, max_failures, n, seed, workers"),
+        ("greedoid_intersection", "threads=2", "threads", "fail_fast, max_failures, n, seed"),
+        ("greedoid_intersection", "workers=2", "workers", "fail_fast, max_failures, n, seed"),
     ],
 )
 def test_verify_rejects_unknown_params(capsys, suite, params, unknown, accepted):
@@ -318,8 +318,6 @@ def test_verify_params_reject_a_leading_bare_piece(capsys, raw):
         ("involution", "fail_fast=-1", "fail_fast = -1 out of range (0 to 1)"),
         ("pruning_goldens", "max_failures=0", "max_failures = 0 out of range (1 or more)"),
         ("exchange", "max_failures=-1", "max_failures = -1 out of range (1 or more)"),
-        ("greedoid_intersection", "workers=0", "workers = 0 out of range (1 or more)"),
-        ("greedoid_intersection", "workers=-5", "workers = -5 out of range (1 or more)"),
     ],
 )
 def test_verify_rejects_params_out_of_range(capsys, monkeypatch, suite, params, message):
@@ -343,7 +341,6 @@ def test_verify_rejects_params_out_of_range(capsys, monkeypatch, suite, params, 
         ("closure_dual_rank", "max_tree_edges=12"),
         ("branching_goldens", "fail_fast=0,max_failures=1"),
         ("involution", "fail_fast=1,max_failures=1000000"),
-        ("greedoid_intersection", "workers=1"),
     ],
 )
 def test_verify_accepts_params_at_the_range_ends(capsys, monkeypatch, suite, params):
@@ -613,8 +610,8 @@ def _argv_cases():
             st.sampled_from(verify.CONSTRAINTS),
         ),
         st.builds(
-            lambda workers: ["verify", "--suite", "greedoid_intersection", "--params", f"workers={workers}"],
-            st.integers(-2, 3),
+            lambda n: ["verify", "--suite", "greedoid_intersection", "--params", f"n={n}"],
+            st.integers(-2, 6),
         ),
     )
 
@@ -627,7 +624,7 @@ def test_fuzzed_argv_exits_0_1_or_2_without_a_traceback(argv):
 
     out, err = io.StringIO(), io.StringIO()
     with pytest.MonkeyPatch.context() as mp:
-        # the input checks run; no enumeration and no worker pool does
+        # the input checks run; no enumeration does
         mp.setattr(cli, "enumerate_tables", lambda spec: iter(()))
         suite = verify.SUITES["greedoid_intersection"]
         mp.setitem(verify.SUITES, "greedoid_intersection", suite._replace(run=one_instance))

@@ -8,8 +8,6 @@ reports below pin the exact failure lines, instance counts and the
 variable late, from a later loop iteration, shows up as a changed line.
 """
 
-import os
-
 import pytest
 
 from rankdual import GroundSet, run_suite, structures, table_from_values, verify
@@ -602,56 +600,53 @@ def test_failing_report(monkeypatch, name):
     assert failing_reports(name) == EXPECTED[name]
 
 
-def test_a_failing_pooled_intersection_run_reports_as_the_serial_run(monkeypatch, recording_pool):
-    # n = 3 is the smallest size split into pool tasks; the scenario fails
-    # from n = 0 on, so those tasks return failures too
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    _patch(monkeypatch, _scenarios()["greedoid_intersection"][1])
-    params = {"n": 3, "workers": 2}
-    capped = run_suite("greedoid_intersection", {**params, "max_failures": 3})
-    assert recording_pool == [(2, 9)]
-    serial = run_suite("greedoid_intersection", {"n": 3, "max_failures": 3})
-    assert capped.instances_checked == serial.instances_checked
-    fast = run_suite("greedoid_intersection", {**params, "fail_fast": True})
-    # past the params line, the reports of the pinned serial n = 2 run, but
-    # for the instances of the capped run, which also counts n = 3
-    capped_pinned, fast_pinned = EXPECTED["greedoid_intersection"]
-    assert capped.to_report().split("\n")[3:] == list(capped_pinned[3:])
-    assert fast.to_report().split("\n")[2:] == list(fast_pinned[2:])
-
-
-def test_failures_of_pool_tasks_are_kept_in_serial_order(monkeypatch, recording_pool):
-    # only the n = 3 tables fail, so every failure comes from a pool task
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+def _only_n3_fails(monkeypatch):
+    """Make the n = 3 tables of greedoid_intersection fail, and no smaller one."""
     dual_values = verify._dual_values
     monkeypatch.setattr(
         verify, "_dual_values", lambda v, n: [1] * len(v) if n == 3 else dual_values(v, n)
     )
-    for extra in ({"max_failures": 3}, {"fail_fast": True}):
-        serial = run_suite("greedoid_intersection", {"n": 3, **extra})
-        pooled = run_suite("greedoid_intersection", {"n": 3, "workers": 2, **extra})
-        assert pooled.failures == serial.failures
-        assert pooled.failures[0][0] == "n=3 values=(0, 0, 0, 0, 0, 0, 0, 0)"
-    assert recording_pool == [(2, 9), (2, 9)]
 
 
-def test_fail_fast_counts_do_not_depend_on_workers(monkeypatch, recording_pool):
+def test_failures_of_pool_tasks_are_kept_in_serial_order(monkeypatch):
+    _only_n3_fails(monkeypatch)
+    capped = run_suite("greedoid_intersection", {"n": 3, "max_failures": 3})
+    fast = run_suite("greedoid_intersection", {"n": 3, "fail_fast": True})
+    assert [instance for instance, _, _ in capped.failures] == [
+        "n=3 values=(0, 0, 0, 0, 0, 0, 0, 0)",
+        "n=3 values=(0, 0, 0, 0, 1, 1, 1, 1)",
+        "n=3 values=(0, 0, 1, 1, 0, 0, 1, 1)",
+    ]
+    assert fast.failures == capped.failures[:1]
+
+
+def test_fail_fast_counts_do_not_depend_on_workers(monkeypatch):
     # the first failing table is the first n = 3 table: the 12 smaller
-    # tables and that one are counted, whichever task it falls in
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    dual_values = verify._dual_values
-    monkeypatch.setattr(
-        verify, "_dual_values", lambda v, n: [1] * len(v) if n == 3 else dual_values(v, n)
-    )
-    serial = run_suite("greedoid_intersection", {"n": 3, "fail_fast": True, "workers": 1})
-    pooled = run_suite("greedoid_intersection", {"n": 3, "fail_fast": True, "workers": 2})
-    assert recording_pool == [(2, 9)]
-    assert serial.instances_checked == 13
-    # the reports differ only in the workers param they echo
-    serial_lines, pooled_lines = serial.to_report().split("\n"), pooled.to_report().split("\n")
-    assert serial_lines[1] == "params: fail_fast=True n=3 workers=1"
-    assert pooled_lines[1] == "params: fail_fast=True n=3 workers=2"
-    assert serial_lines[:1] + serial_lines[2:] == pooled_lines[:1] + pooled_lines[2:]
+    # tables and that one are counted
+    _only_n3_fails(monkeypatch)
+    result = run_suite("greedoid_intersection", {"n": 3, "fail_fast": True})
+    assert result.instances_checked == 13
+    assert result.to_report().split("\n")[1:4] == [
+        "params: fail_fast=True n=3",
+        "instances: 13",
+        "failures: 1",
+    ]
+
+
+def test_the_chunk_size_changes_no_intersection_report(monkeypatch):
+    def reports():
+        runs = ({"n": 3, "max_failures": 3}, {"n": 3}, {"n": 3, "fail_fast": True})
+        return [run_suite("greedoid_intersection", params).to_report() for params in runs]
+
+    _only_n3_fails(monkeypatch)
+    default_chunks = reports()
+    # at 5 tables a chunk, the runs cross chunk boundaries at n = 2 and n = 3,
+    # and the 16 failures of the full run fall in several chunks
+    monkeypatch.setattr(verify, "_CORPUS_TABLES", 5)
+    assert reports() == default_chunks
+    assert "\ninstances: 13\n" in default_chunks[2]
+    _patch(monkeypatch, _scenarios()["greedoid_intersection"][1])
+    assert failing_reports("greedoid_intersection") == EXPECTED["greedoid_intersection"]
 
 
 @pytest.mark.parametrize("max_failures, code", [("0", 2), ("-1", 2), ("1", 1)])

@@ -194,6 +194,14 @@ def test_randomized_suite_requires_seed():
             run_suite(name, {"count": 5})
 
 
+@pytest.mark.parametrize("key, value", [("count", 2.7), ("seed", 1.9)])
+def test_run_suite_rejects_a_float_param(key, value):
+    # truncated, count=2.7 would check 2 tables and seed=1.9 would run seed 1
+    with pytest.raises(RankFunctionError) as raised:
+        run_suite("involution", {"seed": 1, "count": 2, key: value})
+    assert str(raised.value) == f"{key} must be an integer, got {value!r}"
+
+
 def test_suite_results_are_deterministic():
     a = run_suite("duality_swap", {"count": 40, "seed": 77})
     b = run_suite("duality_swap", {"count": 40, "seed": 77})
@@ -292,23 +300,6 @@ def test_suites_read_exactly_their_declared_params(monkeypatch):
         run_suite(name, {**SMALL_PARAMS[name], "seed": 3})
         # run_suite hands the suite exactly its declared params, and it reads each
         assert set(handed) == seen == set(suite.params), name
-
-
-def test_parallel_intersection_matches_sequential():
-    seq = run_suite("greedoid_intersection", {"n": 3})
-    par = run_suite("greedoid_intersection", {"n": 3, "workers": 2})
-    assert par.passed and par.instances_checked == seq.instances_checked
-
-
-@pytest.mark.parametrize("cpus", [2, 10**6])
-def test_intersection_pool_is_clamped_to_cpus_and_tasks(monkeypatch, recording_pool, cpus):
-    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    result = run_suite("greedoid_intersection", {"n": 3, "workers": 10**9})
-    [(pool_size, task_count)] = recording_pool
-    assert task_count > 2
-    assert pool_size == min(cpus, task_count)
-    assert result.passed
-    assert result.instances_checked == run_suite("greedoid_intersection", {"n": 3}).instances_checked
 
 
 def test_recorder_fail_fast_and_cap(monkeypatch):
