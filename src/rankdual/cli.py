@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import textwrap
 
 from .axioms import (
     DemiTriple,
@@ -25,7 +26,7 @@ from .documents import DocumentError, dump_rank_table, load_document
 from .ops import MinorSpec, contract, delete, direct_sum, dual, minor
 from .structures import branching_greedoid, convex_closure, pruning_antimatroid
 from .tutte import tutte_recursive, tutte_subset
-from .verify import CONSTRAINTS, EnumSpec, SUITES, enumerate_tables, run_suite
+from .verify import _RUN_PARAMS, CONSTRAINTS, EnumSpec, SUITES, enumerate_tables, run_suite
 
 CHECKS = ("matroid", "greedoid", "dual-greedoid", "antimatroid", "demimatroid")
 
@@ -65,6 +66,28 @@ def _params_arg(raw: str) -> dict:
         else:
             params[key] += "," + piece
     return params
+
+
+def _params_help() -> str:
+    """The params of every suite, as the suites declare them: key=default
+    and the inclusive range, if any."""
+
+    def described(params: dict) -> str:
+        items = []
+        for key, param in params.items():
+            text = f"{key} (required)" if param.default is None else f"{key}={param.default}"
+            bounds = param.range_text()
+            items.append(f"{text} ({bounds})" if bounds else text)
+        return "; ".join(items) or "(none)"
+
+    sections = [(name, SUITES[name].params) for name in sorted(SUITES)]
+    sections.append(("every suite", _RUN_PARAMS))
+    lines = ["suite params, given as --params key=value,... (key=default, range):"]
+    for name, params in sections:
+        lines.append(f"  {name}:")
+        lines.append(textwrap.fill(described(params), width=78, initial_indent="    ",
+                                   subsequent_indent="    ", break_on_hyphens=False))
+    return "\n".join(lines)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -117,7 +140,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--constraint", choices=CONSTRAINTS, required=True)
     p.add_argument("--count-only", action="store_true")
 
-    p = sub.add_parser("verify", help="run a named verification suite")
+    p = sub.add_parser("verify", help="run a named verification suite", epilog=_params_help(),
+                       formatter_class=argparse.RawDescriptionHelpFormatter)
     p.add_argument("--suite", required=True, choices=sorted(SUITES))
     p.add_argument("--params", default="", metavar="K=V,K=V")
     p.add_argument("--seed", type=int)

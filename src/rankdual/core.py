@@ -490,6 +490,18 @@ class RankTable:
                 if abs(v) > MAX_RANK_MAGNITUDE:
                     raise TableBuildError(f"rank {v} exceeds the magnitude bound")
 
+    @classmethod
+    def _trusted(cls, ground: GroundSet, values: tuple) -> RankTable:
+        """A table built without ``__post_init__``'s checks, for values the
+        library generated itself. The caller guarantees that ``values`` is a
+        tuple of exactly ``ground.size`` ints (no bools), each at most
+        MAX_RANK_MAGNITUDE in absolute value; anything else makes a table
+        that the checked constructor would have refused."""
+        table = object.__new__(cls)
+        object.__setattr__(table, "ground", ground)
+        object.__setattr__(table, "values", values)
+        return table
+
     @property
     def n(self) -> int:
         return self.ground.n

@@ -103,6 +103,17 @@ class RootedGraph:
         if not _is_connected(self.vertices, self.edges):
             raise StructureError("rooted graph must be connected")
 
+    @classmethod
+    def _trusted(cls, vertices: tuple, root: str, edges: tuple) -> RootedGraph:
+        """A graph built without ``__post_init__``'s checks, for graphs the
+        library generated itself. The caller guarantees that ``vertices`` is
+        a tuple of distinct names containing ``root``, and ``edges`` a tuple
+        of (label, u, v) tuples with distinct labels over those vertices
+        that form a connected simple graph (no loops, no parallel edges)."""
+        graph = object.__new__(cls)
+        graph.__dict__.update(vertices=vertices, root=root, edges=edges)
+        return graph
+
     def edge_labels(self) -> tuple:
         return tuple(label for label, _, _ in self.edges)
 

@@ -19,7 +19,7 @@ import random
 import time
 from contextlib import suppress
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from operator import eq, sub
 from typing import NamedTuple
 
@@ -36,6 +36,7 @@ from .axioms import (
 from .core import (
     DECREASE,
     JUMP,
+    MAX_GROUND_SIZE,
     MAX_RANK_MAGNITUDE,
     GroundSet,
     RankFunctionError,
@@ -108,6 +109,8 @@ class EnumSpec:
             raise RankFunctionError(
                 f"unknown constraint {self.constraint!r}; choose from {CONSTRAINTS}"
             )
+        if not isinstance(self.n, int) or isinstance(self.n, bool):
+            raise RankFunctionError(f"n must be an integer, got {self.n!r}")
         if self.n < 0:
             raise RankFunctionError(
                 f"n = {self.n} is negative; a ground set has 0 or more elements"
@@ -211,8 +214,9 @@ def enumerate_tables(spec: EnumSpec):
     """Yield every rank table on n labeled elements satisfying the
     constraint, exactly once, in deterministic order."""
     ground = GroundSet(tuple(_LABELS[: spec.n]))
-    for values in _enumerate_values(spec.n, spec.constraint):
-        yield table_from_values(ground, values)
+    # the search yields tuples of 2**n ints in 0..n, and EnumSpec bounds n,
+    # so the tables skip the checked constructor
+    yield from map(partial(RankTable._trusted, ground), _enumerate_values(spec.n, spec.constraint))
 
 
 # ---------------------------------------------------------------------------
@@ -239,6 +243,8 @@ def random_monotone_tables(count: int, max_n: int = 6, seed=None):
     uniform between the largest immediate-subset rank and the cardinality."""
     if seed is None:
         raise RankFunctionError("random table sampling requires a seed")
+    if max_n > MAX_GROUND_SIZE:
+        raise RankFunctionError(f"max_n = {max_n} exceeds the ground size cap of {MAX_GROUND_SIZE}")
     rng = random.Random(seed)
     for _ in range(count):
         n = rng.randint(0, max_n)
@@ -248,7 +254,8 @@ def random_monotone_tables(count: int, max_n: int = 6, seed=None):
         for m in range(1, size):
             lo_bound = max((values[p] for p in preds[m]), default=0)
             values[m] = rng.randint(lo_bound, m.bit_count())
-        yield table_from_values(GroundSet(tuple(_LABELS[:n])), values)
+        # 2**n ints in 0..n with n within the cap: no checks needed
+        yield RankTable._trusted(GroundSet(tuple(_LABELS[:n])), tuple(values))
 
 
 # ---------------------------------------------------------------------------
@@ -342,8 +349,10 @@ def _labelled(pairs) -> tuple:
 
 
 def _shape_to_rooted_graph(shape) -> RootedGraph:
+    # a tree shape gives a connected simple graph
     pairs = _shape_pairs(shape)
-    return RootedGraph(tuple(f"v{i}" for i in range(len(pairs) + 1)), "v0", _labelled(pairs))
+    vertices = tuple(f"v{i}" for i in range(len(pairs) + 1))
+    return RootedGraph._trusted(vertices, "v0", _labelled(pairs))
 
 
 def _cyclic_connected_graphs(max_edges: int):
@@ -368,10 +377,11 @@ def all_rooted_graphs(max_edges: int):
         for shape in _rooted_tree_shapes(nodes):
             yield _shape_to_rooted_graph(shape)
     for v, combo in _cyclic_connected_graphs(max_edges):
+        # distinct vertex pairs that the generator found connected
         vertices = tuple(f"v{i}" for i in range(v))
         edges = _labelled(combo)
         for root in range(v):
-            yield RootedGraph(vertices, f"v{root}", edges)
+            yield RootedGraph._trusted(vertices, f"v{root}", edges)
 
 
 # ---------------------------------------------------------------------------
@@ -468,9 +478,17 @@ class Param(NamedTuple):
         lowest, highest = self.lowest, self.highest
         if (lowest is not None and value < lowest) or (highest is not None and value > highest):
             scope = f" {self.scope}" if self.scope else ""
-            bounds = f"{lowest} or more" if highest is None else f"{lowest} to {highest}"
-            raise RankFunctionError(f"{key} = {value} out of range{scope} ({bounds})")
+            raise RankFunctionError(f"{key} = {value} out of range{scope} ({self.range_text()})")
         return value
+
+    def range_text(self) -> str:
+        """The inclusive range in words ("0 to 4", "1 or more"), or "" for
+        a param without one."""
+        if self.lowest is None:
+            return ""
+        if self.highest is None:
+            return f"{self.lowest} or more"
+        return f"{self.lowest} to {self.highest}"
 
 
 def _exhaustive_n(default: int) -> Param:

@@ -1,6 +1,8 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -158,6 +160,43 @@ def test_enumerate_command(capsys):
 
     code, out, _ = run(capsys, "enumerate", "--n", "2", "--constraint", "greedoid", "--count-only")
     assert out.strip() == "count: 7"
+
+
+def test_python_dash_m_rankdual_runs_the_cli():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    argv = ["enumerate", "--n", "2", "--constraint", "matroid", "--count-only"]
+    package, module = (
+        subprocess.run([sys.executable, "-m", entry, *argv], capture_output=True, text=True,
+                       env=env, timeout=60)
+        for entry in ("rankdual", "rankdual.cli")
+    )
+    assert package.returncode == module.returncode == 0, package.stderr
+    assert package.stdout == module.stdout == "count: 5\n"
+
+
+def test_verify_help_lists_every_declared_param(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_command(["verify", "--help"])
+    assert exc.value.code == 0
+    # one section per suite: its name on a line, then its wrapped params
+    sections = {}
+    name = None
+    for line in capsys.readouterr().out.split("suite params", 1)[1].splitlines()[1:]:
+        if line.startswith("    "):
+            sections[name] += " " + line.strip()
+        else:
+            name = line.strip().removesuffix(":")
+            sections[name] = ""
+    assert set(sections) == set(verify.SUITES) | {"every suite"}
+    declared = {name: suite.params for name, suite in verify.SUITES.items()}
+    declared["every suite"] = verify._RUN_PARAMS
+    for name, params in declared.items():
+        for key, param in params.items():
+            default = " (required)" if param.default is None else f"={param.default}"
+            assert f"{key}{default}" in sections[name], (name, key)
+            if param.range_text():
+                assert f"{key}{default} ({param.range_text()})" in sections[name], (name, key)
 
 
 def test_enumerate_rejects_large_n(capsys):

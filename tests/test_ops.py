@@ -9,6 +9,7 @@ from rankdual import (
     GroundSetError,
     MinorSpec,
     NormalizationError,
+    TableBuildError,
     contract,
     delete,
     direct_sum,
@@ -33,6 +34,13 @@ def test_dual_golden_row(demo_table):
     assert gd.values == (0, -1, 0, 0, 0, -1, 0, 0)
     # |{a,c}| + r({b}) - r(S) = 2 + 0 - 3
     assert gd.rank(("a", "c")) == -1
+
+
+def test_dual_results_are_checked():
+    # r*({a}) = 1 + r(empty) - r({a}) = 1 - 2**32 leaves the magnitude bound
+    g = table_from_values(GroundSet(("a",)), (-(2**31), 2**31))
+    with pytest.raises(TableBuildError, match="rank -4294967295 exceeds the magnitude bound"):
+        dual(g)
 
 
 def test_dual_involution_on_demo(demo_table):

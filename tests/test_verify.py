@@ -9,6 +9,8 @@ import pytest
 from rankdual import (
     EnumSpec,
     RankFunctionError,
+    RankTable,
+    RootedGraph,
     SuiteResult,
     all_rooted_graphs,
     all_trees,
@@ -18,9 +20,17 @@ from rankdual import (
     random_monotone_tables,
     random_tables,
     run_suite,
+    table_from_values,
     validate,
 )
-from rankdual.verify import RANDOMIZED_SUITES, SUITES, Suite, _Recorder, _rooted_tree_shapes
+from rankdual.verify import (
+    CONSTRAINTS,
+    RANDOMIZED_SUITES,
+    SUITES,
+    Suite,
+    _Recorder,
+    _rooted_tree_shapes,
+)
 
 
 # --- enumeration ----------------------------------------------------------------
@@ -31,6 +41,12 @@ def test_enum_spec_validation():
         EnumSpec(5, "greedoid")
     with pytest.raises(RankFunctionError, match="constraint"):
         EnumSpec(2, "lattice")
+
+
+@pytest.mark.parametrize("n", [2.0, "3", True])
+def test_enum_spec_rejects_a_non_integer_n(n):
+    with pytest.raises(RankFunctionError, match="n must be an integer"):
+        EnumSpec(n, "greedoid")
 
 
 def test_enumeration_trivial_counts():
@@ -109,6 +125,53 @@ def test_random_monotone_tables_satisfy_constraints():
         report = validate(g)
         assert report.normalized and report.monotone
         assert report.subcardinal and report.nonnegative
+
+
+def test_random_monotone_tables_reject_a_ground_past_the_cap():
+    with pytest.raises(RankFunctionError, match="max_n = 25"):
+        next(random_monotone_tables(1, max_n=25, seed=1))
+
+
+# --- generated tables and graphs skip the checked constructors -----------------------
+
+
+def _same_as_checked_table(g):
+    assert type(g.values) is tuple and set(map(type, g.values)) <= {int}
+    checked = table_from_values(g.ground, g.values)
+    assert g == checked and hash(g) == hash(checked)
+
+
+@pytest.mark.parametrize("constraint", CONSTRAINTS)
+def test_enumerated_tables_equal_the_checked_tables(constraint):
+    for n in range(5):
+        for g in enumerate_tables(EnumSpec(n, constraint)):
+            _same_as_checked_table(g)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_random_monotone_tables_equal_the_checked_tables(seed):
+    for g in random_monotone_tables(200, max_n=6, seed=seed):
+        _same_as_checked_table(g)
+
+
+def test_census_graphs_equal_the_checked_graphs():
+    for rg in all_rooted_graphs(6):
+        checked = RootedGraph(rg.vertices, rg.root, rg.edges)
+        assert rg == checked and hash(rg) == hash(checked)
+        assert type(rg.vertices) is tuple and type(rg.edges) is tuple
+        assert all(type(e) is tuple for e in rg.edges)
+
+
+def test_generated_tables_and_graphs_skip_the_checked_constructors(monkeypatch):
+    def refuse(self):
+        raise AssertionError(f"checked constructor of {type(self).__name__} ran")
+
+    monkeypatch.setattr(RankTable, "__post_init__", refuse)
+    monkeypatch.setattr(RootedGraph, "__post_init__", refuse)
+    for constraint in CONSTRAINTS:
+        assert sum(1 for _ in enumerate_tables(EnumSpec(3, constraint))) > 0
+    assert sum(1 for _ in random_monotone_tables(20, max_n=4, seed=1)) == 20
+    assert sum(1 for _ in all_rooted_graphs(4)) > 0
 
 
 # --- structural censuses -------------------------------------------------------------
