@@ -152,6 +152,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_check(args) -> int:
+    if args.s_input and args.system != "demimatroid":
+        raise DocumentError(f"--s-in applies only to check demimatroid, not {args.system}")
     table = _load_table(args.input)
     if args.system == "matroid":
         report = check_matroid(table)

@@ -517,8 +517,10 @@ class RankTable:
             if subset.ground != self.ground:
                 raise GroundSetError("subset belongs to a different ground set")
             return self.values[subset.bits]
-        if isinstance(subset, int):
-            return self.values[subset]
+        if isinstance(subset, int) and not isinstance(subset, bool):
+            return self.values[SubsetRef(self.ground, subset).bits]
+        if not isinstance(subset, Iterable):
+            raise GroundSetError(f"mask must be an integer, got {subset!r}")
         return self.values[self.ground.subset(subset).bits]
 
     def subsets(self) -> Iterator[SubsetRef]:

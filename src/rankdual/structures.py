@@ -143,10 +143,10 @@ class Tree:
         return tuple(label for label, _, _ in self.edges)
 
 
-def _require_materializable(n: int, max_table_n: int):
-    if n > max_table_n:
+def _require_materializable(n: int):
+    if n > MAX_MATERIALIZED_N:
         raise StructureError(
-            f"{n} edges exceed the materialization cap of {max_table_n}"
+            f"{n} edges exceed the materialization cap of {MAX_MATERIALIZED_N}"
         )
 
 
@@ -170,48 +170,40 @@ def _relax(reach: list, has: list, pairs) -> None:
                     grown = True
 
 
-def branching_ranks(edge_count: int, vertex_count: int, pairs, root: int) -> bytes:
-    """Byte A is the branching rank of edge mask A: the number of vertices
-    other than the root that the edges of A connect to it.
+def branching_rows(edge_count: int, vertex_count: int, pairs, roots) -> list[bytes]:
+    """Entry i is the branching rank row of root ``roots[i]``: byte A is the
+    number of vertices other than that root that the edges of mask A connect
+    to it.
 
-    reach[x] is the set of masks through whose edges x is reachable from the
-    root; it grows by reach[x] & has[e] across each edge e until it is stable.
-    """
-    reach = [0] * vertex_count
-    reach[root] = (1 << (1 << edge_count)) - 1
-    _relax(reach, _has_sets(edge_count), pairs)
-    return member_counts(edge_count, reach[:root] + reach[root + 1 :])
-
-
-def branching_rows(edge_count: int, vertex_count: int, pairs) -> list[bytes]:
-    """Entry r is ``branching_ranks(edge_count, vertex_count, pairs, r)``:
-    the branching ranks for every root of one graph, from one relaxation.
-
-    The positions are (root, mask) pairs, one block of 2**edge_count bits per
-    root, and reach[x] is the set of positions (r, A) at which x is reachable
-    from r through A. Each has-set is repeated once per block, so one edge
-    loop relaxes every root at once and one ``member_counts`` counts every row.
+    The positions are (i, mask) pairs, one block of 2**edge_count bits per
+    listed root, and reach[x] is the set of positions (i, A) at which x is
+    reachable from roots[i] through A. It grows by reach[x] & has[e] across
+    each edge e until it is stable. Each has-set is repeated once per block,
+    so one edge loop relaxes every root at once and one ``member_counts``
+    counts every row.
     """
     size = 1 << edge_count
     block = (1 << size) - 1
-    copies = sum(1 << (r * size) for r in range(vertex_count))
-    own = [block << (x * size) for x in range(vertex_count)]
+    own = [0] * vertex_count
+    for i, root in enumerate(roots):
+        own[root] |= block << (i * size)
+    copies = sum(1 << (i * size) for i in range(len(roots)))
     reach = list(own)
     _relax(reach, [members * copies for members in _has_sets(edge_count)], pairs)
     # a root is not counted in its own row
-    counts = member_counts(edge_count, map(int.__xor__, reach, own), vertex_count)
-    return [counts[r * size : (r + 1) * size] for r in range(vertex_count)]
+    counts = member_counts(edge_count, map(int.__xor__, reach, own), len(roots))
+    return [counts[i * size : (i + 1) * size] for i in range(len(roots))]
 
 
-def branching_greedoid(rg: RootedGraph, max_table_n: int = MAX_MATERIALIZED_N) -> RankTable:
+def branching_greedoid(rg: RootedGraph) -> RankTable:
     """Rank of an edge subset A = size of the largest subtree inside A that
     contains the root, i.e. (vertices reachable from the root through A) - 1.
     Built from one reachability bit set per vertex.
     """
     n = len(rg.edges)
-    _require_materializable(n, max_table_n)
+    _require_materializable(n)
     pairs = _edge_pairs(rg.vertices, rg.edges)
-    ranks = branching_ranks(n, len(rg.vertices), pairs, rg.vertices.index(rg.root))
+    (ranks,) = branching_rows(n, len(rg.vertices), pairs, (rg.vertices.index(rg.root),))
     return table_from_values(GroundSet(rg.edge_labels()), tuple(ranks))
 
 
@@ -226,7 +218,7 @@ def root_adjacency_test(rg: RootedGraph) -> bool:
     return adjacent == set(rg.vertices)
 
 
-def pruning_antimatroid(t: Tree, max_table_n: int = MAX_MATERIALIZED_N) -> RankTable:
+def pruning_antimatroid(t: Tree) -> RankTable:
     """Edge subset A is feasible iff the remaining edges form a subtree (the
     empty edge set counts). Rank of A = size of its largest feasible subset,
     which equals n minus the size of the minimal subtree containing K = S - A.
@@ -236,7 +228,7 @@ def pruning_antimatroid(t: Tree, max_table_n: int = MAX_MATERIALIZED_N) -> RankT
     e and contain one whole side of it.
     """
     n = len(t.edges)
-    _require_materializable(n, max_table_n)
+    _require_materializable(n)
     pairs = _edge_pairs(t.vertices, t.edges)
     has = _has_sets(n)
     every = (1 << (1 << n)) - 1
@@ -259,20 +251,23 @@ def _convex_flags(g: RankTable) -> bytes:
     return bytes(map(eq, reversed(g.values), reversed(popcounts(g.n))))
 
 
-def closure_table(g: RankTable, validated: bool = False) -> list:
+def closure_table(g: RankTable) -> list:
     """Convex closure of every subset at once: closures[mask] is the mask of
-    the intersection of all convex supersets.
+    the intersection of all convex supersets. The table must be a full
+    antimatroid; each closure is re-verified to be convex.
+    """
+    _require_full_antimatroid(g)
+    return _closure_table(g)
+
+
+def _closure_table(g: RankTable) -> list:
+    """``closure_table`` without the full-antimatroid precondition check.
 
     Element p lies in the closure of A iff no convex superset of A avoids p,
     that is iff A is not in Down(convex sets without p). Each down-set takes
     one shift-or pass per element, (X & has[q]) >> 2**q adding the sets with
     q removed, and ``member_masks`` assembles the closures from the n sets.
-
-    With ``validated=False`` the table must first pass the antimatroid and
-    fullness preconditions; each closure is re-verified to be convex.
     """
-    if not validated:
-        _require_full_antimatroid(g)
     is_convex = _convex_flags(g)
     convex = bitset(is_convex)
     has = _has_sets(g.n)
@@ -332,12 +327,6 @@ def uniform_matroid(labels, k: int) -> RankTable:
     return table_from_values(ground, tuple(ranks))
 
 
-def _compress_mask(mask: int, bit: int) -> int:
-    low = mask & (bit - 1)
-    high = (mask >> 1) & ~(bit - 1)
-    return low | high
-
-
 def greedoid_minor_feasible(g: RankTable, p: str, kind: str) -> FeasibleFamily:
     """Feasible family of a greedoid minor, per the feasible-set definitions:
     F is feasible in G - p iff F is feasible in G; F is feasible in G / p iff
@@ -353,29 +342,18 @@ def greedoid_minor_feasible(g: RankTable, p: str, kind: str) -> FeasibleFamily:
         failed = [name for name, ok in report.verdicts.items() if not ok]
         raise StructureError(f"input is not a greedoid; failed: {failed}")
     bit = 1 << g.ground.position(p)
-    family = FeasibleFamily.from_table(g)
-    new_ground, _ = _project(g.ground, bit)
-
-    if kind == "delete":
-        members = frozenset(
-            _compress_mask(m, bit) for m in family.members if not m & bit
+    feasible = FeasibleFamily.from_table(g).members
+    new_ground, expand = _project(g.ground, bit)
+    if kind == "contract" and bit in feasible:
+        expand = map(bit.__or__, expand)
+    elif kind == "contract" and any(m & bit for m in feasible):
+        raise ContractionError(
+            f"contraction at {p!r} is not a greedoid: "
+            f"{p!r} lies in a feasible set but {{{p}}} is infeasible"
         )
-        return FeasibleFamily(new_ground, members)
-
-    covered = any(m & bit for m in family.members)
-    if bit in family.members:
-        members = frozenset(
-            _compress_mask(m ^ bit, bit) for m in family.members if m & bit
-        )
-        return FeasibleFamily(new_ground, members)
-    if not covered:
-        # greedoid loop: contraction coincides with deletion
-        members = frozenset(_compress_mask(m, bit) for m in family.members)
-        return FeasibleFamily(new_ground, members)
-    raise ContractionError(
-        f"contraction at {p!r} is not a greedoid: "
-        f"{p!r} lies in a feasible set but {{{p}}} is infeasible"
-    )
+    # deleting p, or contracting a greedoid loop p, reads the old mask itself
+    members = frozenset(new for new, old in enumerate(expand) if old in feasible)
+    return FeasibleFamily(new_ground, members)
 
 
 def demo_rooted_tree() -> RootedGraph:

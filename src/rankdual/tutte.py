@@ -20,6 +20,20 @@ from .core import NormalizationError, RankFunctionError, RankTable, popcounts
 from .ops import _expansion
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _checked_term(key, c) -> tuple[int, int]:
+    """The exponent pair of a term that is not all plain ints: int
+    subclasses other than bool pass, as ints; anything else raises."""
+    if not _is_int(c):
+        raise RankFunctionError(f"non-integer coefficient {c!r}")
+    if not (isinstance(key, tuple) and len(key) == 2 and all(map(_is_int, key))):
+        raise RankFunctionError(f"non-integer exponent pair {key!r}")
+    return (int(key[0]), int(key[1]))
+
+
 class LaurentPoly2:
     """Sparse polynomial in t and z with integer coefficients and integer
     (possibly negative) exponents. Immutable; zero coefficients are never
@@ -30,11 +44,13 @@ class LaurentPoly2:
     def __init__(self, terms: Mapping[tuple[int, int], int] | None = None):
         cleaned: dict[tuple[int, int], int] = {}
         if terms:
-            for (i, j), c in terms.items():
-                if not isinstance(c, int) or isinstance(c, bool):
-                    raise RankFunctionError(f"non-integer coefficient {c!r}")
+            for key, c in terms.items():
+                # the common case, plain ints, is screened without calls
+                if not (type(key) is tuple and len(key) == 2
+                        and type(key[0]) is type(key[1]) is type(c) is int):
+                    key = _checked_term(key, c)
                 if c != 0:
-                    cleaned[(int(i), int(j))] = c
+                    cleaned[key] = c
         self._terms = cleaned
 
     @classmethod

@@ -55,7 +55,6 @@ from .structures import (
     Tree,
     _components,
     branching_greedoid,
-    branching_ranks,
     branching_rows,
     closure_table,
     demo_pruning_tree,
@@ -348,39 +347,31 @@ def _labelled(pairs) -> tuple:
     return tuple((_LABELS[i], f"v{a}", f"v{b}") for i, (a, b) in enumerate(pairs))
 
 
-def _shape_to_rooted_graph(shape) -> RootedGraph:
-    # a tree shape gives a connected simple graph
-    pairs = _shape_pairs(shape)
-    vertices = tuple(f"v{i}" for i in range(len(pairs) + 1))
-    return RootedGraph._trusted(vertices, "v0", _labelled(pairs))
-
-
-def _cyclic_connected_graphs(max_edges: int):
-    """All connected simple graphs with a cycle and at most max_edges edges,
-    enumerated over labeled vertex sets (isomorphic repeats are harmless for
-    exhaustive verification). Yields (vertex_count, edge_pairs)."""
+def _rooted_graphs(max_edges: int):
+    """Every connected simple graph with at most max_edges edges, as
+    (vertex_count, edge_pairs, roots): each rooted tree shape once, rooted at
+    vertex 0, then each cyclic graph over labeled vertex sets (isomorphic
+    repeats are harmless for exhaustive verification) rooted at every vertex."""
+    for nodes in range(1, max_edges + 2):
+        for shape in _rooted_tree_shapes(nodes):
+            yield nodes, tuple(_shape_pairs(shape)), (0,)
     for v in range(3, max_edges + 1):
         pairs = list(itertools.combinations(range(v), 2))
-        for e in range(v, max_edges + 1):
-            if e > len(pairs):
-                break
+        for e in range(v, min(max_edges, len(pairs)) + 1):
             for combo in itertools.combinations(pairs, e):
                 if len(set(_components(v, combo))) == 1:
-                    yield v, combo
+                    yield v, combo, range(v)
 
 
 def all_rooted_graphs(max_edges: int):
     """All connected simple rooted graphs with at most max_edges edges:
     rooted trees one per isomorphism class, plus every labeled rooted choice
     of the cyclic connected graphs."""
-    for nodes in range(1, max_edges + 2):
-        for shape in _rooted_tree_shapes(nodes):
-            yield _shape_to_rooted_graph(shape)
-    for v, combo in _cyclic_connected_graphs(max_edges):
-        # distinct vertex pairs that the generator found connected
+    for v, pairs, roots in _rooted_graphs(max_edges):
+        # distinct vertex pairs of a connected graph
         vertices = tuple(f"v{i}" for i in range(v))
-        edges = _labelled(combo)
-        for root in range(v):
+        edges = _labelled(pairs)
+        for root in roots:
             yield RootedGraph._trusted(vertices, f"v{root}", edges)
 
 
@@ -765,35 +756,21 @@ def _suite_root_adjacency(params, rec: _Recorder):
     # being checked is number rec.instances + 1
     sample_stride = 97
 
-    def check_instance(vertex_count, edge_pairs, root, values, root_adjacent, graph_desc):
-        # graph_desc: a callable describing the graph, called only on failure
-        min_dual = min(_dual_values(values, len(edge_pairs)))
-        ok = (min_dual >= 0) == root_adjacent
-        if (rec.instances + 1) % sample_stride == 0:
-            rg = RootedGraph(
-                tuple(f"v{i}" for i in range(vertex_count)), f"v{root}", _labelled(edge_pairs)
-            )
-            ok = ok and branching_greedoid(rg).values == tuple(values)
-            ok = ok and root_adjacency_test(rg) == root_adjacent
-        rec.check(
-            ok,
-            lambda: f"{graph_desc()} root=v{root}",
-            "dual rank nonnegative iff every vertex is root-adjacent",
-            lambda: f"min_dual={min_dual} adjacent={root_adjacent}",
-        )
-
-    for nodes in range(1, max_edges + 2):
-        for shape in _rooted_tree_shapes(nodes):
-            pairs = _shape_pairs(shape)
-            values = branching_ranks(len(pairs), nodes, pairs, 0)
-            adjacent = _root_adjacent(nodes, pairs)[0]
-            check_instance(nodes, pairs, 0, values, adjacent, lambda: f"tree{shape}")
-    for v, combo in _cyclic_connected_graphs(max_edges):
-        rows = branching_rows(len(combo), v, combo)
-        adjacent = _root_adjacent(v, combo)
-        for root in range(v):
-            check_instance(
-                v, combo, root, rows[root], adjacent[root], lambda: f"cyclic v={v} edges={combo}"
+    for v, pairs, roots in _rooted_graphs(max_edges):
+        rows = branching_rows(len(pairs), v, pairs, roots)
+        adjacent = _root_adjacent(v, pairs)
+        for root, values in zip(roots, rows):
+            min_dual = min(_dual_values(values, len(pairs)))
+            ok = (min_dual >= 0) == adjacent[root]
+            if (rec.instances + 1) % sample_stride == 0:
+                rg = RootedGraph(tuple(f"v{i}" for i in range(v)), f"v{root}", _labelled(pairs))
+                ok = ok and branching_greedoid(rg).values == tuple(values)
+                ok = ok and root_adjacency_test(rg) == adjacent[root]
+            rec.check(
+                ok,
+                lambda: f"{'tree' if len(pairs) < v else 'cyclic'} v={v} edges={pairs} root=v{root}",
+                "dual rank nonnegative iff every vertex is root-adjacent",
+                lambda: f"min_dual={min_dual} adjacent={adjacent[root]}",
             )
 
 

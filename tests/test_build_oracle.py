@@ -2,7 +2,6 @@
 per-mask constructions and the depth-first recursion of ``build_oracle``."""
 
 import random
-from functools import partial
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,8 +23,8 @@ from rankdual import (
     tutte_recursive,
     tutte_subset,
 )
-from rankdual.structures import _edge_pairs, branching_ranks, branching_rows, closure_table
-from rankdual.verify import _cyclic_connected_graphs
+from rankdual.structures import _closure_table, _edge_pairs, branching_rows, closure_table
+from rankdual.verify import _rooted_graphs
 
 from build_oracle import (
     oracle_branching_values,
@@ -114,20 +113,20 @@ def test_convex_closure_of_every_subset():
 
 
 def assert_rows_match(vertices, pairs):
-    """branching_rows of one graph equals branching_ranks and the per-mask
-    search for every root."""
-    rows = branching_rows(len(pairs), len(vertices), pairs)
-    assert rows == [branching_ranks(len(pairs), len(vertices), pairs, r) for r in range(len(vertices))]
+    """branching_rows of one graph for all roots at once equals its rows for
+    one root at a time and the per-mask search for every root."""
+    roots = range(len(vertices))
+    rows = branching_rows(len(pairs), len(vertices), pairs, roots)
+    assert rows == [branching_rows(len(pairs), len(vertices), pairs, (r,))[0] for r in roots]
     edges = [(LABELS[i], vertices[a], vertices[b]) for i, (a, b) in enumerate(pairs)]
     for root, row in zip(vertices, rows):
         assert tuple(row) == oracle_branching_values(RootedGraph(vertices, root, edges)), (root, edges)
 
 
 def test_branching_rows_of_every_small_graph():
-    for v, combo in _cyclic_connected_graphs(5):
-        assert_rows_match(tuple(f"v{i}" for i in range(v)), combo)
-    for rg in all_rooted_graphs(4):
-        assert_rows_match(rg.vertices, _edge_pairs(rg.vertices, rg.edges))
+    # every rooted tree shape and every cyclic graph up to five edges
+    for v, pairs, _ in _rooted_graphs(5):
+        assert_rows_match(tuple(f"v{i}" for i in range(v)), pairs)
 
 
 def test_branching_rows_of_seeded_graphs_up_to_ten_edges():
@@ -175,8 +174,7 @@ def convex_families(draw):
 @given(convex_families())
 def test_closure_table_matches_oracle_on_any_convex_family(g):
     # where a closure is not convex, both sides raise the same error
-    build = partial(closure_table, validated=True)
-    assert closure_outcome(build, g) == closure_outcome(oracle_closure_table, g)
+    assert closure_outcome(_closure_table, g) == closure_outcome(oracle_closure_table, g)
 
 
 def test_empty_and_single_element_grounds():

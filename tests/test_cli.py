@@ -67,6 +67,18 @@ def test_check_demimatroid_triple_flag(capsys):
     assert "system: demi-matroid-triple" in out
 
 
+@pytest.mark.parametrize("system", [c for c in cli.CHECKS if c != "demimatroid"])
+def test_check_rejects_s_in_unless_demimatroid(capsys, monkeypatch, tmp_path, system):
+    second = str(tmp_path / "missing.json")
+    read = []
+    load = cli._load_table
+    monkeypatch.setattr(cli, "_load_table", lambda path: read.append(path) or load(path))
+    code, out, err = run(capsys, "check", system, "--in", UNIFORM_DOC, "--s-in", second)
+    assert code == 2 and out == ""
+    assert err.splitlines() == [f"error: --s-in applies only to check demimatroid, not {system}"]
+    assert second not in read
+
+
 def test_dual_emits_round_trippable_document(capsys):
     code, out, _ = run(capsys, "dual", "--in", TABLE_DOC)
     assert code == 0

@@ -128,6 +128,16 @@ def test_build_rank_table_unknown_label():
         build_rank_table(ground, [((), 0), (("z",), 1)])
 
 
+@pytest.mark.parametrize("mask", [-1, 8, True, False, 1.5, None])
+def test_rank_rejects_a_mask_outside_the_ground_set(demo_table, mask):
+    with pytest.raises(GroundSetError):
+        demo_table.rank(mask)
+
+
+def test_rank_reads_integer_masks(demo_table):
+    assert [demo_table.rank(m) for m in range(8)] == list(demo_table.values)
+
+
 def test_table_rejects_non_integer_ranks():
     with pytest.raises(TableBuildError):
         make_table("a", [0, 1.5])

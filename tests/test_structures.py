@@ -22,7 +22,7 @@ from rankdual import (
     root_adjacency_test,
     uniform_matroid,
 )
-from rankdual.structures import closure_table
+from rankdual.structures import _closure_table, closure_table
 from rankdual.verify import all_trees
 
 from conftest import make_table
@@ -90,10 +90,15 @@ def test_branching_outputs_are_greedoids():
             assert table.full_rank == len(tree.edges)
 
 
-def test_branching_materialization_cap():
-    rg = demo_rooted_tree()
-    with pytest.raises(StructureError, match="cap"):
-        branching_greedoid(rg, max_table_n=2)
+def test_builders_reject_more_edges_than_the_materialization_cap():
+    # a 21-edge star and a 21-edge path are valid structures, one edge over
+    vertices = tuple(f"x{i}" for i in range(22))
+    star = RootedGraph(vertices, "x0", [(f"e{i}", "x0", f"x{i}") for i in range(1, 22)])
+    path = Tree(vertices, [(f"e{i}", f"x{i}", f"x{i + 1}") for i in range(21)])
+    with pytest.raises(StructureError, match="21 edges exceed the materialization cap of 20"):
+        branching_greedoid(star)
+    with pytest.raises(StructureError, match="21 edges exceed the materialization cap of 20"):
+        pruning_antimatroid(path)
 
 
 def test_root_adjacency():
@@ -200,7 +205,7 @@ def test_closure_table_detects_non_convex_intersection():
     # the closure of the empty set is not convex
     g = make_table("ab", [0, 1, 1, 1])
     with pytest.raises(StructureError, match="not convex"):
-        closure_table(g, validated=True)
+        _closure_table(g)
 
 
 def test_closure_table_matches_pointwise_closure():
@@ -256,6 +261,30 @@ def test_feasible_delete_always_greedoid():
             induced = family.induced_rank_table()
             assert induced == delete(g, label)
             assert check_greedoid(induced).passed
+
+
+def test_feasible_minors_follow_the_label_set_definitions():
+    # F is feasible in G - p iff F is feasible in G; F is feasible in G / p
+    # iff F + p is; contracting a loop p (in no feasible set) deletes it
+    for n in range(4):
+        for g in enumerate_tables(EnumSpec(n, "greedoid")):
+            subsets = [frozenset(s.labels()) for s in g.ground.subsets()]
+            feasible = {f for f in subsets if g.rank(f) == len(f)}
+            for p in g.ground.labels:
+                rest = [f for f in subsets if p not in f]
+                deleted = {f for f in rest if f in feasible}
+                got = greedoid_minor_feasible(g, p, "delete")
+                assert {frozenset(s.labels()) for s in got.subsets()} == deleted
+                if frozenset((p,)) in feasible:
+                    contracted = {f for f in rest if f | {p} in feasible}
+                elif not any(p in f for f in feasible):
+                    contracted = deleted
+                else:
+                    with pytest.raises(ContractionError):
+                        greedoid_minor_feasible(g, p, "contract")
+                    continue
+                got = greedoid_minor_feasible(g, p, "contract")
+                assert {frozenset(s.labels()) for s in got.subsets()} == contracted
 
 
 def test_feasible_contract_of_loop_equals_delete():

@@ -34,6 +34,14 @@ def _jumping(step_sets):
     return wrong
 
 
+def _cyclic_rows_wrong(edges, vertices, pairs, roots):
+    """branching_rows with one wrong row for every root of a graph with a
+    cycle (edges >= vertices); a tree gets its true rows."""
+    if edges < vertices:
+        return structures.branching_rows(edges, vertices, pairs, roots)
+    return [[0] * 7 + [5]] * len(roots)
+
+
 def _scenarios():
     """Suite name: (params, {attribute of ``verify``, or "structures.<name>":
     its wrong replacement})."""
@@ -61,10 +69,7 @@ def _scenarios():
         "dual_greedoid_axioms": ({"n": 2}, {"dual": lambda g: g}),
         "greedoid_intersection": ({"n": 2}, {"_dual_values": lambda v, n: [1] * len(v)}),
         # the trees pass; every rooted triangle fails
-        "root_adjacency": (
-            {"max_edges": 3},
-            {"branching_rows": lambda edges, vertices, pairs: [[0] * 7 + [5]] * vertices},
-        ),
+        "root_adjacency": ({"max_edges": 3}, {"branching_rows": _cyclic_rows_wrong}),
         "full_dual_nonpositive": ({"n": 2}, {"_dual_values": lambda v, n: [1] * len(v)}),
         # n = 0: the one antimatroid passes, the pruning trees fail
         "closure_dual_rank": (

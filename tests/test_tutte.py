@@ -44,6 +44,14 @@ def test_poly_rejects_non_integer_coefficients():
         LaurentPoly2({(0, 0): 1.5})
 
 
+@pytest.mark.parametrize(
+    "key", [(1.5, 0), (1.0, 0), ("2", "0"), (True, 0), (0, False), (1,), (1, 0, 0), 5]
+)
+def test_poly_rejects_non_integer_exponents(key):
+    with pytest.raises(RankFunctionError, match="non-integer exponent pair"):
+        LaurentPoly2({key: 1})
+
+
 def test_poly_canonical_string():
     assert str(LaurentPoly2.zero()) == "0"
     assert str(LaurentPoly2.one()) == "1"

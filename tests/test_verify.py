@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import os
 import subprocess
@@ -227,6 +228,22 @@ def test_library_runs_without_networkx():
     assert proc.stdout.rstrip().endswith("result: pass")
 
 
+def test_library_imports_only_the_standard_library():
+    package = Path(__file__).resolve().parents[1] / "src" / "rankdual"
+    sources = sorted(package.glob("*.py"))
+    assert sources
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                assert name.partition(".")[0] in sys.stdlib_module_names, (path.name, name)
+
+
 def test_rooted_tree_shape_counts():
     assert [len(_rooted_tree_shapes(k)) for k in range(1, 8)] == [1, 1, 2, 4, 9, 20, 48]
 
@@ -237,6 +254,13 @@ def test_rooted_graph_census_smoke():
     assert len(graphs) == 8 + 3
     for rg in graphs:
         assert rg.root in rg.vertices
+
+
+def test_root_adjacency_checks_each_census_graph_once():
+    for k in range(6):
+        result = run_suite("root_adjacency", {"max_edges": k})
+        assert result.passed
+        assert result.instances_checked == len(list(all_rooted_graphs(k)))
 
 
 # --- suite machinery -----------------------------------------------------------------
