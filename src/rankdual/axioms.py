@@ -13,10 +13,10 @@ sets when the family is accessible.
 The same violation sets serve one table and a whole corpus: with tables
 laid end to end as blocks (``core.step_sets``), ``block_failures`` gives
 the tables failing the greedoid, matroid and dual-greedoid checkers in one
-pass, and the verification suites read their verdicts from it. It reads
-the bounds r(A) <= |A| and r(A) <= r(S) with ``core.exceeding``; a
-single table reads them with one ``map`` pass, the quicker way up to at
-least n = 10.
+pass, and the verification suites read their verdicts from it. The bounds
+0 <= r(A), r(A) <= |A| and r(A) <= r(S) are read with ``core.exceeding``,
+for one table as for a corpus, and the feasible sets r(A) = |A| with
+``core.feasible_flags``.
 
 Each failed axiom reports its canonical witness, the first violation in
 (cardinality, mask) order, ties broken by element position: the lowest set
@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import compress
-from operator import eq, gt, ne, or_, sub
+from operator import ne, or_, sub
 
 from .core import (
     DECREASE,
@@ -42,6 +42,7 @@ from .core import (
     FLAT,
     JUMP,
     MAX_PAIRWISE_N,
+    NEGATIVE,
     SIZE,
     UNIT,
     GroundSet,
@@ -50,8 +51,10 @@ from .core import (
     SubsetRef,
     avoid_sets,
     bitset,
+    by_cardinality,
     exceeding,
     failing_blocks,
+    feasible_flags,
     first_by_cardinality,
     first_step,
     first_where,
@@ -111,20 +114,15 @@ class FeasibleFamily:
 
     @classmethod
     def from_table(cls, g: RankTable) -> "FeasibleFamily":
-        return cls(
-            g.ground,
-            frozenset(m for m in range(g.ground.size) if g.values[m] == m.bit_count()),
-        )
+        flags = feasible_flags(g.n, g.values)
+        return cls(g.ground, frozenset(compress(range(g.ground.size), flags)))
 
     def __contains__(self, subset) -> bool:
         mask = subset.bits if isinstance(subset, SubsetRef) else subset
         return mask in self.members
 
     def subsets(self) -> list[SubsetRef]:
-        return [
-            SubsetRef(self.ground, m)
-            for m in sorted(self.members, key=lambda m: (m.bit_count(), m))
-        ]
+        return [SubsetRef(self.ground, m) for m in by_cardinality(self.members)]
 
     def induced_rank_table(self) -> RankTable:
         """Table with r(A) = max{|F| : F in family, F subset of A}.
@@ -170,14 +168,6 @@ class DemiTriple:
 
 def _subset(ground: GroundSet, mask: int) -> SubsetRef:
     return SubsetRef(ground, mask)
-
-
-def _negative(values):
-    return map((0).__gt__, values)
-
-
-def _supercardinal(values, n):
-    return map(gt, values, popcounts(n))
 
 
 def _pair_union(n, pair_set):
@@ -272,7 +262,7 @@ def _locally_union_closed(n, feasible) -> bool:
 def _first_union_gap(members):
     """First pair F1 <= F2 in (cardinality, mask) order of the given masks
     whose union is not among them."""
-    ordered = sorted(members, key=lambda m: (m.bit_count(), m))
+    ordered = by_cardinality(members)
     for i, f1 in enumerate(ordered):
         for f2 in ordered[i:]:
             if f1 | f2 not in members:
@@ -374,11 +364,13 @@ def check_greedoid(g: RankTable) -> AxiomReport:
     Gr1 (increasing), Gr2 (subcardinal), Gr3 (local semimodularity)."""
     values, n, ground = g.values, g.n, g.ground
     found = ({}, {})
-    _record(found, "nonnegative", first_where(n, _negative(values)), _rank_at(ground, values))
+    negative = first_by_cardinality(n, exceeding(n, values, NEGATIVE))
+    _record(found, "nonnegative", negative, _rank_at(ground, values))
     _record(found, "Gr0", _unnormalized(values), _rank_at(ground, values))
     decrease, flat = step_sets(n, values, DECREASE, FLAT)
     _record(found, "Gr1", first_step(n, decrease), _step_at(ground))
-    _record(found, "Gr2", first_where(n, _supercardinal(values, n)), _rank_at(ground, values))
+    supercardinal = first_by_cardinality(n, exceeding(n, values, SIZE))
+    _record(found, "Gr2", supercardinal, _rank_at(ground, values))
     square = _first_pair(n, _flat_squares(flat))
     _record(found, "Gr3", square, _square_at(ground, ("A", "p1", "p2")))
     return _report("greedoid", found)
@@ -393,7 +385,7 @@ def check_dual_greedoid(g: RankTable) -> AxiomReport:
     _record(found, "Gr0*", _unnormalized(values), _rank_at(ground, values, ("B", "r(B)")))
     jump, unit = step_sets(n, values, JUMP, UNIT)
     _record(found, "Gr1*", first_step(n, jump), _step_at(ground, "B"))
-    above_full = first_where(n, map(values[ground.full_mask].__lt__, values))
+    above_full = first_by_cardinality(n, exceeding(n, values, FULL))
     _record(found, "Gr2*", above_full, _rank_at(ground, values, ("B", "r(B)")))
     _record(found, "Gr3*", _first_pair(n, _unit_squares(unit)), _square_at(ground, "Bpq"))
     return _report("dual-greedoid", found)
@@ -417,11 +409,7 @@ def feasible_descriptors(g: RankTable) -> FeasibleDescriptors:
     values, n, ground = g.values, g.n, g.ground
     total = values[ground.full_mask]
     family = FeasibleFamily.from_table(g)
-    # a stable sort by popcount lists the spanning masks in (cardinality,
-    # mask) order without the 2**n order of masks_by_cardinality
-    spanning_masks = sorted(
-        compress(range(ground.size), map(total.__eq__, values)), key=popcounts(n).__getitem__
-    )
+    spanning_masks = by_cardinality(compress(range(ground.size), map(total.__eq__, values)))
     spanning = tuple(_subset(ground, m) for m in spanning_masks)
     bases = tuple(_subset(ground, m) for m in spanning_masks if m in family.members)
     covered = reduce(or_, family.members, 0)
@@ -445,7 +433,7 @@ def check_antimatroid(g: RankTable) -> AxiomReport:
     """
     greedoid = check_greedoid(g)
     found = (dict(greedoid.verdicts), dict(greedoid.witnesses))
-    feasible = bitset(map(eq, g.values, popcounts(g.n)))
+    feasible = bitset(feasible_flags(g.n, g.values))
     hit = None
     if not _locally_union_closed(g.n, feasible):
         hit = _first_union_gap(FeasibleFamily.from_table(g).members)
@@ -456,8 +444,9 @@ def check_antimatroid(g: RankTable) -> AxiomReport:
 def _demi_flag_checks(prefix: str, table: RankTable, found):
     values, n, ground = table.values, table.n, table.ground
     witness = _rank_at(ground, values, ("A", "rank"))
-    _record(found, f"{prefix}-nonnegative", first_where(n, _negative(values)), witness)
-    _record(found, f"{prefix}-subcardinal", first_where(n, _supercardinal(values, n)), witness)
+    for name, bound in (("nonnegative", NEGATIVE), ("subcardinal", SIZE)):
+        hit = first_by_cardinality(n, exceeding(n, values, bound))
+        _record(found, f"{prefix}-{name}", hit, witness)
     (decrease,) = step_sets(n, values, DECREASE)
     _record(found, f"{prefix}-monotone", first_step(n, decrease), _nested_at(ground))
 
@@ -505,9 +494,9 @@ def check_demimatroid_characterization(g: RankTable) -> AxiomReport:
     """
     values, n, ground = g.values, g.n, g.ground
     found = verdicts, _ = ({}, {})
-    hit = first_where(n, _negative(values))
+    hit = first_by_cardinality(n, exceeding(n, values, NEGATIVE))
     if hit is None:
-        hit = first_where(n, _supercardinal(values, n))
+        hit = first_by_cardinality(n, exceeding(n, values, SIZE))
     _record(found, "nonnegative-subcardinal", hit, _rank_at(ground, values, ("A", "rank")))
     decrease, jump = step_sets(n, values, DECREASE, JUMP)
     _record(found, "monotone", first_step(n, decrease), _nested_at(ground))

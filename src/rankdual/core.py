@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 from itertools import chain, compress, count, repeat
-from operator import gt, lshift, or_, sub
+from operator import eq, gt, lshift, or_, sub
 from typing import Callable, Iterable, Iterator, Sequence
 
 # Explicit tables hold 2**n entries; 24 keeps the worst case at 16M ints.
@@ -45,33 +45,31 @@ class NormalizationError(RankFunctionError):
 MAX_PAIRWISE_N = 12
 
 
-def masks_by_cardinality(n: int) -> tuple[int, ...]:
-    """All masks over n bits sorted by (popcount, mask value).
+def by_cardinality(masks) -> list[int]:
+    """The given masks sorted by (popcount, mask value).
 
     This is the canonical scan order for witness search: the first violation
     found in this order is the smallest by cardinality, ties broken by mask.
-    The orders are cached only up to MAX_PAIRWISE_N, the largest size the
-    pairwise scans use, so a larger call keeps no 2**n tuple alive.
     """
-    if n <= MAX_PAIRWISE_N:
-        return _cached_masks_by_cardinality(n)
-    return _sorted_by_cardinality(n)
+    # sorted by value first, so that the stable popcount sort keeps each
+    # cardinality in mask order
+    return sorted(sorted(masks), key=int.bit_count)
 
 
-def _sorted_by_cardinality(n: int) -> tuple[int, ...]:
-    # a stable sort by popcount keeps each cardinality in mask order
-    return tuple(sorted(range(1 << n), key=popcounts(n).__getitem__))
-
-
-_cached_masks_by_cardinality = lru_cache(maxsize=None)(_sorted_by_cardinality)
+def masks_by_cardinality(n: int) -> tuple[int, ...]:
+    """All masks over n bits in (cardinality, mask) order. Nothing is
+    cached, so a large call keeps no 2**n tuple alive."""
+    return tuple(by_cardinality(range(1 << n)))
 
 
 # ---------------------------------------------------------------------------
 # bit-set kernel: a family of masks over n bits is one int whose bit A is set
 # iff mask A belongs to it. Every set is built by C-level bytes operations,
 # never by a Python loop over subsets. The step relations of the axioms come
-# from one byte-delta pass per element (step_sets) when the table's values
-# spread over at most 127, and from map passes otherwise.
+# from one byte-delta pass per element (step_sets), and the bounds 0 <= r(A),
+# r(A) <= |A| and r(A) <= r(S) from one byte pass each (exceeding), when the
+# table's values spread over at most 127; from map passes otherwise. The
+# feasible sets r(A) = |A| are read as flags (feasible_flags).
 # ---------------------------------------------------------------------------
 
 _DIGITS = bytes.maketrans(b"\0\1", b"01")
@@ -276,39 +274,53 @@ def step_sets(n: int, values, *relations: StepRelation, blocks: int = 1) -> list
     return found
 
 
-# The bounds of ``exceeding``: |A|, and the value r(S) of the full set of
+# The bounds of ``exceeding``: 0, |A|, and the value r(S) of the full set of
 # the block of A.
-SIZE, FULL = "size", "full"
+NEGATIVE, SIZE, FULL = "negative", "size", "full"
 
 
 def exceeding(n: int, values, bound: str, blocks: int = 1) -> int:
-    """The set of masks A with values[A] > bound(A); ``blocks`` as in
-    step_sets.
+    """The set of masks A whose value breaks the bound: values[A] < 0 for
+    NEGATIVE, values[A] > |A| for SIZE and values[A] > r(S) for FULL;
+    ``blocks`` as in step_sets. This is the one reader of the three bounds,
+    for one table as for a corpus.
 
     The packed path is the one of step_sets with the bound in place of the
-    shifted table, so that byte A holds bound - v + 128 and a DECREASE
-    marks an excess. The values are packed as v - low with low <= 0, so
-    that |A| - low packs too.
+    shifted table, so that byte A holds bound - v + 128 (v + 128 for
+    NEGATIVE) and a DECREASE marks a break. The values are packed as v - low
+    with low <= 0, so that |A| - low packs too. Values that are all
+    nonnegative break NEGATIVE nowhere, which costs no pass.
     """
     size, width = 1 << n, blocks << n
     low, high = _value_range(values)
+    if bound == NEGATIVE and low >= 0:
+        return 0
     low = min(low, 0)
     packed = _packed(values, low, max(high, n))
     if packed is None:
+        if bound == NEGATIVE:
+            return bitset(map((0).__gt__, values))
         tops = chain.from_iterable(map(repeat, values[size - 1 :: size], repeat(size)))
         return bitset(map(gt, values, popcounts(n) * blocks if bound == SIZE else tops))
-    if bound == SIZE:
-        ones = int.from_bytes(b"\1" * width, "little")
-        upper = int.from_bytes(popcounts(n) * blocks, "little") + (128 - low) * ones
+    ones = int.from_bytes(b"\1" * width, "little")
+    if bound == NEGATIVE:
+        steps = packed + (128 + low) * ones
+    elif bound == SIZE:
+        steps = int.from_bytes(popcounts(n) * blocks, "little") + (128 - low) * ones - packed
     else:
         # the last byte of each block, moved to the block's first byte,
         # raised by 128 and copied into all 2**n bytes of the block
         firsts = int.from_bytes((b"\1" + bytes(size - 1)) * blocks, "little")
         tops = (packed >> 8 * (size - 1) & 0xFF * firsts) + 128 * firsts
-        upper = tops * int.from_bytes(b"\1" * size, "little")
-    digits = (upper - packed).to_bytes(width, "big").translate(DECREASE.digits)
+        steps = tops * int.from_bytes(b"\1" * size, "little") - packed
+    digits = steps.to_bytes(width, "big").translate(DECREASE.digits)
     # a bound that holds everywhere, as it mostly does, costs no parse
     return int(digits, 2) if b"1" in digits else 0
+
+
+def feasible_flags(n: int, values) -> bytes:
+    """Byte A is 1 iff A is feasible, values[A] = |A|."""
+    return bytes(map(eq, values, popcounts(n)))
 
 
 def first_step(n: int, sets):
@@ -404,6 +416,8 @@ class SubsetRef(object):
     bits: int
 
     def __post_init__(self):
+        if not isinstance(self.bits, int) or isinstance(self.bits, bool):
+            raise GroundSetError(f"mask must be an integer, got {self.bits!r}")
         if not 0 <= self.bits <= self.ground.full_mask:
             raise GroundSetError(
                 f"mask {self.bits:#x} has bits outside the {self.ground.n}-element ground set"
@@ -517,10 +531,9 @@ class RankTable:
             if subset.ground != self.ground:
                 raise GroundSetError("subset belongs to a different ground set")
             return self.values[subset.bits]
-        if isinstance(subset, int) and not isinstance(subset, bool):
+        # anything but a label iterable is a mask, which SubsetRef checks
+        if isinstance(subset, int) or not isinstance(subset, Iterable):
             return self.values[SubsetRef(self.ground, subset).bits]
-        if not isinstance(subset, Iterable):
-            raise GroundSetError(f"mask must be an integer, got {subset!r}")
         return self.values[self.ground.subset(subset).bits]
 
     def subsets(self) -> Iterator[SubsetRef]:
@@ -592,16 +605,11 @@ def validate(table: RankTable) -> ValidationReport:
     values = table.values
     n = table.n
     ground = table.ground
-    total = values[ground.full_mask]
 
     flags = {}
     found = []
-    for name, violations in (
-        ("subcardinal", map(gt, values, popcounts(n))),
-        ("nonnegative", map((0).__gt__, values)),
-        ("rank_s_maximum", map(total.__lt__, values)),
-    ):
-        mask = first_where(n, violations)
+    for name, bound in (("subcardinal", SIZE), ("nonnegative", NEGATIVE), ("rank_s_maximum", FULL)):
+        mask = first_by_cardinality(n, exceeding(n, values, bound))
         flags[name] = mask is None
         if mask is not None:
             found.append((mask, name))

@@ -13,7 +13,7 @@ import sys
 from itertools import repeat
 from operator import itemgetter
 
-from .core import GroundSet, RankFunctionError, RankTable, build_rank_table, popcounts
+from .core import GroundSet, RankFunctionError, RankTable, build_rank_table, by_cardinality
 from .structures import RootedGraph, Tree, uniform_matroid
 
 KINDS = ("rank-table", "rooted-graph", "tree", "uniform")
@@ -190,10 +190,7 @@ def dump_rank_table(g: RankTable) -> str:
     """The table as an indent-2 rank-table document, subsets listed in
     (cardinality, mask) order and labels escaped as json.dumps does."""
     n, values = g.n, g.values
-    # a stable sort by popcount keeps the masks of one cardinality in mask
-    # order; masks_by_cardinality would give the same, but its cache would
-    # keep 2**n ints alive after the document is written
-    order = sorted(range(1 << n), key=popcounts(n).__getitem__)
+    order = by_cardinality(range(1 << n))
     labels = list(map(json.dumps, g.ground.labels))
     # bodies[m] lists the labels of mask m, one per line; doubling over the
     # labels appends label p to every mask below 1 << p

@@ -10,7 +10,6 @@ are counted from bit sets over all edge subsets (``core.member_counts``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import eq
 
 from .axioms import FeasibleFamily, check_antimatroid, check_greedoid
 from .core import (
@@ -20,6 +19,7 @@ from .core import (
     SubsetRef,
     avoid_sets,
     bitset,
+    feasible_flags,
     member_counts,
     member_masks,
     popcounts,
@@ -246,9 +246,9 @@ def pruning_antimatroid(t: Tree) -> RankTable:
 
 
 def _convex_flags(g: RankTable) -> bytes:
-    """Byte C is 1 iff C is convex: its complement is feasible,
-    r(S - C) = |S - C| (reversed, the tables are indexed by S - C)."""
-    return bytes(map(eq, reversed(g.values), reversed(popcounts(g.n))))
+    """Byte C is 1 iff C is convex: its complement S - C is feasible. The
+    feasible flags reversed, since mask S - C is the C-th from the end."""
+    return feasible_flags(g.n, g.values)[::-1]
 
 
 def closure_table(g: RankTable) -> list:

@@ -20,7 +20,7 @@ import time
 from contextlib import suppress
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from operator import eq, sub
+from operator import sub
 from typing import NamedTuple
 
 from .axioms import (
@@ -43,6 +43,7 @@ from .core import (
     RankTable,
     SubsetRef,
     bitset,
+    feasible_flags,
     members_of,
     popcounts,
     step_sets,
@@ -53,10 +54,10 @@ from .structures import (
     ContractionError,
     RootedGraph,
     Tree,
+    _closure_table,
     _components,
     branching_greedoid,
     branching_rows,
-    closure_table,
     demo_pruning_tree,
     demo_rooted_tree,
     greedoid_minor_feasible,
@@ -205,7 +206,7 @@ def _emit_filter(n: int, constraint: str):
     if constraint == "full-antimatroid":
         # the search prunes by Gr1-Gr3, so every table here is a greedoid and
         # the local union test is exact
-        return lambda v: v[-1] == n and _locally_union_closed(n, bitset(map(eq, v, popcounts(n))))
+        return lambda v: v[-1] == n and _locally_union_closed(n, bitset(feasible_flags(n, v)))
     return None
 
 
@@ -216,6 +217,12 @@ def enumerate_tables(spec: EnumSpec):
     # the search yields tuples of 2**n ints in 0..n, and EnumSpec bounds n,
     # so the tables skip the checked constructor
     yield from map(partial(RankTable._trusted, ground), _enumerate_values(spec.n, spec.constraint))
+
+
+def _enumerated(max_n: int, constraint: str):
+    """Every table of the constraint on 0 to max_n elements, by size."""
+    for n in range(max_n + 1):
+        yield from enumerate_tables(EnumSpec(n, constraint))
 
 
 # ---------------------------------------------------------------------------
@@ -498,7 +505,7 @@ _CORPUS = {
 
 
 def _corpus(params: dict):
-    return list(random_tables(**{key: params[key] for key in _CORPUS}))
+    return random_tables(**{key: params[key] for key in _CORPUS})
 
 
 def _desc(i: int, g: RankTable):
@@ -625,8 +632,7 @@ def _suite_polynomiality(params, rec: _Recorder):
 
 @_suite(n=_exhaustive_n(3))
 def _suite_contract_feasibility(params, rec: _Recorder):
-    tables = (g for n in range(params["n"] + 1) for g in enumerate_tables(EnumSpec(n, "greedoid")))
-    for idx, g in enumerate(tables):
+    for idx, g in enumerate(_enumerated(params["n"], "greedoid")):
         loops = feasible_descriptors(g).loops
         for pos, label in enumerate(g.ground.labels):
             if label in loops:
@@ -653,8 +659,7 @@ def _suite_contract_feasibility(params, rec: _Recorder):
 
 @_suite(n=_exhaustive_n(3))
 def _suite_minor_agreement(params, rec: _Recorder):
-    tables = (g for n in range(params["n"] + 1) for g in enumerate_tables(EnumSpec(n, "greedoid")))
-    for idx, g in enumerate(tables):
+    for idx, g in enumerate(_enumerated(params["n"], "greedoid")):
         loops = feasible_descriptors(g).loops
         for pos, label in enumerate(g.ground.labels):
             fam = greedoid_minor_feasible(g, label, "delete")
@@ -776,8 +781,7 @@ def _suite_root_adjacency(params, rec: _Recorder):
 
 @_suite(n=_exhaustive_n(4))
 def _suite_full_dual_nonpositive(params, rec: _Recorder):
-    tables = (g for n in range(params["n"] + 1) for g in enumerate_tables(EnumSpec(n, "greedoid")))
-    for idx, g in enumerate(tables):
+    for idx, g in enumerate(_enumerated(params["n"], "greedoid")):
         if g.full_rank != g.n:
             continue
         dv = _dual_values(g.values, g.n)
@@ -794,10 +798,7 @@ _CLOSURE = {"n": _exhaustive_n(4), "max_tree_edges": Param(8, 0, MAX_TREE_EDGES)
 
 def _closure_corpora(params):
     """(description, table) pairs; each description is a callable."""
-    tables = (
-        g for n in range(params["n"] + 1) for g in enumerate_tables(EnumSpec(n, "full-antimatroid"))
-    )
-    for idx, g in enumerate(tables):
+    for idx, g in enumerate(_enumerated(params["n"], "full-antimatroid")):
         yield (lambda idx=idx, g=g: f"antimatroid[{idx}] n={g.n} values={g.values}"), g
     for idx, tree in enumerate(all_trees(params["max_tree_edges"])):
         yield (lambda idx=idx, tree=tree: f"pruning-tree[{idx}] edges={len(tree.edges)}"), (
@@ -808,7 +809,9 @@ def _closure_corpora(params):
 @_suite(_CLOSURE)
 def _suite_closure_dual_rank(params, rec: _Recorder):
     for desc, g in _closure_corpora(params):
-        closures = closure_table(g)
+        # the corpora are full antimatroids by construction; the closures are
+        # still checked to be convex
+        closures = _closure_table(g)
         dv = _dual_values(g.values, g.n)
         for mask in range(g.ground.size):
             gap = (closures[mask] & ~mask).bit_count()
@@ -850,12 +853,7 @@ _MONOTONE = {**_SAMPLE, "n": _exhaustive_n(3)}
 
 def _monotone_corpus(params):
     """(description, table) pairs; each description is a callable."""
-    tables = (
-        g
-        for n in range(params["n"] + 1)
-        for g in enumerate_tables(EnumSpec(n, "all-normalized-subcardinal-monotone"))
-    )
-    for idx, g in enumerate(tables):
+    for idx, g in enumerate(_enumerated(params["n"], "all-normalized-subcardinal-monotone")):
         yield (lambda idx=idx, g=g: f"enumerated[{idx}] n={g.n} values={g.values}"), g
     for idx, g in enumerate(random_monotone_tables(**{key: params[key] for key in _SAMPLE})):
         yield (lambda idx=idx, g=g: f"sampled[{idx}] n={g.n} values={g.values}"), g

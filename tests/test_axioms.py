@@ -1,6 +1,8 @@
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rankdual import (
     DemiTriple,
@@ -167,6 +169,15 @@ def test_feasible_descriptors_keep_no_order_of_a_large_table():
     finally:
         tracemalloc.stop()
     assert retained < 2**20
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32), st.sampled_from([(-3, 8), (-200, 200)]))
+def test_feasible_family_holds_exactly_the_sets_of_full_rank(seed, ranks):
+    lo, hi = ranks
+    for g in random_tables(4, max_n=6, seed=seed, lo=lo, hi=hi):
+        members = {a for a in range(g.ground.size) if g.values[a] == a.bit_count()}
+        assert FeasibleFamily.from_table(g).members == members
 
 
 def test_induced_rank_table_round_trip(demo_table):

@@ -74,7 +74,7 @@ def _scenarios():
         # n = 0: the one antimatroid passes, the pruning trees fail
         "closure_dual_rank": (
             {"n": 0, "max_tree_edges": 2},
-            {"closure_table": lambda g: [g.ground.full_mask] * g.ground.size},
+            {"_closure_table": lambda g: [g.ground.full_mask] * g.ground.size},
         ),
         "convex_zero_dual": (
             {"n": 2, "max_tree_edges": 2},

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from rankdual import verify
 from rankdual import (
     EnumSpec,
     RankFunctionError,
@@ -17,6 +18,7 @@ from rankdual import (
     all_trees,
     check_greedoid,
     check_matroid,
+    dual,
     enumerate_tables,
     random_monotone_tables,
     random_tables,
@@ -287,6 +289,25 @@ def test_run_suite_rejects_a_float_param(key, value):
     with pytest.raises(RankFunctionError) as raised:
         run_suite("involution", {"seed": 1, "count": 2, key: value})
     assert str(raised.value) == f"{key} must be an integer, got {value!r}"
+
+
+def test_random_corpora_are_checked_as_they_are_drawn(monkeypatch):
+    events = []
+
+    def drawing(**params):
+        for g in random_tables(**params):
+            events.append("draw")
+            yield g
+
+    def checking(g):
+        events.append("check")
+        return dual(g)
+
+    monkeypatch.setattr(verify, "random_tables", drawing)
+    monkeypatch.setattr(verify, "dual", checking)
+    assert run_suite("involution", {"seed": 1, "count": 3}).passed
+    # no table waits in a list: each is checked before the next is drawn
+    assert events == ["draw", "check", "check"] * 3
 
 
 def test_suite_results_are_deterministic():
