@@ -152,7 +152,7 @@ def test_criterion_07_greedoid_intersection_exhaustive():
     checked = 0
     ok = True
     for n in range(5):
-        tables = list(_enumerate_values(n, "all-normalized-subcardinal-monotone"))
+        tables = list(map(tuple, _enumerate_values(n, "all-normalized-subcardinal-monotone")))
         checked += len(tables)
         # the sets of tables failing each class, one bit per table
         greedoid, matroid, _ = block_failures(n, [x for v in tables for x in v], len(tables))

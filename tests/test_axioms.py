@@ -335,11 +335,11 @@ def test_fast_predicates_match_checkers_on_sampled_enumeration():
 
 
 def test_block_failures_select_the_enumerated_greedoids_and_matroids():
-    tables = list(_enumerate_values(4, "all-normalized-subcardinal-monotone"))
+    tables = list(map(tuple, _enumerate_values(4, "all-normalized-subcardinal-monotone")))
     greedoid, matroid, _ = block_failures(4, [v for t in tables for v in t], len(tables))
     for failing, constraint in ((greedoid, "greedoid"), (matroid, "matroid")):
         passing = [t for b, t in enumerate(tables) if not failing >> b & 1]
-        assert passing == list(_enumerate_values(4, constraint))
+        assert passing == list(map(tuple, _enumerate_values(4, constraint)))
 
 
 def test_matroid_iff_greedoid_and_starred_axioms():

@@ -1,11 +1,15 @@
 import ast
 import hashlib
+import itertools
 import os
 import subprocess
 import sys
+from operator import le
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rankdual import verify
 from rankdual import (
@@ -32,6 +36,8 @@ from rankdual.verify import (
     SUITES,
     Suite,
     _Recorder,
+    _join,
+    _monotone,
     _rooted_tree_shapes,
 )
 
@@ -92,6 +98,34 @@ def test_recorded_census_numbers():
     assert sum(1 for _ in enumerate_tables(EnumSpec(4, "greedoid"))) == 3012
 
 
+def _halves(width, top):
+    return st.lists(st.lists(st.integers(0, top), min_size=width, max_size=width).map(bytes), max_size=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda width: st.tuples(_halves(width, 5), _halves(width, 3))))
+@example(([], [b"\0\1"]))
+@example(([b"\0\1"], []))
+@example(([b"\5\0", b"\1\1"], [b"\3\3", b"\1\2"]))  # a lower above every upper
+def test_join_keeps_the_pointwise_ordered_pairs_in_order(halves):
+    lowers, uppers = halves
+    want = [low + up for low in lowers for up in uppers if all(map(le, low, up))]
+    assert list(_join(lowers, uppers)) == want
+
+
+@pytest.mark.parametrize("n", range(3))
+@pytest.mark.parametrize("c", range(4))
+def test_monotone_tables_are_every_bounded_monotone_table(n, c):
+    size = 1 << n
+    want = [
+        bytes(v)
+        for v in itertools.product(range(n + c + 1), repeat=size)
+        if all(v[m] <= m.bit_count() + c for m in range(size))
+        and all(v[a] <= v[b] for a in range(size) for b in range(size) if a & b == a)
+    ]
+    assert list(_monotone(n, c)) == want
+
+
 def test_full_antimatroid_enumeration_matches_filter():
     from rankdual import check_antimatroid
 
@@ -133,6 +167,23 @@ def test_random_monotone_tables_satisfy_constraints():
 def test_random_monotone_tables_reject_a_ground_past_the_cap():
     with pytest.raises(RankFunctionError, match="max_n = 25"):
         next(random_monotone_tables(1, max_n=25, seed=1))
+
+
+@pytest.mark.parametrize(
+    "sampler, args, message",
+    [
+        (random_tables, {"max_n": -1}, "max_n = -1 out of range"),
+        (random_monotone_tables, {"max_n": -1}, "max_n = -1 out of range"),
+        (random_tables, {"max_n": 25}, "max_n = 25 out of range"),
+        (random_monotone_tables, {"max_n": 2.5}, "max_n must be an integer"),
+        (random_tables, {"lo": 5, "hi": 1}, "lo = 5 exceeds hi = 1"),
+        (random_tables, {"hi": 0.5}, "hi must be an integer"),
+        (random_monotone_tables, {"count": 2.5}, "count must be an integer"),
+    ],
+)
+def test_samplers_reject_bad_arguments_before_drawing(sampler, args, message):
+    with pytest.raises(RankFunctionError, match=message):
+        next(sampler(**{"count": 1, "seed": 1} | args))
 
 
 # --- generated tables and graphs skip the checked constructors -----------------------
