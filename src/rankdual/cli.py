@@ -51,8 +51,9 @@ def _labels_arg(raw: str) -> tuple:
 
 def _params_arg(raw: str) -> dict:
     """key=value pieces separated by commas; a piece without "=" continues
-    the previous value, so ``strategies=lowest,highest`` is one entry. Values
-    stay strings: ``run_suite`` converts each to its declared type."""
+    the previous value, so ``strategies=lowest,highest`` is one entry. A key
+    may appear once. Values stay strings: ``run_suite`` converts each to its
+    declared type."""
     params = {}
     key = None
     for piece in raw.split(","):
@@ -60,6 +61,8 @@ def _params_arg(raw: str) -> dict:
             continue
         if "=" in piece:
             key, value = piece.split("=", 1)
+            if key in params:
+                raise DocumentError(f"--params gives {key!r} more than once")
             params[key] = value
         elif key is None:
             raise DocumentError(f"bad --params entry {piece!r}; expected key=value")
@@ -185,10 +188,12 @@ def _cmd_feasible(args) -> int:
 
 def _cmd_verify(args) -> int:
     params = _params_arg(args.params)
-    if args.seed is not None:
-        params["seed"] = args.seed
-    if args.fail_fast:
-        params["fail_fast"] = True
+    flags = {"seed": args.seed, "fail_fast": True if args.fail_fast else None}
+    for key, value in flags.items():
+        if value is not None:
+            if key in params:
+                raise DocumentError(f"--params gives {key!r}, and so does --{key.replace('_', '-')}")
+            params[key] = value
     result = run_suite(args.suite, params)
     print(result.to_report(include_elapsed=args.timing))
     return 0 if result.passed else 1

@@ -151,48 +151,52 @@ def _monotone(n: int, c: int) -> tuple[bytes, ...]:
     return tuple(_join(_monotone(n - 1, c), _monotone(n - 1, c + 1)))
 
 
-# The class whose tables on n - 1 elements hold the lower half of every table
-# of a constraint on n elements (deletion keeps greedoids and matroids, and a
-# full antimatroid is a greedoid), and the block_failures verdict it keeps.
-_HALVES = {"greedoid": ("greedoid", 0), "matroid": ("matroid", 1), "full-antimatroid": ("greedoid", 0)}
-
-
 def _enumerate_values(n: int, constraint: str):
     """Every table of the constraint on n elements, as bytes in
-    lexicographic order. The join of table halves knows only monotonicity
-    and the cardinality bound, and is left as a stream so that no corpus of
-    every table is kept; every other condition is read from
-    ``axioms.block_failures``, on the join of a constraint's own tables on
-    n - 1 elements (see _HALVES) to the upper halves."""
-    if n == 0:
-        yield b"\0"  # the one normalized table, in every class
-        return
-    if constraint not in _HALVES:
+    lexicographic order. The monotone corpus streams from the join of table
+    halves, so that no corpus of every table is kept; the pruned classes
+    (greedoid, matroid, full antimatroid) are slices of one packed corpus per
+    (n, constraint), built once per process by _pruned."""
+    if constraint != "all-normalized-subcardinal-monotone":
+        corpus, size = _pruned(n, constraint), 1 << n
+        yield from (corpus[i : i + size] for i in range(0, len(corpus), size))
+    elif n == 0:
+        yield b"\0"  # the one normalized table
+    else:
         yield from _join(_monotone(n - 1, 0), _monotone(n - 1, 1))
-        return
-    lower_class, verdict = _HALVES[constraint]
-    joined = _join(_lower_halves(n - 1, lower_class), _monotone(n - 1, 1))
-    for corpus in _corpora(joined):
-        count = len(corpus) >> n
-        failing = block_failures(n, corpus, count)[verdict]
-        tables = (corpus[b << n : (b + 1) << n] for b in members_of(~failing, count))
-        if constraint == "full-antimatroid":
-            # the greedoid verdict ran first, so the local union test is exact
-            full = (v for v in tables if v[-1] == n)
-            tables = (v for v in full if _locally_union_closed(n, bitset(feasible_flags(n, v))))
-        yield from tables
+
+
+# The block_failures verdict that keeps a greedoid or a matroid. Deletion
+# keeps both classes, so the lower half of each of their tables on n
+# elements is a table of the class on n - 1 elements.
+_VERDICT = {"greedoid": 0, "matroid": 1}
 
 
 @lru_cache(maxsize=None)
-def _lower_halves(n: int, constraint: str) -> tuple[bytes, ...]:
-    """The tables of the constraint on n elements, kept for the joins on n + 1 elements:
-    greedoids and matroids on at most MAX_EXHAUSTIVE_N - 1 elements, 64 or fewer per size."""
-    return tuple(_enumerate_values(n, constraint))
+def _pruned(n: int, constraint: str) -> bytes:
+    """Every table of a pruned constraint on n elements, laid end to end in
+    lexicographic order: the class on n - 1 elements joined to the upper
+    halves, kept where ``axioms.block_failures`` passes it. A full
+    antimatroid is a full greedoid whose feasible sets are union-closed. The
+    largest, the 3,012 greedoids on 4 elements, takes 48 kB."""
+    if n == 0:
+        return b"\0"  # the one normalized table, in every class
+    if constraint == "full-antimatroid":
+        # the greedoid verdict holds, so the local union test is exact
+        full = (v for v in _enumerate_values(n, "greedoid") if v[-1] == n)
+        return b"".join(v for v in full if _locally_union_closed(n, bitset(feasible_flags(n, v))))
+    kept = []
+    joined = _join(list(_enumerate_values(n - 1, constraint)), _monotone(n - 1, 1))
+    for corpus in _corpora(joined):
+        count = len(corpus) >> n
+        failing = block_failures(n, corpus, count)[_VERDICT[constraint]]
+        kept += (corpus[b << n : (b + 1) << n] for b in members_of(~failing, count))
+    return b"".join(kept)
 
 
 # Tables per packed corpus: enough for the passes over a corpus to pay off,
-# and few enough that the corpus and its bit sets stay small (an n = 4
-# greedoid enumeration holds 0.2 MB of them at 1,024 tables, 0.7 MB at 4,096).
+# and few enough that the corpus and its bit sets stay small (building the
+# n = 4 greedoids holds 0.2 MB of them at 1,024 tables, 0.7 MB at 4,096).
 _CORPUS_TABLES = 1024
 
 
@@ -751,6 +755,21 @@ def _root_adjacent(vertex_count: int, edge_pairs) -> list:
     return [mask == everyone for mask in neighbours]
 
 
+def _min_duals(n: int, rows) -> list:
+    """Entry i is the least dual rank of rows[i], a table on n elements
+    (bytes or a list of ints, r(B) <= 255 - n), from one packed pass.
+
+    With B = S - A, r*(A) = x_B - r(S) for x_B = r(B) + n - |B|. The rows
+    are laid end to end and the bytes n - |B|, repeated once per row, are
+    added as one int, no byte carrying; x_S = r(S), so each row's least dual
+    is the least byte of its block minus the block's last byte."""
+    size = 1 << n
+    joined = b"".join(map(bytes, rows))
+    gaps = bytes(map(n.__sub__, popcounts(n))) * len(rows)
+    x = (int.from_bytes(joined, "big") + int.from_bytes(gaps, "big")).to_bytes(len(joined), "big")
+    return [min(x[end - size : end]) - x[end - 1] for end in range(size, len(x) + 1, size)]
+
+
 @_suite(max_edges=Param(6, 0, MAX_CENSUS_EDGES))
 def _suite_root_adjacency(params, rec: _Recorder):
     max_edges = params["max_edges"]
@@ -761,12 +780,12 @@ def _suite_root_adjacency(params, rec: _Recorder):
     for v, pairs, roots in _rooted_graphs(max_edges):
         rows = branching_rows(len(pairs), v, pairs, roots)
         adjacent = _root_adjacent(v, pairs)
-        for root, values in zip(roots, rows):
-            min_dual = min(_dual_values(values, len(pairs)))
+        for root, values, min_dual in zip(roots, rows, _min_duals(len(pairs), rows)):
             ok = (min_dual >= 0) == adjacent[root]
             if (rec.instances + 1) % sample_stride == 0:
                 rg = RootedGraph(tuple(f"v{i}" for i in range(v)), f"v{root}", _labelled(pairs))
-                ok = ok and branching_greedoid(rg).values == tuple(values)
+                g = branching_greedoid(rg)
+                ok = ok and g.values == tuple(values) and min(dual(g).values) == min_dual
                 ok = ok and root_adjacency_test(rg) == adjacent[root]
             rec.check(
                 ok,

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -174,6 +175,19 @@ def test_enumerate_command(capsys):
     assert out.strip() == "count: 7"
 
 
+def test_enumerate_output_is_pinned():
+    # every table of every constraint at n = 0..4, in CONSTRAINTS order
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        for constraint in verify.CONSTRAINTS:
+            for n in range(5):
+                with pytest.raises(SystemExit) as exc:
+                    cli.main(["enumerate", "--n", str(n), "--constraint", constraint])
+                assert exc.value.code == 0
+    digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
+    assert digest == "2237884e98d0918b6bbc2fb99d52830ed9df9db29b5ebbb94e8a39f569d43314"
+
+
 def test_python_dash_m_rankdual_runs_the_cli():
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
@@ -342,6 +356,23 @@ def test_verify_checks_a_seed_the_suite_ignores(capsys):
     assert (code, out, err) == (2, "", "error: seed must be an integer, got 'abc'\n")
     code, out, err = run(capsys, "verify", "--suite", "branching_goldens", "--seed", "5")
     assert code == 0 and err == "" and "params: seed=5\n" in out
+
+
+@pytest.mark.parametrize("raw", ["seed=1,seed=2", "count=3,seed=1,count=3", "seed=1,highest,seed=1"])
+def test_verify_params_reject_a_repeated_key(capsys, raw):
+    key = raw.split("=", 1)[0]
+    code, out, err = run(capsys, "verify", "--suite", "recursion_oracle", "--params", raw)
+    assert (code, out, err) == (2, "", f"error: --params gives {key!r} more than once\n")
+
+
+@pytest.mark.parametrize(
+    "flags, key",
+    [(["--seed", "1", "--params", "seed=2"], "seed"), (["--fail-fast", "--params", "fail_fast=0"], "fail_fast")],
+)
+def test_verify_rejects_a_key_given_by_params_and_a_flag(capsys, flags, key):
+    code, out, err = run(capsys, "verify", "--suite", "duality_swap", *flags)
+    flag = "--" + key.replace("_", "-")
+    assert (code, out, err) == (2, "", f"error: --params gives {key!r}, and so does {flag}\n")
 
 
 @pytest.mark.parametrize("raw", ["highest,count=3", "highest"])

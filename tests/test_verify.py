@@ -36,10 +36,17 @@ from rankdual.verify import (
     SUITES,
     Suite,
     _Recorder,
+    _dual_values,
     _join,
+    _min_duals,
     _monotone,
+    _pruned,
+    _rooted_graphs,
     _rooted_tree_shapes,
 )
+from rankdual.structures import branching_rows
+
+from enum_oracle import oracle_enumerate_values
 
 
 # --- enumeration ----------------------------------------------------------------
@@ -137,6 +144,36 @@ def test_full_antimatroid_enumeration_matches_filter():
         ]
         got = [g.values for g in enumerate_tables(EnumSpec(n, "full-antimatroid"))]
         assert got == expected
+
+
+def _pruned_values(n, constraint):
+    return [g.values for g in enumerate_tables(EnumSpec(n, constraint))]
+
+
+def test_pruned_classes_are_built_once_per_process(monkeypatch):
+    calls, block_failures = [], verify.block_failures
+    monkeypatch.setattr(verify, "block_failures", lambda *args: calls.append(args) or block_failures(*args))
+    _pruned.cache_clear()
+    first = list(enumerate_tables(EnumSpec(4, "greedoid")))
+    assert calls
+    calls.clear()
+    second = list(enumerate_tables(EnumSpec(4, "greedoid")))
+    assert calls == [] and [g.values for g in second] == [g.values for g in first]
+
+
+def test_a_partly_drained_enumeration_leaves_the_whole_class():
+    # a fail-fast suite stops reading the enumeration early
+    _pruned.cache_clear()
+    assert len(list(itertools.islice(enumerate_tables(EnumSpec(4, "greedoid")), 5))) == 5
+    got = _pruned_values(4, "greedoid")
+    assert len(got) == 3012 and got == list(oracle_enumerate_values(4, "greedoid"))
+
+
+def test_pruned_classes_do_not_depend_on_the_order_they_are_built_in():
+    _pruned.cache_clear()
+    for constraint in ("full-antimatroid", "matroid", "greedoid"):
+        for n in (4, 3):
+            assert _pruned_values(n, constraint) == list(oracle_enumerate_values(n, constraint))
 
 
 # --- random corpora ----------------------------------------------------------------
@@ -314,6 +351,32 @@ def test_root_adjacency_checks_each_census_graph_once():
         result = run_suite("root_adjacency", {"max_edges": k})
         assert result.passed
         assert result.instances_checked == len(list(all_rooted_graphs(k)))
+
+
+def _assert_min_duals_match(n, rows):
+    # equal least duals give equal verdicts, min dual >= 0
+    assert _min_duals(n, rows) == [min(_dual_values(row, n)) for row in rows]
+
+
+def test_packed_min_duals_match_the_per_row_duals_on_the_census():
+    for v, pairs, roots in _rooted_graphs(5):
+        _assert_min_duals_match(len(pairs), branching_rows(len(pairs), v, pairs, roots))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(0, 5).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(st.lists(st.integers(0, 8), min_size=1 << n, max_size=1 << n), max_size=4),
+        )
+    )
+)
+def test_packed_min_duals_read_each_rows_own_full_rank(case):
+    # the last byte, r(S), is arbitrary here, not v - 1 as on a connected graph
+    n, rows = case
+    _assert_min_duals_match(n, rows)
+    _assert_min_duals_match(n, list(map(bytes, rows)))
 
 
 # --- suite machinery -----------------------------------------------------------------
