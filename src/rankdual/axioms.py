@@ -114,7 +114,7 @@ class FeasibleFamily:
 
     @classmethod
     def from_table(cls, g: RankTable) -> "FeasibleFamily":
-        flags = feasible_flags(g.n, g.values)
+        flags = feasible_flags(g.n, g._kernel_view())
         return cls(g.ground, frozenset(compress(range(g.ground.size), flags)))
 
     def __contains__(self, subset) -> bool:
@@ -342,7 +342,7 @@ def check_matroid(g: RankTable) -> AxiomReport:
     values, n, ground = g.values, g.n, g.ground
     found = ({}, {})
     _record(found, "R0", _unnormalized(values), _rank_at(ground, values))
-    flat, unit = step_sets(n, values, FLAT, UNIT)
+    flat, unit = step_sets(n, g._kernel_view(), FLAT, UNIT)
     _record(found, "R1", first_step(n, _off_steps(avoid_sets(n), flat, unit)), _step_at(ground))
     details: dict = {}
     pairwise = n <= MAX_PAIRWISE_N
@@ -362,14 +362,14 @@ def check_matroid(g: RankTable) -> AxiomReport:
 def check_greedoid(g: RankTable) -> AxiomReport:
     """Check nonnegativity of the codomain plus Gr0 (normalization),
     Gr1 (increasing), Gr2 (subcardinal), Gr3 (local semimodularity)."""
-    values, n, ground = g.values, g.n, g.ground
+    values, view, n, ground = g.values, g._kernel_view(), g.n, g.ground
     found = ({}, {})
-    negative = first_by_cardinality(n, exceeding(n, values, NEGATIVE))
+    negative = first_by_cardinality(n, exceeding(n, view, NEGATIVE))
     _record(found, "nonnegative", negative, _rank_at(ground, values))
     _record(found, "Gr0", _unnormalized(values), _rank_at(ground, values))
-    decrease, flat = step_sets(n, values, DECREASE, FLAT)
+    decrease, flat = step_sets(n, view, DECREASE, FLAT)
     _record(found, "Gr1", first_step(n, decrease), _step_at(ground))
-    supercardinal = first_by_cardinality(n, exceeding(n, values, SIZE))
+    supercardinal = first_by_cardinality(n, exceeding(n, view, SIZE))
     _record(found, "Gr2", supercardinal, _rank_at(ground, values))
     square = _first_pair(n, _flat_squares(flat))
     _record(found, "Gr3", square, _square_at(ground, ("A", "p1", "p2")))
@@ -380,12 +380,12 @@ def check_dual_greedoid(g: RankTable) -> AxiomReport:
     """Check the starred axioms on the given table (the caller passes a dual
     candidate): Gr0* normalization, Gr1* unit rank increase, Gr2* rank-S
     maximum, Gr3* local rank decrease."""
-    values, n, ground = g.values, g.n, g.ground
+    values, view, n, ground = g.values, g._kernel_view(), g.n, g.ground
     found = ({}, {})
     _record(found, "Gr0*", _unnormalized(values), _rank_at(ground, values, ("B", "r(B)")))
-    jump, unit = step_sets(n, values, JUMP, UNIT)
+    jump, unit = step_sets(n, view, JUMP, UNIT)
     _record(found, "Gr1*", first_step(n, jump), _step_at(ground, "B"))
-    above_full = first_by_cardinality(n, exceeding(n, values, FULL))
+    above_full = first_by_cardinality(n, exceeding(n, view, FULL))
     _record(found, "Gr2*", above_full, _rank_at(ground, values, ("B", "r(B)")))
     _record(found, "Gr3*", _first_pair(n, _unit_squares(unit)), _square_at(ground, "Bpq"))
     return _report("dual-greedoid", found)
@@ -433,7 +433,7 @@ def check_antimatroid(g: RankTable) -> AxiomReport:
     """
     greedoid = check_greedoid(g)
     found = (dict(greedoid.verdicts), dict(greedoid.witnesses))
-    feasible = bitset(feasible_flags(g.n, g.values))
+    feasible = bitset(feasible_flags(g.n, g._kernel_view()))
     hit = None
     if not _locally_union_closed(g.n, feasible):
         hit = _first_union_gap(FeasibleFamily.from_table(g).members)
@@ -442,12 +442,12 @@ def check_antimatroid(g: RankTable) -> AxiomReport:
 
 
 def _demi_flag_checks(prefix: str, table: RankTable, found):
-    values, n, ground = table.values, table.n, table.ground
+    values, view, n, ground = table.values, table._kernel_view(), table.n, table.ground
     witness = _rank_at(ground, values, ("A", "rank"))
     for name, bound in (("nonnegative", NEGATIVE), ("subcardinal", SIZE)):
-        hit = first_by_cardinality(n, exceeding(n, values, bound))
+        hit = first_by_cardinality(n, exceeding(n, view, bound))
         _record(found, f"{prefix}-{name}", hit, witness)
-    (decrease,) = step_sets(n, values, DECREASE)
+    (decrease,) = step_sets(n, view, DECREASE)
     _record(found, f"{prefix}-monotone", first_step(n, decrease), _nested_at(ground))
 
 
@@ -492,13 +492,13 @@ def check_demimatroid_characterization(g: RankTable) -> AxiomReport:
     when r(A | p) > r(A) + 1, so it always equals (c). The overall verdict
     is (a) and (b) and (c).
     """
-    values, n, ground = g.values, g.n, g.ground
+    values, view, n, ground = g.values, g._kernel_view(), g.n, g.ground
     found = verdicts, _ = ({}, {})
-    hit = first_by_cardinality(n, exceeding(n, values, NEGATIVE))
+    hit = first_by_cardinality(n, exceeding(n, view, NEGATIVE))
     if hit is None:
-        hit = first_by_cardinality(n, exceeding(n, values, SIZE))
+        hit = first_by_cardinality(n, exceeding(n, view, SIZE))
     _record(found, "nonnegative-subcardinal", hit, _rank_at(ground, values, ("A", "rank")))
-    decrease, jump = step_sets(n, values, DECREASE, JUMP)
+    decrease, jump = step_sets(n, view, DECREASE, JUMP)
     _record(found, "monotone", first_step(n, decrease), _nested_at(ground))
     hit = first_step(n, jump)
     _record(found, "unit-increase", hit, _step_at(ground))

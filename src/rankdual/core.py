@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 from itertools import chain, compress, count, repeat
-from operator import eq, gt, lshift, or_, sub
+from operator import add, eq, gt, lshift, or_, sub
 from typing import Callable, Iterable, Iterator, Sequence
 
 # Explicit tables hold 2**n entries; 24 keeps the worst case at 16M ints.
@@ -70,11 +70,29 @@ def masks_by_cardinality(n: int) -> tuple[int, ...]:
 # r(A) <= |A| and r(A) <= r(S) from one byte pass each (exceeding), when the
 # table's values spread over at most 127; from map passes otherwise. The
 # feasible sets r(A) = |A| are read as flags (feasible_flags).
+#
+# The kernel reads values through a TableView: the values, the offset
+# low = min(min(values), 0), their maximum high, and the bytes v - low, one
+# per value, when high - low <= MAX_PACKED_SPREAD (None otherwise, and the
+# readers take their map paths). One offset serves every reader, so each
+# table is packed at most once, on the first read that needs the bytes. The
+# checked RankTable constructor makes a table's view from the min and max
+# its checks take, a table built with RankTable._trusted makes it on its
+# first kernel read, and ops.dual makes the dual's view, bytes and all, in
+# the pass that makes the dual. Corpora of ASCII bytes are their own bytes.
 # ---------------------------------------------------------------------------
 
 _DIGITS = bytes.maketrans(b"\0\1", b"01")
 _FLAGS = bytes.maketrans(b"01", b"\0\1")
 _INCREMENT = bytes(range(1, 256)) + b"\0"
+_ZERO_FLAGS = b"\1" + bytes(255)
+_CYCLE = bytes(range(256)) * 2
+
+
+def _shifted(k: int) -> bytes:
+    """The translate table of byte x to (x + k) mod 256."""
+    k %= 256
+    return _CYCLE[k : k + 256]
 
 
 def bitset(flags) -> int:
@@ -206,24 +224,50 @@ FLAT = _step_relation((0).__eq__)  # d = 0
 UNIT = _step_relation((1).__eq__)  # d = 1
 JUMP = _step_relation((1).__lt__)  # d > 1
 
-# Largest value spread max - min that the packed path takes; see step_sets.
+# Largest spread high - low of a packed view; see TableView and step_sets.
 MAX_PACKED_SPREAD = 127
 
 
-def _value_range(values) -> tuple[int, int]:
-    # min and max of a long bytes run cost more than the packed pass itself
-    if isinstance(values, bytes) and values.isascii():
-        return 0, MAX_PACKED_SPREAD
-    return min(values), max(values)
+class TableView:
+    """A value sequence as the kernel reads it (see the comment at the top of
+    the kernel): ``low`` = min(min(values), 0), ``high`` = max(values) (the
+    ASCII bound 127 for a corpus of ASCII bytes), and ``offsets``, the bytes
+    v - low, one per value, or None when high - low > MAX_PACKED_SPREAD.
+    The offsets are packed on their first read, unless given."""
+
+    __slots__ = ("values", "low", "high", "_offsets")
+
+    def __init__(self, values, low: int, high: int, offsets=None):
+        self.values, self.low, self.high = values, low if low < 0 else 0, high
+        if offsets is not None:
+            self._offsets = offsets
+
+    @property
+    def offsets(self):
+        try:
+            return self._offsets
+        except AttributeError:
+            self._offsets = _pack(self.values, self.low, self.high)
+            return self._offsets
 
 
-def _packed(values, low: int, high: int):
-    """The values, all in low..high, as one int of the bytes v - low,
-    little-endian; None when high - low exceeds MAX_PACKED_SPREAD."""
+def _pack(values, low: int, high: int):
+    """The bytes v - low of values within low..high, with low <= 0; None
+    when high - low > MAX_PACKED_SPREAD."""
     if high - low > MAX_PACKED_SPREAD:
         return None
-    offsets = bytes(values) if low == 0 else bytes(map((-low).__add__, values))
-    return int.from_bytes(offsets, "little")
+    return bytes(values) if low == 0 else bytes(map(add, values, repeat(-low)))
+
+
+def _view_of(values) -> TableView:
+    """The view of the kernel argument ``values``: a table's view as it is,
+    ASCII bytes as their own offsets, and any other values in a new view."""
+    if type(values) is TableView:
+        return values
+    # min and max of a long bytes run cost more than the packed pass itself
+    if isinstance(values, bytes) and values.isascii():
+        return TableView(values, 0, MAX_PACKED_SPREAD, values)
+    return TableView(values, min(values), max(values))
 
 
 def failing_blocks(n: int, members: int, blocks: int) -> int:
@@ -242,9 +286,9 @@ def step_sets(n: int, values, *relations: StepRelation, blocks: int = 1) -> list
     d = values[A | 1 << p] - values[A] satisfies relations[i].
 
     Each element's steps are computed once and shared by all the relations.
-    When the values spread over at most MAX_PACKED_SPREAD, the table is packed
-    once as the bytes v - min(values), one per mask, into the int X (ASCII
-    bytes are packed as they are). For element p,
+    ``values`` is a table's view (see TableView) or raw values. When the view
+    has offsets, the bytes v - low, one per mask, are read as the int X. For
+    element p,
     D = (X >> 8 * 2**p) + 0x8080...80 - X then holds d + 128 in
     byte A: every byte of the sum is in 128..255 and every byte of X in
     0..127, so nothing carries or borrows across bytes. Each relation is one
@@ -258,8 +302,10 @@ def step_sets(n: int, values, *relations: StepRelation, blocks: int = 1) -> list
     """
     found = [[] for _ in relations]
     width = blocks << n
-    packed = _packed(values, *_value_range(values))
-    if packed is not None:
+    view = _view_of(values)
+    values, offsets = view.values, view.offsets
+    if offsets is not None:
+        packed = int.from_bytes(offsets, "little")
         biased = int.from_bytes(b"\x80" * width, "little") - packed
         for p, avoid in enumerate(avoid_sets(n, blocks)):
             # big-endian bytes put mask A at bit A of the parsed digits
@@ -287,21 +333,23 @@ def exceeding(n: int, values, bound: str, blocks: int = 1) -> int:
 
     The packed path is the one of step_sets with the bound in place of the
     shifted table, so that byte A holds bound - v + 128 (v + 128 for
-    NEGATIVE) and a DECREASE marks a break. The values are packed as v - low
-    with low <= 0, so that |A| - low packs too. Values that are all
-    nonnegative break NEGATIVE nowhere, which costs no pass.
+    NEGATIVE) and a DECREASE marks a break. It reads the view's offsets
+    v - low when n - low <= MAX_PACKED_SPREAD, so that |A| - low packs too.
+    Values that are all nonnegative (low = 0) break NEGATIVE nowhere, which
+    costs no pass.
     """
     size, width = 1 << n, blocks << n
-    low, high = _value_range(values)
-    if bound == NEGATIVE and low >= 0:
+    view = _view_of(values)
+    values, low = view.values, view.low
+    if bound == NEGATIVE and low == 0:
         return 0
-    low = min(low, 0)
-    packed = _packed(values, low, max(high, n))
-    if packed is None:
+    offsets = None if n - low > MAX_PACKED_SPREAD else view.offsets
+    if offsets is None:
         if bound == NEGATIVE:
             return bitset(map((0).__gt__, values))
         tops = chain.from_iterable(map(repeat, values[size - 1 :: size], repeat(size)))
         return bitset(map(gt, values, popcounts(n) * blocks if bound == SIZE else tops))
+    packed = int.from_bytes(offsets, "little")
     ones = int.from_bytes(b"\1" * width, "little")
     if bound == NEGATIVE:
         steps = packed + (128 + low) * ones
@@ -319,8 +367,18 @@ def exceeding(n: int, values, bound: str, blocks: int = 1) -> int:
 
 
 def feasible_flags(n: int, values) -> bytes:
-    """Byte A is 1 iff A is feasible, values[A] = |A|."""
-    return bytes(map(eq, values, popcounts(n)))
+    """Byte A is 1 iff A is feasible, values[A] = |A|; ``values`` as in
+    step_sets. A packed view is compared with the bytes |A| - low in one
+    XOR, whose zero bytes mark the feasible sets."""
+    view = _view_of(values)
+    low = view.low
+    offsets = None if n - low > MAX_PACKED_SPREAD else view.offsets
+    if offsets is None:
+        return bytes(map(eq, view.values, popcounts(n)))
+    size = 1 << n
+    sizes = popcounts(n) if low == 0 else popcounts(n).translate(_shifted(-low))
+    diff = int.from_bytes(offsets, "little") ^ int.from_bytes(sizes, "little")
+    return diff.to_bytes(size, "little").translate(_ZERO_FLAGS)
 
 
 def first_step(n: int, sets):
@@ -475,12 +533,26 @@ class SubsetRef(object):
         return "{" + ",".join(self.labels()) + "}"
 
 
+class _KernelViewSlot:
+    """The slot in which a RankTable keeps its kernel view. It is no
+    dataclass field, so that fields(), asdict, equality, hashing, repr and
+    pickling see the ground set and the values alone."""
+
+    __slots__ = ("_view",)
+
+
 @dataclass(frozen=True, slots=True)
-class RankTable:
+class RankTable(_KernelViewSlot):
     """A total integer-valued function on all subsets of a ground set.
 
     ``values[mask]`` is the rank of the subset encoded by ``mask``. Ranks are
     arbitrary signed integers; in particular negative ranks are legal.
+
+    A table also keeps the view that the bit-set kernel reads (see
+    TableView), made at most once per table: by the checked constructor,
+    by ``ops.dual``, or on the first kernel read of a ``_trusted`` table.
+    It is no field: equality, hashing, ``repr`` and pickling ignore it, and
+    a copy makes its own on its first read.
     """
 
     ground: GroundSet
@@ -495,14 +567,16 @@ class RankTable:
         values = self.values
         # the checks run in C; only a failing table is walked again in Python,
         # so that the error names the first bad mask
-        if not set(map(type, values)) <= {int} or not (
-            -MAX_RANK_MAGNITUDE <= min(values) and max(values) <= MAX_RANK_MAGNITUDE
-        ):
-            for mask, v in enumerate(values):
-                if not isinstance(v, int) or isinstance(v, bool):
-                    raise TableBuildError(f"rank of mask {mask} is not an integer: {v!r}")
-                if abs(v) > MAX_RANK_MAGNITUDE:
-                    raise TableBuildError(f"rank {v} exceeds the magnitude bound")
+        if set(map(type, values)) <= {int}:
+            low, high = min(values), max(values)
+            if -MAX_RANK_MAGNITUDE <= low and high <= MAX_RANK_MAGNITUDE:
+                object.__setattr__(self, "_view", TableView(values, low, high))
+                return
+        for mask, v in enumerate(values):
+            if not isinstance(v, int) or isinstance(v, bool):
+                raise TableBuildError(f"rank of mask {mask} is not an integer: {v!r}")
+            if abs(v) > MAX_RANK_MAGNITUDE:
+                raise TableBuildError(f"rank {v} exceeds the magnitude bound")
 
     @classmethod
     def _trusted(cls, ground: GroundSet, values: tuple) -> RankTable:
@@ -510,11 +584,28 @@ class RankTable:
         library generated itself. The caller guarantees that ``values`` is a
         tuple of exactly ``ground.size`` ints (no bools), each at most
         MAX_RANK_MAGNITUDE in absolute value; anything else makes a table
-        that the checked constructor would have refused."""
+        that the checked constructor would have refused. Its view is made
+        on its first kernel read."""
         table = object.__new__(cls)
         object.__setattr__(table, "ground", ground)
         object.__setattr__(table, "values", values)
         return table
+
+    @classmethod
+    def _from_view(cls, ground: GroundSet, view: TableView) -> RankTable:
+        """A ``_trusted`` table of view.values that keeps ``view``."""
+        table = cls._trusted(ground, view.values)
+        object.__setattr__(table, "_view", view)
+        return table
+
+    def _kernel_view(self) -> TableView:
+        """The table's view, which a ``_trusted`` table makes on its first
+        read."""
+        view = getattr(self, "_view", None)
+        if view is None:
+            view = _view_of(self.values)
+            object.__setattr__(self, "_view", view)
+        return view
 
     @property
     def n(self) -> int:
@@ -602,14 +693,14 @@ def validate(table: RankTable) -> ValidationReport:
 
     Witnesses are the smallest violations in (cardinality, mask) order.
     """
-    values = table.values
+    view = table._kernel_view()
     n = table.n
     ground = table.ground
 
     flags = {}
     found = []
     for name, bound in (("subcardinal", SIZE), ("nonnegative", NEGATIVE), ("rank_s_maximum", FULL)):
-        mask = first_by_cardinality(n, exceeding(n, values, bound))
+        mask = first_by_cardinality(n, exceeding(n, view, bound))
         flags[name] = mask is None
         if mask is not None:
             found.append((mask, name))
@@ -618,14 +709,14 @@ def validate(table: RankTable) -> ValidationReport:
     witnesses: dict = {name: SubsetRef(ground, mask) for mask, name in found}
 
     # A single-element violation exists iff any nested violation does.
-    (decrease,) = step_sets(n, values, DECREASE)
+    (decrease,) = step_sets(n, view, DECREASE)
     hit = first_step(n, decrease)
     if hit:
         mask, pos = hit
         witnesses["monotone"] = (SubsetRef(ground, mask), SubsetRef(ground, mask | 1 << pos))
 
     return ValidationReport(
-        normalized=values[0] == 0,
+        normalized=table.values[0] == 0,
         monotone=hit is None,
         witnesses=witnesses,
         **flags,

@@ -13,12 +13,15 @@ from itertools import repeat
 from operator import add, sub
 
 from .core import (
+    MAX_PACKED_SPREAD,
     GroundSet,
     GroundSetError,
     NormalizationError,
     RankFunctionError,
     RankTable,
     SubsetRef,
+    TableView,
+    _shifted,
     popcounts,
     table_from_values,
 )
@@ -45,8 +48,57 @@ def _dual_values(values, n: int) -> tuple:
     return tuple(map(sub, map(add, popcounts(n), reversed(values)), repeat(values[-1])))
 
 
+def _byte_range(data: bytes, top: int) -> tuple[int, int]:
+    """min(data) and max(data) for nonempty bytes that are all at most top,
+    by one C-level membership probe per candidate byte, from the bottom and
+    from ``top``: min and max would box every byte of a long run."""
+    least = next(filter(data.__contains__, range(top + 1)))
+    return least, next(filter(data.__contains__, range(top, least - 1, -1)))
+
+
+def _packed_dual(n: int, view: TableView):
+    """The view of the dual of a table's view, from one int pass over its
+    offsets: None when the view has none, or the dual's spread is past
+    MAX_PACKED_SPREAD.
+
+    The reversed offsets plus popcounts(n) give byte A = |A| + r(S - A) - low
+    (at most 24 + 127, so no byte carries), and r*(A) is that byte plus
+    low - r(S). Its ranks lie within 151 of 0, far inside the magnitude
+    bound, so the dual needs none of the constructor's checks."""
+    offsets = view.offsets
+    if offsets is None:
+        return None
+    total = int.from_bytes(offsets[::-1], "little") + int.from_bytes(popcounts(n), "little")
+    sums = total.to_bytes(1 << n, "little")
+    shift = view.low - view.values[-1]
+    least, most = _byte_range(sums, n + view.high - view.low)
+    low, high = min(least + shift, 0), most + shift
+    if high - low > MAX_PACKED_SPREAD:
+        return None
+    dual_offsets = sums if low == shift else sums.translate(_shifted(shift - low))
+    if low == 0:
+        values = tuple(dual_offsets)
+    else:
+        # low >= shift >= -127: the ranks are signed bytes, and read as such
+        values = tuple(memoryview(dual_offsets.translate(_shifted(low))).cast("b"))
+    return TableView(values, low, high, dual_offsets)
+
+
+# Fewest subsets for which dual takes the packed pass: below about 2**8, the
+# pass's fixed steps cost more than _dual_values and the checked build.
+PACKED_DUAL_SIZE = 256
+
+
 def dual(g: RankTable) -> RankTable:
-    """Dual table: r*(A) = |A| + r(S - A) - r(S) for every subset A."""
+    """Dual table: r*(A) = |A| + r(S - A) - r(S) for every subset A.
+
+    A packed table of at least PACKED_DUAL_SIZE subsets gets its dual, with
+    the dual's view, from _packed_dual; any other goes through _dual_values
+    and the checked constructor."""
+    if len(g.values) >= PACKED_DUAL_SIZE:
+        dual_view = _packed_dual(g.n, g._kernel_view())
+        if dual_view is not None:
+            return RankTable._from_view(g.ground, dual_view)
     return table_from_values(g.ground, _dual_values(g.values, g.n))
 
 
@@ -73,7 +125,8 @@ def delete(g: RankTable, p: str) -> RankTable:
     """Restrict the table to subsets avoiding p."""
     bit = 1 << g.ground.position(p)
     new_ground, expand = _project(g.ground, bit)
-    return table_from_values(new_ground, tuple(map(g.values.__getitem__, expand)))
+    # entries of a table already checked
+    return RankTable._trusted(new_ground, tuple(map(g.values.__getitem__, expand)))
 
 
 def _contracted_values(values, expand, c: int) -> tuple:

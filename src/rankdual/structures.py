@@ -248,7 +248,7 @@ def pruning_antimatroid(t: Tree) -> RankTable:
 def _convex_flags(g: RankTable) -> bytes:
     """Byte C is 1 iff C is convex: its complement S - C is feasible. The
     feasible flags reversed, since mask S - C is the C-th from the end."""
-    return feasible_flags(g.n, g.values)[::-1]
+    return feasible_flags(g.n, g._kernel_view())[::-1]
 
 
 def closure_table(g: RankTable) -> list:

@@ -880,7 +880,7 @@ def _suite_nullity_monotone(params, rec: _Recorder):
     for desc, g in _monotone_corpus(params):
         # three independent readings: no jump step of r, no decreasing step
         # of the nullity |A| - r(A), and no pair A <= B stretched past |B - A|
-        (jump,) = step_sets(g.n, g.values, JUMP)
+        (jump,) = step_sets(g.n, g._kernel_view(), JUMP)
         unit = not any(jump)
         (drop,) = step_sets(g.n, tuple(map(sub, popcounts(g.n), g.values)), DECREASE)
         nullity = not any(drop)

@@ -161,6 +161,7 @@ def test_feasible_descriptors_keep_no_order_of_a_large_table():
     # one feasible set (the empty one) and one spanning set (S)
     g = make_table([f"e{i}" for i in range(n)], [0] * ((1 << n) - 1) + [1])
     popcounts(n)  # cached for every caller, 1 MB
+    FeasibleFamily.from_table(g)  # packs the table's own view, 1 MB kept by the table
     tracemalloc.start()
     try:
         desc = feasible_descriptors(g)

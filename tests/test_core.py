@@ -1,17 +1,31 @@
+import random
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rankdual import (
+    DemiTriple,
     GroundSet,
     GroundSetError,
     SubsetRef,
     TableBuildError,
+    Tree,
     build_rank_table,
+    check_antimatroid,
+    check_demimatroid_characterization,
+    check_demimatroid_triple,
+    check_dual_greedoid,
+    check_greedoid,
+    check_matroid,
+    convex_closure,
     dual,
+    pruning_antimatroid,
     table_from_values,
     validate,
 )
+from rankdual import core
 from rankdual.core import (
     DECREASE,
     FLAT,
@@ -23,9 +37,11 @@ from rankdual.core import (
     NEGATIVE,
     SIZE,
     UNIT,
+    RankTable,
     bitset,
     exceeding,
     failing_blocks,
+    feasible_flags,
     masks_by_cardinality,
     member_counts,
     member_masks,
@@ -189,11 +205,59 @@ def test_rank_table_is_slotted_and_frozen(demo_table):
     with pytest.raises((AttributeError, TypeError)):
         demo_table.extra = 1
     assert not hasattr(demo_table, "extra")
-    for clone in (pickle.loads(pickle.dumps(demo_table)), copy.deepcopy(demo_table)):
-        assert clone is not demo_table
-        assert clone == demo_table and hash(clone) == hash(demo_table)
-        assert clone.values == (0, 1, 0, 2, 1, 2, 1, 3) and clone.ground.labels == ("a", "b", "c")
+    # a _trusted table whose view was never filled has an unset slot, which
+    # a copy must not read; a scanned and an unscanned table are one table,
+    # and the view is no dataclass field
+    unscanned = RankTable._trusted(demo_table.ground, demo_table.values)
+    scanned = RankTable._trusted(demo_table.ground, demo_table.values)
+    validate(scanned)
+    with pytest.raises(AttributeError):
+        unscanned._view
+    assert scanned._view.offsets == bytes(demo_table.values)
+    assert [f.name for f in dataclasses.fields(RankTable)] == ["ground", "values"]
+    assert dataclasses.asdict(unscanned) == dataclasses.asdict(scanned)
+    for table in (demo_table, unscanned, scanned):
+        assert table == demo_table and hash(table) == hash(demo_table)
+        assert repr(table) == repr(demo_table) and "_view" not in repr(table)
+        clones = [pickle.loads(pickle.dumps(table, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for clone in clones + [copy.deepcopy(table), copy.copy(table)]:
+            assert clone is not table
+            assert clone == table and hash(clone) == hash(table) and repr(clone) == repr(table)
+            assert clone.values == (0, 1, 0, 2, 1, 2, 1, 3) and clone.ground.labels == ("a", "b", "c")
+            assert validate(clone) == validate(demo_table)
     assert make_table("ab", [0, 1, 1, 2]).values == (0, 1, 1, 2)  # a list is stored as a tuple
+
+
+def test_each_table_is_packed_at_most_once(monkeypatch):
+    # every reader takes the table's view: g is packed on its first read,
+    # the dual pass makes the dual's bytes, and no reader packs either again
+    packs = Counter()
+    pack = core._pack
+
+    def counting(values, low, high):
+        packs[id(values)] += 1
+        return pack(values, low, high)
+
+    monkeypatch.setattr(core, "_pack", counting)
+    rng = random.Random(10)
+    # nonnegative, so that the characterization reads the SIZE bound too;
+    # the dual has negative ranks
+    g = make_table([f"e{i}" for i in range(10)], [0] + [rng.randint(0, 8) for _ in range(1023)])
+    d = dual(g)
+    assert min(d.values) < 0
+    # a full antimatroid, whose convex closures read its feasible sets
+    t = pruning_antimatroid(Tree(tuple(f"v{i}" for i in range(11)),
+                                 tuple((f"e{i}", f"v{i}", f"v{i + 1}") for i in range(10))))
+    for _ in range(2):
+        for table in (g, d):
+            validate(table)
+            dual(table)
+            for check in (check_matroid, check_greedoid, check_dual_greedoid, check_antimatroid,
+                          check_demimatroid_characterization):
+                check(table)
+        check_demimatroid_triple(DemiTriple(g, d))
+        convex_closure(t, t.ground.subset(["e3"]))
+    assert packs == {id(g.values): 1, id(t.values): 1}
 
 
 def test_table_accepts_ranks_at_the_magnitude_bound():
@@ -271,6 +335,26 @@ def test_step_sets_match_a_loop_over_every_step(case):
                 if not a & bit and holds(values[a | bit] - values[a]):
                     want |= 1 << a
             assert members == want, (p, values)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(0, 6).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(st.sampled_from((0, 0, 1, -1, -3, 120, -200)), min_size=1 << n, max_size=1 << n),
+        )
+    )
+)
+def test_feasible_flags_mark_the_sets_of_rank_their_size(case):
+    # ranks |A| + e: packed with offset 0 or below it, and past the packed spread
+    n, shifts = case
+    values = [mask.bit_count() + e for mask, e in enumerate(shifts)]
+    want = bytes(v == mask.bit_count() for mask, v in enumerate(values))
+    assert feasible_flags(n, values) == want
+    assert feasible_flags(n, table_from_values(GroundSet(tuple("abcdef"[:n])), values)._kernel_view()) == want
+    if min(values) >= 0:
+        assert feasible_flags(n, bytes(values)) == want
 
 
 @settings(max_examples=150, deadline=None)

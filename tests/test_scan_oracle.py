@@ -5,6 +5,7 @@ rendered lines on every table."""
 import random
 from operator import eq
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,6 +13,8 @@ from rankdual import (
     DemiTriple,
     EnumSpec,
     GroundSet,
+    RankTable,
+    TableBuildError,
     check_antimatroid,
     check_demimatroid_characterization,
     check_demimatroid_triple,
@@ -24,8 +27,9 @@ from rankdual import (
     table_from_values,
     validate,
 )
-from rankdual.axioms import _locally_union_closed
+from rankdual.axioms import FeasibleFamily, _locally_union_closed
 from rankdual.core import MAX_PACKED_SPREAD, MAX_RANK_MAGNITUDE, bitset, popcounts
+from rankdual.ops import PACKED_DUAL_SIZE, _dual_values, _packed_dual
 
 from scan_oracle import (
     oracle_antimatroid,
@@ -145,6 +149,93 @@ def test_ranks_at_the_magnitude_bound():
     for n in range(1, 6):
         g = table([rng.choice((-M, M, 0, 1)) for _ in range(1 << n)])
         assert_reports_match(g, g)
+
+
+def _views_of_one_table(values):
+    """Three builds of one table: checked, _trusted with its view unfilled,
+    and _trusted with its view filled by another reader."""
+    ground = GroundSet(tuple(f"e{i}" for i in range((len(values) - 1).bit_length())))
+    filled = RankTable._trusted(ground, tuple(values))
+    FeasibleFamily.from_table(filled)
+    return table_from_values(ground, values), RankTable._trusted(ground, tuple(values)), filled
+
+
+def _kernel_tables(n):
+    """Values with negative ranks, with spreads on both sides of
+    MAX_PACKED_SPREAD, and at +-MAX_RANK_MAGNITUDE."""
+    M, size = MAX_RANK_MAGNITUDE, 1 << n
+    near_bound = st.tuples(
+        st.sampled_from((0, -3, -MAX_PACKED_SPREAD, -M, M - 300)),
+        st.sampled_from((MAX_PACKED_SPREAD - 1, MAX_PACKED_SPREAD, MAX_PACKED_SPREAD + 1, 300)),
+    ).flatmap(lambda ls: st.lists(st.sampled_from((ls[0], ls[0] + 1, ls[0] + ls[1])), min_size=size, max_size=size))
+    return st.one_of(
+        st.lists(st.integers(-3, 6), min_size=size, max_size=size),
+        near_bound,
+        st.lists(st.sampled_from((-M, M, 0, 1, -1)), min_size=size, max_size=size),
+    )
+
+
+def _fields(view):
+    return view.values, view.low, view.high, view.offsets
+
+
+def assert_duals_match(builds):
+    """The dual of every build is the table of _dual_values, with the view
+    its checked build has, or the checked build's error when that dual
+    passes the magnitude bound; so is the packed pass's dual, wherever the
+    packed pass applies."""
+    g0 = builds[0]
+    expected = _dual_values(g0.values, g0.n)
+    try:
+        want = table_from_values(g0.ground, expected)
+    except TableBuildError as exc:
+        for g in builds:
+            with pytest.raises(TableBuildError) as caught:
+                dual(g)
+            assert str(caught.value) == str(exc)
+        return
+    for g in builds:
+        got = dual(g)
+        assert got == want and got.values == expected
+        assert _fields(got._kernel_view()) == _fields(want._kernel_view())
+        packed = _packed_dual(g.n, g._kernel_view())
+        if packed is not None:
+            assert _fields(packed) == _fields(want._kernel_view())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 5).flatmap(_kernel_tables))
+def test_every_build_of_a_table_reads_the_same(values):
+    builds = _views_of_one_table(values)
+    for g in builds:
+        assert_reports_match(g, g)
+    for check, _ in PAIRS:
+        assert len({tuple(check(g).lines()) for g in builds}) == 1
+    assert len({repr(validate(g)) for g in builds}) == 1
+    assert_duals_match(builds)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(PACKED_DUAL_SIZE.bit_length() - 1, 9).flatmap(_kernel_tables))
+def test_tables_large_enough_for_the_packed_dual(values):
+    assert_duals_match(_views_of_one_table(values))
+
+
+def test_dual_refuses_an_overflowing_dual_as_the_constructor_does():
+    # at the packed pass's size: a packed table's dual comes from the pass
+    # (it lies within 151 of 0), and only an unpacked one can pass the
+    # magnitude bound, which the fallback refuses as the constructor does
+    M, n = MAX_RANK_MAGNITUDE, PACKED_DUAL_SIZE.bit_length() - 1
+    rng = random.Random(8)
+    packed = _views_of_one_table([0] + [rng.randint(-3, 8) for _ in range((1 << n) - 1)])
+    for g in packed:
+        assert _packed_dual(n, g._kernel_view()) is not None
+    assert_duals_match(packed)
+    overflowing = _views_of_one_table([M] + [-M] * ((1 << n) - 1))
+    for g in overflowing:
+        with pytest.raises(TableBuildError, match=f"rank {n + 2 * M} exceeds the magnitude bound"):
+            dual(g)
+    assert_duals_match(overflowing)
 
 
 def test_union_closed_needs_an_accessible_family():
