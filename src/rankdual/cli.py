@@ -122,7 +122,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = with_input(sub.add_parser("tutte", help="corank-nullity polynomial"))
     p.add_argument("--method", choices=("subset", "recursive"), default="subset")
-    p.add_argument("--pivot", choices=("lowest", "highest"), default="lowest")
+    # no default, so that a pivot given without --method recursive is seen
+    p.add_argument("--pivot", choices=("lowest", "highest"))
 
     p = with_input(sub.add_parser("check", help="run an axiom checker"))
     p.add_argument("system", choices=CHECKS)
@@ -220,11 +221,13 @@ def run_command(argv) -> int:
                 raise DocumentError("sum needs exactly two --in files")
             print(dump_rank_table(direct_sum(_load_table(args.inputs[0]), _load_table(args.inputs[1]))))
         elif args.command == "tutte":
+            if args.pivot and args.method != "recursive":
+                raise DocumentError("--pivot applies only to --method recursive")
             table = _load_table(args.input)
             if args.method == "subset":
                 poly = tutte_subset(table)
             else:
-                poly = tutte_recursive(table, args.pivot)
+                poly = tutte_recursive(table, args.pivot or "lowest")
             print(poly)
         elif args.command == "check":
             return _cmd_check(args)

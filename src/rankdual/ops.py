@@ -9,7 +9,7 @@ and contraction requires that normalization outright.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
 from operator import add, sub
 
 from .core import (
@@ -56,6 +56,24 @@ def _byte_range(data: bytes, top: int) -> tuple[int, int]:
     return least, next(filter(data.__contains__, range(top, least - 1, -1)))
 
 
+def _shifted_view(data: bytes, top: int, shift: int):
+    """The view of the values b + shift for the bytes b of nonempty data,
+    all at most top: None when their spread passes MAX_PACKED_SPREAD or one
+    of them is below -128, so that the values are no signed bytes."""
+    least, most = _byte_range(data, top)
+    low, high = min(least + shift, 0), most + shift
+    # low <= 0 and high - low <= 127 give high <= 127
+    if high - low > MAX_PACKED_SPREAD or low < -128:
+        return None
+    offsets = data if low == shift else data.translate(_shifted(shift - low))
+    if low == 0:
+        values = tuple(offsets)
+    else:
+        # the values lie in -128..127: signed bytes, and read as such
+        values = tuple(memoryview(data.translate(_shifted(shift))).cast("b"))
+    return TableView(values, low, high, offsets)
+
+
 def _packed_dual(n: int, view: TableView):
     """The view of the dual of a table's view, from one int pass over its
     offsets: None when the view has none, or the dual's spread is past
@@ -63,40 +81,40 @@ def _packed_dual(n: int, view: TableView):
 
     The reversed offsets plus popcounts(n) give byte A = |A| + r(S - A) - low
     (at most 24 + 127, so no byte carries), and r*(A) is that byte plus
-    low - r(S). Its ranks lie within 151 of 0, far inside the magnitude
-    bound, so the dual needs none of the constructor's checks."""
+    low - r(S) >= -127. Its ranks lie within 151 of 0, far inside the
+    magnitude bound, so the dual needs none of the constructor's checks."""
     offsets = view.offsets
     if offsets is None:
         return None
     total = int.from_bytes(offsets[::-1], "little") + int.from_bytes(popcounts(n), "little")
     sums = total.to_bytes(1 << n, "little")
-    shift = view.low - view.values[-1]
-    least, most = _byte_range(sums, n + view.high - view.low)
-    low, high = min(least + shift, 0), most + shift
-    if high - low > MAX_PACKED_SPREAD:
+    return _shifted_view(sums, n + view.high - view.low, view.low - view.values[-1])
+
+
+# Fewest subsets for which dual, the minors and the two polynomials read a
+# table's packed bytes: below about 2**8, the fixed steps of a packed pass
+# cost more than the per-value path and the checked build.
+PACKED_PASS_SIZE = 256
+
+
+def _packed_view(g: RankTable):
+    """The view of g that the packed passes read, or None: g is smaller than
+    PACKED_PASS_SIZE subsets, or its view has no offsets."""
+    if len(g.values) < PACKED_PASS_SIZE:
         return None
-    dual_offsets = sums if low == shift else sums.translate(_shifted(shift - low))
-    if low == 0:
-        values = tuple(dual_offsets)
-    else:
-        # low >= shift >= -127: the ranks are signed bytes, and read as such
-        values = tuple(memoryview(dual_offsets.translate(_shifted(low))).cast("b"))
-    return TableView(values, low, high, dual_offsets)
-
-
-# Fewest subsets for which dual takes the packed pass: below about 2**8, the
-# pass's fixed steps cost more than _dual_values and the checked build.
-PACKED_DUAL_SIZE = 256
+    view = g._kernel_view()
+    return view if view.offsets is not None else None
 
 
 def dual(g: RankTable) -> RankTable:
     """Dual table: r*(A) = |A| + r(S - A) - r(S) for every subset A.
 
-    A packed table of at least PACKED_DUAL_SIZE subsets gets its dual, with
+    A packed table of at least PACKED_PASS_SIZE subsets gets its dual, with
     the dual's view, from _packed_dual; any other goes through _dual_values
     and the checked constructor."""
-    if len(g.values) >= PACKED_DUAL_SIZE:
-        dual_view = _packed_dual(g.n, g._kernel_view())
+    view = _packed_view(g)
+    if view is not None:
+        dual_view = _packed_dual(g.n, view)
         if dual_view is not None:
             return RankTable._from_view(g.ground, dual_view)
     return table_from_values(g.ground, _dual_values(g.values, g.n))
@@ -111,27 +129,74 @@ def _expansion(bits) -> list[int]:
     return expand
 
 
-def _project(ground: GroundSet, removed_mask: int) -> tuple[GroundSet, list[int]]:
-    """Ground set without the removed elements, plus a map from new masks to
-    the corresponding old masks (over the surviving elements only)."""
-    kept_bits = [1 << pos for pos in range(ground.n) if not removed_mask >> pos & 1]
-    new_ground = GroundSet(
-        tuple(label for pos, label in enumerate(ground.labels) if not removed_mask >> pos & 1)
-    )
-    return new_ground, _expansion(kept_bits)
+def _half(seq, bit: int, upper: bool):
+    """The half of a sequence of 2**n entries at the masks with ``bit``
+    (upper) or without it, in mask order. Those masks are the runs of
+    ``bit`` entries that start at every other multiple of ``bit``: the
+    result is taken as ``bit`` step slices when there are fewer of them
+    than runs, and as a join of the runs otherwise. Bytes give bytes, and
+    any other sequence a tuple."""
+    size, step = len(seq), 2 * bit
+    start = bit if upper else 0
+    # one slice serves the lowest bit, and the highest, whose one run is a half
+    if bit == 1:
+        return seq[start::2]
+    if step == size:
+        return seq[start : start + bit]
+    packed = isinstance(seq, bytes)
+    if bit * step <= size:
+        out = bytearray(size >> 1) if packed else [0] * (size >> 1)
+        for j in range(bit):
+            # entry j of each run
+            out[j::bit] = seq[start + j :: step]
+        return bytes(out) if packed else tuple(out)
+    runs = map(seq.__getitem__, map(slice, range(start, size, step), range(start + bit, size + 1, step)))
+    return b"".join(runs) if packed else tuple(chain.from_iterable(runs))
+
+
+def _select(seq, n: int, contracted: int, removed: int):
+    """The entries of a sequence of 2**n entries at the masks A | contracted
+    for every mask A that avoids ``removed`` (a superset of contracted), in
+    the mask order of the elements left. Each removed bit, from the highest
+    down so that the lower ones keep their place, keeps the half of the
+    sequence with that bit (a contracted element) or without it."""
+    for pos in reversed(range(n)):
+        if removed >> pos & 1:
+            seq = _half(seq, 1 << pos, contracted >> pos & 1)
+    return seq
+
+
+def _kept_ground(ground: GroundSet, removed: int) -> GroundSet:
+    """The ground set without the elements of the mask ``removed``."""
+    return GroundSet(tuple(label for pos, label in enumerate(ground.labels) if not removed >> pos & 1))
+
+
+def _minor_table(g: RankTable, contracted: int, removed: int) -> RankTable:
+    """The table r(A | C) - r(C) on the elements of g outside ``removed``,
+    for the contracted set C within it; r(A) itself when C is empty.
+
+    A packed table of at least PACKED_PASS_SIZE subsets selects its offsets
+    r(A | C) - low: the result is those bytes plus low - r(C), within 127 of
+    0 when C is not empty, so it needs no checked build. Any other table
+    (or a deletion whose ranks are not signed bytes) selects its values;
+    entries of a checked table need no check either, their differences do."""
+    ground = _kept_ground(g.ground, removed)
+    base = g.values[contracted] if contracted else 0
+    view = _packed_view(g)
+    if view is not None:
+        selected = _select(view.offsets, g.n, contracted, removed)
+        minor_view = _shifted_view(selected, view.high - view.low, view.low - base)
+        if minor_view is not None:
+            return RankTable._from_view(ground, minor_view)
+    values = _select(g.values, g.n, contracted, removed)
+    if not base:
+        return RankTable._trusted(ground, values)
+    return table_from_values(ground, map(sub, values, repeat(base)))
 
 
 def delete(g: RankTable, p: str) -> RankTable:
     """Restrict the table to subsets avoiding p."""
-    bit = 1 << g.ground.position(p)
-    new_ground, expand = _project(g.ground, bit)
-    # entries of a table already checked
-    return RankTable._trusted(new_ground, tuple(map(g.values.__getitem__, expand)))
-
-
-def _contracted_values(values, expand, c: int) -> tuple:
-    """r(A | c) - r(c) for the old mask A of each new mask, in new-mask order."""
-    return tuple(map(sub, map(values.__getitem__, map(c.__or__, expand)), repeat(values[c])))
+    return _minor_table(g, 0, 1 << g.ground.position(p))
 
 
 def contract(g: RankTable, p: str) -> RankTable:
@@ -145,8 +210,7 @@ def contract(g: RankTable, p: str) -> RankTable:
             f"contraction requires r(empty) = 0, got {g.values[0]}"
         )
     bit = 1 << g.ground.position(p)
-    new_ground, expand = _project(g.ground, bit)
-    return table_from_values(new_ground, _contracted_values(g.values, expand, bit))
+    return _minor_table(g, bit, bit)
 
 
 def minor(g: RankTable, spec: MinorSpec) -> RankTable:
@@ -160,9 +224,7 @@ def minor(g: RankTable, spec: MinorSpec) -> RankTable:
     if g.values[0] != 0:
         raise NormalizationError("minors require r(empty) = 0")
     c = spec.contracted.bits
-    removed = c | spec.deleted.bits
-    new_ground, expand = _project(g.ground, removed)
-    return table_from_values(new_ground, _contracted_values(g.values, expand, c))
+    return _minor_table(g, c, c | spec.deleted.bits)
 
 
 def direct_sum(g1: RankTable, g2: RankTable) -> RankTable:

@@ -10,6 +10,7 @@ are counted from bit sets over all edge subsets (``core.member_counts``).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 
 from .axioms import FeasibleFamily, check_antimatroid, check_greedoid
 from .core import (
@@ -25,7 +26,7 @@ from .core import (
     popcounts,
     table_from_values,
 )
-from .ops import _project
+from .ops import _kept_ground, _select
 
 MAX_MATERIALIZED_N = 20
 
@@ -341,19 +342,18 @@ def greedoid_minor_feasible(g: RankTable, p: str, kind: str) -> FeasibleFamily:
     if not report.passed:
         failed = [name for name, ok in report.verdicts.items() if not ok]
         raise StructureError(f"input is not a greedoid; failed: {failed}")
-    bit = 1 << g.ground.position(p)
-    feasible = FeasibleFamily.from_table(g).members
-    new_ground, expand = _project(g.ground, bit)
-    if kind == "contract" and bit in feasible:
-        expand = map(bit.__or__, expand)
-    elif kind == "contract" and any(m & bit for m in feasible):
+    n, bit = g.n, 1 << g.ground.position(p)
+    flags = feasible_flags(n, g._kernel_view())
+    # deleting p, or contracting a greedoid loop p, keeps the flags of the
+    # masks without p; contracting p with {p} feasible, those with p
+    contracted = bit if kind == "contract" and flags[bit] else 0
+    if kind == "contract" and not contracted and 1 in _select(flags, n, bit, bit):
         raise ContractionError(
             f"contraction at {p!r} is not a greedoid: "
             f"{p!r} lies in a feasible set but {{{p}}} is infeasible"
         )
-    # deleting p, or contracting a greedoid loop p, reads the old mask itself
-    members = frozenset(new for new, old in enumerate(expand) if old in feasible)
-    return FeasibleFamily(new_ground, members)
+    kept = _select(flags, n, contracted, bit)
+    return FeasibleFamily(_kept_ground(g.ground, bit), frozenset(compress(range(len(kept)), kept)))
 
 
 def demo_rooted_tree() -> RootedGraph:

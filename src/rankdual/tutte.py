@@ -6,18 +6,24 @@ live in Z[t, 1/t, z, 1/z] with exact integer coefficients.
 
 Two evaluations are offered: the subset expansion, and the
 deletion-contraction recursion evaluated level by level, whose result is the
-sum of the path monomials of its recursion tree.
+sum of the path monomials of its recursion tree. For a packed table of at
+least ``ops.PACKED_PASS_SIZE`` subsets both read the table's offsets (see
+``core.TableView``): the exponents are biased bytes, one per subset or per
+node of a level, made by whole-int passes, and one Counter over the
+interleaved byte pairs sums the monomials (_pair_counts). Any other table is
+read value by value, with two int lists per level in the recursion.
 """
 
 from __future__ import annotations
 
+import sys
 from collections import Counter
 from itertools import chain, islice, repeat
 from operator import add, sub
 from typing import Callable, Mapping
 
 from .core import NormalizationError, RankFunctionError, RankTable, popcounts
-from .ops import _expansion
+from .ops import _expansion, _packed_view
 
 
 def _is_int(x) -> bool:
@@ -158,12 +164,46 @@ class LaurentPoly2:
         return f"LaurentPoly2({self._terms!r})"
 
 
+def _pair_counts(ts: bytes, zs: bytes, t_bias: int, z_bias: int) -> LaurentPoly2:
+    """The sum over i of t**(ts[i] - t_bias) * z**(zs[i] - z_bias).
+
+    The two byte strings are interleaved, so that each (t, z) pair is one
+    16-bit unit of a memoryview, and one Counter counts the units; only the
+    distinct pairs, a few hundred at most, are decoded."""
+    pairs = bytearray(2 * len(ts))
+    pairs[0::2] = ts
+    pairs[1::2] = zs
+    counts = Counter(memoryview(pairs).cast("H"))
+    # a unit reads its two bytes in the host's byte order: the t byte, first
+    # in memory, is the low byte of the key on a little-endian host and the
+    # high byte on a big-endian one
+    t_shift, z_shift = (0, 8) if sys.byteorder == "little" else (8, 0)
+    return LaurentPoly2(
+        {((key >> t_shift & 255) - t_bias, (key >> z_shift & 255) - z_bias): c for key, c in counts.items()}
+    )
+
+
 def tutte_subset(g: RankTable) -> LaurentPoly2:
-    """Subset expansion: one monomial t**corank * z**nullity per subset."""
-    values = g.values
-    coranks = map(sub, repeat(g.full_rank), values)
-    nullities = map(sub, popcounts(g.n), values)
-    return LaurentPoly2(Counter(zip(coranks, nullities)))
+    """Subset expansion: one monomial t**corank * z**nullity per subset.
+
+    A packed table of at least PACKED_PASS_SIZE subsets gives its exponents
+    as biased bytes, from one int pass each over its offsets r(A) - low:
+    byte A of the coranks is corank + high - r(S) = spread - offset, in
+    0..spread, and byte A of the nullities is nullity + high = |A| plus the
+    corank byte, in 0..n + spread <= 151."""
+    view = _packed_view(g)
+    if view is None:
+        values = g.values
+        coranks = map(sub, repeat(g.full_rank), values)
+        nullities = map(sub, popcounts(g.n), values)
+        return LaurentPoly2(Counter(zip(coranks, nullities)))
+    size = len(view.offsets)
+    spread = view.high - view.low
+    corank = int.from_bytes(bytes([spread]) * size, "little") - int.from_bytes(view.offsets, "little")
+    nullity = corank + int.from_bytes(popcounts(g.n), "little")
+    return _pair_counts(
+        corank.to_bytes(size, "little"), nullity.to_bytes(size, "little"), view.high - g.full_rank, view.high
+    )
 
 
 def _pivot_lowest(remaining: int) -> int:
@@ -195,6 +235,33 @@ def _pivot_order(choose, n: int) -> list[int]:
     return order
 
 
+def _packed_paths(offsets: bytes, n: int, t_root: int, z_root: int) -> tuple[bytes, bytes]:
+    """The biased t and z exponents of the paths to the 2**n leaves of the
+    recursion on a renumbered table's offsets O[A] = r(A) - low, as one
+    byte per leaf each (see tutte_recursive).
+
+    Each level is one whole-int add and subtract over contiguous slices of
+    the offsets. Every byte of a result lies in 0..255, so the int's bytes
+    are the exponents themselves: no byte borrows from or carries into the
+    next."""
+    full = (1 << n) - 1
+    ts, zs = t_root, z_root
+    for k in range(n):
+        nodes = 1 << k
+        remaining = full ^ (nodes - 1)  # R_k = {b_k, ..., b_n-1}
+        # delete child C: t += O[R_k + C] - O[R_k+1 + C]
+        t_delete = (ts + int.from_bytes(offsets[remaining : remaining + nodes], "little")
+                    - int.from_bytes(offsets[remaining - nodes : remaining], "little"))
+        # contract child C | b_k: z += 1 - (O[nodes + C] - O[C])
+        z_contract = (zs + int.from_bytes(b"\1" * nodes, "little") + int.from_bytes(offsets[:nodes], "little")
+                      - int.from_bytes(offsets[nodes : 2 * nodes], "little"))
+        # the delete children are the nodes C, the contract children C | b_k
+        ts = t_delete | ts << 8 * nodes
+        zs = zs | z_contract << 8 * nodes
+    size = 1 << n
+    return ts.to_bytes(size, "little"), zs.to_bytes(size, "little")
+
+
 def tutte_recursive(g: RankTable, pivot: str | Callable[[int], int] = "lowest") -> LaurentPoly2:
     """Deletion-contraction evaluation, level by level; the result is the sum
     of the path monomials of the recursion tree.
@@ -213,9 +280,14 @@ def tutte_recursive(g: RankTable, pivot: str | Callable[[int], int] = "lowest") 
     and each choice must be an int naming an element of R. The table is
     renumbered so that b_k is bit k; the nodes at depth k are then the
     contracted sets C = 0 .. 2**k - 1, and each level reads four contiguous
-    runs of the table. Two lists per level hold the t and z exponents of
-    the path from the root to every node; the monomials of the leaves, the
-    children of the last level, are summed as they are computed.
+    runs of the table. Along a path, t = r(S) - r(C | R_k) and
+    z = |C| - r(C); the levels add up those exponents step by step and the
+    leaves' monomials are counted at the end.
+
+    A packed table of at least PACKED_PASS_SIZE subsets keeps the exponents
+    of each level as one byte per node, biased into 0..255: t + high - r(S),
+    in 0..spread, and z + high, in 0..n + spread <= 151 (_packed_paths). Any
+    other table keeps them as two int lists.
     """
     if g.values[0] != 0:
         raise NormalizationError("deletion-contraction recursion requires r(empty) = 0")
@@ -228,10 +300,19 @@ def tutte_recursive(g: RankTable, pivot: str | Callable[[int], int] = "lowest") 
         choose = pivot
     n = g.n
     order = _pivot_order(choose, n)
-    values = g.values
-    if order != list(range(n)):
-        values = list(map(values.__getitem__, _expansion([1 << pos for pos in order])))
+    renumber = None if order == list(range(n)) else _expansion([1 << pos for pos in order])
 
+    view = _packed_view(g)
+    if view is not None:
+        offsets = view.offsets
+        if renumber is not None:
+            offsets = bytes(map(offsets.__getitem__, renumber))
+        t_bias = view.high - g.full_rank
+        return _pair_counts(*_packed_paths(offsets, n, t_bias, view.high), t_bias, view.high)
+
+    values = g.values
+    if renumber is not None:
+        values = list(map(values.__getitem__, renumber))
     full = (1 << n) - 1
     ts, zs = [0], [0]
     for k in range(n):

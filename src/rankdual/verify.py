@@ -577,7 +577,7 @@ def _suite_contract_formula(params, rec: _Recorder):
             bit = 1 << g.ground.position(p)
             rp = g.values[bit]
             # masks avoiding p, in increasing order, are the contracted
-            # table's masks in order: an oracle independent of ops._project
+            # table's masks in order: an oracle independent of ops._select
             expected = tuple(
                 g.values[m | bit] - rp for m in range(g.ground.size) if not m & bit
             )

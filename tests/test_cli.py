@@ -49,6 +49,20 @@ def test_tutte_recursive_matches(capsys):
     assert code == 0 and rec_out == subset_out
 
 
+@pytest.mark.parametrize("method", [(), ("--method", "subset")])
+@pytest.mark.parametrize("pivot", ["lowest", "highest"])
+def test_tutte_rejects_a_pivot_unless_recursive(capsys, method, pivot):
+    code, out, err = run(capsys, "tutte", "--in", TABLE_DOC, *method, "--pivot", pivot)
+    assert code == 2 and out == ""
+    assert err.splitlines() == ["error: --pivot applies only to --method recursive"]
+
+
+def test_tutte_recursive_pivot_defaults_to_lowest(capsys):
+    _, lowest, _ = run(capsys, "tutte", "--in", TABLE_DOC, "--method", "recursive", "--pivot", "lowest")
+    code, out, _ = run(capsys, "tutte", "--in", TABLE_DOC, "--method", "recursive")
+    assert code == 0 and out == lowest
+
+
 def test_check_matroid_fails_with_witness(capsys):
     code, out, _ = run(capsys, "check", "matroid", "--in", TABLE_DOC)
     assert code == 1

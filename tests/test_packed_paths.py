@@ -1,0 +1,186 @@
+"""The packed paths of the polynomials and the minors against per-mask
+definitions kept here: tables of at least ``ops.PACKED_PASS_SIZE`` subsets
+(n = 8..10) read their offsets, and wider ones their values."""
+
+import sys
+from collections import Counter
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from rankdual import (
+    GroundSet,
+    LaurentPoly2,
+    MinorSpec,
+    SubsetRef,
+    TableBuildError,
+    contract,
+    delete,
+    minor,
+    table_from_values,
+    tutte_recursive,
+    tutte_subset,
+)
+from rankdual.core import MAX_PACKED_SPREAD
+from rankdual.ops import PACKED_PASS_SIZE, _packed_view
+from rankdual.tutte import _pair_counts
+
+from test_scan_oracle import _fields, _kernel_tables, _views_of_one_table
+
+SIZES = st.integers(PACKED_PASS_SIZE.bit_length() - 1, 10)
+
+
+def _middle(remaining):
+    """A pivot that is neither strategy: the middle remaining element."""
+    members = [pos for pos in range(remaining.bit_length()) if remaining >> pos & 1]
+    return members[len(members) // 2]
+
+
+PIVOTS = ("lowest", "highest", _middle)
+
+
+def per_mask_polynomial(values):
+    """sum over A of t**(r(S) - r(A)) * z**(|A| - r(A)), mask by mask."""
+    full = values[-1]
+    return LaurentPoly2(Counter((full - v, mask.bit_count() - v) for mask, v in enumerate(values)))
+
+
+def per_mask_minor(values, n, contracted, removed, base):
+    """r(A | C) - base for the masks A over the elements outside ``removed``,
+    by scattering the bits of each new mask to the kept positions."""
+    kept = [pos for pos in range(n) if not removed >> pos & 1]
+    out = []
+    for new in range(1 << len(kept)):
+        old = sum(1 << pos for i, pos in enumerate(kept) if new >> i & 1)
+        out.append(values[old | contracted] - base)
+    return out
+
+
+def _normalized(values):
+    return [0, *values[1:]]
+
+
+@settings(max_examples=20, deadline=None)
+@given(SIZES.flatmap(_kernel_tables))
+def test_subset_polynomial_of_large_tables(values):
+    want = per_mask_polynomial(values)
+    for g in _views_of_one_table(values):
+        assert tutte_subset(g) == want
+
+
+@settings(max_examples=20, deadline=None)
+@given(SIZES.flatmap(_kernel_tables).map(_normalized))
+def test_recursion_of_large_tables(values):
+    want = per_mask_polynomial(values)
+    for g in _views_of_one_table(values):
+        for pivot in PIVOTS:
+            assert tutte_recursive(g, pivot) == want, pivot
+
+
+BITS = (0, 1, 5, 6, -1)
+
+
+def assert_minor_matches(g, contracted, deleted):
+    """minor(g, (C, D)) and, for one element, delete or contract, equal the
+    per-mask table, view and all, or raise the checked build's error."""
+    n, removed = g.n, contracted | deleted
+    want_ground = GroundSet(tuple(label for pos, label in enumerate(g.ground.labels) if not removed >> pos & 1))
+    base = g.values[contracted] if contracted else 0
+    calls = []
+    if g.values[0] == 0:
+        spec = MinorSpec(SubsetRef(g.ground, contracted), SubsetRef(g.ground, deleted))
+        calls.append(lambda: minor(g, spec))
+    if removed.bit_count() == 1:
+        label = g.ground.labels[removed.bit_length() - 1]
+        if not contracted:
+            calls.append(lambda: delete(g, label))
+        elif g.values[0] == 0:
+            calls.append(lambda: contract(g, label))
+    expected = per_mask_minor(g.values, n, contracted, removed, base)
+    try:
+        want = table_from_values(want_ground, expected)
+    except TableBuildError as exc:
+        for call in calls:
+            with pytest.raises(TableBuildError) as caught:
+                call()
+            assert str(caught.value) == str(exc)
+        return
+    for call in calls:
+        got = call()
+        assert got == want and got.values == tuple(expected)
+        assert _fields(got._kernel_view()) == _fields(want._kernel_view())
+
+
+@settings(max_examples=20, deadline=None)
+@given(SIZES.flatmap(_kernel_tables), st.booleans())
+def test_single_element_minors_of_large_tables(values, normalize):
+    if normalize:
+        values = _normalized(values)
+    for g in _views_of_one_table(values):
+        for pos in BITS:
+            bit = 1 << pos % g.n
+            assert_minor_matches(g, 0, bit)
+            assert_minor_matches(g, bit, 0)
+
+
+@settings(max_examples=20, deadline=None)
+@given(SIZES.flatmap(lambda n: st.tuples(
+    _kernel_tables(n).map(_normalized),
+    st.lists(st.sampled_from("cdk"), min_size=n, max_size=n),
+)))
+def test_minors_with_several_contracted_and_deleted_elements(drawn):
+    values, roles = drawn
+    contracted = sum(1 << pos for pos, role in enumerate(roles) if role == "c")
+    deleted = sum(1 << pos for pos, role in enumerate(roles) if role == "d")
+    for g in _views_of_one_table(values):
+        assert_minor_matches(g, contracted, deleted)
+
+
+@pytest.mark.parametrize("spread, packed", [(MAX_PACKED_SPREAD, True), (MAX_PACKED_SPREAD + 1, False)])
+def test_the_byte_path_ends_at_a_spread_of_127(spread, packed):
+    # negative ranks down to -60, and the largest rank sets the spread
+    n = 9
+    values = [0] + [(mask * 37) % 9 - 3 for mask in range(1, 1 << n)]
+    values[5], values[200] = -60, spread - 60
+    for g in _views_of_one_table(values):
+        assert (_packed_view(g) is not None) == packed
+        want = per_mask_polynomial(values)
+        assert tutte_subset(g) == want
+        for pivot in PIVOTS:
+            assert tutte_recursive(g, pivot) == want
+        for pos in BITS:
+            bit = 1 << pos % n
+            assert_minor_matches(g, 0, bit)
+            assert_minor_matches(g, bit, 0)
+        assert_minor_matches(g, 0b100010010, 0b001001001)
+
+
+def test_a_deletion_below_the_signed_bytes_reads_the_values():
+    # packed (spread 100) but with ranks below -128: the deleted ranks are
+    # no signed bytes, so they come from the values
+    n = 8
+    values = [-1000 + (mask * 29) % 101 for mask in range(1 << n)]
+    for g in _views_of_one_table(values):
+        assert _packed_view(g) is not None
+        for pos in BITS:
+            assert_minor_matches(g, 0, 1 << pos % n)
+        assert tutte_subset(g) == per_mask_polynomial(values)
+
+
+def test_pair_counts_of_hand_built_bytes():
+    ts = bytes([0, 1, 255, 1, 0, 7])
+    zs = bytes([0, 2, 9, 2, 0, 0])
+    got = _pair_counts(ts, zs, 3, 1)
+    assert got.terms == {(-3, -1): 2, (-2, 1): 2, (252, 8): 1, (4, -1): 1}
+    assert _pair_counts(b"", b"", 0, 0) == LaurentPoly2.zero()
+
+
+def test_pair_counts_read_the_hosts_byte_order(monkeypatch):
+    # the counted units are read in the host's order; told the other order,
+    # the decode swaps the two exponents, so it takes the order from
+    # sys.byteorder rather than assuming one
+    other = "big" if sys.byteorder == "little" else "little"
+    monkeypatch.setattr(sys, "byteorder", other)
+    got = _pair_counts(bytes([5, 5, 1]), bytes([2, 2, 3]), 0, 0)
+    assert got.terms == {(2, 5): 2, (3, 1): 1}

@@ -29,7 +29,7 @@ from rankdual import (
 )
 from rankdual.axioms import FeasibleFamily, _locally_union_closed
 from rankdual.core import MAX_PACKED_SPREAD, MAX_RANK_MAGNITUDE, bitset, popcounts
-from rankdual.ops import PACKED_DUAL_SIZE, _dual_values, _packed_dual
+from rankdual.ops import PACKED_PASS_SIZE, _dual_values, _packed_dual
 
 from scan_oracle import (
     oracle_antimatroid,
@@ -216,7 +216,7 @@ def test_every_build_of_a_table_reads_the_same(values):
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(PACKED_DUAL_SIZE.bit_length() - 1, 9).flatmap(_kernel_tables))
+@given(st.integers(PACKED_PASS_SIZE.bit_length() - 1, 9).flatmap(_kernel_tables))
 def test_tables_large_enough_for_the_packed_dual(values):
     assert_duals_match(_views_of_one_table(values))
 
@@ -225,7 +225,7 @@ def test_dual_refuses_an_overflowing_dual_as_the_constructor_does():
     # at the packed pass's size: a packed table's dual comes from the pass
     # (it lies within 151 of 0), and only an unpacked one can pass the
     # magnitude bound, which the fallback refuses as the constructor does
-    M, n = MAX_RANK_MAGNITUDE, PACKED_DUAL_SIZE.bit_length() - 1
+    M, n = MAX_RANK_MAGNITUDE, PACKED_PASS_SIZE.bit_length() - 1
     rng = random.Random(8)
     packed = _views_of_one_table([0] + [rng.randint(-3, 8) for _ in range((1 << n) - 1)])
     for g in packed:
