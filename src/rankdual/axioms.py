@@ -49,6 +49,7 @@ from .core import (
     GroundSetError,
     RankTable,
     SubsetRef,
+    _view_of,
     avoid_sets,
     bitset,
     by_cardinality,
@@ -215,12 +216,15 @@ def block_failures(n, values, blocks):
     witnesses. Nonnegativity is not read: r(empty) = 0 and no decreasing step
     imply it. Nor is R2: under R1 a violation of local submodularity is a
     flat square, and local submodularity implies R2 (Schrijver, Combinatorial
-    Optimization, 2003, Thm 44.1)."""
-    decrease, flat, unit = step_sets(n, values, DECREASE, FLAT, UNIT, blocks=blocks)
-    supercardinal = exceeding(n, values, SIZE, blocks)
+    Optimization, 2003, Thm 44.1). No blocks, no failing block."""
+    if not blocks:
+        return 0, 0, 0
+    view = _view_of(values)
+    decrease, flat, unit = step_sets(n, view, DECREASE, FLAT, UNIT, blocks=blocks)
+    supercardinal = exceeding(n, view, SIZE, blocks)
     # no set of a table without decreasing steps lies above the full set
-    above_full = exceeding(n, values, FULL, blocks) if any(decrease) else 0
-    unnormalized = bitset(map(bool, values[:: 1 << n]))
+    above_full = exceeding(n, view, FULL, blocks) if any(decrease) else 0
+    unnormalized = bitset(map(bool, view.values[:: 1 << n]))
     off = _off_steps(avoid_sets(n, blocks), flat, unit)
     # Gr1*: the off-steps that are no decrease
     jump = [o & ~d for o, d in zip(off, decrease)]

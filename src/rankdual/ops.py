@@ -22,6 +22,7 @@ from .core import (
     SubsetRef,
     TableView,
     _shifted,
+    _view_of,
     popcounts,
     table_from_values,
 )
@@ -74,21 +75,46 @@ def _shifted_view(data: bytes, top: int, shift: int):
     return TableView(values, low, high, offsets)
 
 
-def _packed_dual(n: int, view: TableView):
-    """The view of the dual of a table's view, from one int pass over its
-    offsets: None when the view has none, or the dual's spread is past
-    MAX_PACKED_SPREAD.
+def _dual_sums(n: int, offsets: bytes, blocks: int = 1) -> bytes:
+    """The packed dual pass over the offsets O (bytes v - low) of ``blocks``
+    tables of 2**n values laid end to end: byte A of block b is
+    r_b*(A) + bias = |A| + O_b[S - A] + bias - O_b[S], with bias the largest
+    O_b[S], which is byte 0 of every block. One table's bias is O[S] and its
+    bytes are at most 24 + 127; a corpus's must stay below 256 too.
 
-    The reversed offsets plus popcounts(n) give byte A = |A| + r(S - A) - low
-    (at most 24 + 127, so no byte carries), and r*(A) is that byte plus
-    low - r(S) >= -127. Its ranks lie within 151 of 0, far inside the
-    magnitude bound, so the dual needs none of the constructor's checks."""
+    Read as one big-endian int, the tables joined in reverse order hold
+    O_b[S - A] at byte A of block b. The first byte of each block, O_b[S],
+    is masked and bias - O_b[S] is copied into all of the block by one
+    multiplication, as in the FULL pass of core.exceeding; no byte carries."""
+    size = 1 << n
+    sizes = int.from_bytes(popcounts(n) * blocks, "little")
+    if blocks == 1:
+        return (int.from_bytes(offsets, "big") + sizes).to_bytes(size, "little")
+    offsets = b"".join([offsets[end - size : end] for end in range(len(offsets), 0, -size)])
+    packed = int.from_bytes(offsets, "big")
+    firsts = int.from_bytes(bytes(size - 1).join([b"\1"] * blocks), "little")
+    lift = max(offsets[size - 1 :: size], default=0) * firsts - (packed & 0xFF * firsts)
+    total = packed + sizes + lift * int.from_bytes(b"\1" * size, "little")
+    return total.to_bytes(blocks << n, "little")
+
+
+def _packed_dual(n: int, values, blocks: int = 1):
+    """The view of the duals of ``blocks`` tables of 2**n values laid end to
+    end (``values`` as in core.step_sets), from _dual_sums: the empty view
+    for zero blocks, and None when the values have no offsets, when a byte
+    of the pass could pass 255, or when the duals' spread passes
+    MAX_PACKED_SPREAD. A table's dual lies within 151 of 0, far inside the
+    magnitude bound, so it needs none of the constructor's checks."""
+    if not blocks:
+        return TableView((), 0, 0, b"")
+    view = _view_of(values)
     offsets = view.offsets
     if offsets is None:
         return None
-    total = int.from_bytes(offsets[::-1], "little") + int.from_bytes(popcounts(n), "little")
-    sums = total.to_bytes(1 << n, "little")
-    return _shifted_view(sums, n + view.high - view.low, view.low - view.values[-1])
+    fulls = offsets[(1 << n) - 1 :: 1 << n]
+    # byte A of block b is at most n + max(O) + bias - O_b[S]
+    top = n + view.high - view.low + max(fulls) - min(fulls)
+    return _shifted_view(_dual_sums(n, offsets, blocks), top, -max(fulls)) if top < 256 else None
 
 
 # Fewest subsets for which dual, the minors and the two polynomials read a

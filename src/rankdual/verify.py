@@ -48,8 +48,9 @@ from .core import (
     popcounts,
     step_sets,
     table_from_values,
+    validate,
 )
-from .ops import _dual_values, contract, delete, direct_sum, dual
+from .ops import _dual_sums, _packed_dual, contract, delete, direct_sum, dual
 from .structures import (
     ContractionError,
     RootedGraph,
@@ -58,6 +59,7 @@ from .structures import (
     _components,
     branching_greedoid,
     branching_rows,
+    convex_closure,
     demo_pruning_tree,
     demo_rooted_tree,
     greedoid_minor_feasible,
@@ -623,8 +625,6 @@ def _suite_duality_swap(params, rec: _Recorder):
 
 @_suite(_CORPUS)
 def _suite_polynomiality(params, rec: _Recorder):
-    from .core import validate
-
     for i, g in enumerate(_corpus(params)):
         report = validate(g)
         mins = tutte_subset(g).min_exponents()
@@ -690,17 +690,17 @@ def _suite_minor_agreement(params, rec: _Recorder):
 def _suite_dual_greedoid_axioms(params, rec: _Recorder):
     idx = 0
     for n in range(params["n"] + 1):
-        tables = list(enumerate_tables(EnumSpec(n, "greedoid")))
-        duals = [dual(g) for g in tables]
-        *_, failing = block_failures(n, [v for gd in duals for v in gd.values], len(duals))
-        for b, (g, gd) in enumerate(zip(tables, duals)):
+        corpus = _pruned(n, "greedoid")
+        count = len(corpus) >> n
+        *_, failing = block_failures(n, _packed_dual(n, corpus, count), count)
+        for b, g in enumerate(enumerate_tables(EnumSpec(n, "greedoid"))):
             # the checker runs only to word the witness of a failing table
             rec.check(
                 not failing >> b & 1,
                 lambda: f"greedoid[{idx}] n={n} values={g.values}",
                 "dual of a greedoid passes the starred axioms",
                 lambda: "; ".join(
-                    line for line in check_dual_greedoid(gd).lines() if "fail" in line
+                    line for line in check_dual_greedoid(dual(g)).lines() if "fail" in line
                 ),
             )
             idx += 1
@@ -714,8 +714,8 @@ def _intersection_failures(n, corpus):
     greedoid, matroid, dual_greedoid = block_failures(n, corpus, count)
     # greedoid(r*) is read only where r is a greedoid
     greedoids = members_of(~greedoid, count)
-    duals = [v for b in greedoids for v in _dual_values(corpus[b * size : (b + 1) * size], n)]
-    dual_fails = block_failures(n, duals, len(greedoids))[0] if greedoids else 0
+    tables = b"".join([corpus[b * size : (b + 1) * size] for b in greedoids])
+    dual_fails = block_failures(n, _packed_dual(n, tables, len(greedoids)), len(greedoids))[0]
     both = sum(1 << greedoids[j] for j in members_of(~dual_fails, len(greedoids)))
     failures = []
     for assertion, fails in (
@@ -755,21 +755,6 @@ def _root_adjacent(vertex_count: int, edge_pairs) -> list:
     return [mask == everyone for mask in neighbours]
 
 
-def _min_duals(n: int, rows) -> list:
-    """Entry i is the least dual rank of rows[i], a table on n elements
-    (bytes or a list of ints, r(B) <= 255 - n), from one packed pass.
-
-    With B = S - A, r*(A) = x_B - r(S) for x_B = r(B) + n - |B|. The rows
-    are laid end to end and the bytes n - |B|, repeated once per row, are
-    added as one int, no byte carrying; x_S = r(S), so each row's least dual
-    is the least byte of its block minus the block's last byte."""
-    size = 1 << n
-    joined = b"".join(map(bytes, rows))
-    gaps = bytes(map(n.__sub__, popcounts(n))) * len(rows)
-    x = (int.from_bytes(joined, "big") + int.from_bytes(gaps, "big")).to_bytes(len(joined), "big")
-    return [min(x[end - size : end]) - x[end - 1] for end in range(size, len(x) + 1, size)]
-
-
 @_suite(max_edges=Param(6, 0, MAX_CENSUS_EDGES))
 def _suite_root_adjacency(params, rec: _Recorder):
     max_edges = params["max_edges"]
@@ -778,9 +763,13 @@ def _suite_root_adjacency(params, rec: _Recorder):
     sample_stride = 97
 
     for v, pairs, roots in _rooted_graphs(max_edges):
+        size = 1 << len(pairs)
         rows = branching_rows(len(pairs), v, pairs, roots)
+        # byte A of each row's block is r*(A) + bias, and byte 0 is bias
+        sums = _dual_sums(len(pairs), b"".join(map(bytes, rows)), len(rows))
+        min_duals = [min(sums[i : i + size]) - sums[0] for i in range(0, len(sums), size)]
         adjacent = _root_adjacent(v, pairs)
-        for root, values, min_dual in zip(roots, rows, _min_duals(len(pairs), rows)):
+        for root, values, min_dual in zip(roots, rows, min_duals):
             ok = (min_dual >= 0) == adjacent[root]
             if (rec.instances + 1) % sample_stride == 0:
                 rg = RootedGraph(tuple(f"v{i}" for i in range(v)), f"v{root}", _labelled(pairs))
@@ -800,7 +789,7 @@ def _suite_full_dual_nonpositive(params, rec: _Recorder):
     for idx, g in enumerate(_enumerated(params["n"], "greedoid")):
         if g.full_rank != g.n:
             continue
-        dv = _dual_values(g.values, g.n)
+        dv = dual(g).values
         rec.check(
             max(dv) <= 0,
             lambda: f"full-greedoid[{idx}] n={g.n} values={g.values}",
@@ -828,7 +817,7 @@ def _suite_closure_dual_rank(params, rec: _Recorder):
         # the corpora are full antimatroids by construction; the closures are
         # still checked to be convex
         closures = _closure_table(g)
-        dv = _dual_values(g.values, g.n)
+        dv = dual(g).values
         for mask in range(g.ground.size):
             gap = (closures[mask] & ~mask).bit_count()
             rec.check(
@@ -840,7 +829,7 @@ def _suite_closure_dual_rank(params, rec: _Recorder):
     # spot value on the bundled ten-edge tree
     g = pruning_antimatroid(demo_pruning_tree())
     a = g.ground.subset(("a", "d", "f"))
-    dv = _dual_values(g.values, g.n)
+    dv = dual(g).values
     rec.check(
         dv[a.bits] == -3,
         "demo pruning tree",
@@ -852,7 +841,7 @@ def _suite_closure_dual_rank(params, rec: _Recorder):
 @_suite(_CLOSURE)
 def _suite_convex_zero_dual(params, rec: _Recorder):
     for desc, g in _closure_corpora(params):
-        dv = _dual_values(g.values, g.n)
+        dv = dual(g).values
         full = g.ground.full_mask
         for mask in range(g.ground.size):
             convex = g.values[full ^ mask] == (full ^ mask).bit_count()
@@ -988,8 +977,6 @@ def _suite_branching_goldens(params, rec: _Recorder):
 
 @_suite()
 def _suite_pruning_goldens(params, rec: _Recorder):
-    from .structures import convex_closure
-
     g = pruning_antimatroid(demo_pruning_tree())
     sub = g.ground.subset
     full = g.ground.full_mask
@@ -1002,7 +989,7 @@ def _suite_pruning_goldens(params, rec: _Recorder):
         "rank of the prunable set {a,d,e,f}",
         lambda: str(g.rank(adef)),
     )
-    dv = _dual_values(g.values, g.n)
+    dv = dual(g).values
     rec.check(dv[full ^ adef.bits] == 0, "demo pruning tree", "dual rank of its complement is 0")
 
     beh = sub(("b", "e", "h"))

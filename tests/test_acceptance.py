@@ -34,7 +34,8 @@ from rankdual import (
 )
 from rankdual.axioms import block_failures
 from rankdual.core import DECREASE, JUMP, GroundSet, step_sets
-from rankdual.verify import _dual_values, _enumerate_values
+from rankdual.ops import _dual_values
+from rankdual.verify import _enumerate_values
 
 SEED = 20260810
 CORPUS_COUNT = 1000

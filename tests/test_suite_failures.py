@@ -42,11 +42,15 @@ def _cyclic_rows_wrong(edges, vertices, pairs, roots):
     return [[0] * 7 + [5]] * len(roots)
 
 
+def _all_ones(n, values, blocks=1):
+    """_packed_dual with every dual rank 1."""
+    return b"\1" * (blocks << n)
+
+
 def _scenarios():
-    """Suite name: (params, {attribute of ``verify``, or "structures.<name>":
-    its wrong replacement})."""
+    """Suite name: (params, {attribute of ``verify``: its wrong replacement})."""
     dual, delete, contract = verify.dual, verify.delete, verify.contract
-    tutte_subset, dual_values = verify.tutte_subset, verify._dual_values
+    tutte_subset = verify.tutte_subset
     return {
         "involution": ({"count": 4, "max_n": 2, "seed": 3}, {"dual": _plus_one(dual)}),
         "exchange": ({"count": 3, "max_n": 2, "seed": 3}, {"contract": delete}),
@@ -66,11 +70,18 @@ def _scenarios():
         ),
         "contract_feasibility": ({"n": 2}, {"contract": delete}),
         "minor_agreement": ({"n": 2}, {"delete": contract}),
-        "dual_greedoid_axioms": ({"n": 2}, {"dual": lambda g: g}),
-        "greedoid_intersection": ({"n": 2}, {"_dual_values": lambda v, n: [1] * len(v)}),
+        # the verdicts and the witnesses both read the greedoid as its dual
+        "dual_greedoid_axioms": (
+            {"n": 2},
+            {"_packed_dual": lambda n, values, blocks=1: values, "dual": lambda g: g},
+        ),
+        "greedoid_intersection": ({"n": 2}, {"_packed_dual": _all_ones}),
         # the trees pass; every rooted triangle fails
         "root_adjacency": ({"max_edges": 3}, {"branching_rows": _cyclic_rows_wrong}),
-        "full_dual_nonpositive": ({"n": 2}, {"_dual_values": lambda v, n: [1] * len(v)}),
+        "full_dual_nonpositive": (
+            {"n": 2},
+            {"dual": lambda g: table_from_values(g.ground, [1] * g.ground.size)},
+        ),
         # n = 0: the one antimatroid passes, the pruning trees fail
         "closure_dual_rank": (
             {"n": 0, "max_tree_edges": 2},
@@ -78,7 +89,7 @@ def _scenarios():
         ),
         "convex_zero_dual": (
             {"n": 2, "max_tree_edges": 2},
-            {"_dual_values": lambda v, n: [x + 1 for x in dual_values(v, n)]},
+            {"dual": _plus_one(dual)},
         ),
         "nullity_monotone": (
             {"n": 0, "count": 3, "max_n": 2, "seed": 3},
@@ -100,8 +111,8 @@ def _scenarios():
         "pruning_goldens": (
             {},
             {
-                "_dual_values": lambda v, n: [x + 1 for x in dual_values(v, n)],
-                "structures.convex_closure": lambda g, subset: subset,
+                "dual": _plus_one(dual),
+                "convex_closure": lambda g, subset: subset,
             },
         ),
     }
@@ -109,8 +120,7 @@ def _scenarios():
 
 def _patch(monkeypatch, patches):
     for name, replacement in patches.items():
-        module, _, attr = name.rpartition(".")
-        monkeypatch.setattr(structures if module else verify, attr, replacement)
+        monkeypatch.setattr(verify, name, replacement)
 
 
 def failing_reports(name):
@@ -607,13 +617,15 @@ def test_failing_report(monkeypatch, name):
 
 def _only_n3_fails(monkeypatch):
     """Make the n = 3 tables of greedoid_intersection fail, and no smaller one."""
-    dual_values = verify._dual_values
+    packed_dual = verify._packed_dual
     monkeypatch.setattr(
-        verify, "_dual_values", lambda v, n: [1] * len(v) if n == 3 else dual_values(v, n)
+        verify,
+        "_packed_dual",
+        lambda n, values, blocks=1: (_all_ones if n == 3 else packed_dual)(n, values, blocks),
     )
 
 
-def test_failures_of_pool_tasks_are_kept_in_serial_order(monkeypatch):
+def test_intersection_failures_are_kept_in_enumeration_order(monkeypatch):
     _only_n3_fails(monkeypatch)
     capped = run_suite("greedoid_intersection", {"n": 3, "max_failures": 3})
     fast = run_suite("greedoid_intersection", {"n": 3, "fail_fast": True})
@@ -625,7 +637,7 @@ def test_failures_of_pool_tasks_are_kept_in_serial_order(monkeypatch):
     assert fast.failures == capped.failures[:1]
 
 
-def test_fail_fast_counts_do_not_depend_on_workers(monkeypatch):
+def test_fail_fast_counts_the_tables_up_to_the_first_failure(monkeypatch):
     # the first failing table is the first n = 3 table: the 12 smaller
     # tables and that one are counted
     _only_n3_fails(monkeypatch)

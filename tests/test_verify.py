@@ -36,14 +36,14 @@ from rankdual.verify import (
     SUITES,
     Suite,
     _Recorder,
-    _dual_values,
     _join,
-    _min_duals,
     _monotone,
     _pruned,
     _rooted_graphs,
     _rooted_tree_shapes,
 )
+from rankdual.axioms import block_failures
+from rankdual.ops import _dual_sums, _dual_values, _packed_dual
 from rankdual.structures import branching_rows
 
 from enum_oracle import oracle_enumerate_values
@@ -353,30 +353,49 @@ def test_root_adjacency_checks_each_census_graph_once():
         assert result.instances_checked == len(list(all_rooted_graphs(k)))
 
 
-def _assert_min_duals_match(n, rows):
-    # equal least duals give equal verdicts, min dual >= 0
-    assert _min_duals(n, rows) == [min(_dual_values(row, n)) for row in rows]
-
-
 def test_packed_min_duals_match_the_per_row_duals_on_the_census():
+    # as root_adjacency reads them: byte A of each row's block of the pass
+    # is r*(A) + bias, and byte 0 is r*(empty) + bias = bias
     for v, pairs, roots in _rooted_graphs(5):
-        _assert_min_duals_match(len(pairs), branching_rows(len(pairs), v, pairs, roots))
+        n, size = len(pairs), 1 << len(pairs)
+        rows = branching_rows(n, v, pairs, roots)
+        sums = _dual_sums(n, b"".join(map(bytes, rows)), len(rows))
+        least = [min(sums[i : i + size]) - sums[0] for i in range(0, len(sums), size)]
+        assert least == [min(_dual_values(row, n)) for row in rows]
 
 
 @settings(max_examples=300, deadline=None)
 @given(
-    st.integers(0, 5).flatmap(
+    st.integers(0, 6).flatmap(
         lambda n: st.tuples(
             st.just(n),
-            st.lists(st.lists(st.integers(0, 8), min_size=1 << n, max_size=1 << n), max_size=4),
+            st.lists(st.lists(st.integers(0, 40), min_size=1 << n, max_size=1 << n), max_size=5),
         )
     )
 )
-def test_packed_min_duals_read_each_rows_own_full_rank(case):
-    # the last byte, r(S), is arbitrary here, not v - 1 as on a connected graph
+def test_the_corpus_dual_is_the_duals_of_its_tables_laid_end_to_end(case):
+    # r(S) is arbitrary per table, so that each block lifts its own; the
+    # dual is unchanged by a shift of all values, which makes the int-list
+    # input negative in places
     n, rows = case
-    _assert_min_duals_match(n, rows)
-    _assert_min_duals_match(n, list(map(bytes, rows)))
+    expected = [x for row in rows for x in _dual_values(row, n)]
+    corpus = b"".join(map(bytes, rows))
+    for values in (corpus, [x - 20 for x in corpus]):
+        view = _packed_dual(n, values, len(rows))
+        assert list(view.values) == expected
+        assert (view.low, view.high) == (min(expected + [0]), max(expected, default=0))
+        # the axiom verdicts read the view as the duals themselves
+        assert block_failures(n, view, len(rows)) == block_failures(n, expected, len(rows))
+    sums = _dual_sums(n, corpus, len(rows))
+    assert [x - sums[0] for x in sums] == expected
+
+
+def test_a_corpus_whose_dual_bytes_could_carry_gets_no_view():
+    # bias is 127, from the second table, and byte 6 of the first is
+    # |{b, c}| + 127 + 127 - 0 = 256
+    first, second = [0, 127] + [0] * 6, [0] * 7 + [127]
+    assert _packed_dual(3, bytes(first + second), 2) is None
+    assert _packed_dual(3, bytes(second + second), 2).values == _dual_values(second, 3) * 2
 
 
 # --- suite machinery -----------------------------------------------------------------
