@@ -78,9 +78,8 @@ def masks_by_cardinality(n: int) -> tuple[int, ...]:
 # table is packed at most once, on the first read that needs the bytes. The
 # checked RankTable constructor makes a table's view from the min and max
 # its checks take, a table built with RankTable._trusted makes it on its
-# first kernel read, and ops._packed_dual makes the view of the duals of one
-# table or of a corpus, bytes and all, in the pass that makes the duals.
-# Corpora of ASCII bytes are their own bytes.
+# first kernel read, and ops._packed_dual makes the duals' view, bytes and
+# all, in the dual pass. Corpora of ASCII bytes are their own bytes.
 # ---------------------------------------------------------------------------
 
 _DIGITS = bytes.maketrans(b"\0\1", b"01")

@@ -75,46 +75,37 @@ def _shifted_view(data: bytes, top: int, shift: int):
     return TableView(values, low, high, offsets)
 
 
-def _dual_sums(n: int, offsets: bytes, blocks: int = 1) -> bytes:
-    """The packed dual pass over the offsets O (bytes v - low) of ``blocks``
-    tables of 2**n values laid end to end: byte A of block b is
-    r_b*(A) + bias = |A| + O_b[S - A] + bias - O_b[S], with bias the largest
-    O_b[S], which is byte 0 of every block. One table's bias is O[S] and its
-    bytes are at most 24 + 127; a corpus's must stay below 256 too.
-
-    Read as one big-endian int, the tables joined in reverse order hold
-    O_b[S - A] at byte A of block b. The first byte of each block, O_b[S],
-    is masked and bias - O_b[S] is copied into all of the block by one
-    multiplication, as in the FULL pass of core.exceeding; no byte carries."""
+def _dual_sums(n: int, offsets: bytes, blocks: int) -> bytes:
+    """The packed dual pass over the offsets O of ``blocks`` tables of 2**n
+    values laid end to end, b"" for none: byte A of block b is
+    |A| + O_b[S - A] + bias - O_b[S] = r_b*(A) + bias, with bias the largest
+    O_b[S], which is byte 0 of every block. The blocks, joined in reverse
+    order and read as one big-endian int, hold O_b[S - A] at byte A of block
+    b; each block's first byte O_b[S], masked and multiplied as in the FULL
+    pass of core.exceeding, lifts its block by bias - O_b[S]."""
     size = 1 << n
-    sizes = int.from_bytes(popcounts(n) * blocks, "little")
-    if blocks == 1:
-        return (int.from_bytes(offsets, "big") + sizes).to_bytes(size, "little")
-    offsets = b"".join([offsets[end - size : end] for end in range(len(offsets), 0, -size)])
+    offsets = b"".join([offsets[end - size : end] for end in range(blocks << n, 0, -size)])
     packed = int.from_bytes(offsets, "big")
     firsts = int.from_bytes(bytes(size - 1).join([b"\1"] * blocks), "little")
     lift = max(offsets[size - 1 :: size], default=0) * firsts - (packed & 0xFF * firsts)
-    total = packed + sizes + lift * int.from_bytes(b"\1" * size, "little")
-    return total.to_bytes(blocks << n, "little")
+    total = packed + int.from_bytes(popcounts(n) * blocks, "little")
+    return (total + lift * int.from_bytes(b"\1" * size, "little")).to_bytes(blocks << n, "little")
 
 
 def _packed_dual(n: int, values, blocks: int = 1):
     """The view of the duals of ``blocks`` tables of 2**n values laid end to
-    end (``values`` as in core.step_sets), from _dual_sums: the empty view
-    for zero blocks, and None when the values have no offsets, when a byte
-    of the pass could pass 255, or when the duals' spread passes
-    MAX_PACKED_SPREAD. A table's dual lies within 151 of 0, far inside the
-    magnitude bound, so it needs none of the constructor's checks."""
+    end, from _dual_sums: None when the values have no offsets, a byte of
+    the pass could pass 255, or the duals' spread passes MAX_PACKED_SPREAD.
+    A table's dual lies within 151 of 0, so it needs no constructor check."""
     if not blocks:
         return TableView((), 0, 0, b"")
     view = _view_of(values)
-    offsets = view.offsets
-    if offsets is None:
+    if view.offsets is None:
         return None
-    fulls = offsets[(1 << n) - 1 :: 1 << n]
-    # byte A of block b is at most n + max(O) + bias - O_b[S]
-    top = n + view.high - view.low + max(fulls) - min(fulls)
-    return _shifted_view(_dual_sums(n, offsets, blocks), top, -max(fulls)) if top < 256 else None
+    sums = _dual_sums(n, view.offsets, blocks)
+    # byte A of block b is at most n + max(O) + bias - O_b[S]; byte 0 is bias
+    top = n + view.high - view.low + sums[0] - min(view.offsets[(1 << n) - 1 :: 1 << n])
+    return _shifted_view(sums, top, -sums[0]) if top < 256 else None
 
 
 # Fewest subsets for which dual, the minors and the two polynomials read a
@@ -139,10 +130,9 @@ def dual(g: RankTable) -> RankTable:
     the dual's view, from _packed_dual; any other goes through _dual_values
     and the checked constructor."""
     view = _packed_view(g)
-    if view is not None:
-        dual_view = _packed_dual(g.n, view)
-        if dual_view is not None:
-            return RankTable._from_view(g.ground, dual_view)
+    dual_view = None if view is None else _packed_dual(g.n, view)
+    if dual_view is not None:
+        return RankTable._from_view(g.ground, dual_view)
     return table_from_values(g.ground, _dual_values(g.values, g.n))
 
 
