@@ -100,14 +100,19 @@ def bitset(flags) -> int:
     return int(bytes(flags).translate(_DIGITS)[::-1], 2)
 
 
+def member_flags(members: int, width: int) -> bytes:
+    """Byte i is 1 when i is in the bit set ``members`` and 0 otherwise, for
+    i in range(width), width >= 1: the inverse of ``bitset``."""
+    members &= (1 << width) - 1
+    return format(members, f"0{width}b").encode()[::-1].translate(_FLAGS)
+
+
 def members_of(members: int, width: int) -> list[int]:
     """The elements of the bit set ``members`` within range(width), in
-    increasing order: the inverse of ``bitset``. ~s is s's complement."""
-    members &= (1 << width) - 1
-    if not members:
+    increasing order. ~s is s's complement."""
+    if not members & (1 << width) - 1:
         return []
-    digits = format(members, f"0{width}b").encode()
-    return list(compress(range(width), digits[::-1].translate(_FLAGS)))
+    return list(compress(range(width), member_flags(members, width)))
 
 
 def _spread(width: int, members: int) -> int:
@@ -118,16 +123,29 @@ def _spread(width: int, members: int) -> int:
 
 def member_counts(n: int, sets, blocks: int = 1) -> bytes:
     """Byte A is the number of the given bit sets over n bits that contain
-    mask A; there must be fewer than 256 sets. The inverse of ``bitset``: each
-    set is spread to one byte per mask and the spread sets are summed as
-    integers, so no byte ever carries into the next.
+    mask A; there must be fewer than 256 sets. The inverse of ``bitset``.
+
+    The sets are added as binary counters held in bit planes, plane j being
+    the set of masks whose count has bit j, each set rippling its carries up
+    the planes. Each plane is then spread to one byte per mask and the
+    spread planes, shifted by j, are summed as integers: no byte ever
+    carries into the next.
 
     With ``blocks`` > 1 the sets run over that many consecutive blocks of
     2**n masks, and byte b * 2**n + A counts position A of block b."""
     width = blocks << n
+    planes = []
+    for carry in sets:
+        for j, plane in enumerate(planes):
+            planes[j], carry = plane ^ carry, plane & carry
+            if not carry:
+                break
+        else:
+            if carry:
+                planes.append(carry)
     total = 0
-    for members in sets:
-        total += _spread(width, members)
+    for plane in reversed(planes):
+        total = (total << 1) + _spread(width, plane)
     return total.to_bytes(width, "little")
 
 

@@ -10,7 +10,7 @@ are counted from bit sets over all edge subsets (``core.member_counts``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
+from itertools import chain, compress
 
 from .axioms import FeasibleFamily, check_antimatroid, check_greedoid
 from .core import (
@@ -157,43 +157,99 @@ def _has_sets(n: int) -> list:
     return [every ^ avoid for avoid in avoid_sets(n)]
 
 
-def _relax(reach: list, has: list, pairs) -> None:
-    """Grow reach[b] by reach[a] & has[e] across each edge e = (a, b), both
-    ways, until no set changes."""
+def _relax(reach: list, has: dict) -> None:
+    """Grow reach[b] by reach[a] & has[(a, b)] across each vertex pair of
+    ``has``, both ways, until no set changes."""
     grown = True
     while grown:
         grown = False
-        for e, (u, v) in enumerate(pairs):
+        for (u, v), members in has.items():
             for a, b in ((u, v), (v, u)):
-                new = reach[b] | reach[a] & has[e]
+                new = reach[b] | reach[a] & members
                 if new != reach[b]:
                     reach[b] = new
                     grown = True
 
 
-def branching_rows(edge_count: int, vertex_count: int, pairs, roots) -> list[bytes]:
-    """Entry i is the branching rank row of root ``roots[i]``: byte A is the
-    number of vertices other than that root that the edges of mask A connect
-    to it.
+def _pair_slots(graphs) -> dict:
+    """Vertex pair: the bytes whose byte g is 1 + the index of that pair
+    among the edges of graphs[g], or 0 when graphs[g] lacks it. The graphs
+    are sequences of distinct vertex pairs, all of one length, with at most
+    255 edges each and at most 256 distinct pairs in all.
 
-    The positions are (i, mask) pairs, one block of 2**edge_count bits per
-    listed root, and reach[x] is the set of positions (i, A) at which x is
-    reachable from roots[i] through A. It grows by reach[x] & has[e] across
-    each edge e until it is stable. Each has-set is repeated once per block,
-    so one edge loop relaxes every root at once and one ``member_counts``
-    counts every row.
+    Column k holds the k-th pair of every graph; each column is coded as one
+    byte per graph, and one ``translate`` of it marks the graphs whose k-th
+    pair is a given one."""
+    columns = list(zip(*graphs))
+    pairs = list(dict.fromkeys(chain.from_iterable(columns)))
+    index = {pair: i for i, pair in enumerate(pairs)}
+    slots = [0] * len(pairs)
+    for k, column in enumerate(columns):
+        codes = bytes(map(index.__getitem__, column))
+        for i in set(codes):
+            mark = bytearray(256)
+            mark[i] = k + 1
+            # a graph has each pair at most once, so no byte carries
+            slots[i] += int.from_bytes(codes.translate(mark), "little")
+    return {pair: s.to_bytes(len(graphs), "little") for pair, s in zip(pairs, slots)}
+
+
+def _graph_has_sets(graphs, width: int, edge_sets: list) -> dict:
+    """Vertex pair p: the positions whose graph has p as its edge k and
+    whose mask holds k, given the ``width`` positions of one graph and
+    edge_sets[k], the positions of one graph whose mask holds k. The sets of
+    one graph are its edge sets as they are.
+
+    Field g of the set of p is edge_sets[k] when p is edge k of graphs[g],
+    and 0 when graphs[g] lacks p. The fields are joined as bytes when width
+    is whole bytes, and else as binary digits, the last field first."""
+    if len(graphs) == 1:
+        return dict(zip(graphs[0], edge_sets))
+    has = {}
+    if width % 8 == 0:
+        pieces = [members.to_bytes(width >> 3, "little") for members in (0, *edge_sets)]
+        for pair, marks in _pair_slots(graphs).items():
+            has[pair] = int.from_bytes(b"".join(map(pieces.__getitem__, marks)), "little")
+    else:
+        pieces = [format(members, f"0{width}b") for members in (0, *edge_sets)]
+        for pair, marks in _pair_slots(graphs).items():
+            has[pair] = int("".join(map(pieces.__getitem__, marks[::-1])), 2)
+    return has
+
+
+def branching_rows(edge_count: int, vertex_count: int, graphs, roots) -> bytes:
+    """The branching rank rows of every listed root of every graph, laid end
+    to end: block g * len(roots) + i is the row of root roots[i] in
+    graphs[g], a sequence of edge_count vertex index pairs, and its byte A
+    is the number of vertices other than that root that the edges of mask A
+    connect to it.
+
+    The positions are (graph, root, mask) blocks, and reach[x] is the set of
+    positions at which x is reachable from the block's root through the
+    mask. It grows by reach[x] & has[p] across each vertex pair p that some
+    graph uses until it is stable, where has[p] is the set of positions
+    whose graph has the edge p and whose mask holds that edge. So one loop
+    over the pairs relaxes every graph and root at once, and one
+    ``member_counts`` counts every row.
     """
-    size = 1 << edge_count
-    block = (1 << size) - 1
+    size, blocks = 1 << edge_count, len(graphs) * len(roots)
+    if not blocks:
+        return b""
+    width = len(roots) << edge_count  # the positions of one graph
+    every = (1 << width) - 1
+    # bit g * width for every graph g: a field times it is laid in every graph
+    copies = ((1 << width * len(graphs)) - 1) // every
     own = [0] * vertex_count
     for i, root in enumerate(roots):
-        own[root] |= block << (i * size)
-    copies = sum(1 << (i * size) for i in range(len(roots)))
+        own[root] |= ((1 << size) - 1) << (i * size)
+    own = [field * copies for field in own]
     reach = list(own)
-    _relax(reach, [members * copies for members in _has_sets(edge_count)], pairs)
+    # the positions of one graph whose mask holds edge k; the has-sets built
+    # from them are freed before the rows are counted
+    edge_sets = [every ^ avoid for avoid in avoid_sets(edge_count, len(roots))]
+    _relax(reach, _graph_has_sets(graphs, width, edge_sets))
     # a root is not counted in its own row
-    counts = member_counts(edge_count, map(int.__xor__, reach, own), len(roots))
-    return [counts[i * size : (i + 1) * size] for i in range(len(roots))]
+    return member_counts(edge_count, map(int.__xor__, reach, own), blocks)
 
 
 def branching_greedoid(rg: RootedGraph) -> RankTable:
@@ -204,7 +260,7 @@ def branching_greedoid(rg: RootedGraph) -> RankTable:
     n = len(rg.edges)
     _require_materializable(n)
     pairs = _edge_pairs(rg.vertices, rg.edges)
-    (ranks,) = branching_rows(n, len(rg.vertices), pairs, (rg.vertices.index(rg.root),))
+    ranks = branching_rows(n, len(rg.vertices), (pairs,), (rg.vertices.index(rg.root),))
     return table_from_values(GroundSet(rg.edge_labels()), tuple(ranks))
 
 

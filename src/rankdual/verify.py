@@ -43,7 +43,9 @@ from .core import (
     RankTable,
     SubsetRef,
     bitset,
+    failing_blocks,
     feasible_flags,
+    member_flags,
     members_of,
     popcounts,
     step_sets,
@@ -56,7 +58,8 @@ from .structures import (
     RootedGraph,
     Tree,
     _closure_table,
-    _components,
+    _pair_slots,
+    _relax,
     branching_greedoid,
     branching_rows,
     convex_closure,
@@ -77,9 +80,10 @@ MAX_EXHAUSTIVE_N = 4
 # table: at 12, nullity_monotone's 3**n nested pairs take about 3 s and
 # 130 MB per run; at 13, 9 s and 350 MB.
 MAX_RANDOM_N = 12
-# Census sizes: root_adjacency takes about 0.5 s at 6 edges, 11 s at 7 and
-# more than 300 s at 8; closure_dual_rank takes about 2.5 s at 11 tree edges,
-# 11 s at 12 and 31 s at 13.
+# Census sizes: root_adjacency takes about 0.2 s at 6 edges and 4 s at 7,
+# both at about 17 MB peak RSS, and took more than 300 s at 8 when it still
+# relaxed one graph at a time; closure_dual_rank takes about 2.5 s at 11
+# tree edges, 11 s at 12 and 31 s at 13.
 MAX_CENSUS_EDGES = 7
 MAX_TREE_EDGES = 12
 # Random ranks stay small enough that every derived table (duals, minors,
@@ -363,32 +367,62 @@ def _labelled(pairs) -> tuple:
     return tuple((_LABELS[i], f"v{a}", f"v{b}") for i, (a, b) in enumerate(pairs))
 
 
+# Graphs per pass of the census and of root_adjacency: enough for a pass to
+# pay off, and few enough that its bit sets stay small. At v = 7 and e = 7,
+# 64 graphs hold 7 kB per bit set and a pass peaks at about 0.5 MB, which
+# keeps a max_edges=7 run at the peak RSS of relaxing one graph at a time.
+_CENSUS_GRAPHS = 64
+
+# Translate table: byte 0 to digit 0 and any other byte to digit 1.
+_NONZERO_DIGITS = b"0" + b"1" * 255
+
+
+def _pair_sets(graphs) -> dict:
+    """Vertex pair: the set of the indices g at which graphs[g] has that
+    pair as an edge."""
+    slots = _pair_slots(graphs)
+    return {pair: int(marks.translate(_NONZERO_DIGITS)[::-1], 2) for pair, marks in slots.items()}
+
+
+def _connected(vertex_count: int, graphs) -> bytes:
+    """Byte g is 1 when graphs[g] connects its vertex_count vertices. Bit g
+    of reach[x] says whether x is reachable from vertex 0 in graphs[g]: one
+    relaxation serves every graph."""
+    reach = [(1 << len(graphs)) - 1] + [0] * (vertex_count - 1)
+    _relax(reach, _pair_sets(graphs))
+    return member_flags(reduce(and_, reach), len(graphs))
+
+
 def _rooted_graphs(max_edges: int):
     """Every connected simple graph with at most max_edges edges, as
-    (vertex_count, edge_pairs, roots): each rooted tree shape once, rooted at
-    vertex 0, then each cyclic graph over labeled vertex sets (isomorphic
-    repeats are harmless for exhaustive verification) rooted at every vertex."""
+    (vertex_count, graphs, roots), graphs being at most _CENSUS_GRAPHS edge
+    pair tuples of one length: each rooted tree shape once, rooted at vertex
+    0, then each cyclic graph over labeled vertex sets (isomorphic repeats
+    are harmless for exhaustive verification) rooted at every vertex."""
     for nodes in range(1, max_edges + 2):
-        for shape in _rooted_tree_shapes(nodes):
-            yield nodes, tuple(_shape_pairs(shape)), (0,)
+        shapes = iter(_rooted_tree_shapes(nodes))
+        while chunk := [tuple(_shape_pairs(shape)) for shape in itertools.islice(shapes, _CENSUS_GRAPHS)]:
+            yield nodes, chunk, (0,)
     for v in range(3, max_edges + 1):
         pairs = list(itertools.combinations(range(v), 2))
         for e in range(v, min(max_edges, len(pairs)) + 1):
-            for combo in itertools.combinations(pairs, e):
-                if len(set(_components(v, combo))) == 1:
-                    yield v, combo, range(v)
+            combos = itertools.combinations(pairs, e)
+            while chunk := list(itertools.islice(combos, _CENSUS_GRAPHS)):
+                if graphs := list(itertools.compress(chunk, _connected(v, chunk))):
+                    yield v, graphs, range(v)
 
 
 def all_rooted_graphs(max_edges: int):
     """All connected simple rooted graphs with at most max_edges edges:
     rooted trees one per isomorphism class, plus every labeled rooted choice
     of the cyclic connected graphs."""
-    for v, pairs, roots in _rooted_graphs(max_edges):
+    for v, graphs, roots in _rooted_graphs(max_edges):
         # distinct vertex pairs of a connected graph
         vertices = tuple(f"v{i}" for i in range(v))
-        edges = _labelled(pairs)
-        for root in roots:
-            yield RootedGraph._trusted(vertices, f"v{root}", edges)
+        for pairs in graphs:
+            edges = _labelled(pairs)
+            for root in roots:
+                yield RootedGraph._trusted(vertices, f"v{root}", edges)
 
 
 # ---------------------------------------------------------------------------
@@ -745,56 +779,78 @@ def _suite_greedoid_intersection(params, rec: _Recorder):
             rec.instances += (len(corpus) >> n) - counted
 
 
-def _root_adjacent(vertex_count: int, edge_pairs) -> list:
-    """Entry r says whether every vertex shares an edge with vertex r."""
-    neighbours = [1 << x for x in range(vertex_count)]
-    for a, b in edge_pairs:
-        neighbours[a] |= 1 << b
-        neighbours[b] |= 1 << a
-    everyone = (1 << vertex_count) - 1
-    return [mask == everyone for mask in neighbours]
+def _root_adjacent(vertex_count: int, graphs, roots) -> int:
+    """Bit g * len(roots) + i says whether every vertex shares an edge with
+    roots[i] in graphs[g], whose pairs (a, b) have a < b."""
+    present = _pair_sets(graphs)
+    flags = bytearray(len(graphs) * len(roots))
+    for i, root in enumerate(roots):
+        pairs = [(min(root, x), max(root, x)) for x in range(vertex_count) if x != root]
+        adjacent = reduce(and_, [present.get(pair, 0) for pair in pairs], (1 << len(graphs)) - 1)
+        flags[i :: len(roots)] = member_flags(adjacent, len(graphs))
+    return bitset(flags)
 
 
 @_suite(max_edges=Param(6, 0, MAX_CENSUS_EDGES))
 def _suite_root_adjacency(params, rec: _Recorder):
-    max_edges = params["max_edges"]
     # cross-check every k-th instance against the public ops; the instance
     # being checked is number rec.instances + 1
     sample_stride = 97
 
-    for v, pairs, roots in _rooted_graphs(max_edges):
-        size = 1 << len(pairs)
-        rows = branching_rows(len(pairs), v, pairs, roots)
-        sums = _dual_sums(len(pairs), b"".join(map(bytes, rows)), len(rows))
-        min_duals = [min(sums[i : i + size]) - sums[0] for i in range(0, len(sums), size)]
-        adjacent = _root_adjacent(v, pairs)
-        for root, values, min_dual in zip(roots, rows, min_duals):
-            ok = (min_dual >= 0) == adjacent[root]
-            if (rec.instances + 1) % sample_stride == 0:
-                rg = RootedGraph(tuple(f"v{i}" for i in range(v)), f"v{root}", _labelled(pairs))
-                g = branching_greedoid(rg)
-                ok = ok and g.values == tuple(values) and min(dual(g).values) == min_dual
-                ok = ok and root_adjacency_test(rg) == adjacent[root]
-            rec.check(
-                ok,
-                lambda: f"{'tree' if len(pairs) < v else 'cyclic'} v={v} edges={pairs} root=v{root}",
+    for v, graphs, roots in _rooted_graphs(params["max_edges"]):
+        e, count = len(graphs[0]), len(graphs) * len(roots)
+        size = 1 << e
+        # block b is the row of roots[b % len(roots)] in graphs[b // len(roots)]
+        rows = branching_rows(e, v, graphs, roots)
+        sums = _dual_sums(e, rows, count)
+        # byte A of a block is r*(A) + bias, and byte 0 is the bias: the
+        # bytes below it are the negative duals
+        below = b"1" * sums[0] + b"0" * (256 - sums[0])
+        negative = failing_blocks(e, int(sums.translate(below)[::-1], 2), count)
+        adjacent = _root_adjacent(v, graphs, roots)
+        wrong = ~(negative ^ adjacent)
+        for b in range((-rec.instances - 1) % sample_stride, count, sample_stride):
+            pairs, root = graphs[b // len(roots)], roots[b % len(roots)]
+            rg = RootedGraph(tuple(f"v{i}" for i in range(v)), f"v{root}", _labelled(pairs))
+            g = branching_greedoid(rg)
+            ok = g.values == tuple(rows[b * size : (b + 1) * size])
+            ok = ok and min(dual(g).values) == min(sums[b * size : (b + 1) * size]) - sums[0]
+            if not (ok and root_adjacency_test(rg) == bool(adjacent >> b & 1)):
+                wrong |= 1 << b
+        # count through each failing instance, so that a fail-fast run stops
+        # at the first failure in census order
+        counted = 0
+        for b in members_of(wrong, count):
+            rec.instances += b + 1 - counted
+            counted = b + 1
+            pairs, root = graphs[b // len(roots)], roots[b % len(roots)]
+            min_dual = min(sums[b * size : (b + 1) * size]) - sums[0]
+            rec.fail(
+                f"{'tree' if e < v else 'cyclic'} v={v} edges={pairs} root=v{root}",
                 "dual rank nonnegative iff every vertex is root-adjacent",
-                lambda: f"min_dual={min_dual} adjacent={adjacent[root]}",
+                f"min_dual={min_dual} adjacent={bool(adjacent >> b & 1)}",
             )
+        rec.instances += count - counted
 
 
 @_suite(n=_exhaustive_n(4))
 def _suite_full_dual_nonpositive(params, rec: _Recorder):
-    for idx, g in enumerate(_enumerated(params["n"], "greedoid")):
-        if g.full_rank != g.n:
-            continue
-        dv = dual(g).values
-        rec.check(
-            max(dv) <= 0,
-            lambda: f"full-greedoid[{idx}] n={g.n} values={g.values}",
-            "dual rank of a full greedoid is nonpositive everywhere",
-            lambda: f"max={max(dv)}",
-        )
+    idx = 0
+    for n in range(params["n"] + 1):
+        # the duals of every greedoid of size n from one pass, read where
+        # the greedoid is full: r(S) = n
+        corpus, size = _pruned(n, "greedoid"), 1 << n
+        count = len(corpus) >> n
+        duals = _packed_dual(n, corpus, count).values
+        for b in members_of(bitset(map(n.__eq__, corpus[size - 1 :: size])), count):
+            top = max(duals[b * size : (b + 1) * size])
+            rec.check(
+                top <= 0,
+                lambda: f"full-greedoid[{idx + b}] n={n} values={tuple(corpus[b * size : (b + 1) * size])}",
+                "dual rank of a full greedoid is nonpositive everywhere",
+                lambda: f"max={top}",
+            )
+        idx += count
 
 
 _CLOSURE = {"n": _exhaustive_n(4), "max_tree_edges": Param(8, 0, MAX_TREE_EDGES)}

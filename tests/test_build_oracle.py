@@ -116,17 +116,47 @@ def assert_rows_match(vertices, pairs):
     """branching_rows of one graph for all roots at once equals its rows for
     one root at a time and the per-mask search for every root."""
     roots = range(len(vertices))
-    rows = branching_rows(len(pairs), len(vertices), pairs, roots)
-    assert rows == [branching_rows(len(pairs), len(vertices), pairs, (r,))[0] for r in roots]
+    rows = branching_rows(len(pairs), len(vertices), (pairs,), roots)
+    assert rows == b"".join(branching_rows(len(pairs), len(vertices), (pairs,), (r,)) for r in roots)
     edges = [(LABELS[i], vertices[a], vertices[b]) for i, (a, b) in enumerate(pairs)]
-    for root, row in zip(vertices, rows):
-        assert tuple(row) == oracle_branching_values(RootedGraph(vertices, root, edges)), (root, edges)
+    size = 1 << len(pairs)
+    for i, root in enumerate(vertices):
+        row = tuple(rows[i * size : (i + 1) * size])
+        assert row == oracle_branching_values(RootedGraph(vertices, root, edges)), (root, edges)
 
 
 def test_branching_rows_of_every_small_graph():
     # every rooted tree shape and every cyclic graph up to five edges
-    for v, pairs, _ in _rooted_graphs(5):
-        assert_rows_match(tuple(f"v{i}" for i in range(v)), pairs)
+    for v, graphs, _ in _rooted_graphs(5):
+        for pairs in graphs:
+            assert_rows_match(tuple(f"v{i}" for i in range(v)), pairs)
+
+
+def test_batched_rows_are_the_branching_greedoids_of_the_census():
+    # each census batch at once, against one branching_greedoid per
+    # (graph, root); the tree batches have one root, the cyclic ones all
+    for v, graphs, roots in _rooted_graphs(5):
+        e = len(graphs[0])
+        rows = branching_rows(e, v, graphs, roots)
+        vertices = tuple(f"v{i}" for i in range(v))
+        blocks = [(pairs, root) for pairs in graphs for root in roots]
+        assert len(rows) == len(blocks) << e
+        for b, (pairs, root) in enumerate(blocks):
+            edges = [(LABELS[i], f"v{x}", f"v{y}") for i, (x, y) in enumerate(pairs)]
+            expected = branching_greedoid(RootedGraph(vertices, f"v{root}", edges)).values
+            assert tuple(rows[b << e : (b + 1) << e]) == expected, (pairs, root)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 8), st.integers(1, 5), st.randoms(use_true_random=False))
+def test_a_batch_of_mixed_graphs_is_its_graphs_rows_laid_end_to_end(edges, count, rng):
+    # graphs of one edge count on 9 vertices, connected or not, and any
+    # listed roots: the field width of a graph need not be whole bytes
+    pairs = [(a, b) for a in range(9) for b in range(a + 1, 9)]
+    graphs = [tuple(rng.sample(pairs, edges)) for _ in range(count)]
+    roots = rng.sample(range(9), rng.randint(1, 3))
+    rows = branching_rows(edges, 9, graphs, roots)
+    assert rows == b"".join(branching_rows(edges, 9, (g,), (r,)) for g in graphs for r in roots)
 
 
 def test_branching_rows_of_seeded_graphs_up_to_ten_edges():

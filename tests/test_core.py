@@ -275,6 +275,16 @@ def test_member_counts_counts_the_sets_holding_each_mask(case):
         assert bitset(member_counts(n, [s])) == s
 
 
+@settings(max_examples=50)
+@given(st.integers(0, 4).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.integers(0, (1 << (1 << n)) - 1), min_size=9, max_size=60))))
+def test_member_counts_of_many_sets_carry_through_every_plane(case):
+    # counts up to 60 take six bit planes; 255 full sets fill every byte
+    n, sets = case
+    assert list(member_counts(n, sets)) == [sum(s >> mask & 1 for s in sets) for mask in range(1 << n)]
+    assert member_counts(n, [(1 << (1 << n)) - 1] * 255) == b"\xff" * (1 << n)
+
+
 @given(st.integers(0, 4).flatmap(lambda n: st.tuples(
     st.just(n), st.integers(1, 4).flatmap(lambda blocks: st.tuples(
         st.just(blocks), st.lists(st.integers(0, (1 << (blocks << n)) - 1), max_size=6))))))

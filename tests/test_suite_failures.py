@@ -12,6 +12,8 @@ import pytest
 
 from rankdual import GroundSet, run_suite, structures, table_from_values, verify
 from rankdual.cli import run_command
+from rankdual.core import TableView
+from rankdual.ops import _dual_values
 
 
 def _plus_one(fn):
@@ -34,17 +36,18 @@ def _jumping(step_sets):
     return wrong
 
 
-def _cyclic_rows_wrong(edges, vertices, pairs, roots):
-    """branching_rows with one wrong row for every root of a graph with a
-    cycle (edges >= vertices); a tree gets its true rows."""
+def _cyclic_rows_wrong(edges, vertices, graphs, roots):
+    """branching_rows with one wrong row for every root of graphs with a
+    cycle (edges >= vertices); trees get their true rows."""
     if edges < vertices:
-        return structures.branching_rows(edges, vertices, pairs, roots)
-    return [[0] * 7 + [5]] * len(roots)
+        return structures.branching_rows(edges, vertices, graphs, roots)
+    return bytes([0] * 7 + [5]) * (len(graphs) * len(roots))
 
 
 def _all_ones(n, values, blocks=1):
     """_packed_dual with every dual rank 1."""
-    return b"\1" * (blocks << n)
+    ones = b"\1" * (blocks << n)
+    return TableView(ones, 0, 1, ones)
 
 
 def _scenarios():
@@ -78,10 +81,7 @@ def _scenarios():
         "greedoid_intersection": ({"n": 2}, {"_packed_dual": _all_ones}),
         # the trees pass; every rooted triangle fails
         "root_adjacency": ({"max_edges": 3}, {"branching_rows": _cyclic_rows_wrong}),
-        "full_dual_nonpositive": (
-            {"n": 2},
-            {"dual": lambda g: table_from_values(g.ground, [1] * g.ground.size)},
-        ),
+        "full_dual_nonpositive": ({"n": 2}, {"_packed_dual": _all_ones}),
         # n = 0: the one antimatroid passes, the pruning trees fail
         "closure_dual_rank": (
             {"n": 0, "max_tree_edges": 2},
@@ -664,6 +664,90 @@ def test_the_chunk_size_changes_no_intersection_report(monkeypatch):
     assert "\ninstances: 13\n" in default_chunks[2]
     _patch(monkeypatch, _scenarios()["greedoid_intersection"][1])
     assert failing_reports("greedoid_intersection") == EXPECTED["greedoid_intersection"]
+
+
+def _middle_of_a_batch():
+    """A graph in the middle of the five-vertex, five-edge census group,
+    past its first pass, and a root of it that some vertex is not adjacent
+    to."""
+    batches = verify._rooted_graphs(5)
+    graphs = [pairs for v, batch, _ in batches if v == 5 for pairs in batch if len(pairs) == 5]
+    pairs = graphs[len(graphs) // 2]
+    assert len(graphs) // 2 > verify._CENSUS_GRAPHS
+    root = next(x for x in range(5) if sum(x in pair for pair in pairs) < 4)
+    return pairs, root
+
+
+def _zero_row_at(target, root):
+    """branching_rows with an all-zero row for one root of one graph: its
+    duals are |A| >= 0, so the root, which some vertex is not adjacent to,
+    fails."""
+
+    def wrong(edges, vertices, graphs, roots):
+        rows = bytearray(structures.branching_rows(edges, vertices, graphs, roots))
+        for g, pairs in enumerate(graphs):
+            if pairs == target and root in roots:
+                b = g * len(roots) + list(roots).index(root)
+                rows[b << edges : (b + 1) << edges] = bytes(1 << edges)
+        return bytes(rows)
+
+    return wrong
+
+
+def _one_at_a_time(max_edges, target, root, max_failures=100, fail_fast=False):
+    """The report lines after the params of a root_adjacency run that checks
+    one rooted graph at a time, with the zero row of _zero_row_at."""
+    instances, lines = 0, []
+    for rg in verify.all_rooted_graphs(max_edges):
+        instances += 1
+        pairs = tuple((int(u[1:]), int(w[1:])) for _, u, w in rg.edges)
+        if pairs == target and rg.root == f"v{root}":
+            row = bytes(1 << len(pairs))
+        else:
+            row = structures.branching_greedoid(rg).values
+        least = min(_dual_values(row, len(pairs)))
+        adjacent = structures.root_adjacency_test(rg)
+        if (least >= 0) != adjacent:
+            kind = "tree" if len(pairs) < len(rg.vertices) else "cyclic"
+            if len(lines) < max_failures:
+                lines.append(
+                    f"failure: {kind} v={len(rg.vertices)} edges={pairs} root={rg.root}"
+                    " | dual rank nonnegative iff every vertex is root-adjacent"
+                    f" | min_dual={least} adjacent={adjacent}"
+                )
+            if fail_fast:
+                break
+    return [f"instances: {instances}", f"failures: {len(lines)}", *lines, "result: fail"]
+
+
+def test_one_failing_root_mid_batch_is_counted_as_one_at_a_time(monkeypatch):
+    target, root = _middle_of_a_batch()
+    monkeypatch.setattr(verify, "branching_rows", _zero_row_at(target, root))
+    capped = run_suite("root_adjacency", {"max_edges": 5, "max_failures": 3}).to_report()
+    fast = run_suite("root_adjacency", {"max_edges": 5, "fail_fast": True}).to_report()
+    assert capped.split("\n")[2:] == _one_at_a_time(5, target, root, max_failures=3)
+    assert fast.split("\n")[2:] == _one_at_a_time(5, target, root, fail_fast=True)
+    # the fail-fast run stops inside the census, the full run checks it all
+    total = sum(1 for _ in verify.all_rooted_graphs(5))
+    assert f"\ninstances: {total}\n" in capped and f"\ninstances: {total}\n" not in fast
+
+
+def test_the_pass_size_changes_no_root_adjacency_report(monkeypatch):
+    def reports():
+        runs = ({"max_edges": 5}, {"max_edges": 5, "max_failures": 3}, {"max_edges": 5, "fail_fast": True})
+        return [run_suite("root_adjacency", params).to_report() for params in runs]
+
+    target, root = _middle_of_a_batch()
+    passing = run_suite("root_adjacency", {"max_edges": 5}).to_report()
+    monkeypatch.setattr(verify, "branching_rows", _zero_row_at(target, root))
+    default_passes = reports()
+    # two graphs a pass: the census and every batch cross many pass boundaries
+    monkeypatch.setattr(verify, "_CENSUS_GRAPHS", 2)
+    assert reports() == default_passes
+    monkeypatch.setattr(verify, "branching_rows", structures.branching_rows)
+    assert run_suite("root_adjacency", {"max_edges": 5}).to_report() == passing
+    _patch(monkeypatch, _scenarios()["root_adjacency"][1])
+    assert failing_reports("root_adjacency") == EXPECTED["root_adjacency"]
 
 
 @pytest.mark.parametrize("max_failures, code", [("0", 2), ("-1", 2), ("1", 1)])

@@ -41,10 +41,12 @@ from rankdual.verify import (
     _pruned,
     _rooted_graphs,
     _rooted_tree_shapes,
+    _shape_pairs,
 )
 from rankdual.axioms import block_failures
+from rankdual.core import bitset, failing_blocks
 from rankdual.ops import _dual_sums, _dual_values, _packed_dual
-from rankdual.structures import branching_rows
+from rankdual.structures import _components, branching_rows
 
 from enum_oracle import oracle_enumerate_values
 
@@ -354,14 +356,46 @@ def test_root_adjacency_checks_each_census_graph_once():
 
 
 def test_packed_min_duals_match_the_per_row_duals_on_the_census():
-    # as root_adjacency reads them: byte A of each row's block of the pass
-    # is r*(A) + bias, and byte 0 is r*(empty) + bias = bias
-    for v, pairs, roots in _rooted_graphs(5):
-        n, size = len(pairs), 1 << len(pairs)
-        rows = branching_rows(n, v, pairs, roots)
-        sums = _dual_sums(n, b"".join(map(bytes, rows)), len(rows))
+    # as root_adjacency reads them: byte A of each row's block of the batch's
+    # pass is r*(A) + bias, and byte 0 is r*(empty) + bias = bias; the blocks
+    # with a byte below the bias are those with a negative dual
+    for v, graphs, roots in _rooted_graphs(5):
+        n, size = len(graphs[0]), 1 << len(graphs[0])
+        count = len(graphs) * len(roots)
+        rows = branching_rows(n, v, graphs, roots)
+        sums = _dual_sums(n, rows, count)
         least = [min(sums[i : i + size]) - sums[0] for i in range(0, len(sums), size)]
-        assert least == [min(_dual_values(row, n)) for row in rows]
+        assert least == [min(_dual_values(rows[i : i + size], n)) for i in range(0, len(rows), size)]
+        below = b"1" * sums[0] + b"0" * (256 - sums[0])
+        negative = failing_blocks(n, int(sums.translate(below)[::-1], 2), count)
+        assert negative == bitset(x < 0 for x in least)
+
+
+def test_the_census_keeps_the_graphs_that_union_find_calls_connected():
+    expected = []
+    for nodes in range(1, 8):
+        expected += [(nodes, tuple(_shape_pairs(shape)), (0,)) for shape in _rooted_tree_shapes(nodes)]
+    for v in range(3, 7):
+        pairs = list(itertools.combinations(range(v), 2))
+        for e in range(v, min(6, len(pairs)) + 1):
+            for combo in itertools.combinations(pairs, e):
+                if len(set(_components(v, combo))) == 1:
+                    expected.append((v, combo, tuple(range(v))))
+    batches = list(_rooted_graphs(6))
+    assert [(v, pairs, tuple(roots)) for v, graphs, roots in batches for pairs in graphs] == expected
+    for _, graphs, _ in batches:
+        assert 0 < len(graphs) <= verify._CENSUS_GRAPHS
+        assert len({len(pairs) for pairs in graphs}) == 1
+
+
+def test_the_default_root_adjacency_report():
+    assert run_suite("root_adjacency", {}).to_report().split("\n") == [
+        "suite: root_adjacency",
+        "params:",
+        "instances: 24271",
+        "failures: 0",
+        "result: pass",
+    ]
 
 
 @settings(max_examples=300, deadline=None)
