@@ -80,7 +80,7 @@ MAX_EXHAUSTIVE_N = 4
 # table: at 12, nullity_monotone's 3**n nested pairs take about 3 s and
 # 130 MB per run; at 13, 9 s and 350 MB.
 MAX_RANDOM_N = 12
-# Census sizes: root_adjacency takes about 0.2 s at 6 edges and 4 s at 7,
+# Census sizes: root_adjacency takes about 0.2 s at 6 edges and 4-6 s at 7,
 # both at about 17 MB peak RSS, and took more than 300 s at 8 when it still
 # relaxed one graph at a time; closure_dual_rank takes about 2.5 s at 11
 # tree edges, 11 s at 12 and 31 s at 13.
