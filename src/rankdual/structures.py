@@ -151,10 +151,11 @@ def _require_materializable(n: int):
         )
 
 
-def _has_sets(n: int) -> list:
-    """Entry e is the set of masks over n bits that contain bit e."""
-    every = (1 << (1 << n)) - 1
-    return [every ^ avoid for avoid in avoid_sets(n)]
+def _has_sets(n: int, blocks: int = 1) -> list:
+    """Entry e is the set of masks over n bits that contain bit e, over
+    ``blocks`` consecutive blocks of 2**n masks as in ``core.avoid_sets``."""
+    every = (1 << (blocks << n)) - 1
+    return [every ^ avoid for avoid in avoid_sets(n, blocks)]
 
 
 def _relax(reach: list, has: dict) -> None:
@@ -246,8 +247,7 @@ def branching_rows(edge_count: int, vertex_count: int, graphs, roots) -> bytes:
     reach = list(own)
     # the positions of one graph whose mask holds edge k; the has-sets built
     # from them are freed before the rows are counted
-    edge_sets = [every ^ avoid for avoid in avoid_sets(edge_count, len(roots))]
-    _relax(reach, _graph_has_sets(graphs, width, edge_sets))
+    _relax(reach, _graph_has_sets(graphs, width, _has_sets(edge_count, len(roots))))
     # a root is not counted in its own row
     return member_counts(edge_count, map(int.__xor__, reach, own), blocks)
 

@@ -20,7 +20,7 @@ import time
 from contextlib import suppress
 from dataclasses import dataclass
 from functools import lru_cache, partial, reduce
-from operator import and_, sub
+from operator import and_, or_, sub
 from typing import NamedTuple
 
 from .axioms import (
@@ -228,6 +228,15 @@ def _enumerated(max_n: int, constraint: str):
         yield from enumerate_tables(EnumSpec(n, constraint))
 
 
+def _packed_corpora(max_n: int, constraint: str):
+    """(n, corpus, count) for every table of the constraint on 0 to max_n
+    elements, by size: count tables of 2**n values laid end to end, at most
+    _CORPUS_TABLES of them."""
+    for n in range(max_n + 1):
+        for corpus in _corpora(_enumerate_values(n, constraint)):
+            yield n, corpus, len(corpus) >> n
+
+
 # ---------------------------------------------------------------------------
 # seeded random corpora
 # ---------------------------------------------------------------------------
@@ -377,19 +386,15 @@ _CENSUS_GRAPHS = 64
 _NONZERO_DIGITS = b"0" + b"1" * 255
 
 
-def _pair_sets(graphs) -> dict:
-    """Vertex pair: the set of the indices g at which graphs[g] has that
-    pair as an edge."""
-    slots = _pair_slots(graphs)
-    return {pair: int(marks.translate(_NONZERO_DIGITS)[::-1], 2) for pair, marks in slots.items()}
-
-
 def _connected(vertex_count: int, graphs) -> bytes:
     """Byte g is 1 when graphs[g] connects its vertex_count vertices. Bit g
-    of reach[x] says whether x is reachable from vertex 0 in graphs[g]: one
+    of reach[x] says whether x is reachable from vertex 0 in graphs[g], and
+    bit g of has[pair] whether graphs[g] has that pair as an edge: one
     relaxation serves every graph."""
+    slots = _pair_slots(graphs).items()
+    has = {pair: int(marks.translate(_NONZERO_DIGITS)[::-1], 2) for pair, marks in slots}
     reach = [(1 << len(graphs)) - 1] + [0] * (vertex_count - 1)
-    _relax(reach, _pair_sets(graphs))
+    _relax(reach, has)
     return member_flags(reduce(and_, reach), len(graphs))
 
 
@@ -478,6 +483,20 @@ class _Recorder:
         self.instances += 1
         if not ok:
             self.fail(instance, assertion, witness)
+
+    def tally(self, count: int, wrong: int, failures) -> None:
+        """Count ``count`` instances, those in the bit set ``wrong`` failing:
+        through each failing instance i, in increasing order, count the
+        instances up to i and record each (instance, assertion, witness) of
+        ``failures(i)``, so that fail-fast and the failure cap act as one
+        ``check`` per instance would."""
+        counted = 0
+        for i in members_of(wrong, count):
+            self.instances += i + 1 - counted
+            counted = i + 1
+            for failure in failures(i):
+                self.fail(*failure)
+        self.instances += count - counted
 
     def fail(self, instance, assertion: str, witness="") -> None:
         """Record a failure, keeping the first ``max_failures``; under
@@ -723,72 +742,53 @@ def _suite_minor_agreement(params, rec: _Recorder):
 @_suite(n=_exhaustive_n(4))
 def _suite_dual_greedoid_axioms(params, rec: _Recorder):
     idx = 0
-    for n in range(params["n"] + 1):
-        corpus = _pruned(n, "greedoid")
-        count = len(corpus) >> n
+    for n, corpus, count in _packed_corpora(params["n"], "greedoid"):
         *_, failing = block_failures(n, _packed_dual(n, corpus, count), count)
-        for b, g in enumerate(enumerate_tables(EnumSpec(n, "greedoid"))):
-            # the checker runs only to word the witness of a failing table
-            rec.check(
-                not failing >> b & 1,
-                lambda: f"greedoid[{idx}] n={n} values={g.values}",
+
+        def failures(b):
+            # a failing table is built, and checked, only to word its witness
+            g = RankTable._trusted(GroundSet(tuple(_LABELS[:n])), tuple(corpus[b << n : (b + 1) << n]))
+            return [(
+                f"greedoid[{idx + b}] n={n} values={g.values}",
                 "dual of a greedoid passes the starred axioms",
                 lambda: "; ".join(
                     line for line in check_dual_greedoid(dual(g)).lines() if "fail" in line
                 ),
-            )
-            idx += 1
+            )]
 
-
-def _intersection_failures(n, corpus):
-    """The failures among tables laid end to end, each with the index of its
-    table in the corpus. The axioms' verdicts are read for all the tables at
-    once."""
-    size, count = 1 << n, len(corpus) >> n
-    greedoid, matroid, dual_greedoid = block_failures(n, corpus, count)
-    # greedoid(r*) is read only where r is a greedoid
-    greedoids = members_of(~greedoid, count)
-    tables = b"".join([corpus[b * size : (b + 1) * size] for b in greedoids])
-    dual_fails = block_failures(n, _packed_dual(n, tables, len(greedoids)), len(greedoids))[0]
-    both = sum(1 << greedoids[j] for j in members_of(~dual_fails, len(greedoids)))
-    failures = []
-    for assertion, fails in (
-        ("greedoid(r) and greedoid(r*) iff matroid(r)", ~both ^ matroid),
-        ("greedoid(r) and starred-axioms(r) iff matroid(r)", (greedoid | dual_greedoid) ^ matroid),
-    ):
-        for b in members_of(fails, count):
-            values = tuple(corpus[b * size : (b + 1) * size])
-            witness = f"matroid={not matroid >> b & 1}"
-            failures.append((b, (f"n={n} values={values}", assertion, witness)))
-    # a table failing both assertions keeps them in this order
-    failures.sort(key=lambda failure: failure[0])
-    return failures
+        rec.tally(count, failing, failures)
+        idx += count
 
 
 @_suite(n=_exhaustive_n(4))
 def _suite_greedoid_intersection(params, rec: _Recorder):
-    for n in range(params["n"] + 1):
-        for corpus in _corpora(_enumerate_values(n, "all-normalized-subcardinal-monotone")):
-            # count through each failing table, so that a fail-fast run
-            # stops at the first failure in enumeration order
-            counted = 0
-            for index, failure in _intersection_failures(n, corpus):
-                rec.instances += index + 1 - counted
-                counted = index + 1
-                rec.fail(*failure)
-            rec.instances += (len(corpus) >> n) - counted
+    for n, corpus, count in _packed_corpora(params["n"], "all-normalized-subcardinal-monotone"):
+        greedoid, matroid, dual_greedoid = block_failures(n, corpus, count)
+        # greedoid(r*) is read only where r is a greedoid
+        greedoids = members_of(~greedoid, count)
+        tables = b"".join([corpus[b << n : (b + 1) << n] for b in greedoids])
+        dual_fails = block_failures(n, _packed_dual(n, tables, len(greedoids)), len(greedoids))[0]
+        both = sum(1 << greedoids[j] for j in members_of(~dual_fails, len(greedoids)))
+        # a table failing both assertions reports them in this order
+        wrong = {
+            "greedoid(r) and greedoid(r*) iff matroid(r)": ~both ^ matroid,
+            "greedoid(r) and starred-axioms(r) iff matroid(r)": (greedoid | dual_greedoid) ^ matroid,
+        }
+
+        def failures(b):
+            instance = f"n={n} values={tuple(corpus[b << n : (b + 1) << n])}"
+            witness = f"matroid={not matroid >> b & 1}"
+            return [(instance, claim, witness) for claim, fails in wrong.items() if fails >> b & 1]
+
+        rec.tally(count, reduce(or_, wrong.values()), failures)
 
 
 def _root_adjacent(vertex_count: int, graphs, roots) -> int:
-    """Bit g * len(roots) + i says whether every vertex shares an edge with
-    roots[i] in graphs[g], whose pairs (a, b) have a < b."""
-    present = _pair_sets(graphs)
-    flags = bytearray(len(graphs) * len(roots))
-    for i, root in enumerate(roots):
-        pairs = [(min(root, x), max(root, x)) for x in range(vertex_count) if x != root]
-        adjacent = reduce(and_, [present.get(pair, 0) for pair in pairs], (1 << len(graphs)) - 1)
-        flags[i :: len(roots)] = member_flags(adjacent, len(graphs))
-    return bitset(flags)
+    """Bit g * len(roots) + i says whether roots[i] has degree vertex_count - 1
+    in graphs[g]: in a simple graph, whether every other vertex shares an
+    edge with it."""
+    ends = [bytes(itertools.chain.from_iterable(pairs)) for pairs in graphs]
+    return bitset(end.count(root) == vertex_count - 1 for end in ends for root in roots)
 
 
 @_suite(max_edges=Param(6, 0, MAX_CENSUS_EDGES))
@@ -817,39 +817,38 @@ def _suite_root_adjacency(params, rec: _Recorder):
             ok = ok and min(dual(g).values) == min(sums[b * size : (b + 1) * size]) - sums[0]
             if not (ok and root_adjacency_test(rg) == bool(adjacent >> b & 1)):
                 wrong |= 1 << b
-        # count through each failing instance, so that a fail-fast run stops
-        # at the first failure in census order
-        counted = 0
-        for b in members_of(wrong, count):
-            rec.instances += b + 1 - counted
-            counted = b + 1
+
+        def failures(b):
             pairs, root = graphs[b // len(roots)], roots[b % len(roots)]
             min_dual = min(sums[b * size : (b + 1) * size]) - sums[0]
-            rec.fail(
+            return [(
                 f"{'tree' if e < v else 'cyclic'} v={v} edges={pairs} root=v{root}",
                 "dual rank nonnegative iff every vertex is root-adjacent",
                 f"min_dual={min_dual} adjacent={bool(adjacent >> b & 1)}",
-            )
-        rec.instances += count - counted
+            )]
+
+        rec.tally(count, wrong, failures)
 
 
 @_suite(n=_exhaustive_n(4))
 def _suite_full_dual_nonpositive(params, rec: _Recorder):
     idx = 0
-    for n in range(params["n"] + 1):
-        # the duals of every greedoid of size n from one pass, read where
-        # the greedoid is full: r(S) = n
-        corpus, size = _pruned(n, "greedoid"), 1 << n
-        count = len(corpus) >> n
-        duals = _packed_dual(n, corpus, count).values
-        for b in members_of(bitset(map(n.__eq__, corpus[size - 1 :: size])), count):
-            top = max(duals[b * size : (b + 1) * size])
-            rec.check(
-                top <= 0,
-                lambda: f"full-greedoid[{idx + b}] n={n} values={tuple(corpus[b * size : (b + 1) * size])}",
+    for n, corpus, count in _packed_corpora(params["n"], "greedoid"):
+        # the full greedoids, r(S) = n, are the blocks of one dual pass
+        full = members_of(bitset(map(n.__eq__, corpus[(1 << n) - 1 :: 1 << n])), count)
+        tables = b"".join([corpus[b << n : (b + 1) << n] for b in full])
+        duals = _packed_dual(n, tables, len(full)).values
+
+        def failures(j):
+            block = slice(j << n, (j + 1) << n)
+            return [(
+                f"full-greedoid[{idx + full[j]}] n={n} values={tuple(tables[block])}",
                 "dual rank of a full greedoid is nonpositive everywhere",
-                lambda: f"max={top}",
-            )
+                f"max={max(duals[block])}",
+            )]
+
+        if full:  # a chunk may hold no full greedoid, and bitset no empty flags
+            rec.tally(len(full), failing_blocks(n, bitset(map((0).__lt__, duals)), len(full)), failures)
         idx += count
 
 

@@ -666,6 +666,60 @@ def test_the_chunk_size_changes_no_intersection_report(monkeypatch):
     assert failing_reports("greedoid_intersection") == EXPECTED["greedoid_intersection"]
 
 
+@pytest.mark.parametrize("name", ["dual_greedoid_axioms", "full_dual_nonpositive"])
+def test_the_chunk_size_changes_no_greedoid_corpus_report(monkeypatch, name):
+    def reports(n):
+        runs = ({"n": n, "max_failures": 3}, {"n": n}, {"n": n, "fail_fast": True})
+        return [run_suite(name, params).to_report() for params in runs]
+
+    passing = reports(4)
+    _patch(monkeypatch, _scenarios()[name][1])
+    default_chunks = reports(3)
+    # at 5 tables a chunk, the n = 3 and n = 4 greedoids fall in many chunks;
+    # at 1, many chunks hold no full greedoid
+    for tables in (5, 1):
+        monkeypatch.setattr(verify, "_CORPUS_TABLES", tables)
+        assert reports(3) == default_chunks
+        assert failing_reports(name) == EXPECTED[name]
+    monkeypatch.undo()
+    monkeypatch.setattr(verify, "_CORPUS_TABLES", 5)
+    assert reports(4) == passing
+
+
+def _one_dual_wrong(target):
+    """_packed_dual with every dual rank 1 in the blocks of the table
+    ``target`` (bytes)."""
+    packed_dual = verify._packed_dual
+
+    def wrong(n, values, blocks=1):
+        duals = list(packed_dual(n, values, blocks).values)
+        for b in range(blocks):
+            if values[b << n : (b + 1) << n] == target:
+                duals[b << n : (b + 1) << n] = [1] * (1 << n)
+        return TableView(tuple(duals), min(duals, default=0), max(duals, default=0))
+
+    return wrong
+
+
+def test_fail_fast_counts_the_greedoids_up_to_one_past_the_first_chunk(monkeypatch):
+    # the greedoids one table at a time, and a full one among the n = 4
+    # greedoids past their first chunk
+    greedoids = [g.values for g in verify._enumerated(4, "greedoid")]
+    first_n4 = next(i for i, values in enumerate(greedoids) if len(values) == 16)
+    i = next(i for i in range(first_n4 + verify._CORPUS_TABLES, len(greedoids)) if greedoids[i][-1] == 4)
+    full_through_i = sum(values[-1] == len(values).bit_length() - 1 for values in greedoids[: i + 1])
+    monkeypatch.setattr(verify, "_packed_dual", _one_dual_wrong(bytes(greedoids[i])))
+    for name, instances, instance in (
+        ("dual_greedoid_axioms", i + 1, f"greedoid[{i}] n=4 values={greedoids[i]}"),
+        ("full_dual_nonpositive", full_through_i, f"full-greedoid[{i}] n=4 values={greedoids[i]}"),
+    ):
+        fast = run_suite(name, {"n": 4, "fail_fast": True})
+        full = run_suite(name, {"n": 4})
+        assert fast.instances_checked == instances < full.instances_checked
+        assert [failure[0] for failure in fast.failures] == [instance]
+        assert full.failures == fast.failures
+
+
 def _middle_of_a_batch():
     """A graph in the middle of the five-vertex, five-edge census group,
     past its first pass, and a root of it that some vertex is not adjacent

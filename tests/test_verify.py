@@ -26,6 +26,7 @@ from rankdual import (
     enumerate_tables,
     random_monotone_tables,
     random_tables,
+    root_adjacency_test,
     run_suite,
     table_from_values,
     validate,
@@ -35,10 +36,12 @@ from rankdual.verify import (
     RANDOMIZED_SUITES,
     SUITES,
     Suite,
+    _Abort,
     _Recorder,
     _join,
     _monotone,
     _pruned,
+    _root_adjacent,
     _rooted_graphs,
     _rooted_tree_shapes,
     _shape_pairs,
@@ -388,6 +391,17 @@ def test_the_census_keeps_the_graphs_that_union_find_calls_connected():
         assert len({len(pairs) for pairs in graphs}) == 1
 
 
+def test_root_adjacency_from_degrees_matches_the_test_on_the_whole_census():
+    # bit g * len(roots) + i of a pass is roots[i] of graphs[g], the order in
+    # which all_rooted_graphs lists the instances
+    flags = []
+    for v, graphs, roots in _rooted_graphs(5):
+        adjacent = _root_adjacent(v, graphs, roots)
+        flags += [bool(adjacent >> b & 1) for b in range(len(graphs) * len(roots))]
+    assert flags == [root_adjacency_test(rg) for rg in all_rooted_graphs(5)]
+    assert True in flags and False in flags
+
+
 def test_the_default_root_adjacency_report():
     assert run_suite("root_adjacency", {}).to_report().split("\n") == [
         "suite: root_adjacency",
@@ -593,6 +607,46 @@ def test_recorder_fail_fast_and_cap(monkeypatch):
     result = run_suite("stub", {"fail_fast": True})
     assert result.instances_checked == 3
     assert result.failures == [("i2", "bad", "")]
+
+
+def _recorded(fail_fast, max_failures, count_instances):
+    """The instances and failures a recorder holds after count_instances(rec),
+    and whether it stopped the suite."""
+    rec = _Recorder(fail_fast=fail_fast, max_failures=max_failures)
+    try:
+        count_instances(rec)
+    except _Abort:
+        return rec.instances, rec.failures, True
+    return rec.instances, rec.failures, False
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    count=st.integers(0, 300),
+    wrong=st.integers(-(1 << 320), 1 << 320),
+    doubled=st.integers(0, (1 << 300) - 1),
+    fail_fast=st.booleans(),
+    max_failures=st.integers(1, 5),
+)
+@example(count=0, wrong=-1, doubled=0, fail_fast=True, max_failures=1)
+@example(count=300, wrong=-1 << 299, doubled=-1, fail_fast=False, max_failures=5)
+def test_tally_acts_as_one_check_per_instance(count, wrong, doubled, fail_fast, max_failures):
+    def failures(i):
+        # instance i fails twice where bit i of doubled is set
+        return [(f"i{i}", f"claim {k}", f"w{i}") for k in range(1 + (doubled >> i & 1))]
+
+    def one_at_a_time(rec):
+        for i in range(count):
+            first, *rest = failures(i)
+            rec.check(not wrong >> i & 1, *first)
+            for failure in rest if wrong >> i & 1 else ():
+                rec.fail(*failure)
+
+    def tallied(rec):
+        rec.tally(count, wrong, failures)
+
+    expected = _recorded(fail_fast, max_failures, one_at_a_time)
+    assert _recorded(fail_fast, max_failures, tallied) == expected
 
 
 def test_suite_report_rendering():
