@@ -96,8 +96,9 @@ def _shifted(k: int) -> bytes:
 
 
 def bitset(flags) -> int:
-    """The set of indices i whose flag (an iterable of bools) is true."""
-    return int(bytes(flags).translate(_DIGITS)[::-1], 2)
+    """The set of indices i whose flag (an iterable of bools) is true; 0
+    for no flags."""
+    return int(bytes(flags).translate(_DIGITS)[::-1] or b"0", 2)
 
 
 def member_flags(members: int, width: int) -> bytes:
@@ -290,13 +291,15 @@ def _view_of(values) -> TableView:
 
 def failing_blocks(n: int, members: int, blocks: int) -> int:
     """The set of blocks b whose block of 2**n masks meets the bit set
-    ``members`` over ``blocks`` consecutive blocks."""
+    ``members`` over ``blocks`` consecutive blocks; 0 for no blocks. Bits
+    past the last block are ignored."""
+    members &= (1 << (blocks << n)) - 1
     for k in range(n):
         members |= members >> (1 << k)
     # bit b * 2**n now says whether block b meets the set; the big-endian
     # digits list those bits from the last block to the first
     size = 1 << n
-    return int(format(members, f"0{blocks << n}b")[size - 1 :: size], 2)
+    return int(format(members, f"0{blocks << n}b")[size - 1 :: size] or "0", 2)
 
 
 def step_sets(n: int, values, *relations: StepRelation, blocks: int = 1) -> list[list[int]]:

@@ -250,9 +250,6 @@ def direct_sum(g1: RankTable, g2: RankTable) -> RankTable:
     if collision:
         raise GroundSetError(f"label collision in direct sum: {sorted(collision)}")
     ground = GroundSet(g1.ground.labels + g2.ground.labels)
-    n1 = g1.ground.n
-    low = g1.ground.full_mask
-    values = tuple(
-        g1.values[mask & low] + g2.values[mask >> n1] for mask in range(ground.size)
-    )
+    # mask (h << n1) | l has rank r1(l) + r2(h): h outer, l inner
+    values = tuple(v1 + v2 for v2 in g2.values for v1 in g1.values)
     return table_from_values(ground, values)

@@ -20,7 +20,7 @@ import time
 from contextlib import suppress
 from dataclasses import dataclass
 from functools import lru_cache, partial, reduce
-from operator import and_, or_, sub
+from operator import and_, inv, ne, neg, or_, sub
 from typing import NamedTuple
 
 from .axioms import (
@@ -58,6 +58,7 @@ from .structures import (
     RootedGraph,
     Tree,
     _closure_table,
+    _convex_flags,
     _pair_slots,
     _relax,
     branching_greedoid,
@@ -82,8 +83,8 @@ MAX_EXHAUSTIVE_N = 4
 MAX_RANDOM_N = 12
 # Census sizes: root_adjacency takes about 0.2 s at 6 edges and 4-6 s at 7,
 # both at about 17 MB peak RSS, and took more than 300 s at 8 when it still
-# relaxed one graph at a time; closure_dual_rank takes about 2.5 s at 11
-# tree edges, 11 s at 12 and 31 s at 13.
+# relaxed one graph at a time; closure_dual_rank takes about 1 s at 11
+# tree edges, 4-5 s at 12 and 18 s at 13.
 MAX_CENSUS_EDGES = 7
 MAX_TREE_EDGES = 12
 # Random ranks stay small enough that every derived table (duals, minors,
@@ -263,10 +264,14 @@ def random_tables(count: int, max_n: int = 6, seed=None, lo: int = -3, hi: int =
     point: the polynomial identities hold for arbitrary integer tables."""
     rng = _seeded(seed, count, max_n, lo, hi)
     for _ in range(count):
-        n = rng.randint(0, max_n)
-        ground = GroundSet(tuple(_LABELS[:n]))
-        values = [0] + [rng.randint(lo, hi) for _ in range((1 << n) - 1)]
-        yield table_from_values(ground, values)
+        yield _random_table(rng, _LABELS[: rng.randint(0, max_n)], lo, hi)
+
+
+def _random_table(rng: random.Random, labels: str, lo: int, hi: int) -> RankTable:
+    """A table on ``labels`` with r(empty) = 0 and ranks drawn from ``rng``
+    uniformly in [lo, hi] elsewhere, in mask order."""
+    values = [0] + [rng.randint(lo, hi) for _ in range((1 << len(labels)) - 1)]
+    return table_from_values(GroundSet(tuple(labels)), values)
 
 
 def random_monotone_tables(count: int, max_n: int = 6, seed=None):
@@ -644,17 +649,11 @@ def _suite_contract_formula(params, rec: _Recorder):
 @_suite(_CORPUS, count=Param(250), max_n=Param(4, 0, 8))
 def _suite_direct_sum_dual(params, rec: _Recorder):
     max_n, lo, hi = params["max_n"], params["lo"], params["hi"]
-    rng = random.Random(params["seed"])
+    rng = _seeded(params["seed"], params["count"], max_n, lo, hi)
     for i in range(params["count"]):
         n1, n2 = rng.randint(0, max_n), rng.randint(0, max_n)
-        g1 = table_from_values(
-            GroundSet(tuple(_LABELS[:n1])),
-            [0] + [rng.randint(lo, hi) for _ in range((1 << n1) - 1)],
-        )
-        g2 = table_from_values(
-            GroundSet(tuple("pqrstuvw"[:n2])),
-            [0] + [rng.randint(lo, hi) for _ in range((1 << n2) - 1)],
-        )
+        g1 = _random_table(rng, _LABELS[:n1], lo, hi)
+        g2 = _random_table(rng, "pqrstuvw"[:n2], lo, hi)
         ok = dual(direct_sum(g1, g2)) == direct_sum(dual(g1), dual(g2))
         rec.check(ok, lambda: f"pair[{i}] n1={n1} n2={n2}", "dual(g1 + g2) == dual(g1) + dual(g2)")
 
@@ -847,8 +846,7 @@ def _suite_full_dual_nonpositive(params, rec: _Recorder):
                 f"max={max(duals[block])}",
             )]
 
-        if full:  # a chunk may hold no full greedoid, and bitset no empty flags
-            rec.tally(len(full), failing_blocks(n, bitset(map((0).__lt__, duals)), len(full)), failures)
+        rec.tally(len(full), failing_blocks(n, bitset(map((0).__lt__, duals)), len(full)), failures)
         idx += count
 
 
@@ -872,14 +870,13 @@ def _suite_closure_dual_rank(params, rec: _Recorder):
         # still checked to be convex
         closures = _closure_table(g)
         dv = dual(g).values
-        for mask in range(g.ground.size):
-            gap = (closures[mask] & ~mask).bit_count()
-            rec.check(
-                dv[mask] == -gap,
-                desc,
-                "dual rank equals minus the closure gap",
-                lambda: f"A={SubsetRef(g.ground, mask)} dual={dv[mask]} gap={gap}",
-            )
+        gaps = list(map(int.bit_count, map(and_, closures, map(inv, range(g.ground.size)))))
+
+        def failures(mask):
+            witness = f"A={SubsetRef(g.ground, mask)} dual={dv[mask]} gap={gaps[mask]}"
+            return [(desc, "dual rank equals minus the closure gap", witness)]
+
+        rec.tally(g.ground.size, bitset(map(ne, dv, map(neg, gaps))), failures)
     # spot value on the bundled ten-edge tree
     rank = dual(pruning_antimatroid(demo_pruning_tree())).rank(("a", "d", "f"))
     rec.check(rank == -3, "demo pruning tree", "dual rank of {a,d,f} is -3", str(rank))
@@ -888,16 +885,14 @@ def _suite_closure_dual_rank(params, rec: _Recorder):
 @_suite(_CLOSURE)
 def _suite_convex_zero_dual(params, rec: _Recorder):
     for desc, g in _closure_corpora(params):
+        convex = _convex_flags(g)
         dv = dual(g).values
-        full = g.ground.full_mask
-        for mask in range(g.ground.size):
-            convex = g.values[full ^ mask] == (full ^ mask).bit_count()
-            rec.check(
-                convex == (dv[mask] == 0),
-                desc,
-                "convex iff dual rank zero",
-                lambda: f"C={SubsetRef(g.ground, mask)} convex={convex} dual={dv[mask]}",
-            )
+
+        def failures(mask):
+            witness = f"C={SubsetRef(g.ground, mask)} convex={bool(convex[mask])} dual={dv[mask]}"
+            return [(desc, "convex iff dual rank zero", witness)]
+
+        rec.tally(g.ground.size, bitset(map(ne, convex, map((0).__eq__, dv))), failures)
 
 
 _MONOTONE = {**_SAMPLE, "n": _exhaustive_n(3)}

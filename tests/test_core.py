@@ -408,6 +408,26 @@ def test_blocks_read_each_table_as_if_alone(case):
         assert members_of(failing_blocks(n, got, blocks), blocks) == sorted({i // size for i in want})
 
 
+def test_no_flags_and_no_blocks_read_as_the_empty_set():
+    assert bitset(()) == 0
+    assert bitset(iter([])) == 0
+    for n in range(5):
+        # members past the width, none of which lies in a block
+        for members in (0, 1, (1 << 40) - 1, -1):
+            assert failing_blocks(n, members, 0) == 0
+
+
+@pytest.mark.parametrize("n", range(4))
+def test_failing_blocks_ignore_members_past_the_last_block(n):
+    size = 1 << n
+    for blocks in (1, 2, 5):
+        for inside in (0, 1, 1 << (blocks * size - 1)):
+            want = failing_blocks(n, inside, blocks)
+            for stray in (1 << (blocks * size), 1 << (blocks * size + 3), ~((1 << blocks * size) - 1)):
+                assert failing_blocks(n, inside | stray, blocks) == want
+        assert failing_blocks(n, -1, blocks) == (1 << blocks) - 1
+
+
 def test_validate_demo_all_flags_true(demo_table):
     report = validate(demo_table)
     assert report.normalized

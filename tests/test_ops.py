@@ -185,6 +185,27 @@ def test_direct_sum_associative_up_to_label_order():
     assert direct_sum(direct_sum(g1, g2), g3) == direct_sum(g1, direct_sum(g2, g3))
 
 
+@st.composite
+def summand_pairs(draw):
+    n1, n2 = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    ranks = st.integers(-20, 20)
+    g1 = make_table("abcd"[:n1], draw(st.lists(ranks, min_size=1 << n1, max_size=1 << n1)))
+    g2 = make_table("pqrs"[:n2], draw(st.lists(ranks, min_size=1 << n2, max_size=1 << n2)))
+    return g1, g2
+
+
+@settings(max_examples=200)
+@given(summand_pairs())
+def test_direct_sum_adds_the_ranks_of_the_two_parts(pair):
+    g1, g2 = pair
+    total = direct_sum(g1, g2)
+    n1, low = g1.ground.n, g1.ground.full_mask
+    assert total.ground.labels == g1.ground.labels + g2.ground.labels
+    assert total.values == tuple(
+        g1.values[a & low] + g2.values[a >> n1] for a in range(total.ground.size)
+    )
+
+
 def test_direct_sum_label_collision(demo_table):
     with pytest.raises(GroundSetError, match="collision"):
         direct_sum(demo_table, make_table("a", [0, 1]))

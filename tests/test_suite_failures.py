@@ -8,9 +8,11 @@ reports below pin the exact failure lines, instance counts and the
 variable late, from a later loop iteration, shows up as a changed line.
 """
 
+import itertools
+
 import pytest
 
-from rankdual import GroundSet, run_suite, structures, table_from_values, verify
+from rankdual import GroundSet, SubsetRef, dual, run_suite, structures, table_from_values, verify
 from rankdual.cli import run_command
 from rankdual.core import TableView
 from rankdual.ops import _dual_values
@@ -802,6 +804,91 @@ def test_the_pass_size_changes_no_root_adjacency_report(monkeypatch):
     assert run_suite("root_adjacency", {"max_edges": 5}).to_report() == passing
     _patch(monkeypatch, _scenarios()["root_adjacency"][1])
     assert failing_reports("root_adjacency") == EXPECTED["root_adjacency"]
+
+
+def _one_entry_wrong(k):
+    """verify.dual with one entry of its k-th result changed, at the mask
+    two thirds of the way through the table (past mask 0): a zero dual
+    becomes -1 and any other 0, so both closure suites fail there."""
+    calls = itertools.count()
+
+    def wrong(g):
+        d = dual(g)
+        if next(calls) != k:
+            return d
+        values = list(d.values)
+        mask = len(values) * 2 // 3
+        values[mask] = -1 if values[mask] == 0 else 0
+        return table_from_values(d.ground, values)
+
+    return wrong
+
+
+_CLOSURE_ASSERTIONS = {
+    "closure_dual_rank": "dual rank equals minus the closure gap",
+    "convex_zero_dual": "convex iff dual rank zero",
+}
+
+
+def _closure_checks(name, params, dual):
+    """(instance, ok, witness) for every mask of every closure table, in
+    order, as the suite checks them one mask at a time with this dual."""
+    for desc, g in verify._closure_corpora(params):
+        dv = dual(g).values
+        full = g.ground.full_mask
+        closures = structures._closure_table(g)
+        for mask in range(g.ground.size):
+            subset = SubsetRef(g.ground, mask)
+            if name == "closure_dual_rank":
+                gap = (closures[mask] & ~mask).bit_count()
+                yield desc(), dv[mask] == -gap, f"A={subset} dual={dv[mask]} gap={gap}"
+            else:
+                convex = g.values[full ^ mask] == (full ^ mask).bit_count()
+                yield desc(), convex == (dv[mask] == 0), f"C={subset} convex={convex} dual={dv[mask]}"
+
+
+def _mask_by_mask(name, params, dual, max_failures=100, fail_fast=False):
+    """The report lines after the params of a closure suite run that checks
+    one mask at a time."""
+    instances, lines = 0, []
+    for instance, ok, witness in _closure_checks(name, params, dual):
+        instances += 1
+        if not ok:
+            if len(lines) < max_failures:
+                lines.append(f"failure: {instance} | {_CLOSURE_ASSERTIONS[name]} | {witness}")
+            if fail_fast:
+                break
+    else:
+        # closure_dual_rank ends with the demo tree's spot value
+        instances += name == "closure_dual_rank"
+    return [f"instances: {instances}", f"failures: {len(lines)}", *lines, "result: fail"]
+
+
+@pytest.mark.parametrize("part", ["antimatroid", "pruning-tree"])
+@pytest.mark.parametrize("name", sorted(_CLOSURE_ASSERTIONS))
+def test_one_failing_mask_of_a_closure_table_is_counted_as_one_at_a_time(monkeypatch, name, part):
+    params = {"n": 3, "max_tree_edges": 5}
+    corpora = [(desc(), g) for desc, g in verify._closure_corpora(params)]
+    in_part = [i for i, (desc, _) in enumerate(corpora) if desc.startswith(part)]
+    k = in_part[len(in_part) // 2]
+    size = corpora[k][1].ground.size
+    assert k > 0 and size > 2
+    runs = []
+    for run in ({"max_failures": 3}, {"fail_fast": True}):
+        # the wrong dual counts its calls: one for each run
+        monkeypatch.setattr(verify, "dual", _one_entry_wrong(k))
+        runs.append(run_suite(name, {**params, **run}))
+    capped, fast = runs
+    assert capped.to_report().split("\n")[2:] == _mask_by_mask(
+        name, params, _one_entry_wrong(k), max_failures=3
+    )
+    assert fast.to_report().split("\n")[2:] == _mask_by_mask(
+        name, params, _one_entry_wrong(k), fail_fast=True
+    )
+    # exactly one mask fails, and fail-fast counts the masks before it
+    assert len(capped.failures) == 1 and capped.failures == fast.failures
+    before = sum(g.ground.size for _, g in corpora[:k]) + size * 2 // 3
+    assert fast.instances_checked == before + 1
 
 
 @pytest.mark.parametrize("max_failures, code", [("0", 2), ("-1", 2), ("1", 1)])

@@ -2,6 +2,7 @@ import ast
 import hashlib
 import itertools
 import os
+import random
 import subprocess
 import sys
 from operator import le
@@ -22,6 +23,7 @@ from rankdual import (
     all_trees,
     check_greedoid,
     check_matroid,
+    direct_sum,
     dual,
     enumerate_tables,
     random_monotone_tables,
@@ -489,6 +491,31 @@ def test_random_corpora_are_checked_as_they_are_drawn(monkeypatch):
     assert run_suite("involution", {"seed": 1, "count": 3}).passed
     # no table waits in a list: each is checked before the next is drawn
     assert events == ["draw", "check", "check"] * 3
+
+
+def _reference_pairs(seed, count=250, max_n=4, lo=-3, hi=8):
+    """The summand pairs of direct_sum_dual as the suite once drew them
+    inline, at its default params."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n1, n2 = rng.randint(0, max_n), rng.randint(0, max_n)
+        values1 = [0] + [rng.randint(lo, hi) for _ in range((1 << n1) - 1)]
+        values2 = [0] + [rng.randint(lo, hi) for _ in range((1 << n2) - 1)]
+        yield ("abcd"[:n1], tuple(values1)), ("pqrs"[:n2], tuple(values2))
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_direct_sum_dual_draws_the_same_pairs(monkeypatch, seed):
+    summed = []
+
+    def recording(g1, g2):
+        summed.append(tuple(("".join(g.ground.labels), g.values) for g in (g1, g2)))
+        return direct_sum(g1, g2)
+
+    monkeypatch.setattr(verify, "direct_sum", recording)
+    assert run_suite("direct_sum_dual", {"seed": seed}).passed
+    # each pair is summed, then its duals are
+    assert summed[::2] == list(_reference_pairs(seed))
 
 
 def test_suite_results_are_deterministic():
