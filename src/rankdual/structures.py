@@ -10,7 +10,7 @@ are counted from bit sets over all edge subsets (``core.member_counts``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, compress
+from itertools import compress
 
 from .axioms import FeasibleFamily, check_antimatroid, check_greedoid
 from .core import (
@@ -172,50 +172,18 @@ def _relax(reach: list, has: dict) -> None:
                     grown = True
 
 
-def _pair_slots(graphs) -> dict:
-    """Vertex pair: the bytes whose byte g is 1 + the index of that pair
-    among the edges of graphs[g], or 0 when graphs[g] lacks it. The graphs
-    are sequences of distinct vertex pairs, all of one length, with at most
-    255 edges each and at most 256 distinct pairs in all.
-
-    Column k holds the k-th pair of every graph; each column is coded as one
-    byte per graph, and one ``translate`` of it marks the graphs whose k-th
-    pair is a given one."""
-    columns = list(zip(*graphs))
-    pairs = list(dict.fromkeys(chain.from_iterable(columns)))
-    index = {pair: i for i, pair in enumerate(pairs)}
-    slots = [0] * len(pairs)
-    for k, column in enumerate(columns):
-        codes = bytes(map(index.__getitem__, column))
-        for i in set(codes):
-            mark = bytearray(256)
-            mark[i] = k + 1
-            # a graph has each pair at most once, so no byte carries
-            slots[i] += int.from_bytes(codes.translate(mark), "little")
-    return {pair: s.to_bytes(len(graphs), "little") for pair, s in zip(pairs, slots)}
-
-
 def _graph_has_sets(graphs, width: int, edge_sets: list) -> dict:
     """Vertex pair p: the positions whose graph has p as its edge k and
     whose mask holds k, given the ``width`` positions of one graph and
     edge_sets[k], the positions of one graph whose mask holds k.
 
-    Field g of the set of p is edge_sets[k] when p is edge k of graphs[g],
-    and 0 when graphs[g] lacks p. The fields are joined as bytes when width
-    is whole bytes, and else as binary digits, the last field first.
-
-    Width is whole bytes whenever the graphs have at least 3 edges: every
-    cyclic pass of the rooted-graph census and every branching_greedoid
-    past 2 edges. Only graphs of at most 2 edges, the census's smallest
-    rooted trees among them, take the digit join. The bytes join moves an
-    eighth of the data: with digits alone, a default root_adjacency run
-    took about 0.14 s instead of 0.10 s in process on a 2-CPU host."""
-    slots = _pair_slots(graphs).items()
-    if width % 8 == 0:
-        pieces = [members.to_bytes(width >> 3, "little") for members in (0, *edge_sets)]
-        return {p: int.from_bytes(b"".join(map(pieces.__getitem__, marks)), "little") for p, marks in slots}
-    pieces = [format(members, f"0{width}b") for members in (0, *edge_sets)]
-    return {p: int("".join(map(pieces.__getitem__, marks[::-1])), 2) for p, marks in slots}
+    Field g of has[p] is edge_sets[k] when p is edge k of graphs[g], and 0
+    when graphs[g] lacks p."""
+    has = {}
+    for g, pairs in enumerate(graphs):
+        for pair, members in zip(pairs, edge_sets):
+            has[pair] = has.get(pair, 0) | members << g * width
+    return has
 
 
 def branching_rows(edge_count: int, vertex_count: int, graphs, roots) -> bytes:

@@ -59,7 +59,7 @@ from .structures import (
     Tree,
     _closure_table,
     _convex_flags,
-    _pair_slots,
+    _graph_has_sets,
     _relax,
     branching_greedoid,
     branching_rows,
@@ -81,8 +81,8 @@ MAX_EXHAUSTIVE_N = 4
 # table: at 12, nullity_monotone's 3**n nested pairs take about 3 s and
 # 130 MB per run; at 13, 9 s and 350 MB.
 MAX_RANDOM_N = 12
-# Census sizes: root_adjacency takes about 0.2 s at 6 edges and 4-6 s at 7,
-# both at about 17 MB peak RSS, and took more than 300 s at 8 when it still
+# Census sizes: root_adjacency takes about 0.2 s at 6 edges and 5-6 s at 7,
+# both at about 18 MB peak RSS, and took more than 300 s at 8 when it still
 # relaxed one graph at a time; closure_dual_rank takes about 1 s at 11
 # tree edges, 4-5 s at 12 and 18 s at 13.
 MAX_CENSUS_EDGES = 7
@@ -387,19 +387,16 @@ def _labelled(pairs) -> tuple:
 # keeps a max_edges=7 run at the peak RSS of relaxing one graph at a time.
 _CENSUS_GRAPHS = 64
 
-# Translate table: byte 0 to digit 0 and any other byte to digit 1.
-_NONZERO_DIGITS = b"0" + b"1" * 255
-
 
 def _connected(vertex_count: int, graphs) -> bytes:
-    """Byte g is 1 when graphs[g] connects its vertex_count vertices. Bit g
-    of reach[x] says whether x is reachable from vertex 0 in graphs[g], and
-    bit g of has[pair] whether graphs[g] has that pair as an edge: one
-    relaxation serves every graph."""
-    slots = _pair_slots(graphs).items()
-    has = {pair: int(marks.translate(_NONZERO_DIGITS)[::-1], 2) for pair, marks in slots}
+    """Byte g is 1 when graphs[g] connects its vertex_count vertices; the
+    graphs are edge pair tuples of one length. Bit g of reach[x] says
+    whether x is reachable from vertex 0 in graphs[g]. The has-sets are
+    ``_graph_has_sets`` of one position per graph, so bit g of has[pair]
+    says whether graphs[g] has that pair as an edge, and one relaxation
+    serves every graph."""
     reach = [(1 << len(graphs)) - 1] + [0] * (vertex_count - 1)
-    _relax(reach, has)
+    _relax(reach, _graph_has_sets(graphs, 1, [1] * len(graphs[0])))
     return member_flags(reduce(and_, reach), len(graphs))
 
 
@@ -908,6 +905,8 @@ def _monotone_corpus(params):
 
 @_suite(_MONOTONE)
 def _suite_nullity_monotone(params, rec: _Recorder):
+    # built once per size in this run, and let go when it returns
+    nested_pairs = lru_cache(maxsize=None)(_nested_pairs)
     for desc, g in _monotone_corpus(params):
         # three independent readings: no jump step of r, no decreasing step
         # of the nullity |A| - r(A), and no pair A <= B stretched past |B - A|
@@ -917,7 +916,7 @@ def _suite_nullity_monotone(params, rec: _Recorder):
         nullity = not any(drop)
         stretch = all(
             g.values[b] - g.values[a] <= (b & ~a).bit_count()
-            for a, b in _nested_pairs(g.n)
+            for a, b in nested_pairs(g.n)
         )
         rec.check(
             unit == nullity == stretch,
@@ -927,7 +926,6 @@ def _suite_nullity_monotone(params, rec: _Recorder):
         )
 
 
-@lru_cache(maxsize=None)
 def _nested_pairs(n: int):
     size = 1 << n
     return tuple((a, b) for b in range(size) for a in range(size) if a & b == a)

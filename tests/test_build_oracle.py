@@ -159,6 +159,16 @@ def test_a_batch_of_mixed_graphs_is_its_graphs_rows_laid_end_to_end(edges, count
     assert rows == b"".join(branching_rows(edges, 9, (g,), (r,)) for g in graphs for r in roots)
 
 
+def test_a_batch_may_use_more_than_256_vertex_pairs():
+    # 128 graphs of 5 edges on 40 vertices use 428 distinct vertex pairs
+    rng = random.Random(0)
+    pairs = [(a, b) for a in range(40) for b in range(a + 1, 40)]
+    graphs = [tuple(rng.sample(pairs, 5)) for _ in range(128)]
+    assert len(set().union(*graphs)) == 428
+    rows = branching_rows(5, 40, graphs, (0, 1))
+    assert rows == b"".join(branching_rows(5, 40, (g,), (r,)) for g in graphs for r in (0, 1))
+
+
 def test_branching_rows_of_seeded_graphs_up_to_ten_edges():
     rng = random.Random(11)
     for edges in range(11):

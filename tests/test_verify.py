@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from operator import le
 from pathlib import Path
 
@@ -339,6 +340,36 @@ def test_library_imports_only_the_standard_library():
                 continue
             for name in names:
                 assert name.partition(".")[0] in sys.stdlib_module_names, (path.name, name)
+
+
+def test_every_imported_name_is_used():
+    package = Path(__file__).resolve().parents[1] / "src" / "rankdual"
+    sources = sorted(set(package.glob("*.py")) - {package / "__init__.py"})
+    assert sources
+    for path in sources:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update((a.asname or a.name).partition(".")[0] for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update(a.asname or a.name for a in node.names)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        assert imported <= used, (path.name, sorted(imported - used))
+
+
+def test_nullity_monotone_lets_its_nested_pairs_go_when_it_returns():
+    # the small run builds the process's one-off caches; the nested pairs of
+    # every ground up to 9 take about 2 MB while the run lasts
+    run_suite("nullity_monotone", {"max_n": 2, "count": 20, "n": 0, "seed": 1})
+    tracemalloc.start()
+    try:
+        result = run_suite("nullity_monotone", {"max_n": 9, "count": 20, "n": 0, "seed": 1})
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert result.passed
+    assert held < 500_000
 
 
 def test_rooted_tree_shape_counts():
