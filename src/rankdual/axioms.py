@@ -58,7 +58,6 @@ from .core import (
     feasible_flags,
     first_by_cardinality,
     first_step,
-    first_where,
     masks_by_cardinality,
     popcounts,
     step_sets,
@@ -477,7 +476,7 @@ def check_demimatroid_triple(d: DemiTriple) -> AxiomReport:
         ("rank-nullity-duality-complement", s.values, r.values),
     ):
         co_nullity = map(sub, co_sizes, t[::-1])
-        hit = first_where(n, map(ne, co_nullity, map(u[full].__sub__, u)))
+        hit = first_by_cardinality(n, bitset(map(ne, co_nullity, map(u[full].__sub__, u))))
         _record(found, name, hit, lambda a: {"A": _subset(ground, a)})
 
     details = {"s_is_dual_of_r": s.values == _dual_values(r.values, n)}

@@ -216,12 +216,6 @@ def first_by_cardinality(n: int, members: int):
     return None
 
 
-def first_where(n: int, flags):
-    """Smallest mask in (cardinality, mask) order whose flag is true, from
-    one flag per mask in mask order; None when no flag is."""
-    return first_by_cardinality(n, bitset(flags))
-
-
 # Step relations: conditions on the single-element step
 # d = values[A | 1 << p] - values[A]. Each holds a C-level predicate on d, for
 # the map path, and the translate table of the packed path, which maps the

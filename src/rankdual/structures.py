@@ -9,8 +9,11 @@ are counted from bit sets over all edge subsets (``core.member_counts``).
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
+from functools import reduce
 from itertools import compress
+from operator import and_
 
 from .axioms import FeasibleFamily, check_antimatroid, check_greedoid
 from .core import (
@@ -22,6 +25,7 @@ from .core import (
     bitset,
     feasible_flags,
     member_counts,
+    member_flags,
     member_masks,
     popcounts,
     table_from_values,
@@ -59,24 +63,6 @@ def _check_edges(vertices, edges):
         seen_pairs.add(pair)
 
 
-def _components(vertex_count: int, pairs) -> list:
-    """Union-find: the component representative of each vertex 0..count-1
-    in the graph with the given (u, v) index pairs as edges."""
-    parent = list(range(vertex_count))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b in pairs:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-    return [find(x) for x in range(vertex_count)]
-
-
 def _edge_pairs(vertices, edges) -> list:
     """The (u, v) vertex index pairs of labelled edges, in edge order."""
     index = {name: i for i, name in enumerate(vertices)}
@@ -84,7 +70,7 @@ def _edge_pairs(vertices, edges) -> list:
 
 
 def _is_connected(vertices, edges) -> bool:
-    return len(set(_components(len(vertices), _edge_pairs(vertices, edges)))) == 1
+    return _connected(len(vertices), [_edge_pairs(vertices, edges)]) == b"\x01"
 
 
 @dataclass(frozen=True)
@@ -160,16 +146,27 @@ def _has_sets(n: int, blocks: int = 1) -> list:
 
 def _relax(reach: list, has: dict) -> None:
     """Grow reach[b] by reach[a] & has[(a, b)] across each vertex pair of
-    ``has``, both ways, until no set changes."""
-    grown = True
-    while grown:
-        grown = False
-        for (u, v), members in has.items():
-            for a, b in ((u, v), (v, u)):
-                new = reach[b] | reach[a] & members
-                if new != reach[b]:
-                    reach[b] = new
-                    grown = True
+    ``has``, both ways, until no set changes.
+
+    A queue holds the vertices whose set has grown since they last grew
+    their neighbours, each at most once at a time, so with one-bit sets
+    each vertex is taken once and the time is linear in the pairs."""
+    near = [[] for _ in reach]
+    for (u, v), members in has.items():
+        near[u].append((v, members))
+        near[v].append((u, members))
+    queued = list(map(bool, reach))
+    queue = deque(compress(range(len(reach)), queued))
+    while queue:
+        a = queue.popleft()
+        queued[a] = False
+        for b, members in near[a]:
+            new = reach[b] | reach[a] & members
+            if new != reach[b]:
+                reach[b] = new
+                if not queued[b]:
+                    queued[b] = True
+                    queue.append(b)
 
 
 def _graph_has_sets(graphs, width: int, edge_sets: list) -> dict:
@@ -184,6 +181,18 @@ def _graph_has_sets(graphs, width: int, edge_sets: list) -> dict:
         for pair, members in zip(pairs, edge_sets):
             has[pair] = has.get(pair, 0) | members << g * width
     return has
+
+
+def _connected(vertex_count: int, graphs) -> bytes:
+    """Byte g is 1 when graphs[g] connects its vertex_count vertices; the
+    graphs are edge pair tuples of one length. Bit g of reach[x] says
+    whether x is reachable from vertex 0 in graphs[g]. The has-sets are
+    ``_graph_has_sets`` of one position per graph, so bit g of has[pair]
+    says whether graphs[g] has that pair as an edge, and one relaxation
+    serves every graph."""
+    reach = [(1 << len(graphs)) - 1] + [0] * (vertex_count - 1)
+    _relax(reach, _graph_has_sets(graphs, 1, [1] * len(graphs[0])))
+    return member_flags(reduce(and_, reach), len(graphs))
 
 
 def branching_rows(edge_count: int, vertex_count: int, graphs, roots) -> bytes:
@@ -250,21 +259,26 @@ def pruning_antimatroid(t: Tree) -> RankTable:
 
     Edge e lies in that subtree iff e is in K or K meets both sides of e in
     T - e, so the rank counts, per edge, the bit set of masks A that contain
-    e and contain one whole side of it.
+    e and contain one whole side of it. One relaxation finds every side:
+    edge f joins its ends for every edge bit but its own, so bit e of
+    side[x] says that x is joined to u, the first end of e, in T - e.
     """
     n = len(t.edges)
     _require_materializable(n)
     pairs = _edge_pairs(t.vertices, t.edges)
+    side = [0] * len(t.vertices)
+    for e, (u, _) in enumerate(pairs):
+        side[u] |= 1 << e
+    _relax(side, {pair: ~(1 << f) for f, pair in enumerate(pairs)})
     has = _has_sets(n)
     every = (1 << (1 << n)) - 1
     prunable = []
-    for e, (u, _) in enumerate(pairs):
-        reps = _components(len(t.vertices), pairs[:e] + pairs[e + 1 :])
+    for e in range(n):
         # contains[x]: the masks that contain every edge on side x of e
         contains = [every, every]
         for f, (a, _) in enumerate(pairs):
             if f != e:
-                contains[reps[a] == reps[u]] &= has[f]
+                contains[side[a] >> e & 1] &= has[f]
         prunable.append(has[e] & (contains[0] | contains[1]))
     ranks = member_counts(n, prunable)
     return table_from_values(GroundSet(t.edge_labels()), tuple(ranks))

@@ -45,7 +45,6 @@ from .core import (
     bitset,
     failing_blocks,
     feasible_flags,
-    member_flags,
     members_of,
     popcounts,
     step_sets,
@@ -58,9 +57,8 @@ from .structures import (
     RootedGraph,
     Tree,
     _closure_table,
+    _connected,
     _convex_flags,
-    _graph_has_sets,
-    _relax,
     branching_greedoid,
     branching_rows,
     convex_closure,
@@ -76,16 +74,19 @@ _LABELS = "abcdefghijklmnopqrstuvwx"
 
 MAX_EXHAUSTIVE_N = 4
 
-# Caps on suite sizes: the largest at which one run with the default counts
-# stays within about 30 s and 150 MB. Largest ground of a random corpus
-# table: at 12, nullity_monotone's 3**n nested pairs take about 3 s and
-# 130 MB per run; at 13, 9 s and 350 MB.
+# Caps on suite sizes. The random corpora and the rooted-graph census stop
+# at the largest size at which one run with the default counts stays within
+# about 30 s and 150 MB. Largest ground of a random corpus table: at 12,
+# nullity_monotone's 3**n nested pairs take about 3 s and 130 MB per run;
+# at 13, 9 s and 350 MB.
 MAX_RANDOM_N = 12
-# Census sizes: root_adjacency takes about 0.2 s at 6 edges and 5-6 s at 7,
+# Census size: root_adjacency takes about 0.2 s at 6 edges and 5-6 s at 7,
 # both at about 18 MB peak RSS, and took more than 300 s at 8 when it still
-# relaxed one graph at a time; closure_dual_rank takes about 1 s at 11
-# tree edges, 4-5 s at 12 and 18 s at 13.
+# relaxed one graph at a time.
 MAX_CENSUS_EDGES = 7
+# Tree census size: the largest at which each closure suite runs within
+# about 6 s. At 12 tree edges closure_dual_rank takes 4-6 s and
+# convex_zero_dual 2.4-2.8 s; at 13, 18 s and 8.5 s.
 MAX_TREE_EDGES = 12
 # Random ranks stay small enough that every derived table (duals, minors,
 # direct sums of duals) keeps within the 2**31 magnitude bound.
@@ -386,18 +387,6 @@ def _labelled(pairs) -> tuple:
 # 64 graphs hold 7 kB per bit set and a pass peaks at about 0.5 MB, which
 # keeps a max_edges=7 run at the peak RSS of relaxing one graph at a time.
 _CENSUS_GRAPHS = 64
-
-
-def _connected(vertex_count: int, graphs) -> bytes:
-    """Byte g is 1 when graphs[g] connects its vertex_count vertices; the
-    graphs are edge pair tuples of one length. Bit g of reach[x] says
-    whether x is reachable from vertex 0 in graphs[g]. The has-sets are
-    ``_graph_has_sets`` of one position per graph, so bit g of has[pair]
-    says whether graphs[g] has that pair as an edge, and one relaxation
-    serves every graph."""
-    reach = [(1 << len(graphs)) - 1] + [0] * (vertex_count - 1)
-    _relax(reach, _graph_has_sets(graphs, 1, [1] * len(graphs[0])))
-    return member_flags(reduce(and_, reach), len(graphs))
 
 
 def _rooted_graphs(max_edges: int):

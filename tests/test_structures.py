@@ -1,3 +1,7 @@
+import itertools
+import random
+from collections import defaultdict
+
 import pytest
 
 from rankdual import (
@@ -22,7 +26,7 @@ from rankdual import (
     root_adjacency_test,
     uniform_matroid,
 )
-from rankdual.structures import _closure_table, closure_table
+from rankdual.structures import _closure_table, _connected, _relax, closure_table
 from rankdual.verify import all_trees
 
 from conftest import make_table
@@ -53,6 +57,102 @@ def test_tree_validation():
             ("u", "v", "w", "x"),
             (("a", "v", "w"), ("b", "w", "x"), ("c", "v", "x")),
         )
+
+
+def _random_graphs(rng, count):
+    """Seeded simple graphs on 1-8 vertices with 0 to C(v, 2) edges, as
+    (vertex names in shuffled order, vertex index pairs)."""
+    for _ in range(count):
+        v = rng.randint(1, 8)
+        pairs = list(itertools.combinations(range(v), 2))
+        chosen = [p if rng.random() < 0.5 else p[::-1] for p in rng.sample(pairs, rng.randint(0, len(pairs)))]
+        names = [f"x{i}" for i in range(v)]
+        rng.shuffle(names)
+        yield names, chosen
+
+
+def _search_connects(vertex_count, pairs):
+    """Depth-first search from vertex 0: does it reach every vertex?"""
+    near = defaultdict(list)
+    for a, b in pairs:
+        near[a].append(b)
+        near[b].append(a)
+    seen, todo = {0}, [0]
+    while todo:
+        for b in near[todo.pop()]:
+            if b not in seen:
+                seen.add(b)
+                todo.append(b)
+    return len(seen) == vertex_count
+
+
+def _edges(names, pairs):
+    return tuple((f"e{k}", names[a], names[b]) for k, (a, b) in enumerate(pairs))
+
+
+def test_rooted_graphs_must_be_connected_as_a_search_finds():
+    rng = random.Random(2012)
+    seen = set()
+    for names, pairs in _random_graphs(rng, 600):
+        connected = _search_connects(len(names), pairs)
+        seen.add((connected, len(pairs) < len(names)))
+        args = (tuple(names), rng.choice(names), _edges(names, pairs))
+        if connected:
+            RootedGraph(*args)
+        else:
+            with pytest.raises(StructureError, match="connected"):
+                RootedGraph(*args)
+    # connected and not, with fewer edges than vertices and with more
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def test_trees_must_be_connected_as_a_search_finds():
+    rng = random.Random(2012)
+    verdicts = []
+    for v in range(1, 9):
+        pairs = list(itertools.combinations(range(v), 2))
+        for _ in range(60):
+            chosen = rng.sample(pairs, v - 1)
+            names = [f"x{i}" for i in range(v)]
+            rng.shuffle(names)
+            verdicts.append(_search_connects(v, chosen))
+            if verdicts[-1]:
+                Tree(tuple(names), _edges(names, chosen))
+            else:
+                with pytest.raises(StructureError, match="connected"):
+                    Tree(tuple(names), _edges(names, chosen))
+    assert True in verdicts and False in verdicts
+
+
+def test_connected_answers_each_graph_of_a_batch_as_alone():
+    rng = random.Random(2012)
+    batches = defaultdict(list)
+    for names, pairs in _random_graphs(rng, 600):
+        batches[len(names), len(pairs)].append(tuple(pairs))
+    for (v, _), graphs in batches.items():
+        alone = b"".join(_connected(v, [pairs]) for pairs in graphs)
+        assert _connected(v, graphs) == alone
+        assert list(alone) == [_search_connects(v, pairs) for pairs in graphs]
+
+
+def test_relax_takes_linear_time_with_one_bit_sets():
+    evaluations = 0
+
+    class Counted(int):
+        def __rand__(self, other):
+            nonlocal evaluations
+            evaluations += 1
+            return int(self) & other
+
+    edges = 2000
+    path = {(i, i + 1): Counted(1) for i in reversed(range(edges))}  # from the far end
+    star = {(0, i): Counted(1) for i in range(1, edges + 1)}
+    for has in (path, star):
+        evaluations = 0
+        reach = [1] + [0] * edges
+        _relax(reach, has)
+        assert reach == [1] * (edges + 1)
+        assert evaluations <= 4 * edges
 
 
 # --- branching greedoid --------------------------------------------------------

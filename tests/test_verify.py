@@ -52,7 +52,7 @@ from rankdual.verify import (
 from rankdual.axioms import block_failures
 from rankdual.core import bitset, failing_blocks
 from rankdual.ops import _dual_sums, _dual_values, _packed_dual
-from rankdual.structures import _components, branching_rows
+from rankdual.structures import branching_rows
 
 from enum_oracle import oracle_enumerate_values
 
@@ -405,6 +405,24 @@ def test_packed_min_duals_match_the_per_row_duals_on_the_census():
         below = b"1" * sums[0] + b"0" * (256 - sums[0])
         negative = failing_blocks(n, int(sums.translate(below)[::-1], 2), count)
         assert negative == bitset(x < 0 for x in least)
+
+
+def _components(vertex_count, pairs):
+    """Union-find: the component representative of each vertex 0..count-1
+    in the graph with the given (u, v) index pairs as edges."""
+    parent = list(range(vertex_count))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b in pairs:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
+    return [find(x) for x in range(vertex_count)]
 
 
 def test_the_census_keeps_the_graphs_that_union_find_calls_connected():
