@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import compress
-from operator import ne, or_, sub
+from operator import mul, ne, or_, sub
 
 from .core import (
     DECREASE,
@@ -61,6 +61,7 @@ from .core import (
     masks_by_cardinality,
     popcounts,
     step_sets,
+    subset_max,
     table_from_values,
 )
 from .ops import _dual_values
@@ -129,20 +130,9 @@ class FeasibleFamily:
 
         Subsets containing no member (not even the empty set) get rank 0.
         """
-        size = self.ground.size
         n = self.ground.n
-        values = [0] * size
-        for mask in range(size):
-            best = mask.bit_count() if mask in self.members else 0
-            m = mask
-            while m:
-                low = m & -m
-                prev = values[mask ^ low]
-                if prev > best:
-                    best = prev
-                m ^= low
-            values[mask] = best
-        return table_from_values(self.ground, values)
+        sizes = map(mul, popcounts(n), map(self.members.__contains__, range(1 << n)))
+        return table_from_values(self.ground, subset_max(n, bytes(sizes)))
 
 
 @dataclass(frozen=True)

@@ -262,6 +262,9 @@ def run_command(argv) -> int:
     except RankFunctionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:
+        print(f"error: out of memory running {args.command}", file=sys.stderr)
+        return 2
 
 
 def main(argv=None) -> None:

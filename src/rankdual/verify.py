@@ -48,6 +48,7 @@ from .core import (
     members_of,
     popcounts,
     step_sets,
+    subset_max,
     table_from_values,
     validate,
 )
@@ -77,8 +78,10 @@ MAX_EXHAUSTIVE_N = 4
 # Caps on suite sizes. The random corpora and the rooted-graph census stop
 # at the largest size at which one run with the default counts stays within
 # about 30 s and 150 MB. Largest ground of a random corpus table: at 12,
-# nullity_monotone's 3**n nested pairs take about 3 s and 130 MB per run;
-# at 13, 9 s and 350 MB.
+# each sampled suite takes at most about 0.7 s, nullity_monotone 0.4-0.5 s
+# at about 20 MB peak RSS; at 13, at most about 1.5 s and 24 MB, so 13
+# would fit. Most of nullity_monotone's time is its sampler,
+# random_monotone_tables, not the check.
 MAX_RANDOM_N = 12
 # Census size: root_adjacency takes about 0.2 s at 6 edges and 5-6 s at 7,
 # both at about 18 MB peak RSS, and took more than 300 s at 8 when it still
@@ -533,10 +536,10 @@ class Param(NamedTuple):
         return value
 
     def range_text(self) -> str:
-        """The inclusive range in words ("0 to 4", "1 or more"), or "" for
-        a param without one."""
+        """The inclusive range in words ("0 to 4", "1 or more", "at most
+        9"), or "" for a param without one."""
         if self.lowest is None:
-            return ""
+            return "" if self.highest is None else f"at most {self.highest}"
         if self.highest is None:
             return f"{self.lowest} or more"
         return f"{self.lowest} to {self.highest}"
@@ -548,7 +551,15 @@ def _exhaustive_n(default: int) -> Param:
 
 
 #: A seeded sample of random tables; the keys are the samplers' parameters.
-_SAMPLE = {"seed": Param(None), "count": Param(500), "max_n": Param(6, 0, MAX_RANDOM_N)}
+#: The count is capped by the rule of the caps above: at 100,000, exchange,
+#: the costliest suite per table, takes about 17 s at 18 MB peak RSS,
+#: contract_formula 11.5 s and direct_sum_dual 6.7 s. A count below 1
+#: checks no instances, which run_suite reports.
+_SAMPLE = {
+    "seed": Param(None),
+    "count": Param(500, None, 100_000),
+    "max_n": Param(6, 0, MAX_RANDOM_N),
+}
 #: A sample with uniform ranks in [lo, hi].
 _CORPUS = {
     **_SAMPLE,
@@ -632,7 +643,7 @@ def _suite_contract_formula(params, rec: _Recorder):
 
 
 # max_n stops at 8: the second summand takes its labels from "pqrstuvw"
-@_suite(_CORPUS, count=Param(250), max_n=Param(4, 0, 8))
+@_suite(_CORPUS, count=_SAMPLE["count"]._replace(default=250), max_n=Param(4, 0, 8))
 def _suite_direct_sum_dual(params, rec: _Recorder):
     max_n, lo, hi = params["max_n"], params["lo"], params["hi"]
     rng = _seeded(params["seed"], params["count"], max_n, lo, hi)
@@ -894,30 +905,22 @@ def _monotone_corpus(params):
 
 @_suite(_MONOTONE)
 def _suite_nullity_monotone(params, rec: _Recorder):
-    # built once per size in this run, and let go when it returns
-    nested_pairs = lru_cache(maxsize=None)(_nested_pairs)
     for desc, g in _monotone_corpus(params):
         # three independent readings: no jump step of r, no decreasing step
         # of the nullity |A| - r(A), and no pair A <= B stretched past |B - A|
+        # (no nullity below a subset's); both corpora keep nullities in 0..n
+        nullities = bytes(map(sub, popcounts(g.n), g.values))
         (jump,) = step_sets(g.n, g._kernel_view(), JUMP)
         unit = not any(jump)
-        (drop,) = step_sets(g.n, tuple(map(sub, popcounts(g.n), g.values)), DECREASE)
+        (drop,) = step_sets(g.n, nullities, DECREASE)
         nullity = not any(drop)
-        stretch = all(
-            g.values[b] - g.values[a] <= (b & ~a).bit_count()
-            for a, b in nested_pairs(g.n)
-        )
+        stretch = subset_max(g.n, nullities) == nullities
         rec.check(
             unit == nullity == stretch,
             desc,
             "unit rank increase iff monotone nullity (iff bounded stretch)",
             lambda: f"unit={unit} nullity={nullity} stretch={stretch}",
         )
-
-
-def _nested_pairs(n: int):
-    size = 1 << n
-    return tuple((a, b) for b in range(size) for a in range(size) if a & b == a)
 
 
 @_suite(_MONOTONE)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from rankdual import (
     DemiTriple,
     EnumSpec,
+    GroundSet,
     GroundSetError,
     check_antimatroid,
     check_demimatroid_characterization,
@@ -184,6 +185,16 @@ def test_feasible_family_holds_exactly_the_sets_of_full_rank(seed, ranks):
 def test_induced_rank_table_round_trip(demo_table):
     family = FeasibleFamily.from_table(demo_table)
     assert family.induced_rank_table() == demo_table
+
+
+@given(st.integers(0, 6).flatmap(
+    lambda n: st.tuples(st.just(n), st.frozensets(st.integers(0, (1 << n) - 1)))))
+def test_induced_rank_table_is_the_largest_member_below_each_set(case):
+    # any family, with or without the empty set
+    n, members = case
+    family = FeasibleFamily(GroundSet(tuple("abcdef"[:n])), members)
+    expected = [max((f.bit_count() for f in members if f & a == f), default=0) for a in range(1 << n)]
+    assert family.induced_rank_table().values == tuple(expected)
 
 
 # --- antimatroid ------------------------------------------------------------

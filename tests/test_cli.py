@@ -20,6 +20,7 @@ from rankdual import (
     dual,
     dump_rank_table,
     parse_document,
+    uniform_matroid,
 )
 from rankdual import cli, verify
 from rankdual.cli import run_command
@@ -213,6 +214,31 @@ def test_python_dash_m_rankdual_runs_the_cli():
     )
     assert package.returncode == module.returncode == 0, package.stderr
     assert package.stdout == module.stdout == "count: 5\n"
+
+
+def test_running_out_of_memory_is_exit_2_without_a_traceback(tmp_path):
+    resource = pytest.importorskip("resource")
+    # within a 60 MB address space the CLI starts and reads the n = 10
+    # document (128 kB), but runs out of memory decoding the n = 16 one
+    # (11 MB); both fit in about 100 MB
+    limit = 60 << 20
+
+    def capped():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    runs = {}
+    for n in (10, 16):
+        path = tmp_path / f"uniform{n}.json"
+        path.write_text(dump_rank_table(uniform_matroid([f"e{i}" for i in range(n)], n // 2)))
+        runs[n] = subprocess.run(
+            [sys.executable, "-m", "rankdual", "tutte", "--in", str(path)],
+            capture_output=True, text=True, env=env, preexec_fn=capped, timeout=60,
+        )
+    assert runs[10].returncode == 0, runs[10].stderr
+    assert (runs[16].returncode, runs[16].stdout) == (2, "")
+    assert runs[16].stderr == "error: out of memory running tutte\n"
 
 
 def test_verify_help_lists_every_declared_param(capsys):
@@ -414,6 +440,8 @@ def test_verify_params_reject_a_leading_bare_piece(capsys, raw):
         ("involution", "fail_fast=-1", "fail_fast = -1 out of range (0 to 1)"),
         ("pruning_goldens", "max_failures=0", "max_failures = 0 out of range (1 or more)"),
         ("exchange", "max_failures=-1", "max_failures = -1 out of range (1 or more)"),
+        ("involution", "count=100001", "count = 100001 out of range (at most 100000)"),
+        ("direct_sum_dual", "count=100001", "count = 100001 out of range (at most 100000)"),
     ],
 )
 def test_verify_rejects_params_out_of_range(capsys, monkeypatch, suite, params, message):
@@ -437,6 +465,8 @@ def test_verify_rejects_params_out_of_range(capsys, monkeypatch, suite, params, 
         ("closure_dual_rank", "max_tree_edges=12"),
         ("branching_goldens", "fail_fast=0,max_failures=1"),
         ("involution", "fail_fast=1,max_failures=1000000"),
+        ("involution", "count=100000"),
+        ("direct_sum_dual", "count=100000"),
     ],
 )
 def test_verify_accepts_params_at_the_range_ends(capsys, monkeypatch, suite, params):

@@ -301,6 +301,22 @@ def test_member_masks_lists_the_sets_holding_each_mask(case):
     assert masks == [sum(1 << i for i, s in enumerate(sets) if s >> mask & 1) for mask in range(1 << n)]
 
 
+def _tables_of_bytes(n):
+    """2**n bytes in 0..127, among them the all-0 and all-127 tables."""
+    size = 1 << n
+    uniform = st.sampled_from([0, 127]).map(lambda b: bytes([b]) * size)
+    return st.one_of(uniform, st.binary(min_size=size, max_size=size).map(
+        lambda data: bytes(b & 127 for b in data)))
+
+
+@given(st.integers(0, 6).flatmap(lambda n: st.tuples(st.just(n), _tables_of_bytes(n))))
+def test_subset_max_takes_the_largest_byte_over_the_subsets(case):
+    n, data = case
+    size = 1 << n
+    expected = bytes(max(data[a] for a in range(size) if a & b == a) for b in range(size))
+    assert core.subset_max(n, data) == expected
+
+
 # each step relation with the plain condition on d = values[A | p] - values[A]
 STEP_RELATIONS = (
     (DECREASE, lambda d: d < 0),

@@ -358,18 +358,20 @@ def test_every_imported_name_is_used():
         assert imported <= used, (path.name, sorted(imported - used))
 
 
-def test_nullity_monotone_lets_its_nested_pairs_go_when_it_returns():
-    # the small run builds the process's one-off caches; the nested pairs of
-    # every ground up to 9 take about 2 MB while the run lasts
+def test_nullity_monotone_holds_no_per_size_structure():
+    # the small run builds the process's one-off caches; a structure kept
+    # per ground size while the run lasts, such as all nested pairs A <= B of
+    # every ground up to 9 (about 2 MB), shows in the peak
     run_suite("nullity_monotone", {"max_n": 2, "count": 20, "n": 0, "seed": 1})
     tracemalloc.start()
     try:
         result = run_suite("nullity_monotone", {"max_n": 9, "count": 20, "n": 0, "seed": 1})
-        held = tracemalloc.get_traced_memory()[0]
+        held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert result.passed
     assert held < 500_000
+    assert peak < 500_000
 
 
 def test_rooted_tree_shape_counts():
