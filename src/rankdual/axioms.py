@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import compress
-from operator import mul, ne, or_, sub
+from operator import and_, mul, ne, or_, sub
 
 from .core import (
     DECREASE,
@@ -229,9 +229,10 @@ def block_failures(n, values, blocks):
     )
 
 
-def _locally_union_closed(n, feasible) -> bool:
-    """Whether the family of the bit set ``feasible`` is accessible and
-    A, A|p, A|q feasible imply A|p|q feasible; then it is union-closed.
+def _union_failures(n, feasible, blocks=1) -> int:
+    """The blocks, of ``blocks`` tables of 2**n masks laid end to end, whose
+    family in the bit set ``feasible`` is not accessible or has A, A|p, A|q
+    feasible but A|p|q infeasible: on accessible families, not union-closed.
 
     Take feasible X, Y with X | Y infeasible and |X| + |Y| least. Neither is
     empty, so accessibility gives feasible X - x and Y - y, and minimality
@@ -239,17 +240,15 @@ def _locally_union_closed(n, feasible) -> bool:
     the family. Then x != y and neither lies in U, else X | Y would be one of
     these, and the local condition gives X | Y = U | x | y, a contradiction.
     """
-    avoid = avoid_sets(n)
-    reached = 0  # the sets B holding some p with B - p feasible
+    avoid = avoid_sets(n, blocks)
+    # the sets B empty (avoiding every element) or with some B - p feasible
+    reached = reduce(and_, avoid, (1 << (blocks << n)) - 1)
     for p, a in enumerate(avoid):
         reached |= (feasible & a) << (1 << p)
-    if feasible & ~reached & ~1:
-        return False  # a nonempty feasible set with no feasible B - p
     # up[p]: the sets A without p with A and A | p both feasible
     up = [feasible & feasible >> (1 << p) & a for p, a in enumerate(avoid)]
-    return not any(
-        up[p] & up[q] & ~(up[q] >> (1 << p)) for p in range(n) for q in range(p + 1, n)
-    )
+    squares = (up[p] & up[q] & ~(up[q] >> (1 << p)) for p in range(n) for q in range(p + 1, n))
+    return failing_blocks(n, reduce(or_, squares, feasible & ~reached), blocks)
 
 
 def _first_union_gap(members):
@@ -428,7 +427,7 @@ def check_antimatroid(g: RankTable) -> AxiomReport:
     found = (dict(greedoid.verdicts), dict(greedoid.witnesses))
     feasible = bitset(feasible_flags(g.n, g._kernel_view()))
     hit = None
-    if not _locally_union_closed(g.n, feasible):
+    if _union_failures(g.n, feasible):
         hit = _first_union_gap(FeasibleFamily.from_table(g).members)
     _record(found, "union-closed", hit, _pair_at(g.ground, ("F1", "F2")))
     return _report("antimatroid", found)

@@ -201,8 +201,9 @@ def _cmd_verify(args) -> int:
 
 
 def run_command(argv) -> int:
-    args = build_parser().parse_args(argv)
+    args = None
     try:
+        args = build_parser().parse_args(argv)
         if args.command == "dual":
             print(dump_rank_table(dual(_load_table(args.input))))
         elif args.command == "delete":
@@ -263,7 +264,8 @@ def run_command(argv) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError:
-        print(f"error: out of memory running {args.command}", file=sys.stderr)
+        step = "parsing the command line" if args is None else f"running {args.command}"
+        print(f"error: out of memory {step}", file=sys.stderr)
         return 2
 
 

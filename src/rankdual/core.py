@@ -398,19 +398,20 @@ def exceeding(n: int, values, bound: str, blocks: int = 1) -> int:
     return int(digits, 2) if b"1" in digits else 0
 
 
-def feasible_flags(n: int, values) -> bytes:
-    """Byte A is 1 iff A is feasible, values[A] = |A|; ``values`` as in
-    step_sets. A packed view is compared with the bytes |A| - low in one
-    XOR, whose zero bytes mark the feasible sets."""
+def feasible_flags(n: int, values, blocks: int = 1) -> bytes:
+    """Byte A is 1 iff A is feasible, values[A] = |A|; ``values`` and
+    ``blocks`` as in step_sets. A packed view is compared with the bytes
+    |A| - low in one XOR, whose zero bytes mark the feasible sets."""
     view = _view_of(values)
     low = view.low
     offsets = None if n - low > MAX_PACKED_SPREAD else view.offsets
+    sizes = popcounts(n) * blocks
     if offsets is None:
-        return bytes(map(eq, view.values, popcounts(n)))
-    size = 1 << n
-    sizes = popcounts(n) if low == 0 else popcounts(n).translate(_shifted(-low))
+        return bytes(map(eq, view.values, sizes))
+    if low:
+        sizes = sizes.translate(_shifted(-low))
     diff = int.from_bytes(offsets, "little") ^ int.from_bytes(sizes, "little")
-    return diff.to_bytes(size, "little").translate(_ZERO_FLAGS)
+    return diff.to_bytes(blocks << n, "little").translate(_ZERO_FLAGS)
 
 
 def first_step(n: int, sets):

@@ -6,8 +6,9 @@ table halves, filtered by the axiom verdicts), over structural censuses (all
 trees and connected rooted graphs up to a size bound), or over seeded
 random corpora. Suites are deterministic given (name, params, seed).
 
-Suites and checkers share one kernel: an exhaustive suite lays its tables
-end to end and reads one verdict per table from ``axioms.block_failures``,
+Suites and checkers share one kernel: an exhaustive suite reads packed
+corpora (tables laid end to end; one per lower half of the monotone tables,
+one per pruned class) and one verdict per table from ``block_failures``,
 built from the violation sets that give the checkers their witnesses; a
 checker runs only to word the witness of a failing table.
 """
@@ -19,13 +20,13 @@ import random
 import time
 from contextlib import suppress
 from dataclasses import dataclass
-from functools import lru_cache, partial, reduce
+from functools import lru_cache, reduce
 from operator import and_, inv, ne, neg, or_, sub
 from typing import NamedTuple
 
 from .axioms import (
     DemiTriple,
-    _locally_union_closed,
+    _union_failures,
     block_failures,
     check_demimatroid_characterization,
     check_demimatroid_triple,
@@ -45,6 +46,7 @@ from .core import (
     bitset,
     failing_blocks,
     feasible_flags,
+    member_flags,
     members_of,
     popcounts,
     step_sets,
@@ -75,17 +77,16 @@ _LABELS = "abcdefghijklmnopqrstuvwx"
 
 MAX_EXHAUSTIVE_N = 4
 
-# Caps on suite sizes. The random corpora and the rooted-graph census stop
-# at the largest size at which one run with the default counts stays within
-# about 30 s and 150 MB. Largest ground of a random corpus table: at 12,
-# each sampled suite takes at most about 0.7 s, nullity_monotone 0.4-0.5 s
-# at about 20 MB peak RSS; at 13, at most about 1.5 s and 24 MB, so 13
-# would fit. Most of nullity_monotone's time is its sampler,
-# random_monotone_tables, not the check.
+# Caps on suite sizes. Largest ground of a random corpus table: the largest
+# at which each sampled suite runs within about 1 s at the default counts.
+# In process on a 2-CPU host, the slowest (contract_formula and
+# demimatroid_characterization) take 0.7-1.05 s at 12, at about 21 MB peak
+# RSS, and 1.5-2.2 s at 13, at 24 MB.
 MAX_RANDOM_N = 12
-# Census size: root_adjacency takes about 0.2 s at 6 edges and 5-6 s at 7,
-# both at about 18 MB peak RSS, and took more than 300 s at 8 when it still
-# relaxed one graph at a time.
+# Census size: the largest at which one run with the default counts stays
+# within about 30 s and 150 MB. root_adjacency takes about 0.2 s at 6 edges
+# and 5-6 s at 7, both at about 18 MB peak RSS, and took more than 300 s at
+# 8 when it still relaxed one graph at a time.
 MAX_CENSUS_EDGES = 7
 # Tree census size: the largest at which each closure suite runs within
 # about 6 s. At 12 tree edges closure_dual_rank takes 4-6 s and
@@ -132,49 +133,51 @@ class EnumSpec:
             )
 
 
-def _join(lowers, uppers):
-    """Yield l + u for every l in ``lowers`` and u in ``uppers`` (tables of
-    one width, as bytes) with l <= u at every mask, ordered by l and then by
-    u: in lexicographic order when both lists are.
+def _join(size: int, lowers: bytes, uppers: bytes):
+    """For each table low of the corpus ``lowers`` (tables of ``size`` values
+    laid end to end, as bytes) that some up of the corpus ``uppers`` fits,
+    low <= up at every mask, yield the corpus of every low + up, by low and
+    then by up: in lexicographic order when both corpora are.
 
-    Bit i of at_least[A][v] says uppers[i][A] >= v, so the uppers that fit l
-    are the AND over A of at_least[A][l[A]]. Each row runs to the largest
-    lower value, where no upper may reach."""
-    top = max(map(max, lowers), default=0)
-    at_least = [[bitset(map(v.__le__, column)) for v in range(top + 1)] for column in zip(*uppers)]
-    everyone = (1 << len(uppers)) - 1
-    for low in lowers:
-        fits = reduce(and_, map(list.__getitem__, at_least, low), everyone)
-        yield from map(low.__add__, map(uppers.__getitem__, members_of(fits, len(uppers))))
+    Bit i of at_least[A][v] says uppers table i has a value >= v at A, so
+    the uppers that fit low are the AND over A of at_least[A][low[A]]. Each
+    row runs to the largest lower value, where no upper may reach."""
+    tables = [uppers[i : i + size] for i in range(0, len(uppers), size)]
+    top = max(lowers, default=0)
+    at_least = [[bitset(map(v.__le__, uppers[a::size])) for v in range(top + 1)] for a in range(size)]
+    everyone = (1 << len(tables)) - 1
+    for i in range(0, len(lowers), size):
+        low = lowers[i : i + size]
+        if fits := reduce(and_, map(list.__getitem__, at_least, low), everyone):
+            yield low + low.join(itertools.compress(tables, member_flags(fits, len(tables))))
 
 
 @lru_cache(maxsize=None)
-def _monotone(n: int, c: int) -> tuple[bytes, ...]:
+def _monotone(n: int, c: int) -> bytes:
     """Every monotone table f on n elements with 0 <= f(empty) and
-    f(A) <= |A| + c, as bytes in lexicographic order.
+    f(A) <= |A| + c, laid end to end in lexicographic order.
 
     A table is its half without element n - 1 followed by its half with it;
     the halves are monotone tables on n - 1 elements under the bounds c and
     c + 1, the first below the second at every mask (the recursion that
     counts monotone Boolean functions, Wiedemann, Order 8, 1991)."""
     if n == 0:
-        return tuple(bytes((v,)) for v in range(c + 1))
-    return tuple(_join(_monotone(n - 1, c), _monotone(n - 1, c + 1)))
+        return bytes(range(c + 1))
+    return b"".join(_join(1 << n - 1, _monotone(n - 1, c), _monotone(n - 1, c + 1)))
 
 
-def _enumerate_values(n: int, constraint: str):
-    """Every table of the constraint on n elements, as bytes in
-    lexicographic order. The monotone corpus streams from the join of table
-    halves, so that no corpus of every table is kept; the pruned classes
-    (greedoid, matroid, full antimatroid) are slices of one packed corpus per
-    (n, constraint), built once per process by _pruned."""
+def _corpora(n: int, constraint: str):
+    """Every table of the constraint on n elements, in lexicographic order,
+    as corpora: tables of 2**n values laid end to end, as bytes. The
+    monotone tables stream from the join of table halves, one corpus per
+    lower half (at n = 4, 209 corpora of 256 to 1,341 tables). A pruned
+    class is one corpus, built once per process by _pruned."""
     if constraint != "all-normalized-subcardinal-monotone":
-        corpus, size = _pruned(n, constraint), 1 << n
-        yield from (corpus[i : i + size] for i in range(0, len(corpus), size))
+        yield _pruned(n, constraint)
     elif n == 0:
         yield b"\0"  # the one normalized table
     else:
-        yield from _join(_monotone(n - 1, 0), _monotone(n - 1, 1))
+        yield from _join(1 << n - 1, _monotone(n - 1, 0), _monotone(n - 1, 1))
 
 
 # The block_failures verdict that keeps a greedoid or a matroid. Deletion
@@ -186,35 +189,29 @@ _VERDICT = {"greedoid": 0, "matroid": 1}
 @lru_cache(maxsize=None)
 def _pruned(n: int, constraint: str) -> bytes:
     """Every table of a pruned constraint on n elements, laid end to end in
-    lexicographic order: the class on n - 1 elements joined to the upper
-    halves, kept where ``axioms.block_failures`` passes it. A full
-    antimatroid is a full greedoid whose feasible sets are union-closed. The
-    largest, the 3,012 greedoids on 4 elements, takes 48 kB."""
+    lexicographic order: the tables of the parent corpora that the class's
+    block verdict keeps. A greedoid's or a matroid's parents are the class
+    on n - 1 elements joined to the upper halves, one corpus per lower half.
+    A full antimatroid's parent is the corpus of the greedoids. The largest
+    class, the 3,012 greedoids on 4 elements, takes 48 kB."""
     if n == 0:
         return b"\0"  # the one normalized table, in every class
     if constraint == "full-antimatroid":
-        # the greedoid verdict holds, so the local union test is exact
-        full = (v for v in _enumerate_values(n, "greedoid") if v[-1] == n)
-        return b"".join(v for v in full if _locally_union_closed(n, bitset(feasible_flags(n, v))))
+        parents = [_pruned(n, "greedoid")]
+    else:
+        parents = _join(1 << n - 1, _pruned(n - 1, constraint), _monotone(n - 1, 1))
     kept = []
-    joined = _join(list(_enumerate_values(n - 1, constraint)), _monotone(n - 1, 1))
-    for corpus in _corpora(joined):
+    for corpus in parents:
         count = len(corpus) >> n
-        failing = block_failures(n, corpus, count)[_VERDICT[constraint]]
+        if constraint == "full-antimatroid":
+            # a full greedoid has r(S) = n, the last value of its block, and
+            # an accessible family, on which the local union test is exact
+            failing = bitset(map(n.__ne__, corpus[(1 << n) - 1 :: 1 << n]))
+            failing |= _union_failures(n, bitset(feasible_flags(n, corpus, count)), count)
+        else:
+            failing = block_failures(n, corpus, count)[_VERDICT[constraint]]
         kept += (corpus[b << n : (b + 1) << n] for b in members_of(~failing, count))
     return b"".join(kept)
-
-
-# Tables per packed corpus: enough for the passes over a corpus to pay off,
-# and few enough that the corpus and its bit sets stay small (building the
-# n = 4 greedoids holds 0.2 MB of them at 1,024 tables, 0.7 MB at 4,096).
-_CORPUS_TABLES = 1024
-
-
-def _corpora(tables):
-    """The stream of tables (bytes) laid end to end, _CORPUS_TABLES at a time."""
-    while corpus := b"".join(itertools.islice(tables, _CORPUS_TABLES)):
-        yield corpus
 
 
 def enumerate_tables(spec: EnumSpec):
@@ -222,9 +219,11 @@ def enumerate_tables(spec: EnumSpec):
     constraint, exactly once, in deterministic order."""
     ground = GroundSet(tuple(_LABELS[: spec.n]))
     # the join yields 2**n values in 0..n, and EnumSpec bounds n, so the
-    # tables skip the checked constructor
-    tables = map(tuple, _enumerate_values(spec.n, spec.constraint))
-    yield from map(partial(RankTable._trusted, ground), tables)
+    # tables skip the checked constructor; 2**n references to one iterator,
+    # zipped, cut a corpus into tables
+    for corpus in _corpora(spec.n, spec.constraint):
+        tables = zip(*[iter(corpus)] * (1 << spec.n))
+        yield from map(RankTable._trusted, itertools.repeat(ground), tables)
 
 
 def _enumerated(max_n: int, constraint: str):
@@ -235,10 +234,9 @@ def _enumerated(max_n: int, constraint: str):
 
 def _packed_corpora(max_n: int, constraint: str):
     """(n, corpus, count) for every table of the constraint on 0 to max_n
-    elements, by size: count tables of 2**n values laid end to end, at most
-    _CORPUS_TABLES of them."""
+    elements, by size: the corpora of _corpora, each of count tables."""
     for n in range(max_n + 1):
-        for corpus in _corpora(_enumerate_values(n, constraint)):
+        for corpus in _corpora(n, constraint):
             yield n, corpus, len(corpus) >> n
 
 

@@ -35,7 +35,7 @@ from rankdual import (
 from rankdual.axioms import block_failures
 from rankdual.core import DECREASE, JUMP, GroundSet, step_sets
 from rankdual.ops import _dual_values
-from rankdual.verify import _enumerate_values
+from rankdual.verify import _corpora
 
 SEED = 20260810
 CORPUS_COUNT = 1000
@@ -153,13 +153,14 @@ def test_criterion_07_greedoid_intersection_exhaustive():
     checked = 0
     ok = True
     for n in range(5):
-        tables = list(map(tuple, _enumerate_values(n, "all-normalized-subcardinal-monotone")))
-        checked += len(tables)
-        # the sets of tables failing each class, one bit per table
-        greedoid, matroid, _ = block_failures(n, [x for v in tables for x in v], len(tables))
-        duals = [x for v in tables for x in _dual_values(v, n)]
-        dual_greedoid, _, _ = block_failures(n, duals, len(tables))
-        ok = ok and (greedoid | dual_greedoid) == matroid
+        for corpus in _corpora(n, "all-normalized-subcardinal-monotone"):
+            count = len(corpus) >> n
+            checked += count
+            # the sets of tables failing each class, one bit per table
+            greedoid, matroid, _ = block_failures(n, corpus, count)
+            duals = [x for b in range(count) for x in _dual_values(corpus[b << n : (b + 1) << n], n)]
+            dual_greedoid, _, _ = block_failures(n, duals, count)
+            ok = ok and (greedoid | dual_greedoid) == matroid
     elapsed = time.perf_counter() - start
     ok = ok and checked == 1 + 2 + 9 + 209 + 134602 and elapsed < 300.0
     report(7, "greedoid-intersection", ok, f"{checked} tables, actual runtime {elapsed:.2f}s")

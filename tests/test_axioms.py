@@ -26,7 +26,7 @@ from rankdual import (
 from rankdual.axioms import FeasibleFamily, block_failures
 from rankdual.core import DECREASE, JUMP, popcounts, step_sets
 from rankdual.ops import _dual_values
-from rankdual.verify import _enumerate_values
+from rankdual.verify import _corpora
 
 from conftest import make_table
 
@@ -347,11 +347,12 @@ def test_fast_predicates_match_checkers_on_sampled_enumeration():
 
 
 def test_block_failures_select_the_enumerated_greedoids_and_matroids():
-    tables = list(map(tuple, _enumerate_values(4, "all-normalized-subcardinal-monotone")))
-    greedoid, matroid, _ = block_failures(4, [v for t in tables for v in t], len(tables))
+    corpus = b"".join(_corpora(4, "all-normalized-subcardinal-monotone"))
+    count = len(corpus) >> 4
+    greedoid, matroid, _ = block_failures(4, corpus, count)
     for failing, constraint in ((greedoid, "greedoid"), (matroid, "matroid")):
-        passing = [t for b, t in enumerate(tables) if not failing >> b & 1]
-        assert passing == list(map(tuple, _enumerate_values(4, constraint)))
+        passing = b"".join(corpus[b << 4 : (b + 1) << 4] for b in range(count) if not failing >> b & 1)
+        assert [passing] == list(_corpora(4, constraint))
 
 
 def test_matroid_iff_greedoid_and_starred_axioms():

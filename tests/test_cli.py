@@ -241,6 +241,16 @@ def test_running_out_of_memory_is_exit_2_without_a_traceback(tmp_path):
     assert runs[16].stderr == "error: out of memory running tutte\n"
 
 
+def test_running_out_of_memory_while_parsing_is_exit_2(monkeypatch, capsys):
+    def exhausted():
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "build_parser", exhausted)
+    assert run_command(["tutte", "--in", "table.json"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: out of memory parsing the command line\n"
+
+
 def test_verify_help_lists_every_declared_param(capsys):
     with pytest.raises(SystemExit) as exc:
         run_command(["verify", "--help"])

@@ -381,6 +381,11 @@ def test_feasible_flags_mark_the_sets_of_rank_their_size(case):
     assert feasible_flags(n, table_from_values(GroundSet(tuple("abcdef"[:n])), values)._kernel_view()) == want
     if min(values) >= 0:
         assert feasible_flags(n, bytes(values)) == want
+    # the same table in k blocks, packed or not as the single table is
+    for k in (1, 2, 3):
+        assert feasible_flags(n, values * k, k) == want * k
+        if min(values) >= 0:
+            assert feasible_flags(n, bytes(values) * k, k) == want * k
 
 
 @settings(max_examples=150, deadline=None)

@@ -6,7 +6,7 @@ import random
 from operator import eq
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rankdual import (
@@ -27,7 +27,7 @@ from rankdual import (
     table_from_values,
     validate,
 )
-from rankdual.axioms import FeasibleFamily, _locally_union_closed
+from rankdual.axioms import FeasibleFamily, _union_failures
 from rankdual.core import MAX_PACKED_SPREAD, MAX_RANK_MAGNITUDE, bitset, popcounts
 from rankdual.ops import PACKED_PASS_SIZE, _dual_values, _packed_dual
 
@@ -248,11 +248,13 @@ def test_union_closed_needs_an_accessible_family():
 
 
 @st.composite
-def feasible_families(draw):
-    """A table whose feasible sets {A : r(A) = |A|} are an arbitrary family,
-    an accessible one grown one element at a time, or the union-closure of
-    one; the other ranks are off by -3..3."""
-    n = draw(st.integers(0, 6))
+def feasible_families(draw, n=None):
+    """A table on n elements (0..6 when not given) whose feasible sets
+    {A : r(A) = |A|} are an arbitrary family, an accessible one grown one
+    element at a time, or the union-closure of one; the other ranks are off
+    by -3..3."""
+    if n is None:
+        n = draw(st.integers(0, 6))
     size = 1 << n
     kind = draw(st.sampled_from(("any", "accessible", "union-closed")))
     if kind == "any" or n == 0:
@@ -292,10 +294,18 @@ def accessible(g) -> bool:
     )
 
 
+def _feasible(tables):
+    """The feasible sets of tables of one size laid end to end, as a bit set."""
+    return bitset(map(eq, [v for g in tables for v in g.values], popcounts(tables[0].n) * len(tables)))
+
+
 @settings(max_examples=300, deadline=None)
-@given(feasible_families())
-def test_local_union_verdict_matches_the_pairwise_scan_on_accessible_families(g):
-    local = _locally_union_closed(g.n, bitset(map(eq, g.values, popcounts(g.n))))
+@given(st.integers(0, 6).flatmap(lambda n: st.lists(feasible_families(n), min_size=1, max_size=4)))
+@example([table([0]), table([1]), table([0])])  # n = 0, with and without the empty set
+@example([table([0, 1, 1, 2]), table([1, 1, 1, 2])])  # the second without the empty set
+def test_local_union_verdict_matches_the_pairwise_scan_on_accessible_families(tables):
+    g = tables[0]
+    local = not _union_failures(g.n, _feasible([g]))
     pairwise = pairwise_union_closed(g.values, g.n)
     # the local test also requires accessibility: exact on accessible
     # families, and only sufficient on any other
@@ -303,3 +313,6 @@ def test_local_union_verdict_matches_the_pairwise_scan_on_accessible_families(g)
         assert local == pairwise
     else:
         assert not local or pairwise
+    # laid end to end, block b fails as family b does alone
+    alone = bitset(bool(_union_failures(t.n, _feasible([t]))) for t in tables)
+    assert _union_failures(g.n, _feasible(tables), len(tables)) == alone

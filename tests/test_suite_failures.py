@@ -652,20 +652,37 @@ def test_fail_fast_counts_the_tables_up_to_the_first_failure(monkeypatch):
     ]
 
 
+def _split_corpora(monkeypatch, tables):
+    """Make ``verify._corpora`` yield each corpus in pieces of ``tables``
+    tables, so that corpus boundaries fall elsewhere."""
+    corpora = verify._corpora
+
+    def split(n, constraint):
+        step = tables << n
+        for corpus in corpora(n, constraint):
+            yield from (corpus[i : i + step] for i in range(0, len(corpus), step))
+
+    monkeypatch.setattr(verify, "_corpora", split)
+
+
 def test_the_chunk_size_changes_no_intersection_report(monkeypatch):
     def reports():
         runs = ({"n": 3, "max_failures": 3}, {"n": 3}, {"n": 3, "fail_fast": True})
         return [run_suite("greedoid_intersection", params).to_report() for params in runs]
 
     _only_n3_fails(monkeypatch)
-    default_chunks = reports()
-    # at 5 tables a chunk, the runs cross chunk boundaries at n = 2 and n = 3,
-    # and the 16 failures of the full run fall in several chunks
-    monkeypatch.setattr(verify, "_CORPUS_TABLES", 5)
-    assert reports() == default_chunks
-    assert "\ninstances: 13\n" in default_chunks[2]
-    _patch(monkeypatch, _scenarios()["greedoid_intersection"][1])
-    assert failing_reports("greedoid_intersection") == EXPECTED["greedoid_intersection"]
+    whole_corpora = reports()
+    assert "\ninstances: 13\n" in whole_corpora[2]
+    monkeypatch.undo()
+    # in pieces of 5 or 1 tables, the runs cross corpus boundaries at n = 2
+    # and n = 3, and the 16 failures of the full run fall in several pieces
+    for tables in (5, 1):
+        _split_corpora(monkeypatch, tables)
+        _only_n3_fails(monkeypatch)
+        assert reports() == whole_corpora
+        _patch(monkeypatch, _scenarios()["greedoid_intersection"][1])
+        assert failing_reports("greedoid_intersection") == EXPECTED["greedoid_intersection"]
+        monkeypatch.undo()
 
 
 @pytest.mark.parametrize("name", ["dual_greedoid_axioms", "full_dual_nonpositive"])
@@ -676,16 +693,17 @@ def test_the_chunk_size_changes_no_greedoid_corpus_report(monkeypatch, name):
 
     passing = reports(4)
     _patch(monkeypatch, _scenarios()[name][1])
-    default_chunks = reports(3)
-    # at 5 tables a chunk, the n = 3 and n = 4 greedoids fall in many chunks;
-    # at 1, many chunks hold no full greedoid
-    for tables in (5, 1):
-        monkeypatch.setattr(verify, "_CORPUS_TABLES", tables)
-        assert reports(3) == default_chunks
-        assert failing_reports(name) == EXPECTED[name]
+    whole_corpora = reports(3)
     monkeypatch.undo()
-    monkeypatch.setattr(verify, "_CORPUS_TABLES", 5)
-    assert reports(4) == passing
+    # in pieces of 5 tables, the n = 3 and n = 4 greedoids fall in many
+    # pieces; in pieces of 1, many pieces hold no full greedoid
+    for tables in (5, 1):
+        _split_corpora(monkeypatch, tables)
+        assert reports(4) == passing
+        _patch(monkeypatch, _scenarios()[name][1])
+        assert reports(3) == whole_corpora
+        assert failing_reports(name) == EXPECTED[name]
+        monkeypatch.undo()
 
 
 def _one_dual_wrong(target):
@@ -705,21 +723,25 @@ def _one_dual_wrong(target):
 
 def test_fail_fast_counts_the_greedoids_up_to_one_past_the_first_chunk(monkeypatch):
     # the greedoids one table at a time, and a full one among the n = 4
-    # greedoids past their first chunk
+    # greedoids past their first piece of 5 tables
     greedoids = [g.values for g in verify._enumerated(4, "greedoid")]
     first_n4 = next(i for i, values in enumerate(greedoids) if len(values) == 16)
-    i = next(i for i in range(first_n4 + verify._CORPUS_TABLES, len(greedoids)) if greedoids[i][-1] == 4)
+    i = next(i for i in range(first_n4 + 5, len(greedoids)) if greedoids[i][-1] == 4)
     full_through_i = sum(values[-1] == len(values).bit_length() - 1 for values in greedoids[: i + 1])
     monkeypatch.setattr(verify, "_packed_dual", _one_dual_wrong(bytes(greedoids[i])))
-    for name, instances, instance in (
-        ("dual_greedoid_axioms", i + 1, f"greedoid[{i}] n=4 values={greedoids[i]}"),
-        ("full_dual_nonpositive", full_through_i, f"full-greedoid[{i}] n=4 values={greedoids[i]}"),
-    ):
-        fast = run_suite(name, {"n": 4, "fail_fast": True})
-        full = run_suite(name, {"n": 4})
-        assert fast.instances_checked == instances < full.instances_checked
-        assert [failure[0] for failure in fast.failures] == [instance]
-        assert full.failures == fast.failures
+    # whole corpora, then each in pieces of 5 tables, then those in pieces of 1
+    for tables in (None, 5, 1):
+        if tables:
+            _split_corpora(monkeypatch, tables)
+        for name, instances, instance in (
+            ("dual_greedoid_axioms", i + 1, f"greedoid[{i}] n=4 values={greedoids[i]}"),
+            ("full_dual_nonpositive", full_through_i, f"full-greedoid[{i}] n=4 values={greedoids[i]}"),
+        ):
+            fast = run_suite(name, {"n": 4, "fail_fast": True})
+            full = run_suite(name, {"n": 4})
+            assert fast.instances_checked == instances < full.instances_checked
+            assert [failure[0] for failure in fast.failures] == [instance]
+            assert full.failures == fast.failures
 
 
 def _middle_of_a_batch():

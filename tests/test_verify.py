@@ -41,6 +41,7 @@ from rankdual.verify import (
     Suite,
     _Abort,
     _Recorder,
+    _corpora,
     _join,
     _monotone,
     _pruned,
@@ -125,7 +126,14 @@ def _halves(width, top):
 def test_join_keeps_the_pointwise_ordered_pairs_in_order(halves):
     lowers, uppers = halves
     want = [low + up for low in lowers for up in uppers if all(map(le, low, up))]
-    assert list(_join(lowers, uppers)) == want
+    width = len((lowers + uppers)[0]) if lowers + uppers else 1
+    corpora = list(_join(width, b"".join(lowers), b"".join(uppers)))
+    assert b"".join(corpora) == b"".join(want)
+    # one corpus for each lower half that some upper fits, holding its tables
+    fitted = [low for low in lowers if any(all(map(le, low, up)) for up in uppers)]
+    assert len(corpora) == len(fitted)
+    for low, corpus in zip(fitted, corpora):
+        assert corpus == b"".join(low + up for up in uppers if all(map(le, low, up)))
 
 
 @pytest.mark.parametrize("n", range(3))
@@ -138,7 +146,20 @@ def test_monotone_tables_are_every_bounded_monotone_table(n, c):
         if all(v[m] <= m.bit_count() + c for m in range(size))
         and all(v[a] <= v[b] for a in range(size) for b in range(size) if a & b == a)
     ]
-    assert list(_monotone(n, c)) == want
+    assert _monotone(n, c) == b"".join(want)
+
+
+def test_each_corpus_of_the_stream_stays_small():
+    # a monotone corpus holds the tables of one lower half: at most one per
+    # upper half
+    bound = len(_monotone(3, 1)) >> 3
+    assert bound == 1341
+    sizes = [len(corpus) >> 4 for corpus in _corpora(4, "all-normalized-subcardinal-monotone")]
+    assert len(sizes) == 209 and sum(sizes) == 134602
+    assert min(sizes) == 256 and max(sizes) == bound
+    # a pruned class is one corpus
+    for constraint in CONSTRAINTS[1:]:
+        assert [len(corpus) >> 4 for corpus in _corpora(4, constraint)] == [len(_pruned(4, constraint)) >> 4]
 
 
 def test_full_antimatroid_enumeration_matches_filter():
