@@ -62,7 +62,6 @@ from .core import (
     popcounts,
     step_sets,
     subset_max,
-    table_from_values,
 )
 from .ops import _dual_values
 
@@ -132,7 +131,9 @@ class FeasibleFamily:
         """
         n = self.ground.n
         sizes = map(mul, popcounts(n), map(self.members.__contains__, range(1 << n)))
-        return table_from_values(self.ground, subset_max(n, bytes(sizes)))
+        ranks = subset_max(n, bytes(sizes))
+        # the table is monotone, so largest at the full set
+        return RankTable._from_bytes(self.ground, ranks, ranks[-1])
 
 
 @dataclass(frozen=True)

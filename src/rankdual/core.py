@@ -78,8 +78,10 @@ def masks_by_cardinality(n: int) -> tuple[int, ...]:
 # table is packed at most once, on the first read that needs the bytes. The
 # checked RankTable constructor makes a table's view from the min and max
 # its checks take, a table built with RankTable._trusted makes it on its
-# first kernel read, and ops._packed_dual makes the duals' view, bytes and
-# all, in the dual pass. Corpora of ASCII bytes are their own bytes.
+# first kernel read, and ops._packed_dual and the structure constructors
+# make theirs, bytes and all, from the bytes they computed. Corpora of ASCII
+# bytes are their own bytes. A view of at least PACKED_PASS_SIZE values
+# also keeps the step sets of each relation once step_sets has scanned it.
 # ---------------------------------------------------------------------------
 
 _DIGITS = bytes.maketrans(b"\0\1", b"01")
@@ -240,15 +242,22 @@ JUMP = _step_relation((1).__lt__)  # d > 1
 # Largest spread high - low of a packed view; see TableView and step_sets.
 MAX_PACKED_SPREAD = 127
 
+# Fewest values for which a view keeps its step sets, and for which dual,
+# the minors and the two polynomials read a table's packed bytes: below
+# about 2**8, the fixed steps of a packed pass cost more than the per-value
+# path and the checked build, and a kept set more than a new scan.
+PACKED_PASS_SIZE = 256
+
 
 class TableView:
     """A value sequence as the kernel reads it (see the comment at the top of
     the kernel): ``low`` = min(min(values), 0), ``high`` = max(values) (the
     ASCII bound 127 for a corpus of ASCII bytes), and ``offsets``, the bytes
     v - low, one per value, or None when high - low > MAX_PACKED_SPREAD.
-    The offsets are packed on their first read, unless given."""
+    The offsets are packed on their first read, unless given. ``_steps``,
+    set by step_sets, maps each relation it has scanned to its step sets."""
 
-    __slots__ = ("values", "low", "high", "_offsets")
+    __slots__ = ("values", "low", "high", "_offsets", "_steps")
 
     def __init__(self, values, low: int, high: int, offsets=None):
         self.values, self.low, self.high = values, low if low < 0 else 0, high
@@ -300,10 +309,31 @@ def step_sets(n: int, values, *relations: StepRelation, blocks: int = 1) -> list
     """Entry i, p is the set of masks A without bit p whose step
     d = values[A | 1 << p] - values[A] satisfies relations[i].
 
+    ``values`` is a table's view (see TableView) or raw values. A view of
+    one table of at least PACKED_PASS_SIZE values keeps the sets of every
+    relation it is asked for, so each relation of a table is scanned once:
+    a later call scans only the relations not kept yet, and every call
+    returns new lists.
+    """
+    view = _view_of(values)
+    if blocks != 1 or 1 << n < PACKED_PASS_SIZE:
+        return _scan_steps(n, view, relations, blocks)
+    try:
+        kept = view._steps
+    except AttributeError:
+        kept = view._steps = {}
+    missing = [relation for relation in relations if relation not in kept]
+    if missing:
+        kept.update(zip(missing, _scan_steps(n, view, missing, 1)))
+    return [list(kept[relation]) for relation in relations]
+
+
+def _scan_steps(n: int, view: TableView, relations, blocks: int) -> list[list[int]]:
+    """``step_sets`` of a view, scanned anew.
+
     Each element's steps are computed once and shared by all the relations.
-    ``values`` is a table's view (see TableView) or raw values. When the view
-    has offsets, the bytes v - low, one per mask, are read as the int X. For
-    element p,
+    When the view has offsets, the bytes v - low, one per mask, are read as
+    the int X. For element p,
     D = (X >> 8 * 2**p) + 0x8080...80 - X then holds d + 128 in
     byte A: every byte of the sum is in 128..255 and every byte of X in
     0..127, so nothing carries or borrows across bytes. Each relation is one
@@ -317,7 +347,6 @@ def step_sets(n: int, values, *relations: StepRelation, blocks: int = 1) -> list
     """
     found = [[] for _ in relations]
     width = blocks << n
-    view = _view_of(values)
     values, offsets = view.values, view.offsets
     if offsets is not None:
         packed = int.from_bytes(offsets, "little")
@@ -583,7 +612,8 @@ class RankTable(_KernelViewSlot):
 
     A table also keeps the view that the bit-set kernel reads (see
     TableView), made at most once per table: by the checked constructor,
-    by ``ops.dual``, or on the first kernel read of a ``_trusted`` table.
+    by ``ops.dual``, the minors and the structure constructors, or on the
+    first kernel read of a ``_trusted`` table.
     It is no field: equality, hashing, ``repr`` and pickling ignore it, and
     a copy makes its own on its first read.
     """
@@ -630,6 +660,13 @@ class RankTable(_KernelViewSlot):
         table = cls._trusted(ground, view.values)
         object.__setattr__(table, "_view", view)
         return table
+
+    @classmethod
+    def _from_bytes(cls, ground: GroundSet, ranks: bytes, high: int) -> RankTable:
+        """A ``_trusted`` table of ranks computed as bytes, all in 0..high
+        with high <= MAX_PACKED_SPREAD: the bytes are their own offsets, so
+        the table takes no constructor scan and no second pack."""
+        return cls._from_view(ground, TableView(tuple(ranks), 0, high, ranks))
 
     def _kernel_view(self) -> TableView:
         """The table's view, which a ``_trusted`` table makes on its first

@@ -28,7 +28,6 @@ from .core import (
     member_flags,
     member_masks,
     popcounts,
-    table_from_values,
 )
 from .ops import _kept_ground, _select
 
@@ -238,7 +237,8 @@ def branching_greedoid(rg: RootedGraph) -> RankTable:
     _require_materializable(n)
     pairs = _edge_pairs(rg.vertices, rg.edges)
     ranks = branching_rows(n, len(rg.vertices), (pairs,), (rg.vertices.index(rg.root),))
-    return table_from_values(GroundSet(rg.edge_labels()), tuple(ranks))
+    # a monotone table is largest at the full set
+    return RankTable._from_bytes(GroundSet(rg.edge_labels()), ranks, ranks[-1])
 
 
 def root_adjacency_test(rg: RootedGraph) -> bool:
@@ -281,7 +281,7 @@ def pruning_antimatroid(t: Tree) -> RankTable:
                 contains[side[a] >> e & 1] &= has[f]
         prunable.append(has[e] & (contains[0] | contains[1]))
     ranks = member_counts(n, prunable)
-    return table_from_values(GroundSet(t.edge_labels()), tuple(ranks))
+    return RankTable._from_bytes(GroundSet(t.edge_labels()), ranks, ranks[-1])
 
 
 def _convex_flags(g: RankTable) -> bytes:
@@ -363,7 +363,7 @@ def uniform_matroid(labels, k: int) -> RankTable:
     if not 0 <= k <= ground.n:
         raise StructureError(f"uniform rank {k} out of range for {ground.n} elements")
     ranks = popcounts(ground.n).translate(bytes(min(i, k) for i in range(256)))
-    return table_from_values(ground, tuple(ranks))
+    return RankTable._from_bytes(ground, ranks, k)
 
 
 def greedoid_minor_feasible(g: RankTable, p: str, kind: str) -> FeasibleFamily:

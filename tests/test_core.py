@@ -230,7 +230,8 @@ def test_rank_table_is_slotted_and_frozen(demo_table):
 
 def test_each_table_is_packed_at_most_once(monkeypatch):
     # every reader takes the table's view: g is packed on its first read,
-    # the dual pass makes the dual's bytes, and no reader packs either again
+    # the dual pass makes the dual's bytes, the pruning table arrives with
+    # its own bytes, and no reader packs any of them again
     packs = Counter()
     pack = core._pack
 
@@ -257,7 +258,70 @@ def test_each_table_is_packed_at_most_once(monkeypatch):
                 check(table)
         check_demimatroid_triple(DemiTriple(g, d))
         convex_closure(t, t.ground.subset(["e3"]))
-    assert packs == {id(g.values): 1, id(t.values): 1}
+    assert packs == {id(g.values): 1}
+
+
+def _scan_tables():
+    """An n = 10 table with nonnegative ranks, its dual, whose ranks are
+    not, and a full antimatroid, whose convex closures re-check it."""
+    rng = random.Random(10)
+    g = make_table([f"e{i}" for i in range(10)], [0] + [rng.randint(0, 8) for _ in range(1023)])
+    t = pruning_antimatroid(Tree(tuple(f"v{i}" for i in range(11)),
+                                 tuple((f"e{i}", f"v{i}", f"v{i + 1}") for i in range(10))))
+    return g, dual(g), t
+
+
+def test_each_relation_of_a_table_is_scanned_once(monkeypatch):
+    # every checker reads the step sets its view keeps; a table below
+    # PACKED_PASS_SIZE subsets keeps none and is scanned on every call
+    scans = Counter()
+    scan = core._scan_steps
+
+    def counting(n, view, relations, blocks):
+        scans.update((id(view), relation) for relation in relations)
+        return scan(n, view, relations, blocks)
+
+    monkeypatch.setattr(core, "_scan_steps", counting)
+    g, d, t = _scan_tables()
+    small = make_table("abcd", [0, 1, 1, 2, 1, 2, 2, 2, 1, 2, 2, 3, 2, 3, 3, 3])
+    checks = (validate, dual, check_matroid, check_greedoid, check_dual_greedoid, check_antimatroid,
+              check_demimatroid_characterization)
+    for _ in range(2):
+        for table in (g, d, t, small):
+            for check in checks:
+                check(table)
+        check_demimatroid_triple(DemiTriple(g, d))
+        convex_closure(t, t.ground.subset(["e3"]))
+    views = {id(table._kernel_view()) for table in (g, d, t)}
+    assert {view for view, _ in scans} == views | {id(small._kernel_view())}
+    assert {count for (view, _), count in scans.items() if view in views} == {1}
+    assert {relation for _, relation in scans} == {DECREASE, FLAT, UNIT, JUMP}
+    assert not hasattr(small._kernel_view(), "_steps")
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(8, 9),
+    st.integers(0, 2**32),
+    st.sampled_from([(0, 8), (-3, 8), (-60, 67), (-200, 200)]),
+    st.lists(st.lists(st.sampled_from((DECREASE, FLAT, UNIT, JUMP)), max_size=5), max_size=6),
+    st.booleans(),
+)
+def test_kept_step_sets_match_a_new_scan(n, seed, lohi, calls, mutate):
+    # ranks packed and, past the packed spread, read by the map path; any
+    # order of calls and relations, repeats among them, and a caller that
+    # spoils the lists it was given
+    rng = random.Random(seed)
+    values = [rng.randint(*lohi) for _ in range(1 << n)]
+    view = make_table([f"e{i}" for i in range(n)], values)._kernel_view()
+    assert (view.offsets is None) == (lohi == (-200, 200))
+    for relations in calls:
+        found = step_sets(n, view, *relations)
+        assert found == step_sets(n, list(values), *relations)
+        if mutate:
+            for sets in found:
+                sets[:] = [~s for s in sets] + [0]
+    assert set(getattr(view, "_steps", {})) == {relation for relations in calls for relation in relations}
 
 
 def test_table_accepts_ranks_at_the_magnitude_bound():

@@ -1,5 +1,5 @@
 """The packed paths of the polynomials and the minors against per-mask
-definitions kept here: tables of at least ``ops.PACKED_PASS_SIZE`` subsets
+definitions kept here: tables of at least ``core.PACKED_PASS_SIZE`` subsets
 (n = 8..10) read their offsets, and wider ones their values."""
 
 import sys
@@ -22,8 +22,8 @@ from rankdual import (
     tutte_recursive,
     tutte_subset,
 )
-from rankdual.core import MAX_PACKED_SPREAD
-from rankdual.ops import PACKED_PASS_SIZE, _packed_view
+from rankdual.core import MAX_PACKED_SPREAD, PACKED_PASS_SIZE
+from rankdual.ops import _packed_view
 from rankdual.tutte import _pair_counts
 
 from test_scan_oracle import _fields, _kernel_tables, _views_of_one_table

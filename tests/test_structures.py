@@ -24,8 +24,10 @@ from rankdual import (
     greedoid_minor_feasible,
     pruning_antimatroid,
     root_adjacency_test,
+    table_from_values,
     uniform_matroid,
 )
+from rankdual.axioms import FeasibleFamily
 from rankdual.structures import _closure_table, _connected, _relax, closure_table
 from rankdual.verify import all_trees
 
@@ -188,6 +190,20 @@ def test_branching_outputs_are_greedoids():
             assert check_greedoid(table).passed
             # rooted trees give full greedoids
             assert table.full_rank == len(tree.edges)
+
+
+def test_structure_tables_keep_the_view_a_checked_build_makes():
+    # the constructors build their tables from their own bytes, unchecked:
+    # the view they give must be the one the checked constructor makes
+    tables = [uniform_matroid("abcde"[:n], k) for n in range(6) for k in range(n + 1)]
+    for tree in all_trees(4):
+        tables.append(pruning_antimatroid(Tree(tree.vertices, tree.edges)))
+        tables += [branching_greedoid(RootedGraph(tree.vertices, root, tree.edges)) for root in tree.vertices]
+    tables += [FeasibleFamily.from_table(g).induced_rank_table() for g in list(tables)]
+    for table in tables:
+        assert type(table.values) is tuple and set(map(type, table.values)) <= {int}
+        view, checked = table._kernel_view(), table_from_values(table.ground, table.values)._kernel_view()
+        assert (view.low, view.high, view.offsets) == (checked.low, checked.high, checked.offsets)
 
 
 def test_builders_reject_more_edges_than_the_materialization_cap():
