@@ -9,8 +9,10 @@ the 2**n subsets exactly once.
 from __future__ import annotations
 
 import json
+import re
 import sys
-from itertools import repeat
+from itertools import accumulate, chain, repeat
+from math import comb
 from operator import itemgetter
 
 from .core import GroundSet, RankFunctionError, RankTable, build_rank_table, by_cardinality
@@ -37,7 +39,13 @@ def _string_list(raw, what: str) -> tuple:
 
 def parse_document(text: str):
     """Parse a JSON document into ('rank-table' | 'rooted-graph' | 'tree' |
-    'uniform', object). Parse errors carry line and column positions."""
+    'uniform', object). Parse errors carry line and column positions.
+
+    A rank-table document in the writer's own layout is read without
+    json.loads (_read_layout); any other text goes through json."""
+    table = _read_layout(text)
+    if table is not None:
+        return "rank-table", table
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -182,31 +190,118 @@ def _parse_uniform(raw: dict) -> RankTable:
 # document {"kind", "ground", "ranks": [{"subset", "rank"}, ...]} with the
 # subsets in (cardinality, mask) order; it is produced here as text, because
 # json.dumps with an indent runs its pure-Python encoder once per value.
-_ENTRY = '    {{\n      "subset": [{}\n      ],\n      "rank": {}\n    }}'
-_EMPTY_ENTRY = '    {{\n      "subset": [],\n      "rank": {}\n    }}'
+# Each mask is split into a low half of low_n bits and a high half h: in
+# (cardinality, mask) order the masks of one cardinality come in runs that
+# share h, and each run lists its low halves in (cardinality, mask) order
+# over low_n bits (_runs). So every subset's text is the text of its low
+# half, read from a table of 2**low_n bodies, and that of its high half,
+# which the run's fixed piece after the body carries.
+_HEAD = '{\n  "kind": "rank-table",\n  "ground": '
+_FIRST = ',\n  "ranks": [\n    {\n      "subset": [],\n      "rank": '
+_NEXT = '\n    },\n    {\n      "subset": ['
+_RANK = '\n      ],\n      "rank": '
+_TAIL = '\n    }\n  ]\n}'
+
+
+def _runs(n: int):
+    """(low_n, low, runs): the low halves over low_n bits in (cardinality,
+    mask) order, and the runs (h, a, b) of all masks over n bits in that
+    order, each the masks h << low_n | l for l in low[a:b]."""
+    low_n = (n + 1) // 2
+    low = by_cardinality(range(1 << low_n))
+    starts = [0, *accumulate(map(comb, repeat(low_n), range(low_n + 1)))]
+    high_counts = [h.bit_count() for h in range(1 << (n - low_n))]
+    runs = [(h, starts[k - c], starts[k - c + 1])
+            for k in range(n + 1) for h, c in enumerate(high_counts) if 0 <= k - c <= low_n]
+    return low_n, low, runs
+
+
+def _items(labels) -> list[str]:
+    """Entry m is ',\\n        label' for each label of mask m, in order."""
+    items = [""]
+    for label in labels:
+        item = ",\n        " + label
+        items += list(map(str.__add__, items, repeat(item)))
+    return items
+
+
+def _rank_texts(g: RankTable) -> list[str]:
+    """The rank strings of g in mask order; a packed table reads them from
+    the strings of its low..high."""
+    view = g._kernel_view()
+    if view.offsets is None:
+        return list(map(int.__repr__, g.values))
+    return list(map(list(map(str, range(view.low, view.high + 1))).__getitem__, view.offsets))
+
+
+def _chunks(g: RankTable):
+    """The writer's text of g as lists of pieces, one list per run of
+    subsets (see _runs) after the head: a run of c subsets is the
+    interleaving of c bodies and c rank strings with fixed pieces."""
+    n = g.n
+    labels = list(map(json.dumps, g.ground.labels))
+    texts = _rank_texts(g)
+    ground = "[\n    " + ",\n    ".join(labels) + "\n  ]" if labels else "[]"
+    yield [_HEAD, ground, _FIRST, texts[0]]
+    low_n, low, runs = _runs(n)
+    bodies = [items[1:] for items in map(_items(labels[:low_n]).__getitem__, low)]
+    # with an empty low half the high half's items open the body
+    highs = [(items[1:] + _RANK, items + _RANK) for items in _items(labels[low_n:])]
+    for h, a, b in runs[1:]:  # the first run is mask 0, in the head
+        block = texts[h << low_n : (h + 1) << low_n]
+        pieces = [_NEXT, None, highs[h][a > 0], None] * (b - a)
+        pieces[1::4] = bodies[a:b]
+        pieces[3::4] = map(block.__getitem__, low[a:b])
+        yield pieces
+    yield [_TAIL]
 
 
 def dump_rank_table(g: RankTable) -> str:
     """The table as an indent-2 rank-table document, subsets listed in
     (cardinality, mask) order and labels escaped as json.dumps does."""
-    n, values = g.n, g.values
-    order = by_cardinality(range(1 << n))
-    labels = list(map(json.dumps, g.ground.labels))
-    # bodies[m] lists the labels of mask m, one per line; doubling over the
-    # labels appends label p to every mask below 1 << p
-    bodies = [""]
-    for label in labels:
-        item = "\n        " + label
-        bodies += [item, *map(str.__add__, bodies[1:], repeat("," + item))]
-    ranks = map(int.__repr__, map(values.__getitem__, order))
-    entries = list(map(_ENTRY.format, map(bodies.__getitem__, order), ranks))
-    del bodies  # not needed for the join, which holds a second copy of the text
-    ground = "[\n    " + ",\n    ".join(labels) + "\n  ]" if labels else "[]"
-    # mask 0 comes first and is the only empty subset; the document's head
-    # and tail go into the first and last entries, so one join builds it
-    entries[0] = (
-        '{\n  "kind": "rank-table",\n  "ground": ' + ground + ',\n  "ranks": [\n'
-        + _EMPTY_ENTRY.format(int.__repr__(values[0]))
-    )
-    entries[-1] += "\n  ]\n}"
-    return ",\n".join(entries)
+    return "".join(chain.from_iterable(_chunks(g)))
+
+
+def _read_layout(text: str):
+    """The table of a document in the writer's layout, or None.
+
+    Only the ground array is parsed with json; the 2**n ranks are taken by
+    one regex scan in (cardinality, mask) order and the table is built with
+    the checked constructor. It is returned only if the writer's text of
+    that table equals the input, chunk by chunk, up to trailing JSON
+    whitespace: equal text parses to equal data, so json.loads would give
+    the same table. Any failure returns None, and the caller's json path
+    reads the text again, with its own errors."""
+    if not text.startswith(_HEAD):
+        return None
+    end = text.find(_FIRST, len(_HEAD))
+    if end < 0:
+        return None
+    try:
+        ground = GroundSet(_string_list(json.loads(text[len(_HEAD) : end]), "ground"))
+        values = list(map(int, re.compile(r'"rank": (-?[0-9]+)\n').findall(text, end)))
+    except (ValueError, RecursionError, RankFunctionError):  # ValueError: bad JSON, int's digit limit
+        return None
+    if len(values) != ground.size:
+        return None
+    # values[i] is the rank of the i-th mask in (cardinality, mask) order;
+    # gather each high half's ranks in the low halves' order, then mask order
+    low_n, low, runs = _runs(ground.n)
+    blocks = [[] for _ in range(1 << (ground.n - low_n))]
+    pos = 0
+    for h, a, b in runs:
+        blocks[h] += values[pos : pos + b - a]
+        pos += b - a
+    inverse = sorted(range(len(low)), key=low.__getitem__)
+    values = tuple(chain.from_iterable(map(block.__getitem__, inverse) for block in blocks))
+    try:
+        table = RankTable(ground, values)
+    except RankFunctionError:
+        return None
+    pos = 0
+    for pieces in _chunks(table):
+        chunk = "".join(pieces)
+        if not text.startswith(chunk, pos):
+            return None
+        pos += len(chunk)
+    return table if not text[pos:].strip(" \t\n\r") else None

@@ -235,6 +235,31 @@ def _pivot_order(choose, n: int) -> list[int]:
     return order
 
 
+def _renumbered(offsets: bytes, order: list[int]) -> bytes:
+    """The offsets with old address bit order[k] moved to bit k, as
+    bytes(map(offsets.__getitem__, _expansion(...))) gives them: one delta
+    swap of the whole int per transposition of address bits, at most n - 1
+    (Knuth, TAOCP Vol. 4A, 7.1.3). The swap of bits k < p trades the byte
+    of each address with bit k set and bit p clear for the byte at that
+    address plus 2**p - 2**k."""
+    size = len(offsets)
+    x = int.from_bytes(offsets, "little")
+    at = list(range(len(order)))  # at[k]: the old address bit now at bit k
+    for k, want in enumerate(order):
+        p = at.index(want, k)
+        if p == k:
+            continue
+        lo, hi = 1 << k, 1 << p
+        # 0xff at the addresses with bit k set and bit p clear
+        period = (bytes(lo) + b"\xff" * lo) * (hi // (2 * lo)) + bytes(hi)
+        mask = int.from_bytes(period * (size // (2 * hi)), "little")
+        delta = 8 * (hi - lo)
+        t = (x ^ x >> delta) & mask
+        x ^= t | t << delta
+        at[k], at[p] = want, at[k]
+    return x.to_bytes(size, "little")
+
+
 def _packed_paths(offsets: bytes, n: int, t_root: int, z_root: int) -> tuple[bytes, bytes]:
     """The biased t and z exponents of the paths to the 2**n leaves of the
     recursion on a renumbered table's offsets O[A] = r(A) - low, as one
@@ -300,19 +325,17 @@ def tutte_recursive(g: RankTable, pivot: str | Callable[[int], int] = "lowest") 
         choose = pivot
     n = g.n
     order = _pivot_order(choose, n)
-    renumber = None if order == list(range(n)) else _expansion([1 << pos for pos in order])
+    identity = order == list(range(n))
 
     view = _packed_view(g)
     if view is not None:
-        offsets = view.offsets
-        if renumber is not None:
-            offsets = bytes(map(offsets.__getitem__, renumber))
+        offsets = view.offsets if identity else _renumbered(view.offsets, order)
         t_bias = view.high - g.full_rank
         return _pair_counts(*_packed_paths(offsets, n, t_bias, view.high), t_bias, view.high)
 
     values = g.values
-    if renumber is not None:
-        values = list(map(values.__getitem__, renumber))
+    if not identity:
+        values = list(map(values.__getitem__, _expansion([1 << pos for pos in order])))
     full = (1 << n) - 1
     ts, zs = [0], [0]
     for k in range(n):

@@ -219,8 +219,10 @@ def test_python_dash_m_rankdual_runs_the_cli():
 def test_running_out_of_memory_is_exit_2_without_a_traceback(tmp_path):
     resource = pytest.importorskip("resource")
     # within a 60 MB address space the CLI starts and reads the n = 10
-    # document (128 kB), but runs out of memory decoding the n = 16 one
-    # (11 MB); both fit in about 100 MB
+    # documents (128 kB), but runs out of memory on the n = 17 ones: the
+    # writer's layout (23 MB), which the layout reader takes, and the same
+    # table without whitespace (9 MB), which json.loads decodes; all fit in
+    # about 100 MB
     limit = 60 << 20
 
     def capped():
@@ -229,16 +231,19 @@ def test_running_out_of_memory_is_exit_2_without_a_traceback(tmp_path):
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
     runs = {}
-    for n in (10, 16):
-        path = tmp_path / f"uniform{n}.json"
-        path.write_text(dump_rank_table(uniform_matroid([f"e{i}" for i in range(n)], n // 2)))
-        runs[n] = subprocess.run(
-            [sys.executable, "-m", "rankdual", "tutte", "--in", str(path)],
-            capture_output=True, text=True, env=env, preexec_fn=capped, timeout=60,
-        )
-    assert runs[10].returncode == 0, runs[10].stderr
-    assert (runs[16].returncode, runs[16].stdout) == (2, "")
-    assert runs[16].stderr == "error: out of memory running tutte\n"
+    for n in (10, 17):
+        text = dump_rank_table(uniform_matroid([f"e{i}" for i in range(n)], n // 2))
+        for layout, doc in (("canonical", text), ("compact", "".join(text.split()))):
+            path = tmp_path / f"uniform{n}_{layout}.json"
+            path.write_text(doc)
+            runs[n, layout] = subprocess.run(
+                [sys.executable, "-m", "rankdual", "tutte", "--in", str(path)],
+                capture_output=True, text=True, env=env, preexec_fn=capped, timeout=60,
+            )
+    for layout in ("canonical", "compact"):
+        assert runs[10, layout].returncode == 0, runs[10, layout].stderr
+        assert (runs[17, layout].returncode, runs[17, layout].stdout) == (2, "")
+        assert runs[17, layout].stderr == "error: out of memory running tutte\n"
 
 
 def test_running_out_of_memory_while_parsing_is_exit_2(monkeypatch, capsys):

@@ -1,9 +1,11 @@
-"""The whole-array reader and the text writer of rank-table documents
-against the per-entry reader and the ``json.dumps`` writer of ``doc_oracle``."""
+"""The readers and the text writer of rank-table documents against the
+per-entry reader and the ``json.dumps`` writer of ``doc_oracle``, and the
+layout reader against the ``json`` path."""
 
 import json
 import random
 import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,7 @@ from rankdual import (
     branching_greedoid,
     demo_pruning_tree,
     demo_rooted_tree,
+    documents,
     dual,
     dump_rank_table,
     parse_document,
@@ -113,6 +116,64 @@ def test_dump_matches_json_dumps_on_any_labels(labels, data):
     text = dump_rank_table(table)
     assert text == oracle_dump_rank_table(table)
     assert assert_parse_matches(text) == table
+
+
+# --- the layout reader against the json path -------------------------------
+
+
+def json_path(text):
+    """parse_document with the layout reader bypassed."""
+    with mock.patch.object(documents, "_read_layout", lambda text: None):
+        return parse_document(text)
+
+
+EDITS = '0123456789- \t\n\r",:[]{}\\e\x00\u00e9\ud800'
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.lists(
+        st.one_of(st.sampled_from(ESCAPED_LABELS), st.text(st.characters(exclude_categories=()), min_size=1)),
+        max_size=5,
+        unique=True,
+    ),
+    st.data(),
+)
+def test_one_changed_character_parses_as_through_json(labels, data):
+    ranks = st.one_of(st.integers(-3, 12), st.integers(-MAX_RANK_MAGNITUDE, MAX_RANK_MAGNITUDE))
+    values = data.draw(st.lists(ranks, min_size=1 << len(labels), max_size=1 << len(labels)))
+    text = dump_rank_table(table_from_values(GroundSet(tuple(labels)), values))
+    edit = data.draw(st.sampled_from(("replace", "insert", "delete", "trailing")))
+    if edit == "trailing":
+        text += data.draw(st.text(st.sampled_from(" \t\n\r\x0b\x0c\u00a0\u3000x"), min_size=1))
+    else:
+        pos = data.draw(st.integers(0, len(text) - (edit != "insert")))
+        char = data.draw(st.one_of(st.sampled_from(EDITS), st.characters(exclude_categories=())))
+        text = text[:pos] + ("" if edit == "delete" else char) + text[pos + (edit != "insert"):]
+    assert outcome(parse_document, text) == outcome(json_path, text)
+
+
+def test_the_writers_layout_is_read_without_decoding_the_ranks(monkeypatch):
+    table = random_table(random.Random(10), 10, -3, 8)
+    text = dump_rank_table(table)
+    compact = json.dumps(json.loads(text), separators=(",", ":"))
+    decoded = []
+    loads = json.loads
+    monkeypatch.setattr(documents.json, "loads", lambda s, **kw: decoded.append(len(s)) or loads(s, **kw))
+    assert parse_document(text) == ("rank-table", table)
+    assert decoded and max(decoded) < 1024  # the ground array alone
+    decoded.clear()
+    assert parse_document(compact) == ("rank-table", table)
+    assert decoded == [len(compact)]
+
+
+def test_a_cut_layout_falls_back_to_json():
+    text = dump_rank_table(table_from_values(GroundSet(("a", "b")), [0, 1, 1, 2]))
+    # before the ground, before the first rank, and with every rank but no
+    # closing brace
+    for end in (0, len(documents._HEAD), text.index('"rank"'), len(text) - 1):
+        assert documents._read_layout(text[:end]) is None
+        assert outcome(parse_document, text[:end]) == outcome(json_path, text[:end])
 
 
 def document(table) -> dict:

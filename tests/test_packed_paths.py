@@ -23,8 +23,8 @@ from rankdual import (
     tutte_subset,
 )
 from rankdual.core import MAX_PACKED_SPREAD, PACKED_PASS_SIZE
-from rankdual.ops import _packed_view
-from rankdual.tutte import _pair_counts
+from rankdual.ops import _expansion, _packed_view
+from rankdual.tutte import _pair_counts, _pivot_order, _renumbered
 
 from test_scan_oracle import _fields, _kernel_tables, _views_of_one_table
 
@@ -135,6 +135,25 @@ def test_minors_with_several_contracted_and_deleted_elements(drawn):
     deleted = sum(1 << pos for pos, role in enumerate(roles) if role == "d")
     for g in _views_of_one_table(values):
         assert_minor_matches(g, contracted, deleted)
+
+
+def _pivot_by_priority(priority):
+    """A callable pivot: the first element of ``priority`` still remaining."""
+    return lambda remaining: next(pos for pos in priority if remaining >> pos & 1)
+
+
+@settings(max_examples=30, deadline=None)
+@given(SIZES.flatmap(lambda n: st.tuples(_kernel_tables(n).map(_normalized), st.permutations(range(n)))))
+def test_renumbering_by_delta_swaps_matches_the_expansion_map(case):
+    values, priority = case
+    n = len(priority)
+    order = _pivot_order(_pivot_by_priority(priority), n)
+    offsets = bytes(v % 256 for v in values)
+    expansion = _expansion([1 << pos for pos in order])
+    assert _renumbered(offsets, order) == bytes(map(offsets.__getitem__, expansion))
+    want = per_mask_polynomial(values)
+    for g in _views_of_one_table(values):
+        assert tutte_recursive(g, _pivot_by_priority(priority)) == want
 
 
 @pytest.mark.parametrize("spread, packed", [(MAX_PACKED_SPREAD, True), (MAX_PACKED_SPREAD + 1, False)])
