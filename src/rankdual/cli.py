@@ -1,8 +1,10 @@
 """Command-line interface.
 
 Exit codes: 0 = success (or check passed), 1 = a semantic check failed
-(witnesses printed), 2 = usage or input error. Output is deterministic for
-identical inputs and flags; suite timing is printed only with --timing.
+(witnesses printed), 2 = usage or input error. A reader that closes stdout
+early (``rankdual enumerate ... | head -1``) ends the command quietly with
+exit code 0. Output is deterministic for identical inputs and flags; suite
+timing is printed only with --timing.
 """
 
 from __future__ import annotations
@@ -204,6 +206,7 @@ def run_command(argv) -> int:
     args = None
     try:
         args = build_parser().parse_args(argv)
+        status = 0
         if args.command == "dual":
             print(dump_rank_table(dual(_load_table(args.input))))
         elif args.command == "delete":
@@ -231,13 +234,13 @@ def run_command(argv) -> int:
                 poly = tutte_recursive(table, args.pivot or "lowest")
             print(poly)
         elif args.command == "check":
-            return _cmd_check(args)
+            status = _cmd_check(args)
         elif args.command == "closure":
             table = _load_table(args.input)
             closed = convex_closure(table, table.ground.subset(_labels_arg(args.subset)))
             print(f"closure: {closed}")
         elif args.command == "feasible":
-            return _cmd_feasible(args)
+            status = _cmd_feasible(args)
         elif args.command == "build":
             if args.structure == "branching":
                 table = branching_greedoid(_load_kind(args.input, "rooted-graph"))
@@ -255,7 +258,16 @@ def run_command(argv) -> int:
                     print("ranks:", " ".join(str(v) for v in table.values))
             print(f"count: {count}")
         elif args.command == "verify":
-            return _cmd_verify(args)
+            status = _cmd_verify(args)
+        # output that fits in the buffer meets a closed pipe only here
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # the reader has gone: nothing is left to tell it, and the flush at
+        # exit writes the rest of the buffer to the null device
+        import os
+
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

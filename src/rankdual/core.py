@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 from itertools import chain, compress, count, repeat
-from operator import add, eq, gt, lshift, or_, sub
+from operator import add, and_, eq, gt, invert, lshift, or_, rshift, sub
 from typing import Callable, Iterable, Iterator, Sequence
 
 # Explicit tables hold 2**n entries; 24 keeps the worst case at 16M ints.
@@ -81,7 +81,10 @@ def masks_by_cardinality(n: int) -> tuple[int, ...]:
 # first kernel read, and ops._packed_dual and the structure constructors
 # make theirs, bytes and all, from the bytes they computed. Corpora of ASCII
 # bytes are their own bytes. A view of at least PACKED_PASS_SIZE values
-# also keeps the step sets of each relation once step_sets has scanned it.
+# also keeps, from the first step_sets call on it, the class of every step
+# in two bit planes, held as one int of 2**n bits per element (n * 2**n / 8
+# bytes in all), from which each relation of every later call is a few bit
+# operations per element.
 # ---------------------------------------------------------------------------
 
 _DIGITS = bytes.maketrans(b"\0\1", b"01")
@@ -220,32 +223,40 @@ def first_by_cardinality(n: int, members: int):
 
 # Step relations: conditions on the single-element step
 # d = values[A | 1 << p] - values[A]. Each holds a C-level predicate on d, for
-# the map path, and the translate table of the packed path, which maps the
-# byte d + 128 to the digit "1" exactly when the predicate holds.
+# the map path; the translate table of the packed path, which maps the byte
+# d + 128 to the digit "1" exactly when the predicate holds; and ``of_code``,
+# which builds the relation's sets from the two planes of the step code that
+# a large view keeps (see step_sets) by C-level maps.
+#
+# The step code holds the class of each step d in two bits: the low bit when
+# d = 0 or d > 1, the high bit when d >= 1. A decrease has neither bit, a
+# flat step the low bit alone, a unit step the high bit alone and a jump
+# both.
 
 
 @dataclass(frozen=True)
 class StepRelation:
     holds: Callable[[int], bool]
     digits: bytes
+    of_code: Callable[[Iterator[int], Iterator[int]], Iterator[int]]
 
 
-def _step_relation(holds) -> StepRelation:
-    return StepRelation(holds, bytes(b"01"[holds(byte - 128)] for byte in range(256)))
+def _step_relation(holds, of_code) -> StepRelation:
+    return StepRelation(holds, bytes(b"01"[holds(byte - 128)] for byte in range(256)), of_code)
 
 
-DECREASE = _step_relation((0).__gt__)  # d < 0
-FLAT = _step_relation((0).__eq__)  # d = 0
-UNIT = _step_relation((1).__eq__)  # d = 1
-JUMP = _step_relation((1).__lt__)  # d > 1
+DECREASE = _step_relation((0).__gt__, lambda low, high: map(invert, map(or_, low, high)))  # d < 0
+FLAT = _step_relation((0).__eq__, lambda low, high: map(and_, low, map(invert, high)))  # d = 0
+UNIT = _step_relation((1).__eq__, lambda low, high: map(and_, high, map(invert, low)))  # d = 1
+JUMP = _step_relation((1).__lt__, lambda low, high: map(and_, low, high))  # d > 1
 
 # Largest spread high - low of a packed view; see TableView and step_sets.
 MAX_PACKED_SPREAD = 127
 
-# Fewest values for which a view keeps its step sets, and for which dual,
+# Fewest values for which a view keeps its step code, and for which dual,
 # the minors and the two polynomials read a table's packed bytes: below
 # about 2**8, the fixed steps of a packed pass cost more than the per-value
-# path and the checked build, and a kept set more than a new scan.
+# path and the checked build, and a kept code more than a new scan.
 PACKED_PASS_SIZE = 256
 
 
@@ -255,7 +266,9 @@ class TableView:
     ASCII bound 127 for a corpus of ASCII bytes), and ``offsets``, the bytes
     v - low, one per value, or None when high - low > MAX_PACKED_SPREAD.
     The offsets are packed on their first read, unless given. ``_steps``,
-    set by step_sets, maps each relation it has scanned to its step sets."""
+    set by the first step_sets call on a view of at least PACKED_PASS_SIZE
+    values, is the step code of each element, both planes of it in one
+    int (see step_sets)."""
 
     __slots__ = ("values", "low", "high", "_offsets", "_steps")
 
@@ -310,26 +323,31 @@ def step_sets(n: int, values, *relations: StepRelation, blocks: int = 1) -> list
     d = values[A | 1 << p] - values[A] satisfies relations[i].
 
     ``values`` is a table's view (see TableView) or raw values. A view of
-    one table of at least PACKED_PASS_SIZE values keeps the sets of every
-    relation it is asked for, so each relation of a table is scanned once:
-    a later call scans only the relations not kept yet, and every call
-    returns new lists.
+    one table of at least PACKED_PASS_SIZE values keeps, from its first
+    call, the step code of each element p: the set of masks A without p
+    whose step has the low bit, or'ed with the set of A | p for the A whose
+    step has the high bit. One scan thus serves every relation of every
+    call, each built from the two planes by C-level bit operations as new
+    ints. Raw values, corpora (``blocks`` > 1) and smaller tables keep
+    nothing and scan only the relations asked for.
     """
-    view = _view_of(values)
-    if blocks != 1 or 1 << n < PACKED_PASS_SIZE:
-        return _scan_steps(n, view, relations, blocks)
+    if blocks != 1 or 1 << n < PACKED_PASS_SIZE or type(values) is not TableView:
+        return _scan_steps(n, _view_of(values), relations, blocks)
     try:
-        kept = view._steps
+        code = values._steps
     except AttributeError:
-        kept = view._steps = {}
-    missing = [relation for relation in relations if relation not in kept]
-    if missing:
-        kept.update(zip(missing, _scan_steps(n, view, missing, 1)))
-    return [list(kept[relation]) for relation in relations]
+        code = values._steps = _scan_steps(n, values, None, 1)
+    avoid, found = avoid_sets(n), []
+    for relation in relations:
+        # the high plane of element p is its code moved back by 2**p
+        high = map(rshift, code, map(lshift, repeat(1), range(n)))
+        found.append(list(map(and_, avoid, relation.of_code(code, high))))
+    return found
 
 
 def _scan_steps(n: int, view: TableView, relations, blocks: int) -> list[list[int]]:
-    """``step_sets`` of a view, scanned anew.
+    """``step_sets`` of a view, scanned anew; with ``relations`` None, the
+    step code of each element of one table (see step_sets and _step_code).
 
     Each element's steps are computed once and shared by all the relations.
     When the view has offsets, the bytes v - low, one per mask, are read as
@@ -345,6 +363,8 @@ def _scan_steps(n: int, view: TableView, relations, blocks: int) -> list[list[in
     bit p steps to a mask of its own block, so each set only repeats the
     masks without p once per block.
     """
+    if relations is None:
+        return _step_code(n, view)
     found = [[] for _ in relations]
     width = blocks << n
     values, offsets = view.values, view.offsets
@@ -362,6 +382,56 @@ def _scan_steps(n: int, view: TableView, relations, blocks: int) -> list[list[in
             for sets, relation in zip(found, relations):
                 sets.append(bitset(map(relation.holds, map(sub, upper, values))) & avoid)
     return found
+
+
+# 2**49 + 2**42 + ... + 2**0: times flags at bit 7 of the bytes of a 64-bit
+# word, it puts the flag of byte k at bit k of the word's top byte
+_GATHER = sum(1 << 7 * k for k in range(8))
+
+
+def _step_code(n: int, view: TableView) -> list[int]:
+    """The step code of each element of one table (see step_sets).
+
+    A packed view takes the bytes D of ``_scan_steps``, d + 128 in byte A,
+    and reads both bits of all 2**n bytes at once: bit 7 says d >= 0; with
+    bit 7 cleared and 0x7F added, bit 7 says d >= 1; and with that bit 7
+    cleared and 0x7F added again, d >= 2; nothing carries across bytes. The
+    low bits at the bytes A without p and the high bits, moved up 2**p
+    bytes, at the bytes A | p make one int, and one multiplication by
+    _GATHER moves bit 7 of the 8 bytes of each 64-bit word into its top
+    byte, every product term on a bit of its own: those top bytes are the
+    code. The map path reads the low bit as d ^ 1 > 0, with two ``map``
+    passes in C per element.
+    """
+    width, values, offsets = 1 << n, view.values, view.offsets
+    code = []
+    if offsets is None:
+        for p, avoid in enumerate(avoid_sets(n)):
+            upper = values[1 << p :]
+            low = bitset(map((0).__lt__, map((1).__xor__, map(sub, upper, values))))
+            high = bitset(map((0).__lt__, map(sub, upper, values)))
+            code.append(low & avoid | (high & avoid) << (1 << p))
+        return code
+    packed = int.from_bytes(offsets, "little")
+    sign, seven = (int.from_bytes(byte * width, "little") for byte in (b"\x80", b"\x7f"))
+    biased = sign - packed
+    for p in range(n):
+        shift = 8 << p
+        steps = (packed >> shift) + biased
+        nonnegative = steps & sign
+        steps = (steps ^ nonnegative) + seven
+        high = nonnegative & steps
+        low = nonnegative ^ high ^ (high & (steps & seven) + seven)
+        del steps, nonnegative
+        # 0xFF at the bytes of the masks without p, doubled up to width
+        avoid, period = (1 << shift) - 1, 2 << p
+        while period < width:
+            avoid |= avoid << 8 * period
+            period *= 2
+        bits = (low & avoid | (high & avoid) << shift) * _GATHER
+        del low, high, avoid
+        code.append(int.from_bytes(bits.to_bytes(width + 8, "little")[7:width:8], "little"))
+    return code
 
 
 def subset_max(n: int, data: bytes) -> bytes:

@@ -216,6 +216,32 @@ def test_python_dash_m_rankdual_runs_the_cli():
     assert package.stdout == module.stdout == "count: 5\n"
 
 
+@pytest.mark.parametrize(
+    "argv, lines",
+    [
+        # 117 kB of output, more than the pipe and the child's buffer hold
+        (["enumerate", "--n", "4", "--constraint", "greedoid"], 1),
+        # output that the child's buffer holds until its last flush
+        (["dual", "--in", "fixtures/branching_demo_table.json"], 0),
+    ],
+)
+def test_a_closed_stdout_ends_the_command_quietly(argv, lines):
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src") + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    child = subprocess.Popen([sys.executable, "-m", "rankdual", *argv], cwd=root, env=env,
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    for _ in range(lines):
+        assert child.stdout.readline().startswith(b"ranks: ")
+    child.stdout.close()
+    try:
+        stderr = child.stderr.read()
+        assert child.wait(timeout=60) == 0
+    finally:
+        child.kill()
+        child.stderr.close()
+    assert stderr == b""
+
+
 def test_running_out_of_memory_is_exit_2_without_a_traceback(tmp_path):
     resource = pytest.importorskip("resource")
     # within a 60 MB address space the CLI starts and reads the n = 10

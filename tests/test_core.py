@@ -25,7 +25,7 @@ from rankdual import (
     table_from_values,
     validate,
 )
-from rankdual import core
+from rankdual import axioms, core
 from rankdual.core import (
     DECREASE,
     FLAT,
@@ -271,17 +271,24 @@ def _scan_tables():
     return g, dual(g), t
 
 
-def test_each_relation_of_a_table_is_scanned_once(monkeypatch):
-    # every checker reads the step sets its view keeps; a table below
-    # PACKED_PASS_SIZE subsets keeps none and is scanned on every call
-    scans = Counter()
-    scan = core._scan_steps
+def test_each_large_view_is_scanned_once(monkeypatch):
+    # the first step_sets call on a large view scans its step code, which
+    # every later call reads; a table below PACKED_PASS_SIZE subsets keeps
+    # nothing and is scanned on every call
+    scans, calls = Counter(), Counter()
+    scan, steps = core._scan_steps, core.step_sets
 
-    def counting(n, view, relations, blocks):
-        scans.update((id(view), relation) for relation in relations)
+    def counting_scan(n, view, relations, blocks):
+        scans[id(view)] += 1
         return scan(n, view, relations, blocks)
 
-    monkeypatch.setattr(core, "_scan_steps", counting)
+    def counting_steps(n, values, *relations, **blocks):
+        calls[id(values)] += 1
+        return steps(n, values, *relations, **blocks)
+
+    monkeypatch.setattr(core, "_scan_steps", counting_scan)
+    for module in (core, axioms):
+        monkeypatch.setattr(module, "step_sets", counting_steps)
     g, d, t = _scan_tables()
     small = make_table("abcd", [0, 1, 1, 2, 1, 2, 2, 2, 1, 2, 2, 3, 2, 3, 3, 3])
     checks = (validate, dual, check_matroid, check_greedoid, check_dual_greedoid, check_antimatroid,
@@ -292,10 +299,12 @@ def test_each_relation_of_a_table_is_scanned_once(monkeypatch):
                 check(table)
         check_demimatroid_triple(DemiTriple(g, d))
         convex_closure(t, t.ground.subset(["e3"]))
-    views = {id(table._kernel_view()) for table in (g, d, t)}
-    assert {view for view, _ in scans} == views | {id(small._kernel_view())}
-    assert {count for (view, _), count in scans.items() if view in views} == {1}
-    assert {relation for _, relation in scans} == {DECREASE, FLAT, UNIT, JUMP}
+    views = [id(table._kernel_view()) for table in (g, d, t)]
+    small_view = id(small._kernel_view())
+    assert set(scans) == set(calls) == {*views, small_view}
+    assert [scans[view] for view in views] == [1, 1, 1]
+    assert min(calls[view] for view in views) > 1
+    assert scans[small_view] == calls[small_view] > 1
     assert not hasattr(small._kernel_view(), "_steps")
 
 
@@ -321,7 +330,49 @@ def test_kept_step_sets_match_a_new_scan(n, seed, lohi, calls, mutate):
         if mutate:
             for sets in found:
                 sets[:] = [~s for s in sets] + [0]
-    assert set(getattr(view, "_steps", {})) == {relation for relations in calls for relation in relations}
+    # the kept code: the low plane (flat or jump) at the masks A without p,
+    # the high plane (unit or jump) moved to A | p
+    assert hasattr(view, "_steps") == bool(calls)
+    if calls:
+        flat, unit, jump = step_sets(n, list(values), FLAT, UNIT, JUMP)
+        planes = enumerate(zip(flat, unit, jump))
+        assert view._steps == [f | j | (u | j) << (1 << p) for p, (f, u, j) in planes]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(8, 9),
+    st.integers(0, 2**32),
+    # ranks in lo..hi, some moved by +-wide: packed up to a spread of 127,
+    # the map path past it, with steps past +-128
+    st.sampled_from([(0, 3, 0), (-2, 2, 0), (0, 127, 0), (-64, 63, 0), (0, 3, 300), (-1, 2, 130)]),
+    st.permutations((DECREASE, FLAT, UNIT, JUMP)),
+    st.integers(0, 4),
+)
+def test_kept_relations_match_the_steps_of_every_mask(n, seed, ranks, order, split):
+    lo, hi, wide = ranks
+    rng = random.Random(seed)
+    values = [rng.randint(lo, hi) + wide * rng.choice((-1, 0, 0, 0, 1)) for _ in range(1 << n)]
+    # steps of the full spread up and down, and of exactly -1, 0, 1 and 2
+    values[:8] = [lo, hi, hi, lo, lo + 1, lo, lo + 1, lo + 3]
+    values[12] = lo + 2
+    view = make_table([f"e{i}" for i in range(n)], values)._kernel_view()
+    assert (view.offsets is None) == (wide > 0)
+    holds = dict(STEP_RELATIONS)
+    seen = set()
+    # two calls that split the relations, then all four in reverse order
+    for relations in (order[:split], order[split:], order[::-1]):
+        for relation, sets in zip(relations, step_sets(n, view, *relations)):
+            for p, members in enumerate(sets):
+                want = 0
+                for a in range(1 << n):
+                    if not a >> p & 1:
+                        d = values[a | 1 << p] - values[a]
+                        seen.add(d)
+                        want |= holds[relation](d) << a
+                assert members == want, (relation, p)
+    assert {-1, 0, 1, 2, hi - lo, lo - hi} <= seen
+    assert wide == 0 or max(map(abs, seen)) > 128
 
 
 def test_table_accepts_ranks_at_the_magnitude_bound():
