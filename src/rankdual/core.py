@@ -416,21 +416,39 @@ def _step_code(n: int, view: TableView) -> list[int]:
     sign, seven = (int.from_bytes(byte * width, "little") for byte in (b"\x80", b"\x7f"))
     biased = sign - packed
     for p in range(n):
+        # each temporary is a 2**n-byte int: the passes run in place and
+        # drop each one after its last use, which bounds the peak memory
         shift = 8 << p
-        steps = (packed >> shift) + biased
+        steps = packed >> shift
+        steps += biased
         nonnegative = steps & sign
-        steps = (steps ^ nonnegative) + seven
+        steps ^= nonnegative
+        steps += seven
         high = nonnegative & steps
-        low = nonnegative ^ high ^ (high & (steps & seven) + seven)
+        # low = nonnegative ^ high ^ (high & (steps & seven) + seven)
+        steps &= seven
+        steps += seven
+        steps &= high
+        steps ^= high
+        steps ^= nonnegative
+        low = steps
         del steps, nonnegative
         # 0xFF at the bytes of the masks without p, doubled up to width
         avoid, period = (1 << shift) - 1, 2 << p
         while period < width:
             avoid |= avoid << 8 * period
             period *= 2
-        bits = (low & avoid | (high & avoid) << shift) * _GATHER
-        del low, high, avoid
-        code.append(int.from_bytes(bits.to_bytes(width + 8, "little")[7:width:8], "little"))
+        low &= avoid
+        high &= avoid
+        del avoid
+        high <<= shift
+        low |= high
+        del high
+        low *= _GATHER
+        bits = low.to_bytes(width + 8, "little")
+        del low
+        code.append(int.from_bytes(bits[7:width:8], "little"))
+        del bits
     return code
 
 

@@ -8,6 +8,7 @@ and contraction requires that normalization outright.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from itertools import chain, repeat
 from operator import add, sub
@@ -72,7 +73,7 @@ def _shifted_view(data: bytes, top: int, shift: int):
         values = tuple(offsets)
     else:
         # the values lie in -128..127: signed bytes, and read as such
-        values = tuple(memoryview(data.translate(_shifted(shift))).cast("b"))
+        values = struct.unpack(f"{len(data)}b", data.translate(_shifted(shift)))
     return TableView(values, low, high, offsets)
 
 
@@ -240,11 +241,28 @@ def minor(g: RankTable, spec: MinorSpec) -> RankTable:
 
 def direct_sum(g1: RankTable, g2: RankTable) -> RankTable:
     """Rank-additive union on disjoint label sets:
-    r(A) = r1(A & S1) + r2(A & S2)."""
+    r(A) = r1(A & S1) + r2(A & S2).
+
+    When both summands are packed tables of at least PACKED_PASS_SIZE
+    subsets, the offsets of the sum are one join: the left offsets raised
+    by each right offset in turn, one translate per distinct right offset;
+    with both spreads at most MAX_PACKED_SPREAD, no byte passes 254. A sum
+    whose spread stays at most MAX_PACKED_SPREAD and whose ranks are signed
+    bytes takes its view from _shifted_view; any other sum adds the
+    values."""
     collision = set(g1.ground.labels) & set(g2.ground.labels)
     if collision:
         raise GroundSetError(f"label collision in direct sum: {sorted(collision)}")
     ground = GroundSet(g1.ground.labels + g2.ground.labels)
+    view1, view2 = _packed_view(g1), _packed_view(g2)
+    if view1 is not None and view2 is not None:
+        left = view1.offsets
+        raised = {o: left.translate(_shifted(o)) for o in set(view2.offsets)}
+        offsets = b"".join(map(raised.__getitem__, view2.offsets))
+        top = view1.high - view1.low + view2.high - view2.low
+        view = _shifted_view(offsets, top, view1.low + view2.low)
+        if view is not None:
+            return RankTable._from_view(ground, view)
     # mask (h << n1) | l has rank r1(l) + r2(h): h outer, l inner
     values = tuple(v1 + v2 for v2 in g2.values for v1 in g1.values)
     return table_from_values(ground, values)

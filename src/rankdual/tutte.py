@@ -9,9 +9,12 @@ deletion-contraction recursion evaluated level by level, whose result is the
 sum of the path monomials of its recursion tree. For a packed table of at
 least ``core.PACKED_PASS_SIZE`` subsets both read the table's offsets (see
 ``core.TableView``): the exponents are biased bytes, one per subset or per
-node of a level, made by whole-int passes, and one Counter over the
-interleaved byte pairs sums the monomials (_pair_counts). Any other table is
-read value by value, with two int lists per level in the recursion.
+node of a level, made by whole-int passes. In both, the z byte of a subset
+A exceeds its t byte by |A|, so the pair is fixed by the t byte and |A|:
+where those fit one byte for every A other than the empty set and S, one
+Counter over one-byte keys sums the monomials, and otherwise one Counter
+over the interleaved byte pairs (_monomial_counts). Any other table is read
+value by value, with two int lists per level in the recursion.
 """
 
 from __future__ import annotations
@@ -169,7 +172,10 @@ def _pair_counts(ts: bytes, zs: bytes, t_bias: int, z_bias: int) -> LaurentPoly2
 
     The two byte strings are interleaved, so that each (t, z) pair is one
     16-bit unit of a memoryview, and one Counter counts the units; only the
-    distinct pairs, a few hundred at most, are decoded."""
+    distinct pairs are decoded. This serves the tables whose pairs do not
+    fit the one-byte keys of _monomial_counts, which count about twice as
+    fast: a Counter makes a new int object for each key above 256, and
+    CPython keeps the ints 0..256 cached."""
     pairs = bytearray(2 * len(ts))
     pairs[0::2] = ts
     pairs[1::2] = zs
@@ -183,27 +189,55 @@ def _pair_counts(ts: bytes, zs: bytes, t_bias: int, z_bias: int) -> LaurentPoly2
     )
 
 
+def _monomial_counts(ts: int, sizes: bytes, n: int, spread: int, t_bias: int, z_bias: int) -> LaurentPoly2:
+    """The sum over the masks A over n bits of
+    t**(T[A] - t_bias) * z**(T[A] + sizes[A] - z_bias), for the bytes T[A]
+    of the int ``ts``, each in 0..spread, and the bytes ``sizes``, |A| for
+    every A, with n >= 1.
+
+    Every A other than the empty set (byte 0) and S (the last byte) has
+    1 <= |A| <= n - 1, so its monomial is fixed by the key
+    T[A] + (spread + 1) * (|A| - 1), at most (spread + 1) * (n - 1) - 1.
+    When that fits one byte, the sizes, translated to
+    (|A| - 1) * (spread + 1), and to 0 for the sizes 0 and n, are added to
+    ``ts`` as one int, so no byte carries into the next; one Counter counts
+    the keys of the inner masks, at most 256 distinct ones are decoded, and
+    the monomials of the two ends are added by hand. Wider keys take the
+    (t, z) byte pairs of _pair_counts."""
+    width, size = spread + 1, len(sizes)
+    if width * (n - 1) > 256:
+        zs = ts + int.from_bytes(sizes, "little")
+        return _pair_counts(ts.to_bytes(size, "little"), zs.to_bytes(size, "little"), t_bias, z_bias)
+    scale = b"\0" + bytes(range(0, (n - 1) * width, width)) + bytes(256 - n)
+    keys = (ts + int.from_bytes(sizes.translate(scale), "little")).to_bytes(size, "little")
+    terms = {}
+    for key, count in Counter(keys[1:-1]).items():
+        above, t = divmod(key, width)
+        terms[(t - t_bias, t + above + 1 - z_bias)] = count
+    # the ends keep their t bytes as keys
+    for end in (0, size - 1):
+        term = (keys[end] - t_bias, keys[end] + sizes[end] - z_bias)
+        terms[term] = terms.get(term, 0) + 1
+    return LaurentPoly2(terms)
+
+
 def tutte_subset(g: RankTable) -> LaurentPoly2:
     """Subset expansion: one monomial t**corank * z**nullity per subset.
 
-    A packed table of at least PACKED_PASS_SIZE subsets gives its exponents
-    as biased bytes, from one int pass each over its offsets r(A) - low:
-    byte A of the coranks is corank + high - r(S) = spread - offset, in
-    0..spread, and byte A of the nullities is nullity + high = |A| plus the
-    corank byte, in 0..n + spread <= 151."""
+    A packed table of at least PACKED_PASS_SIZE subsets gives its coranks
+    as biased bytes, from one int pass over its offsets r(A) - low: byte A
+    is corank + high - r(S) = spread - offset, in 0..spread, and the biased
+    nullity nullity + high is |A| plus that byte, so the coranks and the
+    cached popcounts give the monomials (_monomial_counts)."""
     view = _packed_view(g)
     if view is None:
         values = g.values
         coranks = map(sub, repeat(g.full_rank), values)
         nullities = map(sub, popcounts(g.n), values)
         return LaurentPoly2(Counter(zip(coranks, nullities)))
-    size = len(view.offsets)
     spread = view.high - view.low
-    corank = int.from_bytes(bytes([spread]) * size, "little") - int.from_bytes(view.offsets, "little")
-    nullity = corank + int.from_bytes(popcounts(g.n), "little")
-    return _pair_counts(
-        corank.to_bytes(size, "little"), nullity.to_bytes(size, "little"), view.high - g.full_rank, view.high
-    )
+    corank = int.from_bytes(bytes([spread]) * len(view.offsets), "little") - int.from_bytes(view.offsets, "little")
+    return _monomial_counts(corank, popcounts(g.n), g.n, spread, view.high - g.full_rank, view.high)
 
 
 def _pivot_lowest(remaining: int) -> int:
@@ -260,10 +294,10 @@ def _renumbered(offsets: bytes, order: list[int]) -> bytes:
     return x.to_bytes(size, "little")
 
 
-def _packed_paths(offsets: bytes, n: int, t_root: int, z_root: int) -> tuple[bytes, bytes]:
+def _packed_paths(offsets: bytes, n: int, t_root: int, z_root: int) -> tuple[int, int]:
     """The biased t and z exponents of the paths to the 2**n leaves of the
-    recursion on a renumbered table's offsets O[A] = r(A) - low, as one
-    byte per leaf each (see tutte_recursive).
+    recursion on a renumbered table's offsets O[A] = r(A) - low, as two ints
+    of one byte per leaf each, leaf C at byte C (see tutte_recursive).
 
     Each level is one whole-int add and subtract over contiguous slices of
     the offsets. Every byte of a result lies in 0..255, so the int's bytes
@@ -283,8 +317,7 @@ def _packed_paths(offsets: bytes, n: int, t_root: int, z_root: int) -> tuple[byt
         # the delete children are the nodes C, the contract children C | b_k
         ts = t_delete | ts << 8 * nodes
         zs = zs | z_contract << 8 * nodes
-    size = 1 << n
-    return ts.to_bytes(size, "little"), zs.to_bytes(size, "little")
+    return ts, zs
 
 
 def tutte_recursive(g: RankTable, pivot: str | Callable[[int], int] = "lowest") -> LaurentPoly2:
@@ -311,8 +344,12 @@ def tutte_recursive(g: RankTable, pivot: str | Callable[[int], int] = "lowest") 
 
     A packed table of at least PACKED_PASS_SIZE subsets keeps the exponents
     of each level as one byte per node, biased into 0..255: t + high - r(S),
-    in 0..spread, and z + high, in 0..n + spread <= 151 (_packed_paths). Any
-    other table keeps them as two int lists.
+    in 0..spread, and z + high, in 0..n + spread <= 151 (_packed_paths). At
+    leaf C the z byte exceeds the t byte by |C|: z + high = |C| - r(C) + high
+    and t + high - r(S) = high - r(C). So the leaves' own z bytes less their
+    t bytes are the sizes that _monomial_counts reads, and the count still
+    reads both exponents of the recursion. Any other table keeps the
+    exponents as two int lists.
     """
     if g.values[0] != 0:
         raise NormalizationError("deletion-contraction recursion requires r(empty) = 0")
@@ -331,7 +368,9 @@ def tutte_recursive(g: RankTable, pivot: str | Callable[[int], int] = "lowest") 
     if view is not None:
         offsets = view.offsets if identity else _renumbered(view.offsets, order)
         t_bias = view.high - g.full_rank
-        return _pair_counts(*_packed_paths(offsets, n, t_bias, view.high), t_bias, view.high)
+        ts, zs = _packed_paths(offsets, n, t_bias, view.high)
+        sizes = (zs - ts).to_bytes(len(offsets), "little")
+        return _monomial_counts(ts, sizes, n, view.high - view.low, t_bias, view.high)
 
     values = g.values
     if not identity:

@@ -1,9 +1,13 @@
-"""The packed paths of the polynomials and the minors against per-mask
-definitions kept here: tables of at least ``core.PACKED_PASS_SIZE`` subsets
-(n = 8..10) read their offsets, and wider ones their values."""
+"""The packed paths of the polynomials, the minors and the direct sum
+against per-mask definitions kept here: tables of at least
+``core.PACKED_PASS_SIZE`` subsets (n = 8..10) read their offsets, and wider
+ones their values."""
 
+import importlib
+import random
 import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -15,14 +19,20 @@ from rankdual import (
     MinorSpec,
     SubsetRef,
     TableBuildError,
+    branching_greedoid,
     contract,
     delete,
+    direct_sum,
     minor,
+    ops,
+    pruning_antimatroid,
     table_from_values,
+    tutte,
     tutte_recursive,
     tutte_subset,
+    uniform_matroid,
 )
-from rankdual.core import MAX_PACKED_SPREAD, PACKED_PASS_SIZE
+from rankdual.core import MAX_PACKED_SPREAD, MAX_RANK_MAGNITUDE, PACKED_PASS_SIZE
 from rankdual.ops import _expansion, _packed_view
 from rankdual.tutte import _pair_counts, _pivot_order, _renumbered
 
@@ -203,3 +213,132 @@ def test_pair_counts_read_the_hosts_byte_order(monkeypatch):
     monkeypatch.setattr(sys, "byteorder", other)
     got = _pair_counts(bytes([5, 5, 1]), bytes([2, 2, 3]), 0, 0)
     assert got.terms == {(2, 5): 2, (3, 1): 1}
+
+
+def _key_bound(n):
+    """The largest spread whose keys fit one byte in _monomial_counts."""
+    return 256 // (n - 1) - 1
+
+
+@st.composite
+def _tables_at_key_bounds(draw, n):
+    """Values with low <= 0 and a spread of exactly the one-byte key bound,
+    one past it, or MAX_PACKED_SPREAD; the ends take any value."""
+    spread = draw(st.sampled_from((_key_bound(n), _key_bound(n) + 1, MAX_PACKED_SPREAD)))
+    low = draw(st.sampled_from((0, -1, -(spread // 2), -spread)))
+    size = 1 << n
+    values = draw(st.lists(st.integers(low, low + spread), min_size=size, max_size=size))
+    values[1], values[2] = low, low + spread
+    return values
+
+
+@settings(max_examples=25, deadline=None)
+@given(SIZES.flatmap(_tables_at_key_bounds))
+def test_both_polynomials_on_both_sides_of_the_one_byte_key_bound(values):
+    want = per_mask_polynomial(values)
+    for g in _views_of_one_table(values):
+        assert tutte_subset(g) == want
+    normalized = _normalized(values)
+    want = per_mask_polynomial(normalized)
+    for g in _views_of_one_table(normalized):
+        for pivot in PIVOTS:
+            assert tutte_recursive(g, pivot) == want, pivot
+
+
+def _pair_calls(monkeypatch):
+    """Wrap tutte._pair_counts, the path of keys wider than a byte, so that
+    each call is listed."""
+    calls, real = [], tutte._pair_counts
+    monkeypatch.setattr(tutte, "_pair_counts", lambda *args: calls.append(args) or real(*args))
+    return calls
+
+
+@pytest.mark.parametrize("n, spread, keyed", [(9, 31, True), (9, 32, False), (10, 27, True), (10, 28, False)])
+def test_the_one_byte_keys_end_at_their_bound(monkeypatch, n, spread, keyed):
+    # (spread + 1) * (n - 1) is 256, 264, 252 and 261; a set of n - 1
+    # elements at the lowest rank has the largest key, 255 at n = 9
+    low, full = -3, (1 << n) - 1
+    values = [low + (mask * 37) % (spread + 1) for mask in range(1 << n)]
+    values[0], values[1], values[full ^ 1] = 0, low + spread, low
+    calls = _pair_calls(monkeypatch)
+    want = per_mask_polynomial(values)
+    g = table_from_values(GroundSet(tuple(f"e{i}" for i in range(n))), values)
+    assert tutte_subset(g) == want
+    for pivot in PIVOTS:
+        assert tutte_recursive(g, pivot) == want
+    assert len(calls) == (0 if keyed else 4)
+
+
+def test_the_benchmark_tables_take_the_one_byte_keys(monkeypatch):
+    # the four n = 16 tables of the benchmark's analysis round, built as it
+    # builds them
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    worker = importlib.import_module("worker")
+    inp = worker.analysis_inputs(random.Random(1), 16)
+    labels = inp["labels"]
+    tables = (
+        branching_greedoid(inp["graph"]),
+        pruning_antimatroid(inp["tree"]),
+        uniform_matroid(labels, 8),
+        table_from_values(GroundSet(labels), inp["random_values"]),
+    )
+    calls = _pair_calls(monkeypatch)
+    for g in tables:
+        assert _packed_view(g) is not None
+        want = per_mask_polynomial(g.values)
+        assert tutte_subset(g) == want
+        assert tutte_recursive(g) == want
+    assert calls == []
+
+
+@st.composite
+def _packed_summands(draw):
+    """Two tables of at least PACKED_PASS_SIZE subsets, or a small right
+    one, with negative ranks, or with a least rank above 0, and with ranges
+    of ranks that add up to MAX_PACKED_SPREAD, one past it, or less."""
+    s1 = draw(st.integers(0, MAX_PACKED_SPREAD))
+    s2 = draw(st.sampled_from((MAX_PACKED_SPREAD - s1, MAX_PACKED_SPREAD + 1 - s1, min(3, MAX_PACKED_SPREAD - s1))))
+    tables = []
+    for prefix, n, spread in (("a", draw(st.sampled_from((8, 9))), s1), ("b", draw(st.sampled_from((2, 8))), s2)):
+        least = draw(st.sampled_from((0, -1, -(spread // 2), -spread, 40, -MAX_RANK_MAGNITUDE)))
+        size = 1 << n
+        values = draw(st.lists(st.integers(least, least + spread), min_size=size, max_size=size))
+        values[1], values[2] = least, least + spread
+        tables.append(table_from_values(GroundSet(tuple(f"{prefix}{i}" for i in range(n))), values))
+    return tables
+
+
+@settings(max_examples=25, deadline=None)
+@given(_packed_summands())
+def test_direct_sum_of_large_tables(summands):
+    g1, g2 = summands
+    n1, left = g1.n, g1.ground.full_mask
+    ground = GroundSet(g1.ground.labels + g2.ground.labels)
+    expected = [g1.values[a & left] + g2.values[a >> n1] for a in range(ground.size)]
+    try:
+        want = table_from_values(ground, expected)
+    except TableBuildError as exc:
+        with pytest.raises(TableBuildError) as caught:
+            direct_sum(g1, g2)
+        assert str(caught.value) == str(exc)
+        return
+    got = direct_sum(g1, g2)
+    assert got == want and got.values == tuple(expected)
+    assert _fields(got._kernel_view()) == _fields(want._kernel_view())
+
+
+@pytest.mark.parametrize("right_least, right_spread, joined", [(-7, 27, True), (-7, 28, False), (30, 20, True)])
+def test_the_joined_direct_sum_ends_at_a_spread_of_127(monkeypatch, right_least, right_spread, joined):
+    # the left ranks spread over -40..60; the sum's spread is 127, 128, and
+    # 120 from views whose spreads add up to 150 (the right view's low is 0)
+    left = [-40 + (mask * 29) % 101 for mask in range(1 << 8)]
+    right = [right_least + (mask * 13) % (right_spread + 1) for mask in range(1 << 8)]
+    g1 = table_from_values(GroundSet(tuple(f"a{i}" for i in range(8))), left)
+    g2 = table_from_values(GroundSet(tuple(f"b{i}" for i in range(8))), right)
+    built = []
+    monkeypatch.setattr(ops, "table_from_values", lambda *args: built.append(args) or table_from_values(*args))
+    got = direct_sum(g1, g2)
+    want = tuple(v1 + v2 for v2 in right for v1 in left)
+    assert got.values == want
+    assert _fields(got._kernel_view()) == _fields(table_from_values(got.ground, want)._kernel_view())
+    assert bool(built) != joined
