@@ -203,7 +203,8 @@ def _monomial_counts(ts: int, sizes: bytes, n: int, spread: int, t_bias: int, z_
     ``ts`` as one int, so no byte carries into the next; one Counter counts
     the keys of the inner masks, at most 256 distinct ones are decoded, and
     the monomials of the two ends are added by hand. Wider keys take the
-    (t, z) byte pairs of _pair_counts."""
+    (t, z) byte pairs of _pair_counts, the z bytes T[A] + |A| made by one
+    more int pass: each at most 127 + 24 = 151, so none carries either."""
     width, size = spread + 1, len(sizes)
     if width * (n - 1) > 256:
         zs = ts + int.from_bytes(sizes, "little")
