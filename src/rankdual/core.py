@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 from itertools import chain, compress, count, repeat
 from operator import add, and_, eq, gt, invert, lshift, or_, rshift, sub
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 # Explicit tables hold 2**n entries; 24 keeps the worst case at 16M ints.
 MAX_GROUND_SIZE = 24
@@ -65,11 +65,12 @@ def masks_by_cardinality(n: int) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 # bit-set kernel: a family of masks over n bits is one int whose bit A is set
 # iff mask A belongs to it. Every set is built by C-level bytes operations,
-# never by a Python loop over subsets. The step relations of the axioms come
-# from one byte-delta pass per element (step_sets), and the bounds 0 <= r(A),
-# r(A) <= |A| and r(A) <= r(S) from one byte pass each (exceeding), when the
-# table's values spread over at most 127; from map passes otherwise. The
-# feasible sets r(A) = |A| are read as flags (feasible_flags).
+# never by a Python loop over subsets. The step relations of the axioms are
+# read from one scan of each element's steps (step_sets), and the bounds
+# 0 <= r(A), r(A) <= |A| and r(A) <= r(S) from one byte pass each
+# (exceeding), when the table's values spread over at most 127; from map
+# passes otherwise. The feasible sets r(A) = |A| are read as flags
+# (feasible_flags).
 #
 # The kernel reads values through a TableView: the values, the offset
 # low = min(min(values), 0), their maximum high, and the bytes v - low, one
@@ -80,11 +81,11 @@ def masks_by_cardinality(n: int) -> tuple[int, ...]:
 # its checks take, a table built with RankTable._trusted makes it on its
 # first kernel read, and ops._packed_dual and the structure constructors
 # make theirs, bytes and all, from the bytes they computed. Corpora of ASCII
-# bytes are their own bytes. A view of at least PACKED_PASS_SIZE values
-# also keeps, from the first step_sets call on it, the class of every step
-# in two bit planes, held as one int of 2**n bits per element (n * 2**n / 8
-# bytes in all), from which each relation of every later call is a few bit
-# operations per element.
+# bytes are their own bytes. The view of one table also keeps, from the
+# first step_sets call on it, the class of every step in two bit planes,
+# held as one int of 2**n bits per element (n * 2**n / 8 bytes in all),
+# from which each relation of every later call is a few bit operations per
+# element; raw values and corpora are scanned anew on every call.
 # ---------------------------------------------------------------------------
 
 _DIGITS = bytes.maketrans(b"\0\1", b"01")
@@ -222,42 +223,20 @@ def first_by_cardinality(n: int, members: int):
 
 
 # Step relations: conditions on the single-element step
-# d = values[A | 1 << p] - values[A]. Each holds a C-level predicate on d, for
-# the map path; the translate table of the packed path, which maps the byte
-# d + 128 to the digit "1" exactly when the predicate holds; and ``of_code``,
-# which builds the relation's sets from the two planes of the step code that
-# a large view keeps (see step_sets) by C-level maps.
-#
-# The step code holds the class of each step d in two bits: the low bit when
-# d = 0 or d > 1, the high bit when d >= 1. A decrease has neither bit, a
-# flat step the low bit alone, a unit step the high bit alone and a jump
-# both.
+# d = values[A | 1 << p] - values[A]. Each is a function of the two planes of
+# the step code (see step_sets) that builds the relation's sets by C-level
+# maps. The step code holds the class of each step d in two bits: the low
+# bit when d = 0 or d > 1, the high bit when d >= 1. A decrease has neither
+# bit, a flat step the low bit alone, a unit step the high bit alone and a
+# jump both.
 
-
-@dataclass(frozen=True)
-class StepRelation:
-    holds: Callable[[int], bool]
-    digits: bytes
-    of_code: Callable[[Iterator[int], Iterator[int]], Iterator[int]]
-
-
-def _step_relation(holds, of_code) -> StepRelation:
-    return StepRelation(holds, bytes(b"01"[holds(byte - 128)] for byte in range(256)), of_code)
-
-
-DECREASE = _step_relation((0).__gt__, lambda low, high: map(invert, map(or_, low, high)))  # d < 0
-FLAT = _step_relation((0).__eq__, lambda low, high: map(and_, low, map(invert, high)))  # d = 0
-UNIT = _step_relation((1).__eq__, lambda low, high: map(and_, high, map(invert, low)))  # d = 1
-JUMP = _step_relation((1).__lt__, lambda low, high: map(and_, low, high))  # d > 1
+DECREASE = lambda low, high: map(invert, map(or_, low, high))  # d < 0
+FLAT = lambda low, high: map(and_, low, map(invert, high))  # d = 0
+UNIT = lambda low, high: map(and_, high, map(invert, low))  # d = 1
+JUMP = lambda low, high: map(and_, low, high)  # d > 1
 
 # Largest spread high - low of a packed view; see TableView and step_sets.
 MAX_PACKED_SPREAD = 127
-
-# Fewest values for which a view keeps its step code, and for which dual,
-# the minors and the two polynomials read a table's packed bytes: below
-# about 2**8, the fixed steps of a packed pass cost more than the per-value
-# path and the checked build, and a kept code more than a new scan.
-PACKED_PASS_SIZE = 256
 
 
 class TableView:
@@ -266,9 +245,8 @@ class TableView:
     ASCII bound 127 for a corpus of ASCII bytes), and ``offsets``, the bytes
     v - low, one per value, or None when high - low > MAX_PACKED_SPREAD.
     The offsets are packed on their first read, unless given. ``_steps``,
-    set by the first step_sets call on a view of at least PACKED_PASS_SIZE
-    values, is the step code of each element, both planes of it in one
-    int (see step_sets)."""
+    set by the first step_sets call on the view of one table, is the step
+    code of each element, both planes of it in one int (see step_sets)."""
 
     __slots__ = ("values", "low", "high", "_offsets", "_steps")
 
@@ -318,69 +296,33 @@ def failing_blocks(n: int, members: int, blocks: int) -> int:
     return int(format(members, f"0{blocks << n}b")[size - 1 :: size] or "0", 2)
 
 
-def step_sets(n: int, values, *relations: StepRelation, blocks: int = 1) -> list[list[int]]:
+def step_sets(n: int, values, *relations, blocks: int = 1) -> list[list[int]]:
     """Entry i, p is the set of masks A without bit p whose step
-    d = values[A | 1 << p] - values[A] satisfies relations[i].
+    d = values[A | 1 << p] - values[A] satisfies relations[i], one of
+    DECREASE, FLAT, UNIT and JUMP.
 
-    ``values`` is a table's view (see TableView) or raw values. A view of
-    one table of at least PACKED_PASS_SIZE values keeps, from its first
-    call, the step code of each element p: the set of masks A without p
-    whose step has the low bit, or'ed with the set of A | p for the A whose
-    step has the high bit. One scan thus serves every relation of every
-    call, each built from the two planes by C-level bit operations as new
-    ints. Raw values, corpora (``blocks`` > 1) and smaller tables keep
-    nothing and scan only the relations asked for.
+    ``values`` is a table's view (see TableView) or raw values; with
+    ``blocks`` > 1 they are that many tables of 2**n entries laid end to
+    end, and mask b * 2**n + A is mask A of table b. Every call reads the
+    step code of each element p (see _step_code): the set of masks A
+    without p whose step has the low bit, or'ed with the set of A | p for
+    the A whose step has the high bit. Each relation is built from the two
+    planes by C-level bit operations as new ints. The view of one table
+    keeps its code from its first call, so one scan serves every relation
+    of every call; raw values and corpora are scanned on every call.
     """
-    if blocks != 1 or 1 << n < PACKED_PASS_SIZE or type(values) is not TableView:
-        return _scan_steps(n, _view_of(values), relations, blocks)
-    try:
-        code = values._steps
-    except AttributeError:
-        code = values._steps = _scan_steps(n, values, None, 1)
-    avoid, found = avoid_sets(n), []
+    if blocks == 1 and type(values) is TableView:
+        try:
+            code = values._steps
+        except AttributeError:
+            code = values._steps = _step_code(n, values)
+    else:
+        code = _step_code(n, _view_of(values), blocks)
+    avoid, found = avoid_sets(n, blocks), []
     for relation in relations:
         # the high plane of element p is its code moved back by 2**p
         high = map(rshift, code, map(lshift, repeat(1), range(n)))
-        found.append(list(map(and_, avoid, relation.of_code(code, high))))
-    return found
-
-
-def _scan_steps(n: int, view: TableView, relations, blocks: int) -> list[list[int]]:
-    """``step_sets`` of a view, scanned anew; with ``relations`` None, the
-    step code of each element of one table (see step_sets and _step_code).
-
-    Each element's steps are computed once and shared by all the relations.
-    When the view has offsets, the bytes v - low, one per mask, are read as
-    the int X. For element p,
-    D = (X >> 8 * 2**p) + 0x8080...80 - X then holds d + 128 in
-    byte A: every byte of the sum is in 128..255 and every byte of X in
-    0..127, so nothing carries or borrows across bytes. Each relation is one
-    ``translate`` of D's bytes and one ``int(..., 2)``. A wider table takes
-    one ``map`` pass in C over the steps per element and relation.
-
-    With ``blocks`` > 1 the values are that many tables of 2**n entries laid
-    end to end, and mask b * 2**n + A is mask A of table b. A mask without
-    bit p steps to a mask of its own block, so each set only repeats the
-    masks without p once per block.
-    """
-    if relations is None:
-        return _step_code(n, view)
-    found = [[] for _ in relations]
-    width = blocks << n
-    values, offsets = view.values, view.offsets
-    if offsets is not None:
-        packed = int.from_bytes(offsets, "little")
-        biased = int.from_bytes(b"\x80" * width, "little") - packed
-        for p, avoid in enumerate(avoid_sets(n, blocks)):
-            # big-endian bytes put mask A at bit A of the parsed digits
-            steps = ((packed >> (8 << p)) + biased).to_bytes(width, "big")
-            for sets, relation in zip(found, relations):
-                sets.append(int(steps.translate(relation.digits), 2) & avoid)
-    else:
-        for p, avoid in enumerate(avoid_sets(n, blocks)):
-            upper = values[1 << p :]
-            for sets, relation in zip(found, relations):
-                sets.append(bitset(map(relation.holds, map(sub, upper, values))) & avoid)
+        found.append(list(map(and_, avoid, relation(code, high))))
     return found
 
 
@@ -389,34 +331,41 @@ def _scan_steps(n: int, view: TableView, relations, blocks: int) -> list[list[in
 _GATHER = sum(1 << 7 * k for k in range(8))
 
 
-def _step_code(n: int, view: TableView) -> list[int]:
-    """The step code of each element of one table (see step_sets).
+def _step_code(n: int, view: TableView, blocks: int = 1) -> list[int]:
+    """The step code of each element (see step_sets) of ``blocks`` tables
+    laid end to end. A mask without bit p steps to a mask of its own block,
+    so each plane only repeats the masks without p once per block.
 
-    A packed view takes the bytes D of ``_scan_steps``, d + 128 in byte A,
-    and reads both bits of all 2**n bytes at once: bit 7 says d >= 0; with
-    bit 7 cleared and 0x7F added, bit 7 says d >= 1; and with that bit 7
-    cleared and 0x7F added again, d >= 2; nothing carries across bytes. The
-    low bits at the bytes A without p and the high bits, moved up 2**p
-    bytes, at the bytes A | p make one int, and one multiplication by
-    _GATHER moves bit 7 of the 8 bytes of each 64-bit word into its top
-    byte, every product term on a bit of its own: those top bytes are the
-    code. The map path reads the low bit as d ^ 1 > 0, with two ``map``
+    A packed view's offsets, the bytes v - low, one per mask, are read as
+    the int X. For element p, D = (X >> 8 * 2**p) + 0x8080...80 - X then
+    holds d + 128 in byte A: every byte of the sum is in 128..255 and every
+    byte of X in 0..127, so nothing carries or borrows across bytes. Both
+    bits of all the bytes are read at once: bit 7 says d >= 0; with bit 7
+    cleared and 0x7F added, bit 7 says d >= 1; and with that bit 7 cleared
+    and 0x7F added again, d >= 2; nothing carries across bytes. The low bits
+    at the bytes A without p and the high bits, moved up 2**p bytes, at the
+    bytes A | p make one int, and one multiplication by _GATHER moves bit 7
+    of the 8 bytes of each 64-bit word into its top byte, every product
+    term on a bit of its own: those top bytes are the code. The last word
+    may be short, as for fewer than 8 masks in all: its missing bytes are
+    zero. The map path reads the low bit as d ^ 1 > 0, with two ``map``
     passes in C per element.
     """
-    width, values, offsets = 1 << n, view.values, view.offsets
+    width, values, offsets = blocks << n, view.values, view.offsets
     code = []
     if offsets is None:
-        for p, avoid in enumerate(avoid_sets(n)):
+        for p, avoid in enumerate(avoid_sets(n, blocks)):
             upper = values[1 << p :]
             low = bitset(map((0).__lt__, map((1).__xor__, map(sub, upper, values))))
             high = bitset(map((0).__lt__, map(sub, upper, values)))
             code.append(low & avoid | (high & avoid) << (1 << p))
         return code
+    words = -(-width // 8)
     packed = int.from_bytes(offsets, "little")
     sign, seven = (int.from_bytes(byte * width, "little") for byte in (b"\x80", b"\x7f"))
     biased = sign - packed
     for p in range(n):
-        # each temporary is a 2**n-byte int: the passes run in place and
+        # each temporary is a width-byte int: the passes run in place and
         # drop each one after its last use, which bounds the peak memory
         shift = 8 << p
         steps = packed >> shift
@@ -445,9 +394,9 @@ def _step_code(n: int, view: TableView) -> list[int]:
         low |= high
         del high
         low *= _GATHER
-        bits = low.to_bytes(width + 8, "little")
+        bits = low.to_bytes(8 * words + 8, "little")
         del low
-        code.append(int.from_bytes(bits[7:width:8], "little"))
+        code.append(int.from_bytes(bits[7 : 8 * words : 8], "little"))
         del bits
     return code
 
@@ -455,7 +404,7 @@ def _step_code(n: int, view: TableView) -> list[int]:
 def subset_max(n: int, data: bytes) -> bytes:
     """Byte B is the largest byte A over the subsets A of B, for 2**n bytes
     each in 0..127: the zeta transform over the subset lattice with max for
-    sum (Yates, 1937), n passes of the biased subtraction of step_sets, each
+    sum (Yates, 1937), n passes of the biased subtraction of _step_code, each
     taking the larger of bytes A and A | 1 << p into byte A | 1 << p."""
     size = 1 << n
     x = int.from_bytes(data, "little")
@@ -473,6 +422,9 @@ def subset_max(n: int, data: bytes) -> bytes:
 # the block of A.
 NEGATIVE, SIZE, FULL = "negative", "size", "full"
 
+# The translate table of a biased byte to the digit "1" below 128, "0" above
+_BELOW = b"1" * 128 + b"0" * 128
+
 
 def exceeding(n: int, values, bound: str, blocks: int = 1) -> int:
     """The set of masks A whose value breaks the bound: values[A] < 0 for
@@ -480,10 +432,11 @@ def exceeding(n: int, values, bound: str, blocks: int = 1) -> int:
     ``blocks`` as in step_sets. This is the one reader of the three bounds,
     for one table as for a corpus.
 
-    The packed path is the one of step_sets with the bound in place of the
-    shifted table, so that byte A holds bound - v + 128 (v + 128 for
-    NEGATIVE) and a DECREASE marks a break. It reads the view's offsets
-    v - low when n - low <= MAX_PACKED_SPREAD, so that |A| - low packs too.
+    The packed path is the biased subtraction of _step_code with the bound
+    in place of the shifted table, so that byte A holds bound - v + 128
+    (v + 128 for NEGATIVE), and a byte below 128 marks a break. It reads the
+    view's offsets v - low when n - low <= MAX_PACKED_SPREAD, so that
+    |A| - low packs too.
     Values that are all nonnegative (low = 0) break NEGATIVE nowhere, which
     costs no pass.
     """
@@ -510,7 +463,7 @@ def exceeding(n: int, values, bound: str, blocks: int = 1) -> int:
         firsts = int.from_bytes((b"\1" + bytes(size - 1)) * blocks, "little")
         tops = (packed >> 8 * (size - 1) & 0xFF * firsts) + 128 * firsts
         steps = tops * int.from_bytes(b"\1" * size, "little") - packed
-    digits = steps.to_bytes(width, "big").translate(DECREASE.digits)
+    digits = steps.to_bytes(width, "big").translate(_BELOW)
     # a bound that holds everywhere, as it mostly does, costs no parse
     return int(digits, 2) if b"1" in digits else 0
 

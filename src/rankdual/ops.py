@@ -15,7 +15,6 @@ from operator import add, sub
 
 from .core import (
     MAX_PACKED_SPREAD,
-    PACKED_PASS_SIZE,
     GroundSet,
     GroundSetError,
     NormalizationError,
@@ -108,6 +107,12 @@ def _packed_dual(n: int, values, blocks: int = 1):
     # byte A of block b is at most n + max(O) + bias - O_b[S]; byte 0 is bias
     top = n + view.high - view.low + sums[0] - min(view.offsets[(1 << n) - 1 :: 1 << n])
     return _shifted_view(sums, top, -sums[0]) if top < 256 else None
+
+
+# Fewest values for which dual, the minors, direct_sum and the two
+# polynomials read a table's packed bytes: below about 2**8, the fixed steps
+# of a packed pass cost more than the per-value path and the checked build.
+PACKED_PASS_SIZE = 256
 
 
 def _packed_view(g: RankTable):

@@ -7,7 +7,7 @@ live in Z[t, 1/t, z, 1/z] with exact integer coefficients.
 Two evaluations are offered: the subset expansion, and the
 deletion-contraction recursion evaluated level by level, whose result is the
 sum of the path monomials of its recursion tree. For a packed table of at
-least ``core.PACKED_PASS_SIZE`` subsets both read the table's offsets (see
+least ``ops.PACKED_PASS_SIZE`` subsets both read the table's offsets (see
 ``core.TableView``): the exponents are biased bytes, one per subset or per
 node of a level, made by whole-int passes. In both, the z byte of a subset
 A exceeds its t byte by |A|, so the pair is fixed by the t byte and |A|:

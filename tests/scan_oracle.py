@@ -29,6 +29,24 @@ def pairwise_union_closed(values, n) -> bool:
     return all(f1 | f2 in fset for i, f1 in enumerate(feas) for f2 in feas[i + 1 :])
 
 
+def step_classes(values, n, blocks=1):
+    """Entry i, p is the set of masks A without bit p whose step
+    d = values[A | p] - values[A] is, for i = 0..3, a decrease (d < 0), flat
+    (d = 0), a unit (d = 1) or a jump (d > 1); over ``blocks`` tables of 2**n
+    values laid end to end, mask b * 2**n + A being mask A of table b."""
+    found = [[0] * n for _ in range(4)]
+    for base in range(0, blocks << n, 1 << n):
+        for mask in range(1 << n):
+            for pos in range(n):
+                bit = 1 << pos
+                if mask & bit:
+                    continue
+                d = values[base + (mask | bit)] - values[base + mask]
+                kind = 0 if d < 0 else 1 if d == 0 else 2 if d == 1 else 3
+                found[kind][pos] |= 1 << base + mask
+    return found
+
+
 def _first_negative(values, n):
     for mask in masks_by_cardinality(n):
         if values[mask] < 0:

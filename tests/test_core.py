@@ -50,6 +50,7 @@ from rankdual.core import (
 )
 
 from conftest import make_table
+from scan_oracle import step_classes
 
 
 def test_ground_set_rejects_duplicates():
@@ -271,22 +272,21 @@ def _scan_tables():
     return g, dual(g), t
 
 
-def test_each_large_view_is_scanned_once(monkeypatch):
-    # the first step_sets call on a large view scans its step code, which
-    # every later call reads; a table below PACKED_PASS_SIZE subsets keeps
-    # nothing and is scanned on every call
+def test_each_view_is_scanned_once(monkeypatch):
+    # the first step_sets call on the view of one table scans its step code,
+    # which every later call reads, at any size: the n = 4 table too
     scans, calls = Counter(), Counter()
-    scan, steps = core._scan_steps, core.step_sets
+    scan, steps = core._step_code, core.step_sets
 
-    def counting_scan(n, view, relations, blocks):
+    def counting_scan(n, view, blocks=1):
         scans[id(view)] += 1
-        return scan(n, view, relations, blocks)
+        return scan(n, view, blocks)
 
     def counting_steps(n, values, *relations, **blocks):
         calls[id(values)] += 1
         return steps(n, values, *relations, **blocks)
 
-    monkeypatch.setattr(core, "_scan_steps", counting_scan)
+    monkeypatch.setattr(core, "_step_code", counting_scan)
     for module in (core, axioms):
         monkeypatch.setattr(module, "step_sets", counting_steps)
     g, d, t = _scan_tables()
@@ -299,13 +299,32 @@ def test_each_large_view_is_scanned_once(monkeypatch):
                 check(table)
         check_demimatroid_triple(DemiTriple(g, d))
         convex_closure(t, t.ground.subset(["e3"]))
-    views = [id(table._kernel_view()) for table in (g, d, t)]
-    small_view = id(small._kernel_view())
-    assert set(scans) == set(calls) == {*views, small_view}
-    assert [scans[view] for view in views] == [1, 1, 1]
+    tables = (g, d, t, small)
+    views = [id(table._kernel_view()) for table in tables]
+    assert set(scans) == set(calls) == set(views)
+    assert [scans[view] for view in views] == [1, 1, 1, 1]
     assert min(calls[view] for view in views) > 1
-    assert scans[small_view] == calls[small_view] > 1
-    assert not hasattr(small._kernel_view(), "_steps")
+    assert all(hasattr(table._kernel_view(), "_steps") for table in tables)
+
+
+def test_raw_values_and_corpora_are_scanned_on_every_call(monkeypatch):
+    scans = Counter()
+    scan = core._step_code
+
+    def counting_scan(n, view, blocks=1):
+        scans[blocks] += 1
+        return scan(n, view, blocks)
+
+    monkeypatch.setattr(core, "_step_code", counting_scan)
+    values = [0, 1, 1, 2]
+    view = make_table("ab", values)._kernel_view()
+    for _ in range(3):
+        step_sets(2, values, FLAT)
+        step_sets(2, bytes(values), UNIT)
+        step_sets(2, view, FLAT, UNIT, JUMP, blocks=1)
+        step_sets(2, bytes(values * 3), DECREASE, blocks=3)
+    # the raw list and bytes thrice each, the view once, the corpus thrice
+    assert scans == {1: 7, 3: 3}
 
 
 @settings(max_examples=40, deadline=None)
@@ -324,9 +343,10 @@ def test_kept_step_sets_match_a_new_scan(n, seed, lohi, calls, mutate):
     values = [rng.randint(*lohi) for _ in range(1 << n)]
     view = make_table([f"e{i}" for i in range(n)], values)._kernel_view()
     assert (view.offsets is None) == (lohi == (-200, 200))
+    classes = dict(zip((DECREASE, FLAT, UNIT, JUMP), step_classes(values, n)))
     for relations in calls:
         found = step_sets(n, view, *relations)
-        assert found == step_sets(n, list(values), *relations)
+        assert found == step_sets(n, list(values), *relations) == [classes[r] for r in relations]
         if mutate:
             for sets in found:
                 sets[:] = [~s for s in sets] + [0]
@@ -334,8 +354,7 @@ def test_kept_step_sets_match_a_new_scan(n, seed, lohi, calls, mutate):
     # the high plane (unit or jump) moved to A | p
     assert hasattr(view, "_steps") == bool(calls)
     if calls:
-        flat, unit, jump = step_sets(n, list(values), FLAT, UNIT, JUMP)
-        planes = enumerate(zip(flat, unit, jump))
+        planes = enumerate(zip(classes[FLAT], classes[UNIT], classes[JUMP]))
         assert view._steps == [f | j | (u | j) << (1 << p) for p, (f, u, j) in planes]
 
 
@@ -453,6 +472,28 @@ def _spread_values(n):
     )
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(0, 9),
+    st.integers(0, 2**32),
+    # packed with a spread up to 127, and past it
+    st.sampled_from([(0, 1), (0, 4), (-3, 8), (0, 127), (-64, 63), (-64, 64), (0, 255), (-200, 200)]),
+)
+def test_step_sets_match_the_class_of_every_step(n, seed, lohi):
+    # one table of every size: its view on the first call and from its kept
+    # code, its values as a list, and as bytes where they fit
+    rng = random.Random(seed)
+    values = [rng.randint(*lohi) for _ in range(1 << n)]
+    want = step_classes(values, n)
+    view = make_table([f"e{i}" for i in range(n)], values)._kernel_view()
+    relations = (DECREASE, FLAT, UNIT, JUMP)
+    assert step_sets(n, view, *relations) == step_sets(n, view, *relations) == want
+    assert hasattr(view, "_steps")
+    assert step_sets(n, values, *relations) == want
+    if lohi[0] >= 0:
+        assert step_sets(n, bytes(values), *relations) == want
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     st.integers(0, 6).flatmap(
@@ -465,17 +506,7 @@ def _spread_values(n):
 def test_step_sets_match_a_loop_over_every_step(case):
     # both sides of MAX_PACKED_SPREAD: the packed byte deltas and the map path
     n, values = case
-    found = step_sets(n, values, *(relation for relation, _ in STEP_RELATIONS))
-    assert len(found) == len(STEP_RELATIONS)
-    for sets, (_, holds) in zip(found, STEP_RELATIONS):
-        assert len(sets) == n
-        for p, members in enumerate(sets):
-            bit = 1 << p
-            want = 0
-            for a in range(1 << n):
-                if not a & bit and holds(values[a | bit] - values[a]):
-                    want |= 1 << a
-            assert members == want, (p, values)
+    assert step_sets(n, values, DECREASE, FLAT, UNIT, JUMP) == step_classes(values, n)
 
 
 @settings(max_examples=150, deadline=None)
@@ -527,11 +558,10 @@ def test_blocks_read_each_table_as_if_alone(case):
     values = [v for t in tables for v in t]
     if as_bytes and min(values) >= 0:
         values = bytes(values)
-    relations = (DECREASE, FLAT, UNIT, JUMP)
-    found = step_sets(n, values, *relations, blocks=blocks)
+    found = step_sets(n, values, DECREASE, FLAT, UNIT, JUMP, blocks=blocks)
     for b, table in enumerate(tables):
         block_sets = [[s >> (b * size) & (1 << size) - 1 for s in sets] for sets in found]
-        assert block_sets == step_sets(n, table, *relations)
+        assert block_sets == step_classes(table, n)
     for bound, exceeds in (
         (SIZE, lambda t, a: t[a] > a.bit_count()),
         (FULL, lambda t, a: t[a] > t[-1]),

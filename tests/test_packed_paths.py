@@ -1,6 +1,6 @@
 """The packed paths of the polynomials, the minors and the direct sum
 against per-mask definitions kept here: tables of at least
-``core.PACKED_PASS_SIZE`` subsets (n = 8..10) read their offsets, and wider
+``ops.PACKED_PASS_SIZE`` subsets (n = 8..10) read their offsets, and wider
 ones their values."""
 
 import importlib
@@ -32,8 +32,8 @@ from rankdual import (
     tutte_subset,
     uniform_matroid,
 )
-from rankdual.core import MAX_PACKED_SPREAD, MAX_RANK_MAGNITUDE, PACKED_PASS_SIZE
-from rankdual.ops import _expansion, _packed_view
+from rankdual.core import MAX_PACKED_SPREAD, MAX_RANK_MAGNITUDE
+from rankdual.ops import PACKED_PASS_SIZE, _expansion, _packed_view
 from rankdual.tutte import _pair_counts, _pivot_order, _renumbered
 
 from test_scan_oracle import _fields, _kernel_tables, _views_of_one_table

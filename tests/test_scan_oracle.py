@@ -28,8 +28,8 @@ from rankdual import (
     validate,
 )
 from rankdual.axioms import FeasibleFamily, _union_failures
-from rankdual.core import MAX_PACKED_SPREAD, MAX_RANK_MAGNITUDE, PACKED_PASS_SIZE, bitset, popcounts
-from rankdual.ops import _dual_values, _packed_dual
+from rankdual.core import MAX_PACKED_SPREAD, MAX_RANK_MAGNITUDE, bitset, popcounts
+from rankdual.ops import PACKED_PASS_SIZE, _dual_values, _packed_dual
 
 from scan_oracle import (
     oracle_antimatroid,
