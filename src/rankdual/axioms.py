@@ -180,7 +180,8 @@ def _first_pair(n, pair_set):
 def _flat_squares(flat):
     """Gr3 and R2': pair_set(p1, p2) is the set of A with
     r(A) = r(A|p1) = r(A|p2) but r(A|p1|p2) != r(A), given the flat step
-    sets of every element."""
+    sets of every element; union closure passes the sets of A and A | p
+    both feasible in their place."""
     # A|p1 in flat[p2] says r(A|p1|p2) = r(A|p1)
     return lambda p1, p2: flat[p1] & flat[p2] & ~(flat[p2] >> (1 << p1))
 
@@ -248,8 +249,7 @@ def _union_failures(n, feasible, blocks=1) -> int:
         reached |= (feasible & a) << (1 << p)
     # up[p]: the sets A without p with A and A | p both feasible
     up = [feasible & feasible >> (1 << p) & a for p, a in enumerate(avoid)]
-    squares = (up[p] & up[q] & ~(up[q] >> (1 << p)) for p in range(n) for q in range(p + 1, n))
-    return failing_blocks(n, reduce(or_, squares, feasible & ~reached), blocks)
+    return failing_blocks(n, _pair_union(n, _flat_squares(up)) | feasible & ~reached, blocks)
 
 
 def _first_union_gap(members):

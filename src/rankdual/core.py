@@ -130,7 +130,7 @@ def _spread(width: int, members: int) -> int:
 
 def member_counts(n: int, sets, blocks: int = 1) -> bytes:
     """Byte A is the number of the given bit sets over n bits that contain
-    mask A; there must be fewer than 256 sets. The inverse of ``bitset``.
+    mask A; there must be fewer than 256 sets.
 
     The sets are added as binary counters held in bit planes, plane j being
     the set of masks whose count has bit j, each set rippling its carries up
@@ -154,23 +154,6 @@ def member_counts(n: int, sets, blocks: int = 1) -> bytes:
     for plane in reversed(planes):
         total = (total << 1) + _spread(width, plane)
     return total.to_bytes(width, "little")
-
-
-def member_masks(n: int, sets) -> list[int]:
-    """Entry A is the mask of the indices i whose bit set sets[i] over n bits
-    contains mask A.
-
-    Each group of 8 sets is summed as spread sets shifted by their index in
-    the group, which gives one byte per mask; the bytes of the groups are
-    shifted into place and or-ed into the masks by C-level maps."""
-    size = 1 << n
-    masks = [0] * size
-    for k in range(0, len(sets), 8):
-        total = 0
-        for i, members in enumerate(sets[k : k + 8]):
-            total += _spread(size, members) << i
-        masks = list(map(or_, masks, map(lshift, total.to_bytes(size, "little"), repeat(k))))
-    return masks
 
 
 @lru_cache(maxsize=None)

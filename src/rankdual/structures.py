@@ -13,7 +13,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import reduce
 from itertools import compress
-from operator import and_
+from operator import and_, or_
 
 from .axioms import FeasibleFamily, check_antimatroid, check_greedoid
 from .core import (
@@ -26,7 +26,6 @@ from .core import (
     feasible_flags,
     member_counts,
     member_flags,
-    member_masks,
     popcounts,
 )
 from .ops import _kept_ground, _select
@@ -290,39 +289,37 @@ def _convex_flags(g: RankTable) -> bytes:
     return feasible_flags(g.n, g._kernel_view())[::-1]
 
 
-def closure_table(g: RankTable) -> list:
-    """Convex closure of every subset at once: closures[mask] is the mask of
-    the intersection of all convex supersets. The table must be a full
-    antimatroid; each closure is re-verified to be convex.
+def _closure_gaps(g: RankTable) -> bytes:
+    """Byte A is |cl(A) - A|, where the convex closure cl(A) is the
+    intersection of the convex supersets of A (S when there is none). The
+    table need not be a full antimatroid, but every closure must be convex.
+
+    Element p lies in cl(A) iff no convex superset of A avoids p, that is iff
+    A is not in Down(convex sets without p). Each down-set takes one
+    shift-or pass per element, (X & has[q]) >> 2**q adding the sets with q
+    removed, so gaps[p] = avoid[p] & ~Down(convex & avoid[p]) is the set of
+    masks A without p whose closure holds p, and ``member_counts`` counts them.
+
+    A is closed, cl(A) = A, iff it lies in no gaps[p]. The closures are the
+    closed sets: a convex set holds A iff it holds cl(A), so cl(cl(A)) =
+    cl(A), and a closed set is its own closure. So every closure is convex
+    iff every mask is convex or in some gaps[p], for any table, r(empty) != 0
+    and n = 0 included.
     """
-    _require_full_antimatroid(g)
-    return _closure_table(g)
-
-
-def _closure_table(g: RankTable) -> list:
-    """``closure_table`` without the full-antimatroid precondition check.
-
-    Element p lies in the closure of A iff no convex superset of A avoids p,
-    that is iff A is not in Down(convex sets without p). Each down-set takes
-    one shift-or pass per element, (X & has[q]) >> 2**q adding the sets with
-    q removed, and ``member_masks`` assembles the closures from the n sets.
-    """
-    is_convex = _convex_flags(g)
-    convex = bitset(is_convex)
+    convex = bitset(_convex_flags(g))
     has = _has_sets(g.n)
     every = (1 << g.ground.size) - 1
-    inside = []  # inside[p]: the masks whose closure holds p
+    gaps = []
     for avoid in avoid_sets(g.n):
         below = convex & avoid
         for q, members in enumerate(has):
             below |= (below & members) >> (1 << q)
-        inside.append(every ^ below)
-    closures = member_masks(g.n, inside)
-    if not all(map(is_convex.__getitem__, closures)):
+        gaps.append(avoid & ~below)
+    if reduce(or_, gaps, convex) != every:
         raise StructureError(
             "closure is not convex; the table violates the antimatroid precondition"
         )
-    return closures
+    return member_counts(g.n, gaps)
 
 
 def _require_full_antimatroid(g: RankTable):

@@ -21,7 +21,7 @@ import time
 from contextlib import suppress
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from operator import and_, inv, ne, neg, or_, sub
+from operator import and_, ne, neg, or_, sub
 from typing import NamedTuple
 
 from .axioms import (
@@ -59,7 +59,7 @@ from .structures import (
     ContractionError,
     RootedGraph,
     Tree,
-    _closure_table,
+    _closure_gaps,
     _connected,
     _convex_flags,
     branching_greedoid,
@@ -88,9 +88,9 @@ MAX_RANDOM_N = 12
 # and 5-6 s at 7, both at about 18 MB peak RSS, and took more than 300 s at
 # 8 when it still relaxed one graph at a time.
 MAX_CENSUS_EDGES = 7
-# Tree census size: the largest at which each closure suite runs within
-# about 6 s. At 12 tree edges closure_dual_rank takes 4-6 s and
-# convex_zero_dual 2.4-2.8 s; at 13, 18 s and 8.5 s.
+# Tree census size: each closure suite runs within about 6 s. On a 2-CPU
+# host the CLI run of each takes 1.2-1.7 s at 12 tree edges; in process at
+# 13 each took about 4.5 s at 37 MB peak RSS.
 MAX_TREE_EDGES = 12
 # Random ranks stay small enough that every derived table (duals, minors,
 # direct sums of duals) keeps within the 2**31 magnitude bound.
@@ -863,9 +863,8 @@ def _suite_closure_dual_rank(params, rec: _Recorder):
     for desc, g in _closure_corpora(params):
         # the corpora are full antimatroids by construction; the closures are
         # still checked to be convex
-        closures = _closure_table(g)
+        gaps = _closure_gaps(g)
         dv = dual(g).values
-        gaps = list(map(int.bit_count, map(and_, closures, map(inv, range(g.ground.size)))))
 
         def failures(mask):
             witness = f"A={SubsetRef(g.ground, mask)} dual={dv[mask]} gap={gaps[mask]}"

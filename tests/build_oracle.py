@@ -4,7 +4,8 @@ These are the plain-loop forms of ``branching_greedoid`` and
 ``branching_rows`` (a search from the root for every edge mask),
 ``pruning_antimatroid`` (a leaf-pruning walk for every edge mask),
 ``convex_closure`` (an intersection over every convex mask),
-``closure_table`` (one pass over every mask per convex set) and
+``_closure_gaps`` (the closures by one pass over every mask per convex
+set, and the gaps |cl(A) - A| from them) and
 ``tutte_recursive`` (a depth-first deletion-contraction that
 merges one polynomial per node). The library builds the same tables and
 closures from bit sets and evaluates the recursion level by level; the
@@ -113,6 +114,11 @@ def oracle_closure_table(g) -> list:
             "closure is not convex; the table violates the antimatroid precondition"
         )
     return closures
+
+
+def oracle_closure_gaps(g) -> bytes:
+    """Byte A is |cl(A) - A|, read from ``oracle_closure_table``."""
+    return bytes((closure & ~mask).bit_count() for mask, closure in enumerate(oracle_closure_table(g)))
 
 
 def oracle_recursion(g, pivot="lowest") -> LaurentPoly2:

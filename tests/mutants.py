@@ -35,8 +35,12 @@ SRC = ROOT / "src"
 
 CORE = "rankdual/core.py"
 TUTTE = "rankdual/tutte.py"
+STRUCTURES = "rankdual/structures.py"
+VERIFY = "rankdual/verify.py"
 CORE_TESTS = ("tests/test_core.py",)
 POLY_TESTS = ("tests/test_packed_paths.py", "tests/test_tutte.py")
+CLOSURE_TESTS = ("tests/test_structures.py", "tests/test_build_oracle.py")
+SUITE_TESTS = ("tests/test_verify.py", "tests/test_suite_failures.py")
 
 
 class Mutant(NamedTuple):
@@ -102,6 +106,40 @@ MUTANTS = (
     Mutant("layout-strips-unicode-whitespace", "rankdual/documents.py",
            'text[pos:].strip(" \\t\\n\\r")',
            "text[pos:].strip()", ("tests/test_doc_oracle.py",)),
+    # the closure gaps and the convex flags
+    Mutant("closure-gaps-without-convexity-test", STRUCTURES,
+           "    if reduce(or_, gaps, convex) != every:\n",
+           "    if False:\n", CLOSURE_TESTS),
+    Mutant("gap-set-not-restricted-to-avoid", STRUCTURES,
+           "gaps.append(avoid & ~below)",
+           "gaps.append(every & ~below)", CLOSURE_TESTS),
+    Mutant("down-set-pass-skips-element-0", STRUCTURES,
+           "        for q, members in enumerate(has):\n            below |=",
+           "        for q, members in enumerate(has[1:], 1):\n            below |=", CLOSURE_TESTS),
+    Mutant("convex-flags-not-reversed", STRUCTURES,
+           "return feasible_flags(g.n, g._kernel_view())[::-1]",
+           "return feasible_flags(g.n, g._kernel_view())", CLOSURE_TESTS),
+    # the batched suites and their failure tally
+    Mutant("tally-records-before-counting", VERIFY,
+           "            self.instances += i + 1 - counted\n            counted = i + 1\n"
+           "            for failure in failures(i):\n                self.fail(*failure)\n",
+           "            for failure in failures(i):\n                self.fail(*failure)\n"
+           "            self.instances += i + 1 - counted\n            counted = i + 1\n", SUITE_TESTS),
+    Mutant("zero-block-dual-guard-removed", "rankdual/ops.py",
+           '    if not blocks:\n        return TableView((), 0, 0, b"")\n',
+           "", SUITE_TESTS),
+    Mutant("root-degree-loosened-to-v-2", VERIFY,
+           "end.count(root) == vertex_count - 1",
+           "end.count(root) >= vertex_count - 2", SUITE_TESTS),
+    Mutant("full-greedoid-index-advanced-by-full-count", VERIFY,
+           "len(full)), failures)\n        idx += count",
+           "len(full)), failures)\n        idx += len(full)", SUITE_TESTS),
+    Mutant("closure-tally-one-mask-short", VERIFY,
+           "rec.tally(g.ground.size, bitset(map(ne, dv, map(neg, gaps))), failures)",
+           "rec.tally(g.ground.size - 1, bitset(map(ne, dv, map(neg, gaps))), failures)", SUITE_TESTS),
+    Mutant("closure-gaps-not-negated", VERIFY,
+           "map(ne, dv, map(neg, gaps))",
+           "map(ne, dv, gaps)", SUITE_TESTS),
 )
 
 

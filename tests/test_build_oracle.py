@@ -23,12 +23,12 @@ from rankdual import (
     tutte_recursive,
     tutte_subset,
 )
-from rankdual.structures import _closure_table, _edge_pairs, branching_rows, closure_table
+from rankdual.structures import _closure_gaps, _edge_pairs, branching_rows
 from rankdual.verify import _rooted_graphs
 
 from build_oracle import (
     oracle_branching_values,
-    oracle_closure_table,
+    oracle_closure_gaps,
     oracle_convex_closure,
     oracle_pruning_values,
     oracle_recursion,
@@ -188,7 +188,7 @@ def test_closure_table_of_trees_and_full_antimatroids():
     tables = [pruning_antimatroid(tree) for tree in all_trees(7)]
     tables += [g for n in range(4) for g in enumerate_tables(EnumSpec(n, "full-antimatroid"))]
     for g in tables:
-        assert closure_table(g) == oracle_closure_table(g), g.values
+        assert _closure_gaps(g) == oracle_closure_gaps(g), g.values
 
 
 @st.composite
@@ -214,7 +214,7 @@ def convex_families(draw):
 @given(convex_families())
 def test_closure_table_matches_oracle_on_any_convex_family(g):
     # where a closure is not convex, both sides raise the same error
-    assert closure_outcome(_closure_table, g) == closure_outcome(oracle_closure_table, g)
+    assert closure_outcome(_closure_gaps, g) == closure_outcome(oracle_closure_gaps, g)
 
 
 def test_empty_and_single_element_grounds():

@@ -44,7 +44,6 @@ from rankdual.core import (
     feasible_flags,
     masks_by_cardinality,
     member_counts,
-    member_masks,
     members_of,
     step_sets,
 )
@@ -426,13 +425,6 @@ def test_member_counts_over_blocks_counts_each_position(case):
     n, (blocks, sets) = case
     counts = member_counts(n, sets, blocks)
     assert list(counts) == [sum(s >> i & 1 for s in sets) for i in range(blocks << n)]
-
-
-@given(st.integers(0, 6).flatmap(lambda n: st.tuples(st.just(n), st.lists(st.integers(0, (1 << (1 << n)) - 1), max_size=26))))
-def test_member_masks_lists_the_sets_holding_each_mask(case):
-    n, sets = case
-    masks = member_masks(n, sets)
-    assert masks == [sum(1 << i for i, s in enumerate(sets) if s >> mask & 1) for mask in range(1 << n)]
 
 
 def _tables_of_bytes(n):

@@ -28,7 +28,7 @@ from rankdual import (
     uniform_matroid,
 )
 from rankdual.axioms import FeasibleFamily
-from rankdual.structures import _closure_table, _connected, _relax, closure_table
+from rankdual.structures import _closure_gaps, _connected, _relax
 from rankdual.verify import all_trees
 
 from conftest import make_table
@@ -321,14 +321,14 @@ def test_closure_table_detects_non_convex_intersection():
     # the closure of the empty set is not convex
     g = make_table("ab", [0, 1, 1, 1])
     with pytest.raises(StructureError, match="not convex"):
-        _closure_table(g)
+        _closure_gaps(g)
 
 
 def test_closure_table_matches_pointwise_closure():
     g = pruning_antimatroid(all_trees(4)[-1])
-    closures = closure_table(g)
+    gaps = _closure_gaps(g)
     for mask in range(g.ground.size):
-        assert closures[mask] == convex_closure(g, g.ground.subset_from_mask(mask)).bits
+        assert gaps[mask] == (convex_closure(g, g.ground.subset_from_mask(mask)).bits & ~mask).bit_count()
 
 
 # --- uniform matroids -------------------------------------------------------------
