@@ -384,21 +384,22 @@ def _step_code(n: int, view: TableView, blocks: int = 1) -> list[int]:
     return code
 
 
-def subset_max(n: int, data: bytes) -> bytes:
+def subset_max(n: int, data: bytes, blocks: int = 1) -> bytes:
     """Byte B is the largest byte A over the subsets A of B, for 2**n bytes
     each in 0..127: the zeta transform over the subset lattice with max for
     sum (Yates, 1937), n passes of the biased subtraction of _step_code, each
-    taking the larger of bytes A and A | 1 << p into byte A | 1 << p."""
-    size = 1 << n
+    taking the larger of bytes A and A | 1 << p into byte A | 1 << p.
+    ``blocks`` as in step_sets: each block of 2**n bytes is read alone."""
+    width = blocks << n
     x = int.from_bytes(data, "little")
-    bias = int.from_bytes(b"\x80" * size, "little")
-    for p, avoid in enumerate(avoid_sets(n)):
-        keep, s = _spread(size, avoid), 8 << p
+    bias = int.from_bytes(b"\x80" * width, "little")
+    for p, avoid in enumerate(avoid_sets(n, blocks)):
+        keep, s = _spread(width, avoid), 8 << p
         lower, upper = x & keep * 255, x >> s & keep * 255
         # byte A is 128 + upper - lower, with bit 7 set iff upper >= lower
         lower_wins = keep & ~(((upper | bias) - lower) >> 7)
         x ^= ((upper ^ lower) & lower_wins * 255) << s
-    return x.to_bytes(size, "little")
+    return x.to_bytes(width, "little")
 
 
 # The bounds of ``exceeding``: 0, |A|, and the value r(S) of the full set of

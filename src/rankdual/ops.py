@@ -76,21 +76,33 @@ def _shifted_view(data: bytes, top: int, shift: int):
     return TableView(values, low, high, offsets)
 
 
+def _rebased(n: int, data: bytes, blocks: int, byteorder: str = "little") -> int:
+    """The bytes of ``blocks`` blocks of 2**n bytes, read from data as one
+    int in ``byteorder``, each block lowered by its byte 0 and lifted by the
+    largest byte 0, so that no byte goes below 0: byte A of block b is
+    X_b[A] - X_b[0] + lift, and byte 0 of every block is the lift. No byte
+    passes 255 while all are within 127. Read big-endian, block b is the
+    b-th block from the end of data, reversed. Each block's byte 0, masked
+    and multiplied as in the FULL pass of core.exceeding, lifts its block."""
+    size = 1 << n
+    packed = int.from_bytes(data, byteorder)
+    starts = data[::size] if byteorder == "little" else data[size - 1 :: size]
+    firsts = int.from_bytes(bytes(size - 1).join([b"\1"] * blocks), "little")
+    lift = max(starts, default=0) * firsts - (packed & 0xFF * firsts)
+    return packed + lift * int.from_bytes(b"\1" * size, "little")
+
+
 def _dual_sums(n: int, offsets: bytes, blocks: int) -> bytes:
     """The packed dual pass over the offsets O of ``blocks`` tables of 2**n
     values laid end to end, b"" for none: byte A of block b is
     |A| + O_b[S - A] + bias - O_b[S] = r_b*(A) + bias, with bias the largest
     O_b[S], which is byte 0 of every block. The blocks, joined in reverse
     order and read as one big-endian int, hold O_b[S - A] at byte A of block
-    b; each block's first byte O_b[S], masked and multiplied as in the FULL
-    pass of core.exceeding, lifts its block by bias - O_b[S]."""
+    b, whose byte 0 O_b[S] _rebased takes off."""
     size = 1 << n
     offsets = b"".join([offsets[end - size : end] for end in range(blocks << n, 0, -size)])
-    packed = int.from_bytes(offsets, "big")
-    firsts = int.from_bytes(bytes(size - 1).join([b"\1"] * blocks), "little")
-    lift = max(offsets[size - 1 :: size], default=0) * firsts - (packed & 0xFF * firsts)
-    total = packed + int.from_bytes(popcounts(n) * blocks, "little")
-    return (total + lift * int.from_bytes(b"\1" * size, "little")).to_bytes(blocks << n, "little")
+    total = _rebased(n, offsets, blocks, "big") + int.from_bytes(popcounts(n) * blocks, "little")
+    return total.to_bytes(blocks << n, "little")
 
 
 def _packed_dual(n: int, values, blocks: int = 1):

@@ -18,6 +18,7 @@ from __future__ import annotations
 import itertools
 import random
 import time
+from bisect import bisect_right
 from contextlib import suppress
 from dataclasses import dataclass
 from functools import lru_cache, reduce
@@ -39,11 +40,16 @@ from .core import (
     JUMP,
     MAX_GROUND_SIZE,
     MAX_RANK_MAGNITUDE,
+    NEGATIVE,
+    SIZE,
     GroundSet,
     RankFunctionError,
     RankTable,
     SubsetRef,
+    _shifted,
+    _view_of,
     bitset,
+    exceeding,
     failing_blocks,
     feasible_flags,
     member_flags,
@@ -54,7 +60,7 @@ from .core import (
     table_from_values,
     validate,
 )
-from .ops import _dual_sums, _packed_dual, contract, delete, direct_sum, dual
+from .ops import _dual_sums, _half, _packed_dual, _rebased, contract, delete, direct_sum, dual
 from .structures import (
     ContractionError,
     RootedGraph,
@@ -79,9 +85,10 @@ MAX_EXHAUSTIVE_N = 4
 
 # Caps on suite sizes. Largest ground of a random corpus table: the largest
 # at which each sampled suite runs within about 1 s at the default counts.
-# In process on a 2-CPU host, the slowest (contract_formula and
-# demimatroid_characterization) take 0.7-1.05 s at 12, at about 21 MB peak
-# RSS, and 1.5-2.2 s at 13, at 24 MB.
+# In process on a 2-CPU host, the slowest, contract_formula, takes 0.7-1.05 s
+# at 12, at about 21 MB peak RSS, and 1.5-2.2 s at 13, at 24 MB;
+# demimatroid_characterization, read as per-size corpora, takes about 0.4 s
+# at 12, at 25 MB.
 MAX_RANDOM_N = 12
 # Census size: the largest at which one run with the default counts stays
 # within about 30 s and 150 MB. root_adjacency takes about 0.2 s at 6 edges
@@ -264,21 +271,37 @@ def random_tables(count: int, max_n: int = 6, seed=None, lo: int = -3, hi: int =
     """Seeded stream of tables with r(empty) = 0 and independent uniform
     ranks in [lo, hi] elsewhere. Negative and non-monotone ranks are the
     point: the polynomial identities hold for arbitrary integer tables."""
+    for n, values in _table_draws(count, max_n, seed, lo, hi):
+        yield table_from_values(GroundSet(tuple(_LABELS[:n])), values)
+
+
+def _table_draws(count, max_n, seed, lo, hi):
+    """(n, values) of each table of random_tables, in draw order: the one
+    seeded stream of that sampler."""
     rng = _seeded(seed, count, max_n, lo, hi)
     for _ in range(count):
-        yield _random_table(rng, _LABELS[: rng.randint(0, max_n)], lo, hi)
+        n = rng.randint(0, max_n)
+        yield n, _random_values(rng, n, lo, hi)
 
 
-def _random_table(rng: random.Random, labels: str, lo: int, hi: int) -> RankTable:
-    """A table on ``labels`` with r(empty) = 0 and ranks drawn from ``rng``
-    uniformly in [lo, hi] elsewhere, in mask order."""
-    values = [0] + [rng.randint(lo, hi) for _ in range((1 << len(labels)) - 1)]
-    return table_from_values(GroundSet(tuple(labels)), values)
+def _random_values(rng: random.Random, n: int, lo: int, hi: int) -> list:
+    """The values of a table on n elements with r(empty) = 0 and ranks drawn
+    from ``rng`` uniformly in [lo, hi] elsewhere, in mask order."""
+    others = (1 << n) - 1
+    return [0, *map(rng.randint, itertools.repeat(lo, others), itertools.repeat(hi, others))]
 
 
 def random_monotone_tables(count: int, max_n: int = 6, seed=None):
     """Seeded stream of normalized monotone subcardinal tables: each rank is
     uniform between the largest immediate-subset rank and the cardinality."""
+    for n, values in _monotone_draws(count, max_n, seed):
+        # 2**n ints in 0..n with n within the cap: no checks needed
+        yield RankTable._trusted(GroundSet(tuple(_LABELS[:n])), tuple(values))
+
+
+def _monotone_draws(count, max_n, seed):
+    """(n, values) of each table of random_monotone_tables, in draw order:
+    the one seeded stream of that sampler."""
     rng = _seeded(seed, count, max_n)
     subsets = {}  # per ground size: the immediate subsets of each mask
     for _ in range(count):
@@ -289,8 +312,7 @@ def random_monotone_tables(count: int, max_n: int = 6, seed=None):
         for m in range(1, 1 << n):
             below = max(map(values.__getitem__, subsets[n][m]))
             values[m] = rng.randint(below, m.bit_count())
-        # 2**n ints in 0..n with n within the cap: no checks needed
-        yield RankTable._trusted(GroundSet(tuple(_LABELS[:n])), tuple(values))
+        yield n, values
 
 
 # ---------------------------------------------------------------------------
@@ -549,10 +571,11 @@ def _exhaustive_n(default: int) -> Param:
 
 
 #: A seeded sample of random tables; the keys are the samplers' parameters.
-#: The count is capped by the rule of the caps above: at 100,000, exchange,
-#: the costliest suite per table, takes about 17 s at 18 MB peak RSS,
-#: contract_formula 11.5 s and direct_sum_dual 6.7 s. A count below 1
-#: checks no instances, which run_suite reports.
+#: The count is capped by the rule of the caps above: at 100,000,
+#: contract_formula, now the costliest suite per table, takes about 11.5 s
+#: and direct_sum_dual 6.7 s; exchange, which reads per-size corpora, takes
+#: about 1.8 s at 32 MB peak RSS. A count below 1 checks no instances,
+#: which run_suite reports.
 _SAMPLE = {
     "seed": Param(None),
     "count": Param(500, None, 100_000),
@@ -572,6 +595,118 @@ def _corpus(params: dict):
 
 def _desc(i: int, g: RankTable):
     return lambda: f"table[{i}] n={g.n} values={g.values}"
+
+
+# Values of the draws that a sampled suite reads per pass: one corpus per
+# size of a pass amortizes its fixed steps well below this, and a capped run
+# (count 100,000 at max_n 12, about 63 M values) holds one pass at a time.
+_PASS_VALUES = 1 << 18
+
+
+def _passes(draws):
+    """The draws (n, values) in runs of consecutive draws, each run closed
+    once it holds _PASS_VALUES values."""
+    run, values = [], 0
+    for draw in draws:
+        run.append(draw)
+        values += len(draw[1])
+        if values >= _PASS_VALUES:
+            yield run
+            run, values = [], 0
+    if run:
+        yield run
+
+
+def _tally_sizes(rec: _Recorder, starts, sizes, read, checks) -> None:
+    """Check tables 0, 1, ... whose instances are starts[t] to starts[t + 1]
+    - 1 for table t, as one corpus per size, and tally them in table order.
+
+    ``sizes`` holds (n, values, tables): the values of tables[0], tables[1],
+    ... of 2**n values each, laid end to end. ``read(n, view, count)`` gives
+    for count such tables, from the view of their values, one set of
+    failing tables per instance slot, or None when they do not pack.
+    ``checks(t)`` gives the (ok, instance, assertion, witness) of each
+    instance of table t: it decides the tables of a size that does not
+    pack, and it words each failure."""
+    wrong = 0
+    for n, values, tables in sizes:
+        slots = read(n, _view_of(values), len(tables))
+        if slots is None:
+            for t in tables:
+                for j, (ok, *_) in enumerate(checks(t)):
+                    wrong |= (not ok) << starts[t] + j
+            continue
+        for j, failing in enumerate(slots):
+            for b in members_of(failing, len(tables)):
+                wrong |= 1 << starts[tables[b]] + j
+    # a table's failures are recorded one instance after the other
+    checks = lru_cache(maxsize=1)(checks)
+
+    def failures(k):
+        t = bisect_right(starts, k) - 1
+        return [checks(t)[k - starts[t]][1:]]
+
+    rec.tally(starts[-1], wrong, failures)
+
+
+def _tally_draws(rec: _Recorder, draws, read, checks, width=lambda n: 1) -> None:
+    """Check the drawn tables (n, values), in draw order, through
+    _tally_sizes, one pass of _passes at a time; a table on n elements has
+    width(n) instances, and ``checks(i, n, values)`` those of draw i."""
+    first = 0
+    for run in _passes(draws):
+        sizes = {}
+        for t, (n, values) in enumerate(run):
+            tables, corpus = sizes.setdefault(n, ([], []))
+            tables.append(t)
+            corpus += values
+        starts = list(itertools.accumulate((width(n) for n, _ in run), initial=0))
+        corpora = [(n, corpus, tables) for n, (tables, corpus) in sizes.items()]
+        _tally_sizes(rec, starts, corpora, read, lambda t: checks(first + t, *run[t]))
+        first += len(run)
+
+
+def _tally_sample(params, rec: _Recorder, read, check, width=lambda n: 1) -> None:
+    """The random_tables sample of a _CORPUS suite through _tally_draws;
+    ``check(desc, g)`` gives the checks of the table g of draw i, described
+    as table[i]."""
+
+    def checks(i, n, values):
+        g = table_from_values(GroundSet(tuple(_LABELS[:n])), values)
+        return check(_desc(i, g), g)
+
+    _tally_draws(rec, _table_draws(**{key: params[key] for key in _CORPUS}), read, checks, width)
+
+
+def _unequal(n: int, count: int, x, y):
+    """The tables, of count tables of 2**n values laid end to end, at which
+    the values of the sides x and y differ. A side is a pair (offsets, low)
+    of the values offsets + low, with ASCII offsets and low in -128..0, so
+    that the offsets of one side raised onto the other's lower low stay
+    bytes; None when the offsets of a side are not ASCII."""
+    (x, x_low), (y, y_low) = x, y
+    if not (x.isascii() and y.isascii()):
+        return None
+    if x_low > y_low:
+        x = x.translate(_shifted(x_low - y_low))
+    elif y_low > x_low:
+        y = y.translate(_shifted(y_low - x_low))
+    return 0 if x == y else failing_blocks(n, bitset(map(ne, x, y)), count)
+
+
+def _side(view):
+    """The side (see _unequal) of a view's values."""
+    return view.offsets, view.low
+
+
+def _contraction(n: int, data: bytes, bit: int, count: int):
+    """The side (see _unequal) of the contractions at ``bit`` of count
+    tables of 2**n values laid end to end as the bytes data: the half of
+    each table with bit, rebased to its byte at bit by _rebased, whose lift
+    is byte 0 of every table."""
+    upper = _half(data, bit, True)
+    rebased = _rebased(n - 1, upper, count).to_bytes(len(upper), "little")
+    return rebased, -rebased[0]
 
 
 # ---------------------------------------------------------------------------
@@ -604,23 +739,63 @@ def _suite(shared: dict | None = None, /, **params: Param):
     return register
 
 
+def _involution_checks(desc, g: RankTable):
+    twice = dual(dual(g))
+    return [(twice == g, desc, "dual(dual(g)) == g", lambda: str(twice.values))]
+
+
+def _involution_corpus(n: int, view, count: int):
+    """The tables g of the corpus with dual(dual(g)) != g; None when the
+    values or their duals do not pack."""
+    once = _packed_dual(n, view, count)
+    twice = None if once is None else _packed_dual(n, once, count)
+    if twice is None:
+        return None
+    differ = _unequal(n, count, _side(twice), _side(view))
+    return None if differ is None else [differ]
+
+
 @_suite(_CORPUS)
 def _suite_involution(params, rec: _Recorder):
-    for i, g in enumerate(_corpus(params)):
-        rec.check(
-            dual(dual(g)) == g, _desc(i, g), "dual(dual(g)) == g", lambda: str(dual(dual(g)).values)
-        )
+    _tally_sample(params, rec, _involution_corpus, _involution_checks)
+
+
+def _exchange_checks(desc, g: RankTable):
+    gd, checks = dual(g), []
+    for p in g.ground.labels:
+        ok1 = dual(delete(g, p)) == contract(gd, p)
+        checks.append((ok1, desc, f"dual(delete(g,{p})) == contract(dual(g),{p})", ""))
+        ok2 = dual(contract(g, p)) == delete(gd, p)
+        checks.append((ok2, desc, f"dual(contract(g,{p})) == delete(dual(g),{p})", ""))
+    return checks
+
+
+def _exchange_corpus(n: int, view, count: int):
+    """For each element p, the tables g of the corpus failing
+    dual(delete(g, p)) == contract(dual(g), p), then those failing
+    dual(contract(g, p)) == delete(dual(g), p); None when a side does not
+    pack. The masks of a corpus without p repeat every 2**n bytes, so one
+    _half takes the deletions of all its tables, and one _contraction their
+    contractions. The duals are read from the offsets v - low: a constant
+    added to a table changes neither its dual nor its contractions."""
+    gd = _packed_dual(n, view, count)
+    if gd is None:
+        return None
+    slots = []
+    for p in range(n):
+        bit = 1 << p
+        deleted = _packed_dual(n - 1, _half(view.offsets, bit, False), count)
+        contracted = _packed_dual(n - 1, _contraction(n, view.offsets, bit, count)[0], count)
+        if deleted is None or contracted is None:
+            return None
+        slots.append(_unequal(n - 1, count, _side(deleted), _contraction(n, gd.offsets, bit, count)))
+        slots.append(_unequal(n - 1, count, _side(contracted), (_half(gd.offsets, bit, False), gd.low)))
+    return None if None in slots else slots
 
 
 @_suite(_CORPUS)
 def _suite_exchange(params, rec: _Recorder):
-    for i, g in enumerate(_corpus(params)):
-        gd = dual(g)
-        for p in g.ground.labels:
-            ok1 = dual(delete(g, p)) == contract(gd, p)
-            rec.check(ok1, _desc(i, g), f"dual(delete(g,{p})) == contract(dual(g),{p})")
-            ok2 = dual(contract(g, p)) == delete(gd, p)
-            rec.check(ok2, _desc(i, g), f"dual(contract(g,{p})) == delete(dual(g),{p})")
+    _tally_sample(params, rec, _exchange_corpus, _exchange_checks, width=lambda n: 2 * n)
 
 
 @_suite(_CORPUS)
@@ -647,8 +822,8 @@ def _suite_direct_sum_dual(params, rec: _Recorder):
     rng = _seeded(params["seed"], params["count"], max_n, lo, hi)
     for i in range(params["count"]):
         n1, n2 = rng.randint(0, max_n), rng.randint(0, max_n)
-        g1 = _random_table(rng, _LABELS[:n1], lo, hi)
-        g2 = _random_table(rng, "pqrstuvw"[:n2], lo, hi)
+        g1 = table_from_values(GroundSet(tuple(_LABELS[:n1])), _random_values(rng, n1, lo, hi))
+        g2 = table_from_values(GroundSet(tuple("pqrstuvw"[:n2])), _random_values(rng, n2, lo, hi))
         ok = dual(direct_sum(g1, g2)) == direct_sum(dual(g1), dual(g2))
         rec.check(ok, lambda: f"pair[{i}] n1={n1} n2={n2}", "dual(g1 + g2) == dual(g1) + dual(g2)")
 
@@ -892,45 +1067,100 @@ def _suite_convex_zero_dual(params, rec: _Recorder):
 _MONOTONE = {**_SAMPLE, "n": _exhaustive_n(3)}
 
 
-def _monotone_corpus(params):
-    """(description, table) pairs; each description is a callable."""
-    for idx, g in enumerate(_enumerated(params["n"], "all-normalized-subcardinal-monotone")):
-        yield (lambda idx=idx, g=g: f"enumerated[{idx}] n={g.n} values={g.values}"), g
-    for idx, g in enumerate(random_monotone_tables(**{key: params[key] for key in _SAMPLE})):
-        yield (lambda idx=idx, g=g: f"sampled[{idx}] n={g.n} values={g.values}"), g
+def _tally_monotone(params, rec: _Recorder, read, check) -> None:
+    """The enumerated tables of a _MONOTONE suite, one corpus of
+    _packed_corpora at a time, and then its random_monotone_tables sample
+    through _tally_draws; ``check(desc, g)`` gives the checks of one table,
+    described as enumerated[i] or sampled[i]."""
+    idx = 0
+    for n, corpus, count in _packed_corpora(params["n"], "all-normalized-subcardinal-monotone"):
+
+        def checks(b):
+            g = RankTable._trusted(GroundSet(tuple(_LABELS[:n])), tuple(corpus[b << n : (b + 1) << n]))
+            return check(f"enumerated[{idx + b}] n={n} values={g.values}", g)
+
+        _tally_sizes(rec, range(count + 1), [(n, corpus, range(count))], read, checks)
+        idx += count
+
+    def sampled(i, n, values):
+        g = RankTable._trusted(GroundSet(tuple(_LABELS[:n])), tuple(values))
+        return check(lambda: f"sampled[{i}] n={n} values={g.values}", g)
+
+    _tally_draws(rec, _monotone_draws(**{key: params[key] for key in _SAMPLE}), read, sampled)
+
+
+_NULLITY_CLAIM = "unit rank increase iff monotone nullity (iff bounded stretch)"
+
+
+def _nullity_checks(desc, g: RankTable):
+    # three independent readings: no jump step of r, no decreasing step of
+    # the nullity |A| - r(A), and no pair A <= B stretched past |B - A| (no
+    # nullity below a subset's); both corpora keep nullities in 0..n
+    nullities = bytes(map(sub, popcounts(g.n), g.values))
+    (jump,) = step_sets(g.n, g._kernel_view(), JUMP)
+    unit = not any(jump)
+    (drop,) = step_sets(g.n, nullities, DECREASE)
+    nullity = not any(drop)
+    stretch = subset_max(g.n, nullities) == nullities
+    witness = f"unit={unit} nullity={nullity} stretch={stretch}"
+    return [(unit == nullity == stretch, desc, _NULLITY_CLAIM, witness)]
+
+
+def _nullity_corpus(n: int, view, count: int):
+    """The tables of the corpus on which the three readings of
+    _nullity_checks disagree, each read for the whole corpus at once."""
+    nullities = bytes(map(sub, popcounts(n) * count, view.offsets))
+    (jump,) = step_sets(n, view, JUMP, blocks=count)
+    (drop,) = step_sets(n, nullities, DECREASE, blocks=count)
+    unit, nullity = (failing_blocks(n, reduce(or_, sets, 0), count) for sets in (jump, drop))
+    stretch = _unequal(n, count, (subset_max(n, nullities, count), 0), (nullities, 0))
+    return [(unit ^ nullity) | (nullity ^ stretch)]
 
 
 @_suite(_MONOTONE)
 def _suite_nullity_monotone(params, rec: _Recorder):
-    for desc, g in _monotone_corpus(params):
-        # three independent readings: no jump step of r, no decreasing step
-        # of the nullity |A| - r(A), and no pair A <= B stretched past |B - A|
-        # (no nullity below a subset's); both corpora keep nullities in 0..n
-        nullities = bytes(map(sub, popcounts(g.n), g.values))
-        (jump,) = step_sets(g.n, g._kernel_view(), JUMP)
-        unit = not any(jump)
-        (drop,) = step_sets(g.n, nullities, DECREASE)
-        nullity = not any(drop)
-        stretch = subset_max(g.n, nullities) == nullities
-        rec.check(
-            unit == nullity == stretch,
-            desc,
-            "unit rank increase iff monotone nullity (iff bounded stretch)",
-            lambda: f"unit={unit} nullity={nullity} stretch={stretch}",
-        )
+    _tally_monotone(params, rec, _nullity_corpus, _nullity_checks)
+
+
+def _demimatroid_checks(desc, g: RankTable):
+    lhs = check_demimatroid_characterization(g).passed
+    rhs = check_demimatroid_triple(DemiTriple(g, dual(g))).passed
+    witness = f"characterization={lhs} triple={rhs}"
+    return [(lhs == rhs, desc, "characterization passes iff (S, r, r*) is a demi triple", witness)]
+
+
+def _demimatroid_corpus(n: int, view, count: int):
+    """The tables r of the corpus on which check_demimatroid_characterization
+    and check_demimatroid_triple of r and s, its dual from _packed_dual,
+    disagree; None when the duals do not pack. The triple's rank-nullity
+    duality |S - A| - r(S - A) = s(S) - s(A), read at S - A, says r = s*,
+    and its complementary form says s = r*: both are read from _dual_sums."""
+    s = _packed_dual(n, view, count)
+    if s is None:
+        return None
+
+    r_dual, s_dual = (_dual_sums(n, t.offsets, count) for t in (view, s))
+    duality = _unequal(n, count, _side(view), (s_dual, -s_dual[0]))
+    complement = _unequal(n, count, _side(s), (r_dual, -r_dual[0]))
+    if duality is None or complement is None:
+        return None
+
+    def failing(t, steps):
+        # the tables t breaking 0 <= t(A) <= |A| or with one of the steps
+        bounds = exceeding(n, t, NEGATIVE, count) | exceeding(n, t, SIZE, count)
+        return failing_blocks(n, reduce(or_, steps, bounds), count)
+
+    decrease, jump = step_sets(n, view, DECREASE, JUMP, blocks=count)
+    (s_decrease,) = step_sets(n, s, DECREASE, blocks=count)
+    monotone = failing(view, decrease)
+    triple = monotone | failing(s, s_decrease) | duality | complement
+    characterization = monotone | failing_blocks(n, reduce(or_, jump, 0), count)
+    return [characterization ^ triple]
 
 
 @_suite(_MONOTONE)
 def _suite_demimatroid_characterization(params, rec: _Recorder):
-    for desc, g in _monotone_corpus(params):
-        lhs = check_demimatroid_characterization(g).passed
-        rhs = check_demimatroid_triple(DemiTriple(g, dual(g))).passed
-        rec.check(
-            lhs == rhs,
-            desc,
-            "characterization passes iff (S, r, r*) is a demi triple",
-            lambda: f"characterization={lhs} triple={rhs}",
-        )
+    _tally_monotone(params, rec, _demimatroid_corpus, _demimatroid_checks)
 
 
 @_suite()

@@ -41,6 +41,7 @@ CORE_TESTS = ("tests/test_core.py",)
 POLY_TESTS = ("tests/test_packed_paths.py", "tests/test_tutte.py")
 CLOSURE_TESTS = ("tests/test_structures.py", "tests/test_build_oracle.py")
 SUITE_TESTS = ("tests/test_verify.py", "tests/test_suite_failures.py")
+SAMPLED_TESTS = ("tests/test_suite_oracle.py", "tests/test_suite_failures.py")
 
 
 class Mutant(NamedTuple):
@@ -92,8 +93,8 @@ MUTANTS = (
            "_monomial_counts(ts, sizes, n, g.full_rank - view.low, t_bias, view.high)", POLY_TESTS),
     # the subset-max pass, the local union verdict and the layout reader
     Mutant("subset-max-last-pass-dropped", CORE,
-           "for p, avoid in enumerate(avoid_sets(n)):",
-           "for p, avoid in enumerate(avoid_sets(n)[:-1]):", CORE_TESTS),
+           "for p, avoid in enumerate(avoid_sets(n, blocks)):\n        keep, s",
+           "for p, avoid in enumerate(avoid_sets(n, blocks)[:-1]):\n        keep, s", CORE_TESTS),
     Mutant("subset-max-lower-wins-inverted", CORE,
            "lower_wins = keep & ~(((upper | bias) - lower) >> 7)",
            "lower_wins = keep & (((upper | bias) - lower) >> 7)", CORE_TESTS),
@@ -140,6 +141,25 @@ MUTANTS = (
     Mutant("closure-gaps-not-negated", VERIFY,
            "map(ne, dv, map(neg, gaps))",
            "map(ne, dv, gaps)", SUITE_TESTS),
+    # the per-size corpora of the sampled suites
+    Mutant("contraction-without-rebase", VERIFY,
+           'rebased = _rebased(n - 1, upper, count).to_bytes(len(upper), "little")',
+           "rebased = upper", SAMPLED_TESTS),
+    Mutant("contraction-reads-the-lower-half", VERIFY,
+           "upper = _half(data, bit, True)",
+           "upper = _half(data, bit, False)", SAMPLED_TESTS),
+    Mutant("failures-tallied-in-size-order", VERIFY,
+           "wrong |= 1 << starts[tables[b]] + j",
+           "wrong |= 1 << starts[b] + j", SAMPLED_TESTS),
+    Mutant("per-table-route-skips-the-first-table", VERIFY,
+           "            for t in tables:\n",
+           "            for t in tables[1:]:\n", SAMPLED_TESTS),
+    Mutant("unequal-raises-the-wrong-way", VERIFY,
+           "x = x.translate(_shifted(x_low - y_low))",
+           "x = x.translate(_shifted(y_low - x_low))", SAMPLED_TESTS),
+    Mutant("demimatroid-duality-read-from-the-dual", VERIFY,
+           "r_dual, s_dual = (_dual_sums(n, t.offsets, count) for t in (view, s))",
+           "r_dual, s_dual = (_dual_sums(n, t.offsets, count) for t in (s, view))", SAMPLED_TESTS),
 )
 
 

@@ -47,6 +47,17 @@ def step_classes(values, n, blocks=1):
     return found
 
 
+def subset_maxima(values, n, blocks=1):
+    """Entry A is the largest values[B] over the subsets B of A, over
+    ``blocks`` tables of 2**n values laid end to end as in step_classes."""
+    size = 1 << n
+    return [
+        max(values[base + b] for b in range(size) if b & mask == b)
+        for base in range(0, blocks << n, size)
+        for mask in range(size)
+    ]
+
+
 def _first_negative(values, n):
     for mask in masks_by_cardinality(n):
         if values[mask] < 0:

@@ -28,7 +28,7 @@ from rankdual import (
     validate,
 )
 from rankdual.axioms import FeasibleFamily, _union_failures
-from rankdual.core import MAX_PACKED_SPREAD, MAX_RANK_MAGNITUDE, bitset, popcounts
+from rankdual.core import MAX_PACKED_SPREAD, MAX_RANK_MAGNITUDE, bitset, popcounts, subset_max
 from rankdual.ops import PACKED_PASS_SIZE, _dual_values, _packed_dual
 
 from scan_oracle import (
@@ -40,6 +40,7 @@ from scan_oracle import (
     oracle_matroid,
     oracle_validate,
     pairwise_union_closed,
+    subset_maxima,
 )
 
 PAIRS = (
@@ -316,3 +317,18 @@ def test_local_union_verdict_matches_the_pairwise_scan_on_accessible_families(ta
     # laid end to end, block b fails as family b does alone
     alone = bitset(bool(_union_failures(t.n, _feasible([t]))) for t in tables)
     assert _union_failures(g.n, _feasible(tables), len(tables)) == alone
+
+
+@settings(max_examples=60)
+@given(st.integers(0, 5).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.sampled_from([1, 2, 7]).flatmap(lambda blocks: st.lists(
+        st.integers(0, 127), min_size=blocks << n, max_size=blocks << n)),
+)))
+@example((3, [127] + [0] * 7 + [0] * 7 + [127]))
+@example((2, [0, 127, 0, 0] * 7))
+def test_subset_max_over_blocks_reads_each_table_alone(case):
+    # corpora of 1, 2 and 7 tables of bytes in 0..127
+    n, values = case
+    blocks = len(values) >> n
+    assert list(subset_max(n, bytes(values), blocks)) == subset_maxima(values, n, blocks)

@@ -14,7 +14,7 @@ import pytest
 
 from rankdual import GroundSet, SubsetRef, dual, run_suite, structures, table_from_values, verify
 from rankdual.cli import run_command
-from rankdual.core import TableView
+from rankdual.core import TableView, _view_of
 from rankdual.ops import _dual_values
 
 from build_oracle import oracle_closure_gaps
@@ -31,13 +31,30 @@ def _plus_one(fn):
 
 
 def _jumping(step_sets):
-    """step_sets with a jump step in every table, of no element in particular."""
+    """step_sets with a jump step at every mask of every table, of no
+    element in particular."""
 
     def wrong(n, values, *relations, **blocks):
         found = step_sets(n, values, *relations, **blocks)
-        return [[1] if relation is verify.JUMP else sets for relation, sets in zip(relations, found)]
+        return [[-1] if relation is verify.JUMP else sets for relation, sets in zip(relations, found)]
 
     return wrong
+
+
+def _packed_plus_one(packed_dual):
+    """packed_dual with 1 added to every rank of the tables it returns."""
+
+    def wrong(n, values, blocks=1):
+        view = packed_dual(n, values, blocks)
+        return _view_of(tuple(v + 1 for v in view.values))
+
+    return wrong
+
+
+def _lower_halves(half):
+    """_half that takes the half without the bit, also when asked for the
+    half with it: each contraction reads the deletion."""
+    return lambda seq, bit, upper: half(seq, bit, False)
 
 
 def _cyclic_rows_wrong(edges, vertices, graphs, roots):
@@ -59,8 +76,13 @@ def _scenarios():
     dual, delete, contract = verify.dual, verify.delete, verify.contract
     tutte_subset = verify.tutte_subset
     return {
-        "involution": ({"count": 4, "max_n": 2, "seed": 3}, {"dual": _plus_one(dual)}),
-        "exchange": ({"count": 3, "max_n": 2, "seed": 3}, {"contract": delete}),
+        # the corpora read the packed duals, and the witnesses the table's
+        "involution": (
+            {"count": 4, "max_n": 2, "seed": 3},
+            {"_packed_dual": _packed_plus_one(verify._packed_dual), "dual": _plus_one(dual)},
+        ),
+        # a contraction read as the deletion: the report of contract = delete
+        "exchange": ({"count": 3, "max_n": 2, "seed": 3}, {"_half": _lower_halves(verify._half)}),
         "contract_formula": ({"count": 3, "max_n": 2, "seed": 3}, {"contract": delete}),
         "direct_sum_dual": ({"count": 3, "max_n": 2, "seed": 3}, {"dual": _plus_one(dual)}),
         "recursion_oracle": (
@@ -99,9 +121,10 @@ def _scenarios():
             {"n": 0, "count": 3, "max_n": 2, "seed": 3},
             {"step_sets": _jumping(verify.step_sets)},
         ),
+        # s = r: the corpora read it from _packed_dual, the witnesses from dual
         "demimatroid_characterization": (
             {"n": 1, "count": 4, "max_n": 2, "seed": 3},
-            {"dual": lambda g: g},
+            {"_packed_dual": lambda n, values, blocks=1: values, "dual": lambda g: g},
         ),
         # the empty set keeps rank 0, so that contraction still applies
         "branching_goldens": (

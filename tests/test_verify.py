@@ -546,23 +546,32 @@ def test_run_suite_rejects_a_float_param(key, value):
     assert str(raised.value) == f"{key} must be an integer, got {value!r}"
 
 
-def test_random_corpora_are_checked_as_they_are_drawn(monkeypatch):
-    events = []
+@pytest.mark.parametrize("pass_values, events", [
+    # a pass of one table at a time: each is checked before the next is drawn
+    (1, ["draw", "check", "check"] * 3),
+    # one pass: the tables of seed 1, on 1, 6 and 3 elements, are drawn
+    # first, and then each size is read as one corpus
+    (None, ["draw"] * 3 + ["check", "check"] * 3),
+], ids=["one-table-per-pass", "one-pass"])
+def test_random_corpora_are_checked_one_pass_at_a_time(monkeypatch, pass_values, events):
+    seen = []
+    draws, packed_dual = verify._table_draws, verify._packed_dual
 
     def drawing(**params):
-        for g in random_tables(**params):
-            events.append("draw")
-            yield g
+        for draw in draws(**params):
+            seen.append("draw")
+            yield draw
 
-    def checking(g):
-        events.append("check")
-        return dual(g)
+    def checking(n, values, blocks=1):
+        seen.append("check")
+        return packed_dual(n, values, blocks)
 
-    monkeypatch.setattr(verify, "random_tables", drawing)
-    monkeypatch.setattr(verify, "dual", checking)
+    monkeypatch.setattr(verify, "_table_draws", drawing)
+    monkeypatch.setattr(verify, "_packed_dual", checking)
+    if pass_values:
+        monkeypatch.setattr(verify, "_PASS_VALUES", pass_values)
     assert run_suite("involution", {"seed": 1, "count": 3}).passed
-    # no table waits in a list: each is checked before the next is drawn
-    assert events == ["draw", "check", "check"] * 3
+    assert seen == events
 
 
 def _reference_pairs(seed, count=250, max_n=4, lo=-3, hi=8):
