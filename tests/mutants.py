@@ -160,6 +160,12 @@ MUTANTS = (
     Mutant("demimatroid-duality-read-from-the-dual", VERIFY,
            "r_dual, s_dual = (_dual_sums(n, t.offsets, count) for t in (view, s))",
            "r_dual, s_dual = (_dual_sums(n, t.offsets, count) for t in (s, view))", SAMPLED_TESTS),
+    Mutant("draw-index-restarts-each-pass", VERIFY,
+           "lambda t: checks(first + t, *run[t])",
+           "lambda t: checks(t, *run[t])", SAMPLED_TESTS),
+    Mutant("enumerated-index-restarts-each-corpus", VERIFY,
+           "read, checks)\n        idx += count\n",
+           "read, checks)\n", SAMPLED_TESTS),
 )
 
 

@@ -1,9 +1,10 @@
 """The four sampled suites that read per-size corpora give the reports of
 their per-table reference (``suite_oracle``), byte for byte: on seeds 0 to
-4, counts 0 to 60 and grounds of up to 8 elements; with the default ranks
-and with ranks near 2**28, which do not pack and take the per-table route;
-under both fail_fast values and max_failures 1 and 3; and with a planted
-fault, which both readings must report alike."""
+4, in one pass and in passes of a few tables, counts 0 to 60 and grounds
+of up to 8 elements; with the default ranks, with ranks near 2**28, which
+do not pack and take the per-table route, and with ranks in [-40, 40],
+whose larger sizes take it; under both fail_fast values and max_failures 1
+and 3; and with a planted fault, which both readings must report alike."""
 
 import itertools
 
@@ -14,8 +15,14 @@ from rankdual import random_monotone_tables, random_tables, table_from_values, v
 from rankdual.core import _view_of
 
 SUITES = ("involution", "exchange", "nullity_monotone", "demimatroid_characterization")
-# (seed, count, max_n) per seed
-SAMPLES = ((0, 0, 3), (1, 60, 8), (2, 13, 0), (3, 37, 5), (4, 22, 2))
+# (seed, count, max_n, values per pass); the last sample is read in passes
+# of a few tables each, so that the draw indices run on from pass to pass
+SAMPLES = ((0, 0, 3, None), (1, 60, 8, None), (2, 13, 0, None), (3, 37, 5, None), (4, 22, 2, None),
+           (1, 60, 8, 300))
+# ranks that pack at small sizes only (at seed 1, up to n = 3 for involution
+# and n = 2 for exchange): one pass reads some sizes as corpora and the rest
+# per table
+MIXED = {"lo": -40, "hi": 40}
 WIDE = {"lo": -(2**28), "hi": 2**28}
 
 
@@ -61,7 +68,7 @@ def _variants(name):
     the enumerated sizes n for the monotone suites) without a fault, and
     with one under every fail_fast and max_failures."""
     if name in ("involution", "exchange"):
-        ranges = ({}, WIDE)
+        ranges = ({}, MIXED, WIDE)
     else:
         ranges = ({"n": 0}, {"n": 3})
     for extra in ranges:
@@ -72,9 +79,11 @@ def _variants(name):
         yield extra, True
 
 
-@pytest.mark.parametrize("seed, count, max_n", SAMPLES)
+@pytest.mark.parametrize("seed, count, max_n, pass_values", SAMPLES)
 @pytest.mark.parametrize("name", SUITES)
-def test_corpus_reports_equal_the_per_table_reference(monkeypatch, name, seed, count, max_n):
+def test_corpus_reports_equal_the_per_table_reference(monkeypatch, name, seed, count, max_n, pass_values):
+    if pass_values:
+        monkeypatch.setattr(verify, "_PASS_VALUES", pass_values)
     failing = 0
     for extra, planted in _variants(name):
         params = {"seed": seed, "count": count, "max_n": max_n, **extra}
