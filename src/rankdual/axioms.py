@@ -10,13 +10,14 @@ combine these per-element sets with AND and shifts, so no axiom loops over
 subsets in Python. Union-closure is read the same way from the feasible
 sets when the family is accessible.
 
-The same violation sets serve one table and a whole corpus: with tables
-laid end to end as blocks (``core.step_sets``), ``block_failures`` gives
-the tables failing the greedoid, matroid and dual-greedoid checkers in one
-pass, and the verification suites read their verdicts from it. The bounds
-0 <= r(A), r(A) <= |A| and r(A) <= r(S) are read with ``core.exceeding``,
-for one table as for a corpus, and the feasible sets r(A) = |A| with
-``core.feasible_flags``.
+The same violation sets serve one table and a whole corpus of tables laid
+end to end as blocks (``core.step_sets``): ``block_failures`` gives the
+tables failing the greedoid, matroid and dual-greedoid checkers in one
+pass, and ``demi_sets`` the violation sets of every demi-matroid condition,
+both dualities included; the checkers and the verification suites read
+their verdicts from these two. The bounds 0 <= r(A), r(A) <= |A| and
+r(A) <= r(S) are read with ``core.exceeding``, for one table as for a
+corpus, and the feasible sets r(A) = |A| with ``core.feasible_flags``.
 
 Each failed axiom reports its canonical witness, the first violation in
 (cardinality, mask) order, ties broken by element position: the lowest set
@@ -34,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import compress
-from operator import and_, mul, ne, or_, sub
+from operator import and_, mul, or_
 
 from .core import (
     DECREASE,
@@ -63,14 +64,11 @@ from .core import (
     step_sets,
     subset_max,
 )
-from .ops import _dual_values
+from .ops import _dual_mismatch
 
 
 def format_witness(witness: dict) -> str:
-    parts = []
-    for name, value in witness.items():
-        parts.append(f"{name}={value}")
-    return ", ".join(parts)
+    return ", ".join(f"{name}={value}" for name, value in witness.items())
 
 
 @dataclass(frozen=True)
@@ -155,10 +153,6 @@ class DemiTriple:
 # ---------------------------------------------------------------------------
 # violation sets (bit sets over masks, see core.step_sets) and their witnesses
 # ---------------------------------------------------------------------------
-
-
-def _subset(ground: GroundSet, mask: int) -> SubsetRef:
-    return SubsetRef(ground, mask)
 
 
 def _pair_union(n, pair_set):
@@ -305,24 +299,24 @@ def _unnormalized(values):
 
 
 def _rank_at(ground, values, keys=("A", "r(A)")):
-    return lambda a: {keys[0]: _subset(ground, a), keys[1]: values[a]}
+    return lambda a: {keys[0]: SubsetRef(ground, a), keys[1]: values[a]}
 
 
 def _step_at(ground, key="A"):
-    return lambda hit: {key: _subset(ground, hit[0]), "p": ground.labels[hit[1]]}
+    return lambda hit: {key: SubsetRef(ground, hit[0]), "p": ground.labels[hit[1]]}
 
 
 def _nested_at(ground):
-    return lambda hit: {"A": _subset(ground, hit[0]), "B": _subset(ground, hit[0] | 1 << hit[1])}
+    return lambda hit: {"A": SubsetRef(ground, hit[0]), "B": SubsetRef(ground, hit[0] | 1 << hit[1])}
 
 
 def _square_at(ground, keys):
     labels = ground.labels
-    return lambda hit: dict(zip(keys, (_subset(ground, hit[0]), labels[hit[1]], labels[hit[2]])))
+    return lambda hit: dict(zip(keys, (SubsetRef(ground, hit[0]), labels[hit[1]], labels[hit[2]])))
 
 
 def _pair_at(ground, keys):
-    return lambda hit: {keys[0]: _subset(ground, hit[0]), keys[1]: _subset(ground, hit[1])}
+    return lambda hit: {keys[0]: SubsetRef(ground, hit[0]), keys[1]: SubsetRef(ground, hit[1])}
 
 
 def check_matroid(g: RankTable) -> AxiomReport:
@@ -403,8 +397,8 @@ def feasible_descriptors(g: RankTable) -> FeasibleDescriptors:
     total = values[ground.full_mask]
     family = FeasibleFamily.from_table(g)
     spanning_masks = by_cardinality(compress(range(ground.size), map(total.__eq__, values)))
-    spanning = tuple(_subset(ground, m) for m in spanning_masks)
-    bases = tuple(_subset(ground, m) for m in spanning_masks if m in family.members)
+    spanning = tuple(SubsetRef(ground, m) for m in spanning_masks)
+    bases = tuple(SubsetRef(ground, m) for m in spanning_masks if m in family.members)
     covered = reduce(or_, family.members, 0)
     loops = tuple(label for pos, label in enumerate(ground.labels) if not covered >> pos & 1)
     return FeasibleDescriptors(
@@ -434,14 +428,29 @@ def check_antimatroid(g: RankTable) -> AxiomReport:
     return _report("antimatroid", found)
 
 
-def _demi_flag_checks(prefix: str, table: RankTable, found):
-    values, view, n, ground = table.values, table._kernel_view(), table.n, table.ground
-    witness = _rank_at(ground, values, ("A", "rank"))
-    for name, bound in (("nonnegative", NEGATIVE), ("subcardinal", SIZE)):
-        hit = first_by_cardinality(n, exceeding(n, view, bound))
-        _record(found, f"{prefix}-{name}", hit, witness)
-    (decrease,) = step_sets(n, view, DECREASE)
-    _record(found, f"{prefix}-monotone", first_step(n, decrease), _nested_at(ground))
+def demi_sets(n, r, s=None, blocks=1):
+    """The violation sets of the demi-matroid conditions for ``blocks``
+    tables r of 2**n values laid end to end (``values`` as in
+    ``core.step_sets``) and as many tables s, if given: [flags of r, jump
+    steps of r], and with s also [flags of s, the masks B with
+    r(B) != s*(B), those with s(B) != r*(B)] from ``ops._dual_mismatch``;
+    None when the duals of a corpus do not pack. The flags of a table are
+    [negative set, supercardinal set, *decreasing steps].
+
+    The rank-nullity duality |S - A| - r(S - A) = s(S) - s(A) says
+    r(B) = |B| + s(S - B) - s(S) = s*(B) at B = S - A, and its
+    complementary form says s(B) = r*(B). As A runs over the subsets of S,
+    so does B: the complementary form holds at every A iff s = r*."""
+    r = _view_of(r)
+    decrease, jump = step_sets(n, r, DECREASE, JUMP, blocks=blocks)
+    found = [[exceeding(n, r, NEGATIVE, blocks), exceeding(n, r, SIZE, blocks), *decrease], jump]
+    if s is None:
+        return found
+    s = _view_of(s)
+    duality, complement = _dual_mismatch(n, r, s, blocks), _dual_mismatch(n, s, r, blocks)
+    if duality is None or complement is None:
+        return None
+    return found + [demi_sets(n, s, blocks=blocks)[0], duality, complement]
 
 
 def check_demimatroid_triple(d: DemiTriple) -> AxiomReport:
@@ -449,28 +458,23 @@ def check_demimatroid_triple(d: DemiTriple) -> AxiomReport:
     monotone, plus the rank-nullity duality |S-A| - r(S-A) = s(S) - s(A) and
     its complementary form |S-A| - s(S-A) = r(S) - r(A).
 
-    Also reports (as a note) whether s equals the dual of r, which the
-    duality condition forces whenever the triple passes.
+    Also reports (as a note) whether s = r*, which every passing triple has:
+    the verdict of the complementary form (see demi_sets).
     """
     r, s = d.r, d.s
     ground, n = d.ground, d.ground.n
-    full = ground.full_mask
+    r_flags, _, s_flags, duality, complement = demi_sets(n, r._kernel_view(), s._kernel_view())
     found = ({}, {})
-    _demi_flag_checks("r", r, found)
-    _demi_flag_checks("s", s, found)
-
-    # |S-A| - t(S-A) for every A, read from the tables in reverse mask order
-    co_sizes = popcounts(n)[::-1]
-    for name, t, u in (
-        ("rank-nullity-duality", r.values, s.values),
-        ("rank-nullity-duality-complement", s.values, r.values),
-    ):
-        co_nullity = map(sub, co_sizes, t[::-1])
-        hit = first_by_cardinality(n, bitset(map(ne, co_nullity, map(u[full].__sub__, u))))
-        _record(found, name, hit, lambda a: {"A": _subset(ground, a)})
-
-    details = {"s_is_dual_of_r": s.values == _dual_values(r.values, n)}
-    return _report("demi-matroid-triple", found, details)
+    for prefix, table, (negative, supercardinal, *decrease) in (("r", r, r_flags), ("s", s, s_flags)):
+        witness = _rank_at(ground, table.values, ("A", "rank"))
+        _record(found, f"{prefix}-nonnegative", first_by_cardinality(n, negative), witness)
+        _record(found, f"{prefix}-subcardinal", first_by_cardinality(n, supercardinal), witness)
+        _record(found, f"{prefix}-monotone", first_step(n, decrease), _nested_at(ground))
+    for name, unequal in (("rank-nullity-duality", duality), ("rank-nullity-duality-complement", complement)):
+        # the condition at A reads B = S - A: the first A of the reversed set
+        reversed_set = int(format(unequal, f"0{1 << n}b")[::-1], 2) if unequal else 0
+        _record(found, name, first_by_cardinality(n, reversed_set), lambda a: {"A": SubsetRef(ground, a)})
+    return _report("demi-matroid-triple", found, {"s_is_dual_of_r": not complement})
 
 
 def check_demimatroid_characterization(g: RankTable) -> AxiomReport:
@@ -485,18 +489,14 @@ def check_demimatroid_characterization(g: RankTable) -> AxiomReport:
     when r(A | p) > r(A) + 1, so it always equals (c). The overall verdict
     is (a) and (b) and (c).
     """
-    values, view, n, ground = g.values, g._kernel_view(), g.n, g.ground
+    values, n, ground = g.values, g.n, g.ground
+    (negative, supercardinal, *decrease), jump = demi_sets(n, g._kernel_view())
     found = verdicts, _ = ({}, {})
-    hit = first_by_cardinality(n, exceeding(n, view, NEGATIVE))
-    if hit is None:
-        hit = first_by_cardinality(n, exceeding(n, view, SIZE))
+    hit = first_by_cardinality(n, negative or supercardinal)
     _record(found, "nonnegative-subcardinal", hit, _rank_at(ground, values, ("A", "rank")))
-    decrease, jump = step_sets(n, view, DECREASE, JUMP)
     _record(found, "monotone", first_step(n, decrease), _nested_at(ground))
     hit = first_step(n, jump)
     _record(found, "unit-increase", hit, _step_at(ground))
-    # |A| - r(A) drops from A to A | p exactly when r(A | p) > r(A) + 1: the
-    # same violations as unit-increase, so the same first witness
     _record(found, "monotone-nullity", hit, _nested_at(ground))
     passed = all(map(verdicts.get, ("nonnegative-subcardinal", "monotone", "unit-increase")))
     return AxiomReport("demi-matroid-characterization", *found, passed)

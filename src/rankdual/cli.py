@@ -30,7 +30,14 @@ from .structures import branching_greedoid, convex_closure, pruning_antimatroid
 from .tutte import tutte_recursive, tutte_subset
 from .verify import _RUN_PARAMS, CONSTRAINTS, EnumSpec, SUITES, enumerate_tables, run_suite
 
-CHECKS = ("matroid", "greedoid", "dual-greedoid", "antimatroid", "demimatroid")
+_CHECKERS = {
+    "matroid": check_matroid,
+    "greedoid": check_greedoid,
+    "dual-greedoid": check_dual_greedoid,
+    "antimatroid": check_antimatroid,
+    "demimatroid": check_demimatroid_characterization,
+}
+CHECKS = tuple(_CHECKERS)
 
 
 def _load_table(path: str) -> RankTable:
@@ -161,19 +168,10 @@ def _cmd_check(args) -> int:
     if args.s_input and args.system != "demimatroid":
         raise DocumentError(f"--s-in applies only to check demimatroid, not {args.system}")
     table = _load_table(args.input)
-    if args.system == "matroid":
-        report = check_matroid(table)
-    elif args.system == "greedoid":
-        report = check_greedoid(table)
-    elif args.system == "dual-greedoid":
-        report = check_dual_greedoid(table)
-    elif args.system == "antimatroid":
-        report = check_antimatroid(table)
+    if args.s_input:
+        report = check_demimatroid_triple(DemiTriple(table, _load_table(args.s_input)))
     else:
-        if args.s_input:
-            report = check_demimatroid_triple(DemiTriple(table, _load_table(args.s_input)))
-        else:
-            report = check_demimatroid_characterization(table)
+        report = _CHECKERS[args.system](table)
     for line in report.lines():
         print(line)
     return 0 if report.passed else 1

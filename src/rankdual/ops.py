@@ -11,7 +11,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from itertools import chain, repeat
-from operator import add, sub
+from operator import add, ne, sub
 
 from .core import (
     MAX_PACKED_SPREAD,
@@ -24,6 +24,7 @@ from .core import (
     TableView,
     _shifted,
     _view_of,
+    bitset,
     popcounts,
     table_from_values,
 )
@@ -119,6 +120,39 @@ def _packed_dual(n: int, values, blocks: int = 1):
     # byte A of block b is at most n + max(O) + bias - O_b[S]; byte 0 is bias
     top = n + view.high - view.low + sums[0] - min(view.offsets[(1 << n) - 1 :: 1 << n])
     return _shifted_view(sums, top, -sums[0]) if top < 256 else None
+
+
+def _side(view):
+    """The side (see _differing) of a view's values."""
+    return view.offsets, view.low
+
+
+def _differing(x, y):
+    """The set of masks at which the values of the sides x and y differ. A
+    side is a pair (offsets, low) of the values offsets + low; None unless
+    both offsets are ASCII and both lows in -128..0, so that the offsets of
+    one side raised onto the other's lower low stay bytes."""
+    (x, x_low), (y, y_low) = x, y
+    if not (x.isascii() and y.isascii()) or min(x_low, y_low) < -128:
+        return None
+    if x_low > y_low:
+        x = x.translate(_shifted(x_low - y_low))
+    elif y_low > x_low:
+        y = y.translate(_shifted(y_low - x_low))
+    return 0 if x == y else bitset(map(ne, x, y))
+
+
+def _dual_mismatch(n: int, t, u, blocks: int = 1):
+    """The set of masks B with t(B) != u*(B), for the views t and u of
+    ``blocks`` tables of 2**n values laid end to end, read from the packed
+    dual of u when both pack; otherwise None for a corpus, and for one table
+    from _dual_values (not ``dual``, whose checked build refuses duals past
+    the magnitude bound)."""
+    u_dual = None if t.offsets is None else _packed_dual(n, u, blocks)
+    masks = None if u_dual is None else _differing(_side(t), _side(u_dual))
+    if masks is None and blocks == 1:
+        return bitset(map(ne, t.values, _dual_values(u.values, n)))
+    return masks
 
 
 # Fewest values for which dual, the minors, direct_sum and the two

@@ -33,6 +33,7 @@ from .axioms import (
     check_demimatroid_triple,
     check_dual_greedoid,
     check_greedoid,
+    demi_sets,
     feasible_descriptors,
 )
 from .core import (
@@ -40,16 +41,12 @@ from .core import (
     JUMP,
     MAX_GROUND_SIZE,
     MAX_RANK_MAGNITUDE,
-    NEGATIVE,
-    SIZE,
     GroundSet,
     RankFunctionError,
     RankTable,
     SubsetRef,
-    _shifted,
     _view_of,
     bitset,
-    exceeding,
     failing_blocks,
     feasible_flags,
     member_flags,
@@ -60,7 +57,7 @@ from .core import (
     table_from_values,
     validate,
 )
-from .ops import _dual_sums, _half, _packed_dual, _rebased, contract, delete, direct_sum, dual
+from .ops import _differing, _dual_sums, _half, _packed_dual, _rebased, _side, contract, delete, direct_sum, dual
 from .structures import (
     ContractionError,
     RootedGraph,
@@ -680,23 +677,9 @@ def _tally_sample(params, rec: _Recorder, read, check, width=lambda n: 1) -> Non
 
 def _unequal(n: int, count: int, x, y):
     """The tables, of count tables of 2**n values laid end to end, at which
-    the values of the sides x and y differ. A side is a pair (offsets, low)
-    of the values offsets + low, with ASCII offsets and low in -128..0, so
-    that the offsets of one side raised onto the other's lower low stay
-    bytes; None when the offsets of a side are not ASCII."""
-    (x, x_low), (y, y_low) = x, y
-    if not (x.isascii() and y.isascii()):
-        return None
-    if x_low > y_low:
-        x = x.translate(_shifted(x_low - y_low))
-    elif y_low > x_low:
-        y = y.translate(_shifted(y_low - x_low))
-    return 0 if x == y else failing_blocks(n, bitset(map(ne, x, y)), count)
-
-
-def _side(view):
-    """The side (see _unequal) of a view's values."""
-    return view.offsets, view.low
+    the sides x and y differ, or None (see ops._differing)."""
+    masks = _differing(x, y)
+    return None if masks is None else masks and failing_blocks(n, masks, count)
 
 
 def _contraction(n: int, data: bytes, bit: int, count: int):
@@ -749,9 +732,7 @@ def _involution_corpus(n: int, view, count: int):
     values or their duals do not pack."""
     once = _packed_dual(n, view, count)
     twice = None if once is None else _packed_dual(n, once, count)
-    if twice is None:
-        return None
-    differ = _unequal(n, count, _side(twice), _side(view))
+    differ = None if twice is None else _unequal(n, count, _side(twice), _side(view))
     return None if differ is None else [differ]
 
 
@@ -1132,29 +1113,15 @@ def _demimatroid_checks(desc, g: RankTable):
 def _demimatroid_corpus(n: int, view, count: int):
     """The tables r of the corpus on which check_demimatroid_characterization
     and check_demimatroid_triple of r and s, its dual from _packed_dual,
-    disagree; None when the duals do not pack. The triple's rank-nullity
-    duality |S - A| - r(S - A) = s(S) - s(A), read at S - A, says r = s*,
-    and its complementary form says s = r*: both are read from _dual_sums."""
+    disagree, read from demi_sets; None when the duals do not pack."""
     s = _packed_dual(n, view, count)
-    if s is None:
+    sets = None if s is None else demi_sets(n, view, s, count)
+    if sets is None:
         return None
-
-    r_dual, s_dual = (_dual_sums(n, t.offsets, count) for t in (view, s))
-    duality = _unequal(n, count, _side(view), (s_dual, -s_dual[0]))
-    complement = _unequal(n, count, _side(s), (r_dual, -r_dual[0]))
-    if duality is None or complement is None:
-        return None
-
-    def failing(t, steps):
-        # the tables t breaking 0 <= t(A) <= |A| or with one of the steps
-        bounds = exceeding(n, t, NEGATIVE, count) | exceeding(n, t, SIZE, count)
-        return failing_blocks(n, reduce(or_, steps, bounds), count)
-
-    decrease, jump = step_sets(n, view, DECREASE, JUMP, blocks=count)
-    (s_decrease,) = step_sets(n, s, DECREASE, blocks=count)
-    monotone = failing(view, decrease)
-    triple = monotone | failing(s, s_decrease) | duality | complement
-    characterization = monotone | failing_blocks(n, reduce(or_, jump, 0), count)
+    r_flags, jump, s_flags, duality, complement = sets
+    r_fails = failing_blocks(n, reduce(or_, r_flags), count)
+    characterization = r_fails | failing_blocks(n, reduce(or_, jump, 0), count)
+    triple = r_fails | failing_blocks(n, reduce(or_, s_flags, duality | complement), count)
     return [characterization ^ triple]
 
 

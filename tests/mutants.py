@@ -37,11 +37,14 @@ CORE = "rankdual/core.py"
 TUTTE = "rankdual/tutte.py"
 STRUCTURES = "rankdual/structures.py"
 VERIFY = "rankdual/verify.py"
+OPS = "rankdual/ops.py"
+AXIOMS = "rankdual/axioms.py"
 CORE_TESTS = ("tests/test_core.py",)
 POLY_TESTS = ("tests/test_packed_paths.py", "tests/test_tutte.py")
 CLOSURE_TESTS = ("tests/test_structures.py", "tests/test_build_oracle.py")
 SUITE_TESTS = ("tests/test_verify.py", "tests/test_suite_failures.py")
 SAMPLED_TESTS = ("tests/test_suite_oracle.py", "tests/test_suite_failures.py")
+SCAN_TESTS = ("tests/test_scan_oracle.py",)
 
 
 class Mutant(NamedTuple):
@@ -98,9 +101,9 @@ MUTANTS = (
     Mutant("subset-max-lower-wins-inverted", CORE,
            "lower_wins = keep & ~(((upper | bias) - lower) >> 7)",
            "lower_wins = keep & (((upper | bias) - lower) >> 7)", CORE_TESTS),
-    Mutant("union-only-block-0-empty-set", "rankdual/axioms.py",
+    Mutant("union-only-block-0-empty-set", AXIOMS,
            "reached = reduce(and_, avoid, (1 << (blocks << n)) - 1)",
-           "reached = reduce(and_, avoid, 1)", ("tests/test_scan_oracle.py",)),
+           "reached = reduce(and_, avoid, 1)", SCAN_TESTS),
     Mutant("layout-without-whitespace-check", "rankdual/documents.py",
            'return table if not text[pos:].strip(" \\t\\n\\r") else None',
            "return table", ("tests/test_doc_oracle.py",)),
@@ -126,7 +129,7 @@ MUTANTS = (
            "            for failure in failures(i):\n                self.fail(*failure)\n",
            "            for failure in failures(i):\n                self.fail(*failure)\n"
            "            self.instances += i + 1 - counted\n            counted = i + 1\n", SUITE_TESTS),
-    Mutant("zero-block-dual-guard-removed", "rankdual/ops.py",
+    Mutant("zero-block-dual-guard-removed", OPS,
            '    if not blocks:\n        return TableView((), 0, 0, b"")\n',
            "", SUITE_TESTS),
     Mutant("root-degree-loosened-to-v-2", VERIFY,
@@ -154,18 +157,32 @@ MUTANTS = (
     Mutant("per-table-route-skips-the-first-table", VERIFY,
            "            for t in tables:\n",
            "            for t in tables[1:]:\n", SAMPLED_TESTS),
-    Mutant("unequal-raises-the-wrong-way", VERIFY,
-           "x = x.translate(_shifted(x_low - y_low))",
-           "x = x.translate(_shifted(y_low - x_low))", SAMPLED_TESTS),
-    Mutant("demimatroid-duality-read-from-the-dual", VERIFY,
-           "r_dual, s_dual = (_dual_sums(n, t.offsets, count) for t in (view, s))",
-           "r_dual, s_dual = (_dual_sums(n, t.offsets, count) for t in (s, view))", SAMPLED_TESTS),
     Mutant("draw-index-restarts-each-pass", VERIFY,
            "lambda t: checks(first + t, *run[t])",
            "lambda t: checks(t, *run[t])", SAMPLED_TESTS),
     Mutant("enumerated-index-restarts-each-corpus", VERIFY,
            "read, checks)\n        idx += count\n",
            "read, checks)\n", SAMPLED_TESTS),
+    # the side comparison and the demi-matroid reader, which the checkers
+    # and the sampled suites share
+    Mutant("unequal-raises-the-wrong-way", OPS,
+           "x = x.translate(_shifted(x_low - y_low))",
+           "x = x.translate(_shifted(y_low - x_low))", SAMPLED_TESTS),
+    Mutant("sides-compared-below-signed-bytes", OPS,
+           "not (x.isascii() and y.isascii()) or min(x_low, y_low) < -128",
+           "not (x.isascii() and y.isascii())", SCAN_TESTS),
+    Mutant("demimatroid-duality-read-from-the-dual", AXIOMS,
+           "_dual_mismatch(n, r, s, blocks), _dual_mismatch(n, s, r, blocks)",
+           "_dual_mismatch(n, r, r, blocks), _dual_mismatch(n, s, s, blocks)", (*SCAN_TESTS, *SAMPLED_TESTS)),
+    Mutant("duality-witness-from-the-unreversed-set", AXIOMS,
+           "first_by_cardinality(n, reversed_set)",
+           "first_by_cardinality(n, unequal)", SCAN_TESTS),
+    Mutant("dual-note-from-the-duality-verdict", AXIOMS,
+           '{"s_is_dual_of_r": not complement}',
+           '{"s_is_dual_of_r": not duality}', SCAN_TESTS),
+    Mutant("nonnegative-subcardinal-reads-supercardinal-first", AXIOMS,
+           "first_by_cardinality(n, negative or supercardinal)",
+           "first_by_cardinality(n, supercardinal or negative)", SCAN_TESTS),
 )
 
 

@@ -284,9 +284,13 @@ def test_characterization_mn_matches_unit_increase_under_a_and_b():
 def test_report_witness_present_iff_failed(demo_table):
     corpus = [demo_table, dual(demo_table), uniform_matroid("abc", 2)]
     corpus += list(random_tables(40, max_n=3, seed=13))
+    checkers = (check_matroid, check_greedoid, check_dual_greedoid, check_antimatroid, check_demimatroid_characterization)
     for g in corpus:
-        for checker in (check_matroid, check_greedoid, check_dual_greedoid, check_antimatroid):
-            report = checker(g)
+        # a table on the same ground, unrelated to g and to its dual
+        unrelated = g.ground.labels, [m % 3 - 1 for m in range(g.ground.size)]
+        reports = [checker(g) for checker in checkers]
+        reports += [check_demimatroid_triple(DemiTriple(g, s)) for s in (dual(g), make_table(*unrelated))]
+        for report in reports:
             for axiom, ok in report.verdicts.items():
                 assert (axiom in report.witnesses) == (not ok)
             if report.system != "demi-matroid-characterization":

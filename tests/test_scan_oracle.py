@@ -54,7 +54,7 @@ PAIRS = (
 
 def table(values):
     n = (len(values) - 1).bit_length()
-    return table_from_values(GroundSet(tuple("abcdefgh"[:n])), values)
+    return table_from_values(GroundSet(tuple("abcdefghi"[:n])), values)
 
 
 def assert_reports_match(g, s=None):
@@ -139,6 +139,38 @@ def test_value_spread_on_both_sides_of_the_packed_bound():
                 assert_reports_match(_near_bound_table(rng, n, low, spread))
         for seed in range(3):
             assert_reports_match(_near_bound_table(random.Random(seed), 8, -seed, spread))
+
+
+def _topped_table(rng, n, low, spread):
+    """A _near_bound_table whose entry at low + spread is r(S): its duals
+    |A| + r(S - A) - r(S) then spread no further than it does, so that a
+    table and its dual pack together."""
+    values = list(_near_bound_table(rng, n, low, spread).values)
+    top = values.index(low + spread)
+    values[top], values[-1] = values[-1], low + spread
+    return table(values)
+
+
+def test_unrelated_triples_of_tables_large_enough_for_the_packed_dual():
+    # the duality conditions of tables that pack fail, read from the packed
+    # duals: at spread MAX_PACKED_SPREAD on each side, one more takes the
+    # _dual_values path; s is unrelated to r, or r's dual off at a few masks
+    rng = random.Random(12)
+    spreads = (MAX_PACKED_SPREAD, MAX_PACKED_SPREAD + 1)
+    for n in (8, 9):
+        for r_spread, s_spread in ((a, b) for a in spreads for b in spreads):
+            r, s = (_topped_table(rng, n, -rng.randint(0, 3), spread) for spread in (r_spread, s_spread))
+            for t, spread in ((r, r_spread), (s, s_spread)):
+                assert (_packed_dual(n, t._kernel_view()) is not None) == (spread == MAX_PACKED_SPREAD)
+            # off at three masks, with no wider spread, so that it packs with r
+            off = list(dual(r).values)
+            for mask in rng.sample(range(1, 1 << n), 3):
+                off[mask] += 1 if off[mask] < max(off) else -1
+            for t, u in ((r, s), (s, r), (r, table(off))):
+                report = check_demimatroid_triple(DemiTriple(t, u))
+                assert not report.verdicts["rank-nullity-duality"]
+                assert report == oracle_demimatroid_triple(DemiTriple(t, u))
+                assert report.lines() == oracle_demimatroid_triple(DemiTriple(t, u)).lines()
 
 
 def test_ranks_at_the_magnitude_bound():
